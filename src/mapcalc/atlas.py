@@ -231,10 +231,20 @@ def chart_jet(f: SampledMap, target_chart: TargetChart, chart_id: int, k: int) -
         raise TargetChartViolated(
             f"values on the compact piece of chart {chart_id} leave the target chart"
         )
-    chart = f.atlas.charts[chart_id]
     rep = chart_rep(f, target_chart, chart_id)
-    h = TAU / f.resolution
-    ksl = compact_slices(chart, f.resolution)
+    return JetTable(chart_id, k, compact_jets(rep, f.atlas.charts[chart_id], f.resolution, k))
+
+
+def compact_jets(
+    rep: np.ndarray, chart: Chart, resolution: int, k: int
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Partial derivatives of a chart-grid array at the compact-piece nodes.
+
+    Fourth-order central differences for every multi-index up to total order
+    ``k``; the enlarged chart grid must leave room for the stencils.
+    """
+    h = TAU / resolution
+    ksl = compact_slices(chart, resolution)
     entries: dict[tuple[int, ...], np.ndarray] = {}
     for alpha in multi_indices(chart.dim, k):
         darr, offsets = diff_multi(rep, alpha, h)
@@ -244,11 +254,11 @@ def chart_jet(f: SampledMap, target_chart: TargetChart, chart_id: int, k: int) -
             stop = s.stop - offsets[axis]
             if start < 0 or stop > darr.shape[axis]:
                 raise ValueError(
-                    f"resolution {f.resolution} too coarse for order-{sum(alpha)} stencils"
+                    f"resolution {resolution} too coarse for order-{sum(alpha)} stencils"
                 )
             sl.append(slice(start, stop))
         entries[alpha] = darr[tuple(sl)]
-    return JetTable(chart_id, k, entries)
+    return entries
 
 
 def jet_table_sup_diff(a: JetTable, b: JetTable) -> float:

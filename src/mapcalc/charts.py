@@ -33,12 +33,16 @@ from .errors import (
 from .gridfn import GridFunction
 from .manifolds import (
     TargetManifold,
+    apply_in_frames,
     exp_points,
     fiber_derivative_points,
+    frame_jacobian,
     frames_at,
+    from_frame,
     inj_radius,
     log_points,
     reduce_points,
+    to_frame,
 )
 from .sections import PullbackSection, make_section, maps_equal, section_sup
 
@@ -127,11 +131,7 @@ def transition_derivative(
     out = []
     for fv, gv, v0, v in zip(f.values, g.values, s0.vectors, s.vectors):
         mats = fiber_derivative_points(m, fv, gv, v0, step=step)
-        sframes = frames_at(m, fv)
-        dframes = frames_at(m, gv)
-        coords = np.einsum("...ad,...d->...a", sframes, v)
-        out_c = np.einsum("...ab,...b->...a", mats, coords)
-        out.append(np.einsum("...a,...ad->...d", out_c, dframes))
+        out.append(apply_in_frames(mats, frames_at(m, fv), frames_at(m, gv), v))
     return make_section(g, out)
 
 
@@ -163,21 +163,13 @@ def metric_transition_fiber(
     m = f.target
     mats = []
     for fv, v0 in zip(f.values, s0.vectors):
-        sframes = frames_at(m, fv)
-        w0 = np.einsum("...ad,...d->...a", sframes, v0)
+        frames = frames_at(m, fv)
 
         def img(wc):
-            vv = np.einsum("...a,...ad->...d", wc, sframes)
-            moved = exp_points(m_from, fv, vv)
-            back = log_points(m_to, fv, moved)
-            return np.einsum("...ad,...d->...a", sframes, back)
+            moved = exp_points(m_from, fv, from_frame(frames, wc))
+            return to_frame(frames, log_points(m_to, fv, moved))
 
-        cols = []
-        for a in range(2):
-            e = np.zeros(2)
-            e[a] = step
-            cols.append((img(w0 + e) - img(w0 - e)) / (2.0 * step))
-        mats.append(np.stack(cols, axis=-1))
+        mats.append(frame_jacobian(img, to_frame(frames, v0), step))
     return mats
 
 
@@ -189,9 +181,7 @@ def apply_fiber_matrices(
     out = []
     for fv, mat, v in zip(f.values, mats, s.vectors):
         frames = frames_at(m, fv)
-        coords = np.einsum("...ad,...d->...a", frames, v)
-        out_c = np.einsum("...ab,...b->...a", mat, coords)
-        out.append(np.einsum("...a,...ad->...d", out_c, frames))
+        out.append(apply_in_frames(mat, frames, frames, v))
     return make_section(f, out)
 
 

@@ -8,19 +8,21 @@ file.  Exit codes: 0 all checks pass, 1 a check failed, 2 config error,
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache, reduce
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import experiments as ex
-from .energy import DescentTrace
 from .errors import ConfigError, MapcalcError
 from .io import canonical_json, write_map_csv, write_trace_csv
 from .manifolds import flat_torus, sphere
@@ -121,23 +123,40 @@ def _rng(config: ExperimentConfig, tag: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, tag])
 
 
+def _trials(config: ExperimentConfig, tag: int, count: int | None = None):
+    """A check's one seeded generator, handed out once per trial."""
+    return itertools.repeat(_rng(config, tag), config.trials if count is None else count)
+
+
+def _worst(residuals) -> float:
+    """Largest residual, folded as max(worst, r) from 0.0 in iteration order."""
+    return reduce(max, residuals, 0.0)
+
+
+def _once(thunk):
+    """Run a thunk at most once; concurrent callers wait for its result."""
+    lock = threading.Lock()
+    cached = cache(thunk)
+
+    def run():
+        with lock:
+            return cached()
+
+    return run
+
+
 # ---------------------------------------------------------------------------
 # suite definitions
 
 
 def _charts_checks(config: ExperimentConfig) -> list[Check]:
     def roundtrip(m, k, tag):
-        def thunk():
-            rng = _rng(config, tag)
-            worst = 0.0
-            for _ in range(config.trials):
-                f, g, delta = ex.random_pair(
-                    m, config.resolution, rng, delta_factor=config.delta_factor
-                )
-                worst = max(worst, ex.roundtrip_residual(f, g, delta, k))
-            return worst
-
-        return thunk
+        return lambda: _worst(
+            ex.roundtrip_residual(
+                *ex.random_pair(m, config.resolution, rng, delta_factor=config.delta_factor), k
+            )
+            for rng in _trials(config, tag)
+        )
 
     def overlap():
         from .atlas import CIRCLE_ATLAS, overlap_residual, sample_map
@@ -155,11 +174,7 @@ def _charts_checks(config: ExperimentConfig) -> list[Check]:
         rng = _rng(config, 5)
         f = ex.random_center(config.sphere, config.resolution, rng)
         fwd, inv = ex.homeo_rate_ratios(f, rng, k=min(config.order, 2))
-        worst = 0.0
-        for family in (fwd, inv):
-            for r in family[1:]:
-                worst = max(worst, abs(math.log2(r / family[0])))
-        return worst
+        return _worst(abs(math.log2(r / fam[0])) for fam in (fwd, inv) for r in fam[1:])
 
     return [
         Check("chart_roundtrip_sphere_k0", "phi_f^{-1}(phi_f(g)) = g", 1e-9,
@@ -255,17 +270,13 @@ def _taylor_checks(config: ExperimentConfig) -> list[Check]:
     cases = ex.taylor_cases()
 
     def zero_disp():
-        worst = 0.0
-        for data in cases.values():
-            val = taylor_remainder(data, [0.3], [0.0])
-            worst = max(worst, abs(float(np.max(np.atleast_1d(val)))))
-        return worst
+        return _worst(
+            abs(float(np.max(np.atleast_1d(taylor_remainder(data, [0.3], [0.0])))))
+            for data in cases.values()
+        )
 
     def identity():
-        worst = 0.0
-        for data in cases.values():
-            worst = max(worst, ex.taylor_identity_residual(data, [0.3], [0.2]))
-        return worst
+        return _worst(ex.taylor_identity_residual(data, [0.3], [0.2]) for data in cases.values())
 
     def quadratic():
         return ex.taylor_quadratic_residual(0.7, 0.25)
@@ -279,40 +290,32 @@ def _taylor_checks(config: ExperimentConfig) -> list[Check]:
 
 
 def _transitions_checks(config: ExperimentConfig) -> list[Check]:
+    res = config.resolution
+
     def cocycle():
-        rng = _rng(config, 31)
-        worst = 0.0
-        for _ in range(config.trials):
-            worst = max(worst, ex.cocycle_residual(config.sphere, config.resolution, rng))
-            worst = max(worst, ex.cocycle_residual(config.torus, config.resolution, rng))
-        return worst
+        return _worst(
+            ex.cocycle_residual(m, res, rng)
+            for rng in _trials(config, 31)
+            for m in (config.sphere, config.torus)
+        )
 
     def derivative_sphere():
-        rng = _rng(config, 32)
-        worst = 0.0
-        for _ in range(config.trials):
-            worst = max(
-                worst,
-                ex.derivative_identity_residual(config.sphere, config.resolution, rng)[1],
-            )
-        return worst
+        return _worst(
+            ex.derivative_identity_residual(config.sphere, res, rng)[1]
+            for rng in _trials(config, 32)
+        )
 
     def derivative_torus():
-        rng = _rng(config, 33)
-        worst = 0.0
-        for _ in range(config.trials):
-            worst = max(
-                worst,
-                ex.derivative_identity_residual(config.torus, config.resolution, rng)[0],
-            )
-        return worst
+        return _worst(
+            ex.derivative_identity_residual(config.torus, res, rng)[0]
+            for rng in _trials(config, 33)
+        )
 
     def chain():
-        rng = _rng(config, 34)
-        worst = 0.0
-        for _ in range(max(1, config.trials // 2)):
-            worst = max(worst, ex.chain_rule_residual(config.sphere, config.resolution, rng))
-        return worst
+        return _worst(
+            ex.chain_rule_residual(config.sphere, res, rng)
+            for rng in _trials(config, 34, max(1, config.trials // 2))
+        )
 
     def metric():
         rng = _rng(config, 35)
@@ -337,36 +340,31 @@ def _transitions_checks(config: ExperimentConfig) -> list[Check]:
 
 
 def _descent_checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
-    state: dict = {}
+    # each demo runs once, whichever of the four checks asks first
+    torus_run = _once(lambda: ex.torus_descent_demo(
+        config.descent_resolution, config.descent_steps, config.descent_step_size
+    ))
+    sphere_run = _once(lambda: ex.sphere_descent_demo(
+        config.sphere_descent_resolution, config.descent_steps, config.descent_step_size
+    ))
     checks: list[Check] = []
 
     def torus_demo():
-        energy, trace, windings_ok = ex.torus_descent_demo(
-            config.descent_resolution, config.descent_steps, config.descent_step_size
-        )
-        state["torus_trace"] = trace
-        state["windings_ok"] = windings_ok
+        energy = torus_run()[0]
         checks[0].extras["final_energy"] = energy
         return abs(energy - math.pi)
 
     def sphere_demo():
-        energy, trace = ex.sphere_descent_demo(
-            config.sphere_descent_resolution, config.descent_steps, config.descent_step_size
-        )
-        state["sphere_trace"] = trace
-        return energy
+        return sphere_run()[0]
 
     def monotone():
-        worst = 0.0
-        for key in ("torus_trace", "sphere_trace"):
-            if key in state:
-                worst = max(worst, ex.trace_monotone_violation(state[key]))
-        if out_dir is not None and "torus_trace" in state:
-            emit_trace_plots_data(state["torus_trace"], out_dir / "torus_descent_trace.csv")
+        worst = _worst(ex.trace_monotone_violation(run()[1]) for run in (torus_run, sphere_run))
+        if out_dir is not None:
+            write_trace_csv(torus_run()[1], out_dir / "torus_descent_trace.csv")
         return worst
 
     def windings():
-        return 0.0 if state.get("windings_ok", False) else 1.0
+        return 0.0 if torus_run()[2] else 1.0
 
     checks.extend(
         [
@@ -470,11 +468,6 @@ def run_suite(config: ExperimentConfig, suite: str, out_dir: str | Path) -> int:
     return 0 if report["all_pass"] else 1
 
 
-def emit_trace_plots_data(trace: DescentTrace, path) -> None:
-    """Write a descent trace as CSV with one row per iterate."""
-    write_trace_csv(trace, path)
-
-
 # ---------------------------------------------------------------------------
 # click entry points
 
@@ -520,15 +513,13 @@ def descend_cmd(config_path, out_dir):
     from .atlas import CIRCLE_ATLAS, sample_map
     from .energy import descend as run_descend
     from .energy import dirichlet_energy
-    from .maps import torus_loop
 
-    formula = torus_loop((1, 0), waves=((0, 0.3, 0.4), (1, 0.2, 1.1)))
-    f0 = sample_map(CIRCLE_ATLAS, config.torus, formula, config.descent_resolution)
+    f0 = sample_map(CIRCLE_ATLAS, config.torus, ex.TORUS_DEMO_LOOP, config.descent_resolution)
     final, trace = run_descend(
         f0, config.descent_steps, config.descent_step_size, grad_tol=1e-8
     )
     try:
-        emit_trace_plots_data(trace, out / "descent_trace.csv")
+        write_trace_csv(trace, out / "descent_trace.csv")
         write_map_csv(final, out / "descent_final_map.csv")
         report = {
             "final_energy": dirichlet_energy(final),

@@ -11,14 +11,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .atlas import CIRCLE, TAU, SampledMap, compact_slices, grid_ranges
+from .atlas import CIRCLE, TAU, DomainAtlas, SampledMap, compact_slices, grid_ranges
 from .charts import chart_inverse, default_delta
 from .errors import StepOutOfChart
-from .manifolds import fiber_derivative_points, frames_at, inner_points, log_points, norm_points
+from .manifolds import (
+    fiber_derivative_points,
+    frames_at,
+    from_frame,
+    inner_points,
+    log_points,
+    norm_points,
+    to_frame,
+    torus_wrap,
+)
 from .sections import (
     PullbackSection,
     make_section,
@@ -26,17 +36,6 @@ from .sections import (
     section_scale,
     section_sup,
 )
-
-
-@dataclass(frozen=True)
-class EnergyFunctional:
-    kind: str = "discrete_dirichlet"
-
-    def evaluate(self, f: SampledMap) -> float:
-        return dirichlet_energy(f)
-
-    def gradient(self, f: SampledMap) -> PullbackSection:
-        return energy_gradient(f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,33 +61,45 @@ def _require_circle(f: SampledMap) -> None:
         raise ValueError("loop energies are defined for circle domains")
 
 
-def _owned_indices(chart, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Local and global lattice indices owned by a chart's compact piece.
+@lru_cache(maxsize=32)
+def _loop_lattice(atlas: DomainAtlas, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per chart: the local and global indices of the loop nodes its compact
+    piece owns, and the global index of every node of its grid.
 
     Ownership is half-open at the upper end so the pieces tile the circle.
+    The arrays are shared between callers, so they are read-only.
     """
-    (j0, _), = grid_ranges(chart, n)
-    (ksl,) = compact_slices(chart, n)
     h = TAU / n
-    local = np.arange(ksl.start, ksl.stop)
-    keep = (j0 + local) * h < chart.compact[0][1] - 1e-12
-    local = local[keep]
-    return local, (j0 + local) % n
+    filled = np.zeros(n, dtype=bool)
+    table = []
+    for chart in atlas.charts:
+        (j0, j1), = grid_ranges(chart, n)
+        (ksl,) = compact_slices(chart, n)
+        local = np.arange(ksl.start, ksl.stop)
+        local = local[(j0 + local) * h < chart.compact[0][1] - 1e-12]
+        owned = (j0 + local) % n
+        filled[owned] = True
+        row = (local, owned, np.arange(j0, j1 + 1) % n)
+        for arr in row:
+            arr.flags.writeable = False
+        table.append(row)
+    if not np.all(filled):
+        raise ValueError("compact pieces do not cover the loop lattice")
+    return tuple(table)
+
+
+def _on_loop(f: SampledMap, per_chart) -> np.ndarray:
+    """Gather per-chart node arrays onto the loop lattice by ownership."""
+    out = np.empty((f.resolution, f.target.ambient_dim))
+    for (local, owned, _), arr in zip(_loop_lattice(f.atlas, f.resolution), per_chart):
+        out[owned] = arr[local]
+    return out
 
 
 def loop_values(f: SampledMap) -> np.ndarray:
     """Values on the global loop lattice, each node owned by one compact piece."""
     _require_circle(f)
-    n = f.resolution
-    out = np.empty((n, f.target.ambient_dim))
-    filled = np.zeros(n, dtype=bool)
-    for chart in f.atlas.charts:
-        local, global_idx = _owned_indices(chart, n)
-        out[global_idx] = f.values[chart.id][local]
-        filled[global_idx] = True
-    if not np.all(filled):
-        raise ValueError("compact pieces do not cover the loop lattice")
-    return out
+    return _on_loop(f, f.values)
 
 
 def loop_step(f: SampledMap) -> float:
@@ -115,49 +126,30 @@ def energy_gradient(f: SampledMap) -> PullbackSection:
     neighbors, divided by the squared step; chart grid nodes inherit the
     value of their lattice point, so no interpolation is involved.
     """
-    vals = loop_values(f)
-    m = f.target
-    n = f.resolution
-    dtheta = loop_step(f)
-    fwd = log_points(m, vals, np.roll(vals, -1, axis=0))
-    bwd = log_points(m, vals, np.roll(vals, 1, axis=0))
-    grad = -(fwd + bwd) / dtheta**2
-    vecs = []
-    for chart in f.atlas.charts:
-        (j0, j1), = grid_ranges(chart, n)
-        idx = np.arange(j0, j1 + 1) % n
-        vecs.append(grad[idx])
-    return make_section(f, vecs)
+    grad = -_geodesic_laplacian(f, loop_values(f))
+    return make_section(f, [grad[grid] for _, _, grid in _loop_lattice(f.atlas, f.resolution)])
 
 
 def loop_inner(f: SampledMap, s: PullbackSection, t: PullbackSection) -> float:
     """Weighted inner product pairing gradients with directional derivatives."""
-    m = f.target
     vals = loop_values(f)
-    sv = _loop_vectors(f, s)
-    tv = _loop_vectors(f, t)
-    dtheta = loop_step(f)
-    return float(np.sum(inner_points(m, vals, sv, tv)) * dtheta)
+    sv = _on_loop(f, s.vectors)
+    tv = _on_loop(f, t.vectors)
+    return float(np.sum(inner_points(f.target, vals, sv, tv)) * loop_step(f))
 
 
-def _loop_vectors(f: SampledMap, s: PullbackSection) -> np.ndarray:
-    n = f.resolution
-    out = np.empty((n, f.target.ambient_dim))
-    for chart in f.atlas.charts:
-        local, global_idx = _owned_indices(chart, n)
-        out[global_idx] = s.vectors[chart.id][local]
-    return out
+def _geodesic_laplacian(f: SampledMap, vals: np.ndarray) -> np.ndarray:
+    """Sum of the logarithms toward both loop neighbors over the squared step."""
+    m = f.target
+    fwd = log_points(m, vals, np.roll(vals, -1, axis=0))
+    bwd = log_points(m, vals, np.roll(vals, 1, axis=0))
+    return (fwd + bwd) / loop_step(f) ** 2
 
 
 def geodesic_residual(f: SampledMap) -> float:
     """Sup norm of the discrete geodesic equation over the loop nodes."""
     vals = loop_values(f)
-    m = f.target
-    dtheta = loop_step(f)
-    fwd = log_points(m, vals, np.roll(vals, -1, axis=0))
-    bwd = log_points(m, vals, np.roll(vals, 1, axis=0))
-    res = (fwd + bwd) / dtheta**2
-    return float(np.max(norm_points(m, vals, res)))
+    return float(np.max(norm_points(f.target, vals, _geodesic_laplacian(f, vals))))
 
 
 def winding_numbers(f: SampledMap) -> tuple[int, ...]:
@@ -165,10 +157,9 @@ def winding_numbers(f: SampledMap) -> tuple[int, ...]:
     if f.target.kind != "torus":
         raise ValueError("winding numbers are defined for torus targets")
     vals = loop_values(f)
-    periods = np.asarray(f.target.periods)
-    steps = np.mod(np.diff(np.vstack([vals, vals[:1]]), axis=0) + periods / 2, periods) - periods / 2
+    steps = torus_wrap(f.target, np.diff(np.vstack([vals, vals[:1]]), axis=0))
     total = steps.sum(axis=0)
-    return tuple(int(round(t / p)) for t, p in zip(total, periods))
+    return tuple(int(round(t / p)) for t, p in zip(total, f.target.periods))
 
 
 def descend(
@@ -238,10 +229,8 @@ def fixed_chart_step(
     pulled = []
     for fv, gv, sv, gr in zip(f0.values, current.values, s.vectors, grad.vectors):
         mats = fiber_derivative_points(m, fv, gv, sv)
-        fframes = frames_at(m, fv)
-        gframes = frames_at(m, gv)
-        coords = np.einsum("...ad,...d->...a", gframes, gr)
+        coords = to_frame(frames_at(m, gv), gr)
         out_c = np.linalg.solve(mats, coords[..., None])[..., 0]
-        pulled.append(np.einsum("...a,...ad->...d", out_c, fframes))
+        pulled.append(from_frame(frames_at(m, fv), out_c))
     chart_grad = make_section(f0, pulled)
     return section_add(s, section_scale(chart_grad, -step_size))

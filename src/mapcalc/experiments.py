@@ -39,7 +39,7 @@ from .charts import (
 from .energy import DescentTrace, descend, dirichlet_energy, winding_numbers
 from .gridfn import GridFunction, grid_jet_sup_diff
 from .manifolds import TargetManifold, flat_torus, sphere
-from .maps import random_loop, torus_loop
+from .maps import add_fourier_modes, random_loop, torus_loop
 from .sections import (
     PullbackSection,
     section_add,
@@ -62,6 +62,8 @@ from .topology import (
 DEFAULT_SPHERE = sphere(1.0)
 DEFAULT_TORUS = flat_torus(2 * math.pi, 2 * math.pi)
 DEFAULT_CONFORMAL_EXPR = "exp(0.3*z)"
+# Perturbed winding loop of class (1, 0) that the torus descent demos relax.
+TORUS_DEMO_LOOP = torus_loop((1, 0), waves=((0, 0.3, 0.4), (1, 0.2, 1.1)))
 
 
 def random_vector_field(rng: np.random.Generator, ambient: int, modes: int = 3):
@@ -72,10 +74,7 @@ def random_vector_field(rng: np.random.Generator, ambient: int, modes: int = 3):
     def vf(mesh):
         theta = mesh[..., 0]
         out = np.broadcast_to(const, theta.shape + (ambient,)).copy()
-        for k in range(modes):
-            out = out + np.sin((k + 1) * theta)[..., None] * coeff[k, 0]
-            out = out + np.cos((k + 1) * theta)[..., None] * coeff[k, 1]
-        return out
+        return add_fourier_modes(out, theta, coeff)
 
     return vf
 
@@ -460,8 +459,7 @@ def torus_descent_demo(
     resolution: int = 128, steps: int = 5000, step_size: float = 0.1
 ) -> tuple[float, DescentTrace, bool]:
     """Perturbed winding loop relaxing to the straight loop of its class."""
-    formula = torus_loop((1, 0), waves=((0, 0.3, 0.4), (1, 0.2, 1.1)))
-    f0 = sample_map(CIRCLE_ATLAS, DEFAULT_TORUS, formula, resolution)
+    f0 = sample_map(CIRCLE_ATLAS, DEFAULT_TORUS, TORUS_DEMO_LOOP, resolution)
     w0 = winding_numbers(f0)
     windings_ok = True
 

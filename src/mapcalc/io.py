@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .atlas import CIRCLE_ATLAS, TORUS2_ATLAS, SampledMap, grid_ranges
 from .energy import DescentTrace
-from .manifolds import TargetManifold
+from .manifolds import TargetManifold, check_points
 from .sections import PullbackSection
 
 _ATLASES = {"circle": CIRCLE_ATLAS, "torus2": TORUS2_ATLAS}
@@ -26,39 +27,39 @@ def _read_header(line: str) -> dict:
     return json.loads(line[2:])
 
 
-def write_map_csv(f: SampledMap, path) -> None:
-    """Columns: chart_id, grid indices, coordinate values."""
-    path = Path(path)
+def _write_grid_csv(f: SampledMap, extra: dict, groups, path) -> None:
+    """Per-chart codec: one row per grid node of f, holding chart_id, the grid
+    indices, then one ambient vector per column group, in the group order.
+
+    ``groups`` pairs a column prefix with per-chart arrays over f's grids.
+    """
     dim = f.atlas.dim
     amb = f.target.ambient_dim
-    with path.open("w", newline="") as fh:
-        fh.write(
-            _header(
-                {
-                    "atlas": f.atlas.kind,
-                    "resolution": f.resolution,
-                    "target": json.loads(f.target.to_json()),
-                }
-            )
-            + "\n"
-        )
+    head = {"atlas": f.atlas.kind, "resolution": f.resolution,
+            "target": json.loads(f.target.to_json()), **extra}
+    with Path(path).open("w", newline="") as fh:
+        fh.write(_header(head) + "\n")
         writer = csv.writer(fh)
         writer.writerow(
-            ["chart_id"] + [f"i{a}" for a in range(dim)] + [f"c{a}" for a in range(amb)]
+            ["chart_id"] + [f"i{a}" for a in range(dim)]
+            + [f"{prefix}{a}" for prefix, _ in groups for a in range(amb)]
         )
         for chart in f.atlas.charts:
-            vals = f.values[chart.id]
-            flat = vals.reshape(-1, amb)
-            shape = vals.shape[:-1]
-            for row, idx in enumerate(np.ndindex(shape)):
+            flats = [arrays[chart.id].reshape(-1, amb) for _, arrays in groups]
+            for row, idx in enumerate(np.ndindex(f.values[chart.id].shape[:-1])):
                 writer.writerow(
-                    [chart.id, *idx, *(repr(float(x)) for x in flat[row])]
+                    [chart.id, *idx] + [repr(float(x)) for flat in flats for x in flat[row]]
                 )
 
 
-def read_map_csv(path) -> SampledMap:
-    path = Path(path)
-    with path.open() as fh:
+def _read_grid_csv(path, ngroups: int) -> tuple[dict, SampledMap, tuple]:
+    """Read a per-chart file with ``ngroups`` column groups, the first being
+    the base points; returns the header, the base map and the other groups.
+
+    Rejects missing, duplicate and out-of-grid nodes, rows with the wrong
+    field count, non-finite values, and base points off the target.
+    """
+    with Path(path).open() as fh:
         head = _read_header(fh.readline())
         atlas = _ATLASES[head["atlas"]]
         target = TargetManifold.from_json(json.dumps(head["target"]))
@@ -67,80 +68,53 @@ def read_map_csv(path) -> SampledMap:
         next(reader)  # column names
         dim = atlas.dim
         amb = target.ambient_dim
-        arrays = []
-        for chart in atlas.charts:
-            shape = tuple(j1 - j0 + 1 for j0, j1 in grid_ranges(chart, res))
-            arrays.append(np.empty(shape + (amb,)))
+        shapes = [tuple(j1 - j0 + 1 for j0, j1 in grid_ranges(c, res)) for c in atlas.charts]
+        groups = [[np.empty(shape + (amb,)) for shape in shapes] for _ in range(ngroups)]
+        seen = [np.zeros(shape, dtype=bool) for shape in shapes]
         for row in reader:
+            where = f"{path}, line {reader.line_num + 1}"
+            if len(row) != 1 + dim + ngroups * amb:
+                raise ValueError(f"{where}: expected {1 + dim + ngroups * amb} fields")
             cid = int(row[0])
             idx = tuple(int(x) for x in row[1 : 1 + dim])
-            arrays[cid][idx] = [float(x) for x in row[1 + dim :]]
-    return SampledMap(atlas, target, res, tuple(arrays))
+            if not 0 <= cid < len(shapes) or not all(0 <= i < n for i, n in zip(idx, shapes[cid])):
+                raise ValueError(f"{where}: node {cid}{list(idx)} is off the grid")
+            if seen[cid][idx]:
+                raise ValueError(f"{where}: duplicate node {cid}{list(idx)}")
+            seen[cid][idx] = True
+            nums = [float(x) for x in row[1 + dim :]]
+            if not all(map(math.isfinite, nums)):
+                raise ValueError(f"{where}: non-finite value")
+            for g, arrays in enumerate(groups):
+                arrays[cid][idx] = nums[g * amb : (g + 1) * amb]
+    missing = sum(s.size - np.count_nonzero(s) for s in seen)
+    if missing:
+        raise ValueError(f"{path}: {missing} grid nodes missing")
+    for base in groups[0]:
+        check_points(target, base)
+    return head, SampledMap(atlas, target, res, tuple(groups[0])), tuple(map(tuple, groups[1:]))
+
+
+def write_map_csv(f: SampledMap, path) -> None:
+    """Columns: chart_id, grid indices, coordinate values."""
+    _write_grid_csv(f, {}, [("c", f.values)], path)
+
+
+def read_map_csv(path) -> SampledMap:
+    return _read_grid_csv(path, 1)[1]
 
 
 def write_section_csv(s: PullbackSection, path) -> None:
     """Columns: chart_id, grid indices, base point, vector components."""
-    path = Path(path)
     f = s.base_map
-    dim = f.atlas.dim
-    amb = f.target.ambient_dim
-    with path.open("w", newline="") as fh:
-        fh.write(
-            _header(
-                {
-                    "atlas": f.atlas.kind,
-                    "resolution": f.resolution,
-                    "target": json.loads(f.target.to_json()),
-                    "bound": s.bound,
-                }
-            )
-            + "\n"
-        )
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["chart_id"]
-            + [f"i{a}" for a in range(dim)]
-            + [f"p{a}" for a in range(amb)]
-            + [f"v{a}" for a in range(amb)]
-        )
-        for chart in f.atlas.charts:
-            base = f.values[chart.id].reshape(-1, amb)
-            vecs = s.vectors[chart.id].reshape(-1, amb)
-            shape = f.values[chart.id].shape[:-1]
-            for row, idx in enumerate(np.ndindex(shape)):
-                writer.writerow(
-                    [chart.id, *idx]
-                    + [repr(float(x)) for x in base[row]]
-                    + [repr(float(x)) for x in vecs[row]]
-                )
+    _write_grid_csv(f, {"bound": s.bound}, [("p", f.values), ("v", s.vectors)], path)
 
 
 def read_section_csv(path) -> PullbackSection:
-    path = Path(path)
-    with path.open() as fh:
-        head = _read_header(fh.readline())
-        atlas = _ATLASES[head["atlas"]]
-        target = TargetManifold.from_json(json.dumps(head["target"]))
-        res = int(head["resolution"])
-        reader = csv.reader(fh)
-        next(reader)
-        dim = atlas.dim
-        amb = target.ambient_dim
-        bases, vecs = [], []
-        for chart in atlas.charts:
-            shape = tuple(j1 - j0 + 1 for j0, j1 in grid_ranges(chart, res))
-            bases.append(np.empty(shape + (amb,)))
-            vecs.append(np.empty(shape + (amb,)))
-        for row in reader:
-            cid = int(row[0])
-            idx = tuple(int(x) for x in row[1 : 1 + dim])
-            nums = [float(x) for x in row[1 + dim :]]
-            bases[cid][idx] = nums[:amb]
-            vecs[cid][idx] = nums[amb:]
-    f = SampledMap(atlas, target, res, tuple(bases))
+    head, f, (vecs,) = _read_grid_csv(path, 2)
     # stored vectors were projected when the section was built; re-projecting
     # here would perturb the last bits and break exact round trips
-    return PullbackSection(f, tuple(vecs), float(head["bound"]))
+    return PullbackSection(f, vecs, float(head["bound"]))
 
 
 def write_trace_csv(trace: DescentTrace, path) -> None:
@@ -183,7 +157,3 @@ def _plain(obj):
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def trace_round_trip_equal(a: DescentTrace, b: DescentTrace) -> bool:
-    return a.rows == b.rows

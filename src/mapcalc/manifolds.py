@@ -250,10 +250,7 @@ def frames_at(m: TargetManifold, base: np.ndarray) -> np.ndarray:
     axis = np.argmin(np.abs(n), axis=-1)
     e = np.zeros(base.shape[:-1] + (3,))
     np.put_along_axis(e, axis[..., None], 1.0, axis=-1)
-    u1 = e - np.sum(e * n, axis=-1, keepdims=True) * n
-    u1 = u1 / np.linalg.norm(u1, axis=-1, keepdims=True)
-    u2 = np.cross(n, u1)
-    return np.stack([u1, u2], axis=-2)
+    return _frame_legs(n, e)
 
 
 def smooth_frames(m: TargetManifold, base_grid: np.ndarray) -> np.ndarray:
@@ -273,10 +270,44 @@ def smooth_frames(m: TargetManifold, base_grid: np.ndarray) -> np.ndarray:
         raise ValueError("no ambient axis yields a smooth trivialization over this grid")
     e = np.zeros(3)
     e[axis] = 1.0
+    return _frame_legs(n, e)
+
+
+def _frame_legs(n: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt the reference axes ``e`` against the unit normals ``n``;
+    the second leg is the cross product with the normal."""
     u1 = e - np.sum(e * n, axis=-1, keepdims=True) * n
     u1 = u1 / np.linalg.norm(u1, axis=-1, keepdims=True)
     u2 = np.cross(n, u1)
     return np.stack([u1, u2], axis=-2)
+
+
+def to_frame(frames: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Coordinates of ambient tangent vectors in orthonormal frames."""
+    return np.einsum("...ad,...d->...a", frames, v)
+
+
+def from_frame(frames: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Ambient tangent vectors from their coordinates in orthonormal frames."""
+    return np.einsum("...a,...ad->...d", w, frames)
+
+
+def apply_in_frames(
+    mats: np.ndarray, src_frames: np.ndarray, dst_frames: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Apply fiber matrices, given in frame coordinates, to ambient vectors."""
+    out = np.einsum("...ab,...b->...a", mats, to_frame(src_frames, v))
+    return from_frame(dst_frames, out)
+
+
+def frame_jacobian(image, w0: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference Jacobian at ``w0`` of a map between 2-d frame coordinates."""
+    cols = []
+    for a in range(2):
+        e = np.zeros(2)
+        e[a] = step
+        cols.append((image(w0 + e) - image(w0 - e)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -341,21 +372,31 @@ def log_points(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.nd
     inj = inj_radius(m)
     margin = _log_margin(m)
     if m.kind == TORUS:
-        periods = np.asarray(m.periods)
-        delta = np.mod(target - base + periods / 2.0, periods) - periods / 2.0
+        delta = torus_wrap(m, target - base)
         d = np.linalg.norm(delta, axis=-1)
         _reject_beyond(d, inj, margin, m)
         return delta
     if m.conformal is not None:
         return _shoot_log(m, base, target)
     r = m.radius
-    dots = np.clip(np.sum(base * target, axis=-1) / r**2, -1.0, 1.0)
-    sins = np.linalg.norm(np.cross(base, target), axis=-1) / r**2
-    ang = np.arctan2(sins, dots)
+    dots, ang = _sphere_angle(r, base, target)
     d = r * ang
     _reject_beyond(d, inj, margin, m)
     u = target - dots[..., None] * base
     return u / _sinc(ang)[..., None]
+
+
+def torus_wrap(m: TargetManifold, delta: np.ndarray) -> np.ndarray:
+    """Shortest representative of torus coordinate differences, per axis."""
+    periods = np.asarray(m.periods)
+    return np.mod(delta + periods / 2.0, periods) - periods / 2.0
+
+
+def _sphere_angle(r: float, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped cosine and angle between sphere points of radius ``r``."""
+    dots = np.clip(np.sum(a * b, axis=-1) / r**2, -1.0, 1.0)
+    sins = np.linalg.norm(np.cross(a, b), axis=-1) / r**2
+    return dots, np.arctan2(sins, dots)
 
 
 def _reject_beyond(d: np.ndarray, inj: float, margin: float, m: TargetManifold) -> None:
@@ -370,15 +411,11 @@ def dist_points(m: TargetManifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if m.kind == TORUS:
-        periods = np.asarray(m.periods)
-        delta = np.mod(b - a + periods / 2.0, periods) - periods / 2.0
-        return np.linalg.norm(delta, axis=-1)
+        return np.linalg.norm(torus_wrap(m, b - a), axis=-1)
     if m.conformal is not None:
         v = _shoot_log(m, a, b)
         return norm_points(m, a, v)
-    dots = np.clip(np.sum(a * b, axis=-1) / m.radius**2, -1.0, 1.0)
-    sins = np.linalg.norm(np.cross(a, b), axis=-1) / m.radius**2
-    return m.radius * np.arctan2(sins, dots)
+    return m.radius * _sphere_angle(m.radius, a, b)[1]
 
 
 def exp(m: TargetManifold, v: TangentVector) -> Point:
@@ -455,21 +492,18 @@ def _shoot_log(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.nd
     frames = frames_at(m, base)
 
     def residual(wc: np.ndarray) -> np.ndarray:
-        v = np.einsum("...a,...ad->...d", wc, frames)
-        end = _geodesic_flow(m, base, v)
+        end = _geodesic_flow(m, base, from_frame(frames, wc))
         gap = log_points(round_m, target, end)
-        tframes = frames_at(round_m, target)
-        return np.einsum("...ad,...d->...a", tframes, gap)
+        return to_frame(frames_at(round_m, target), gap)
 
-    v0 = log_points(round_m, base, target)
-    w = np.einsum("...ad,...d->...a", frames, v0)
+    w = to_frame(frames, log_points(round_m, base, target))
     fd = 1e-7
     inv = None
     r0 = residual(w)
     for it in range(_SHOOT_MAX_ITER):
         err = float(np.max(np.linalg.norm(r0, axis=-1))) if np.size(r0) else 0.0
         if err < _SHOOT_TOL:
-            return np.einsum("...a,...ad->...d", w, frames)
+            return from_frame(frames, w)
         if inv is None or it % _JACOBIAN_REFRESH == 0:
             # chord Newton: a forward-difference Jacobian is refreshed rarely
             cols = []
@@ -515,25 +549,16 @@ def fiber_derivative_points(
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    if m.kind == TORUS:
-        d = len(m.periods)
-        eye = np.eye(d)
-        return np.broadcast_to(eye, src.shape[:-1] + (d, d)).copy()
     sframes = frames_at(m, src)
+    if m.kind == TORUS:
+        return sframes  # torus frames are the identity
     dframes = frames_at(m, dst)
 
-    def image_coords(vc: np.ndarray) -> np.ndarray:
-        v = np.einsum("...a,...ad->...d", vc, sframes)
-        out = log_points(m, dst, exp_points(m, src, v))
-        return np.einsum("...ad,...d->...a", dframes, out)
+    def image_coords(wc: np.ndarray) -> np.ndarray:
+        out = log_points(m, dst, exp_points(m, src, from_frame(sframes, wc)))
+        return to_frame(dframes, out)
 
-    w0 = np.einsum("...ad,...d->...a", sframes, v0)
-    cols = []
-    for a in range(2):
-        e = np.zeros(2)
-        e[a] = step
-        cols.append((image_coords(w0 + e) - image_coords(w0 - e)) / (2.0 * step))
-    return np.stack(cols, axis=-1)
+    return frame_jacobian(image_coords, to_frame(sframes, v0), step)
 
 
 def fiber_transition_derivative(

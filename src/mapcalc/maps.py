@@ -67,6 +67,14 @@ def sphere_cap_loop(radius: float, cap_angle: float) -> MapFormula:
     return MapFormula(f"cap_loop({cap_angle:.3g})", fn)
 
 
+def add_fourier_modes(out: np.ndarray, theta: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``out`` plus sum_k sin((k+1) theta) coeffs[k, 0] + cos((k+1) theta) coeffs[k, 1]."""
+    for k in range(coeffs.shape[0]):
+        out = out + np.sin((k + 1) * theta)[..., None] * coeffs[k, 0]
+        out = out + np.cos((k + 1) * theta)[..., None] * coeffs[k, 1]
+    return out
+
+
 def sphere_fourier_loop(
     radius: float, rng: np.random.Generator, amplitude: float = 0.2, modes: int = 3
 ) -> MapFormula:
@@ -76,9 +84,7 @@ def sphere_fourier_loop(
     def fn(mesh):
         theta = mesh[..., 0]
         base = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1)
-        for k in range(coeffs.shape[0]):
-            base = base + np.sin((k + 1) * theta)[..., None] * coeffs[k, 0]
-            base = base + np.cos((k + 1) * theta)[..., None] * coeffs[k, 1]
+        base = add_fourier_modes(base, theta, coeffs)
         return radius * base / np.linalg.norm(base, axis=-1, keepdims=True)
 
     return MapFormula("sphere_fourier", fn)
@@ -99,11 +105,7 @@ def torus_fourier_loop(
 
     def fn(mesh):
         theta = mesh[..., 0]
-        out = theta[..., None] * w + shift
-        for k in range(modes):
-            out = out + np.sin((k + 1) * theta)[..., None] * amp[k, 0]
-            out = out + np.cos((k + 1) * theta)[..., None] * amp[k, 1]
-        return out
+        return add_fourier_modes(theta[..., None] * w + shift, theta, amp)
 
     return MapFormula("torus_fourier", fn)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .atlas import SampledMap, grid_mesh
 from .errors import BaseMismatch
-from .manifolds import norm_points, project_tangent, smooth_frames
+from .manifolds import norm_points, project_tangent, smooth_frames, to_frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,11 +57,7 @@ def make_section(f: SampledMap, vectors, bound: float | None = None) -> Pullback
         for fv, v in zip(f.values, vectors)
     )
     if bound is None:
-        sup = max(
-            (float(np.max(norm_points(f.target, fv, v))) for fv, v in zip(f.values, vecs)),
-            default=0.0,
-        )
-        bound = sup * (1.0 + 1e-9) + 1e-300
+        bound = _sup_norm(f, vecs) * (1.0 + 1e-9) + 1e-300
     return PullbackSection(f, vecs, float(bound))
 
 
@@ -89,22 +85,23 @@ def section_from_formula(
         raw = np.asarray(vector_fn(mesh), dtype=float)
         vecs.append(project_tangent(f.target, fv, raw))
     if sup_scale is not None:
-        sup = max(
-            (float(np.max(norm_points(f.target, fv, v))) for fv, v in zip(f.values, vecs)),
-            default=0.0,
-        )
+        sup = _sup_norm(f, vecs)
         if sup > 0:
             vecs = [v * (sup_scale / sup) for v in vecs]
     return make_section(f, vecs, bound=bound)
 
 
-def section_sup(s: PullbackSection) -> float:
-    """Sup over all grid nodes of the fiber norm."""
-    m = s.base_map.target
+def _sup_norm(f: SampledMap, vectors) -> float:
+    """Sup over all grid nodes of the fiber norm of per-chart vectors along f."""
     return max(
-        (float(np.max(norm_points(m, fv, v))) for fv, v in zip(s.base_map.values, s.vectors)),
+        (float(np.max(norm_points(f.target, fv, v))) for fv, v in zip(f.values, vectors)),
         default=0.0,
     )
+
+
+def section_sup(s: PullbackSection) -> float:
+    """Sup over all grid nodes of the fiber norm."""
+    return _sup_norm(s.base_map, s.vectors)
 
 
 def section_add(s: PullbackSection, t: PullbackSection) -> PullbackSection:
@@ -122,14 +119,7 @@ def section_scale(s: PullbackSection, a: float) -> PullbackSection:
 def section_max_diff(s: PullbackSection, t: PullbackSection) -> float:
     """Sup fiber norm of the difference of two sections over the same map."""
     require_same_base(s, t)
-    m = s.base_map.target
-    return max(
-        (
-            float(np.max(norm_points(m, fv, a - b)))
-            for fv, a, b in zip(s.base_map.values, s.vectors, t.vectors)
-        ),
-        default=0.0,
-    )
+    return _sup_norm(s.base_map, (a - b for a, b in zip(s.vectors, t.vectors)))
 
 
 def section_rep(s: PullbackSection, chart_id: int) -> np.ndarray:
@@ -140,4 +130,4 @@ def section_rep(s: PullbackSection, chart_id: int) -> np.ndarray:
     """
     fv = s.base_map.values[chart_id]
     frames = smooth_frames(s.base_map.target, fv)
-    return np.einsum("...ad,...d->...a", frames, s.vectors[chart_id])
+    return to_frame(frames, s.vectors[chart_id])

@@ -14,16 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atlas import (
-    TAU,
     SampledMap,
     chart_jet,
     check_containment,
+    compact_jets,
     compact_slices,
     jet_table_sup_diff,
     same_discretization,
 )
 from .errors import HypothesisViolated, TargetChartViolated
-from .finite_diff import diff_multi, multi_indices
 from .gridfn import GridFunction, grid_jet_sup_diff
 from .sections import PullbackSection, section_rep
 from .target_charts import TargetChart, auto_chart
@@ -146,23 +145,10 @@ class SectionNormReport:
 def section_norm(s: PullbackSection, k: int) -> SectionNormReport:
     """C^k norm of a section through per-chart orthonormal trivializations."""
     f = s.base_map
-    h = TAU / f.resolution
     entries: dict[tuple[int, tuple[int, ...]], float] = {}
     for chart in f.atlas.charts:
-        rep = section_rep(s, chart.id)
-        ksl = compact_slices(chart, f.resolution)
-        for alpha in multi_indices(chart.dim, k):
-            darr, offsets = diff_multi(rep, alpha, h)
-            sl = []
-            for axis, ks in enumerate(ksl):
-                start = ks.start - offsets[axis]
-                stop = ks.stop - offsets[axis]
-                if start < 0 or stop > darr.shape[axis]:
-                    raise ValueError(
-                        f"resolution {f.resolution} too coarse for order-{sum(alpha)} stencils"
-                    )
-                sl.append(slice(start, stop))
-            block = darr[tuple(sl)]
+        jets = compact_jets(section_rep(s, chart.id), chart, f.resolution, k)
+        for alpha, block in jets.items():
             entries[(chart.id, alpha)] = float(np.max(np.linalg.norm(block, axis=-1)))
     total = max(entries.values(), default=0.0)
     return SectionNormReport(entries, total)

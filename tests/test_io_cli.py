@@ -6,21 +6,25 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mapcalc import CIRCLE_ATLAS, flat_torus, sample_map, sphere
+from mapcalc import CIRCLE_ATLAS, TORUS2_ATLAS, MapFormula, flat_torus, sample_map, sphere
 from mapcalc.atlas import TAU
-from mapcalc.cli import ExperimentConfig, emit_trace_plots_data, load_config, main, run_suite
+from mapcalc.cli import ExperimentConfig, load_config, main, run_suite
 from mapcalc.energy import DescentTrace, descend
 from mapcalc.errors import ConfigError
-from mapcalc.experiments import random_center, random_section
+from mapcalc.experiments import random_center, random_section, random_vector_field
 from mapcalc.io import (
     read_map_csv,
     read_section_csv,
     read_trace_csv,
     write_map_csv,
     write_section_csv,
+    write_trace_csv,
 )
-from mapcalc.maps import torus_loop
+from mapcalc.maps import add_fourier_modes, great_circle, torus_loop
+from mapcalc.sections import section_from_formula
 
 T22 = flat_torus(TAU, TAU)
 S1 = sphere(1.0)
@@ -57,6 +61,94 @@ class TestMapCsv:
             assert np.array_equal(a, b)
 
 
+def _set_field(row: int, col: int, value: str):
+    def corrupt(rows):
+        rows[row][col] = value
+        return rows
+
+    return corrupt
+
+
+CORRUPTIONS = {
+    "missing_node": lambda rows: rows[:7] + rows[8:],
+    "duplicate_node": lambda rows: rows + [rows[7]],
+    "chart_id_off_grid": _set_field(7, 0, "2"),
+    "index_off_grid": _set_field(7, 1, "999"),
+    "negative_index": _set_field(7, 1, "-1"),
+    "wrong_field_count": lambda rows: rows[:7] + [rows[7][:-1]] + rows[8:],
+    "non_finite_value": _set_field(7, 3, "nan"),
+    "point_off_target": _set_field(7, 2, "7.0"),
+}
+
+
+@pytest.mark.parametrize("corrupt", list(CORRUPTIONS.values()), ids=list(CORRUPTIONS))
+def test_map_reader_rejects_corrupted_file(tmp_path, corrupt):
+    f = sample_map(CIRCLE_ATLAS, S1, great_circle(), 32)
+    path = tmp_path / "map.csv"
+    write_map_csv(f, path)
+    head, columns, *rows = path.read_text().splitlines()
+    rows = corrupt([r.split(",") for r in rows])
+    path.write_text("\n".join([head, columns] + [",".join(r) for r in rows]) + "\n")
+    with pytest.raises(ValueError):
+        read_map_csv(path)
+
+
+def _random_formula(target, seed: int) -> MapFormula:
+    """A smooth map from either domain into the target, for codec tests."""
+    rng = np.random.default_rng(seed)
+    amb = target.ambient_dim
+    coeffs = rng.uniform(-0.5, 0.5, (2, 2, amb))
+    offset = np.zeros(amb) if target.kind == "torus" else np.array([0.0, 0.0, 4.0])
+
+    def fn(mesh):
+        theta = mesh.sum(axis=-1)
+        raw = add_fourier_modes(np.broadcast_to(offset, theta.shape + (amb,)), theta, coeffs)
+        if target.kind == "torus":
+            return raw
+        return target.radius * raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+
+    return MapFormula("codec_test", fn)
+
+
+def _bits_equal(a, b) -> bool:
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    atlas=st.sampled_from([CIRCLE_ATLAS, TORUS2_ATLAS]),
+    target=st.sampled_from([S1, T22]),
+    resolution=st.integers(8, 20),
+    seed=st.integers(0, 2**32 - 1),
+    as_section=st.booleans(),
+    data=st.data(),
+)
+def test_grid_codec_round_trip_and_row_edits(
+    tmp_path_factory, atlas, target, resolution, seed, as_section, data
+):
+    f = sample_map(atlas, target, _random_formula(target, seed), resolution)
+    path = tmp_path_factory.mktemp("codec") / "grid.csv"
+    if as_section:
+        vf = random_vector_field(np.random.default_rng(seed), target.ambient_dim)
+        s = section_from_formula(f, vf)
+        write_section_csv(s, path)
+        again = read_section_csv(path)
+        assert again.bound == s.bound
+        assert _bits_equal(again.vectors, s.vectors)
+        assert _bits_equal(again.base_map.values, f.values)
+        read = read_section_csv
+    else:
+        write_map_csv(f, path)
+        assert _bits_equal(read_map_csv(path).values, f.values)
+        read = read_map_csv
+    lines = path.read_text().splitlines(keepends=True)
+    k = data.draw(st.integers(2, len(lines) - 1), label="data row")
+    for edited in (lines[:k] + lines[k + 1 :], lines[: k + 1] + lines[k:]):
+        path.write_text("".join(edited))
+        with pytest.raises(ValueError):
+            read(path)
+
+
 class TestSectionCsv:
     def test_roundtrip(self, tmp_path, rng):
         f = random_center(S1, 64, rng)
@@ -75,20 +167,20 @@ class TestTraceCsv:
     def test_single_step_trace_two_lines(self, tmp_path):
         trace = DescentTrace(((0, 1.5, 0.1, 0.05),))
         path = tmp_path / "trace.csv"
-        emit_trace_plots_data(trace, path)
+        write_trace_csv(trace, path)
         assert path.read_text().count("\n") == 2
 
     def test_roundtrip_values_identical(self, tmp_path):
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0), waves=((0, 0.2, 0.4),)), 64)
         _, trace = descend(f, 40, 0.1)
         path = tmp_path / "trace.csv"
-        emit_trace_plots_data(trace, path)
+        write_trace_csv(trace, path)
         assert read_trace_csv(path).rows == trace.rows
         assert path.read_text().count("\n") == len(trace.rows) + 1
 
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_trace_plots_data(DescentTrace(()), tmp_path / "x.csv")
+            write_trace_csv(DescentTrace(()), tmp_path / "x.csv")
 
 
 class TestConfig:
@@ -137,14 +229,21 @@ class TestRunSuite:
             tmp_path / "b/report.json"
         ).read_bytes()
 
-    def test_thread_cap_keeps_reports_identical(self, tmp_path, monkeypatch):
-        config = ExperimentConfig(resolution=32, trials=2, sections=1, seed=3)
-        run_suite(config, "taylor", tmp_path / "serial")
+    @pytest.mark.parametrize("suite", ["taylor", "descent", "all"])
+    def test_thread_cap_keeps_reports_identical(self, tmp_path, monkeypatch, suite):
+        config = ExperimentConfig(
+            resolution=24, trials=1, sections=1, seed=3,
+            descent_resolution=16, sphere_descent_resolution=16, descent_steps=10,
+        )
+        names = ["report.json"] + (["torus_descent_trace.csv"] if suite != "taylor" else [])
+        serial = run_suite(config, suite, tmp_path / "serial")
         monkeypatch.setenv("MAPCALC_THREADS", "4")
-        run_suite(config, "taylor", tmp_path / "parallel")
-        assert (tmp_path / "serial/report.json").read_bytes() == (
-            tmp_path / "parallel/report.json"
-        ).read_bytes()
+        parallel = run_suite(config, suite, tmp_path / "parallel")
+        assert parallel == serial
+        for name in names:
+            assert (tmp_path / "serial" / name).read_bytes() == (
+                tmp_path / "parallel" / name
+            ).read_bytes()
 
     def test_transitions_report_schema(self, tmp_path):
         config = ExperimentConfig(resolution=24, trials=1, sections=1)

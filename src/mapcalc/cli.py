@@ -14,20 +14,26 @@ import math
 import os
 import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import cache, reduce
+from dataclasses import dataclass, field, fields
+from functools import cache, partial, reduce
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import experiments as ex
-from .errors import ConfigError, MapcalcError
+from .atlas import CIRCLE_ATLAS, overlap_residual, sample_map
+from .charts import taylor_remainder
+from .errors import ConfigError
 from .io import canonical_json, write_map_csv, write_trace_csv
 from .manifolds import flat_torus, sphere
+from .maps import great_circle
 
 SUITES = ("charts", "topology", "omega", "taylor", "transitions", "descent")
+# the types a config field may hold, keyed by its annotation
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 @dataclass(frozen=True)
@@ -47,22 +53,28 @@ class ExperimentConfig:
     descent_step_size: float = 0.1
     sphere_descent_resolution: int = 64
     out_dir: str = "reports"
-    suites: tuple[str, ...] = SUITES
 
     def __post_init__(self):
-        if self.resolution < 8 or self.descent_resolution < 8:
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _FIELD_TYPES.get(f.type, object)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be of type {f.type}, not {value!r}")
+        if min(self.resolution, self.descent_resolution, self.sphere_descent_resolution) < 8:
             raise ConfigError("resolution must be at least 8")
-        if not 0 <= self.order <= 4:
-            raise ConfigError("derivative order must lie in [0, 4]")
+        if not 0 <= self.order <= 2:
+            raise ConfigError("derivative order must lie in [0, 2]")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.sphere_radius <= 0 or any(p <= 0 for p in self.torus_periods):
             raise ConfigError("manifold dimensions must be positive")
         if self.trials < 1 or self.sections < 1:
             raise ConfigError("counts must be positive")
         if self.descent_steps < 1 or self.descent_step_size <= 0:
             raise ConfigError("descent parameters must be positive")
-        unknown = set(self.suites) - set(SUITES)
-        if unknown:
-            raise ConfigError(f"unknown suites: {sorted(unknown)}")
+        try:
+            sphere(1.0, conformal=self.conformal)
+        except Exception as err:
+            raise ConfigError(f"bad conformal factor {self.conformal!r}: {err}") from err
 
     @property
     def sphere(self):
@@ -81,11 +93,9 @@ def load_config(path: str | None, **overrides) -> ExperimentConfig:
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config {path}: {err}") from err
     data.update({k: v for k, v in overrides.items() if v is not None})
-    if "torus_periods" in data:
-        data["torus_periods"] = tuple(data["torus_periods"])
-    if "suites" in data and not isinstance(data["suites"], tuple):
-        data["suites"] = tuple(data["suites"])
     try:
+        if "torus_periods" in data:
+            data["torus_periods"] = tuple(data["torus_periods"])
         return ExperimentConfig(**data)
     except TypeError as err:
         raise ConfigError(f"bad config field: {err}") from err
@@ -93,11 +103,12 @@ def load_config(path: str | None, **overrides) -> ExperimentConfig:
 
 @dataclass
 class Check:
+    suite: str
     name: str
     anchor: str
     tolerance: float
     thunk: object
-    residual: float = math.nan
+    residual: float | None = None
     error: str | None = None
     extras: dict = field(default_factory=dict)
 
@@ -113,10 +124,14 @@ class Check:
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
-        entry.update(self.extras)
-        if self.error is not None:
-            entry["error"] = self.error
+        # an error row carries the error text instead of the check's extras
+        entry.update(self.extras if self.error is None else {"error": self.error})
         return entry
+
+
+# transitions_report.json renames the report fields it keeps
+_TRANSITION_FIELDS = {"check": "test", "residual": "max_residual", "tolerance": "tolerance",
+                      "pass": "pass", "error": "error"}
 
 
 def _rng(config: ExperimentConfig, tag: int) -> np.random.Generator:
@@ -146,151 +161,64 @@ def _once(thunk):
 
 
 # ---------------------------------------------------------------------------
-# suite definitions
+# the check table
 
 
-def _charts_checks(config: ExperimentConfig) -> list[Check]:
-    def roundtrip(m, k, tag):
+def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
+    """Every check of every suite, in SUITES order.
+
+    Each check owns the RNG tag it seeds its generator with, so a check's
+    residual does not depend on which other checks run.
+    """
+    res, k = config.resolution, config.order
+
+    def roundtrip(m, order, tag):
         return lambda: _worst(
             ex.roundtrip_residual(
-                *ex.random_pair(m, config.resolution, rng, delta_factor=config.delta_factor), k
+                *ex.random_pair(m, res, rng, delta_factor=config.delta_factor), order
             )
             for rng in _trials(config, tag)
         )
 
     def overlap():
-        from .atlas import CIRCLE_ATLAS, overlap_residual, sample_map
-        from .maps import great_circle
-
-        f = sample_map(CIRCLE_ATLAS, config.sphere, great_circle(config.sphere_radius),
-                       config.resolution)
-        return overlap_residual(f)
-
-    def convergence():
-        ratio = ex.jet_convergence_ratio()
-        return abs(math.log2(ratio / 16.0))
+        return overlap_residual(
+            sample_map(CIRCLE_ATLAS, config.sphere, great_circle(config.sphere_radius), res)
+        )
 
     def homeo():
         rng = _rng(config, 5)
-        f = ex.random_center(config.sphere, config.resolution, rng)
-        fwd, inv = ex.homeo_rate_ratios(f, rng, k=min(config.order, 2))
+        fwd, inv = ex.homeo_rate_ratios(ex.random_center(config.sphere, res, rng), rng, k=k)
         return _worst(abs(math.log2(r / fam[0])) for fam in (fwd, inv) for r in fam[1:])
 
-    return [
-        Check("chart_roundtrip_sphere_k0", "phi_f^{-1}(phi_f(g)) = g", 1e-9,
-              roundtrip(config.sphere, 0, 1)),
-        Check("chart_roundtrip_torus_k0", "phi_f^{-1}(phi_f(g)) = g", 1e-9,
-              roundtrip(config.torus, 0, 2)),
-        Check("chart_roundtrip_sphere_k2", "phi_f^{-1}(phi_f(g)) = g (order-2 jets)", 1e-5,
-              roundtrip(config.sphere, 2, 3)),
-        Check("chart_roundtrip_torus_k2", "phi_f^{-1}(phi_f(g)) = g (order-2 jets)", 1e-5,
-              roundtrip(config.torus, 2, 4)),
-        Check("overlap_consistency", "single-valuedness across chart overlaps", 1e-10,
-              overlap),
-        Check("jet_convergence_order", "chart jets converge at O(h^4)", 1.0, convergence),
-        Check("chart_homeo_rate", "phi_f and phi_f^{-1} are Lipschitz at the center", 1.0,
-              homeo),
-    ]
-
-
-def _topology_checks(config: ExperimentConfig) -> list[Check]:
-    k = min(config.order, 2)
-
-    def sym():
-        return max(
-            ex.pseudometric_residuals(config.torus, config.resolution, _rng(config, 11), k)[0],
-            ex.pseudometric_residuals(config.sphere, config.resolution, _rng(config, 12), k)[0],
+    def pseudometric(axiom, torus_tag, sphere_tag):
+        return lambda: max(
+            ex.pseudometric_residuals(config.torus, res, _rng(config, torus_tag), k)[axiom],
+            ex.pseudometric_residuals(config.sphere, res, _rng(config, sphere_tag), k)[axiom],
         )
 
-    def tri():
-        return max(
-            ex.pseudometric_residuals(config.torus, config.resolution, _rng(config, 13), k)[1],
-            ex.pseudometric_residuals(config.sphere, config.resolution, _rng(config, 14), k)[1],
-        )
-
-    def hom():
-        return ex.norm_axiom_residuals(config.sphere, config.resolution, _rng(config, 15), k)[0]
-
-    def ntri():
-        return ex.norm_axiom_residuals(config.sphere, config.resolution, _rng(config, 16), k)[1]
+    def norm_axiom(axiom, tag):
+        return lambda: ex.norm_axiom_residuals(config.sphere, res, _rng(config, tag), k)[axiom]
 
     def basis():
-        return float(
-            ex.basis_convergence_failures(
-                config.torus, config.resolution, _rng(config, 17),
-                epsilon=config.epsilon,
-            )
-        )
+        return float(ex.basis_convergence_failures(
+            config.torus, res, _rng(config, 17), epsilon=config.epsilon
+        ))
 
     def ladder():
         case = ex.composition_probe_case(_rng(config, 18))
         values = ex.witness_ladder(
-            lambda y: y**2, case["f1"], case["samples"], (0.1, 0.5, 1.0), k=1,
-            box=case["box"]
+            lambda y: y**2, case["f1"], case["samples"], (0.1, 0.5, 1.0), k=1, box=case["box"]
         )
-        drops = [max(0.0, values[i] - values[i + 1]) for i in range(len(values) - 1)]
-        return max(drops, default=0.0)
+        return max((max(0.0, a - b) for a, b in zip(values, values[1:])), default=0.0)
 
-    return [
-        Check("ck_distance_symmetry", "d_k(f, g) = d_k(g, f) on a fixed cover", 1e-10, sym),
-        Check("ck_distance_triangle", "d_k(f, h) <= d_k(f, g) + d_k(g, h)", 1e-10, tri),
-        Check("section_norm_homogeneity", "|a s| = |a| |s|", 1e-12, hom),
-        Check("section_norm_triangle", "|s + t| <= |s| + |t|", 1e-12, ntri),
-        Check("neighborhood_basis", "shrinking families enter every subbasis element", 0.5,
-              basis),
-        Check("composition_lipschitz", "k = 0 estimate bounded by the Lipschitz constant",
-              1e-9, ex.lipschitz_probe_residual),
-        Check("composition_witness_monotone", "estimate constant non-decreasing in R",
-              1e-12, ladder),
-    ]
-
-
-def _omega_checks(config: ExperimentConfig) -> list[Check]:
-    checks = []
     f, h = ex.omega_test_functions()
-    for name, kernel in ex.standard_kernels().items():
-        for r in (0, 1, 2):
-            def thunk(kernel=kernel, r=r):
-                return ex.omega_fd_residual(kernel, f, h, r)
-
-            checks.append(
-                Check(
-                    f"omega_derivative_{name}_r{r}",
-                    "D(Omega_g) = A_1 . Omega_{D_2 g}",
-                    1e-5,
-                    thunk,
-                )
-            )
-    return checks
-
-
-def _taylor_checks(config: ExperimentConfig) -> list[Check]:
-    from .charts import taylor_remainder
-
-    cases = ex.taylor_cases()
+    taylor = ex.taylor_cases().values()
 
     def zero_disp():
         return _worst(
             abs(float(np.max(np.atleast_1d(taylor_remainder(data, [0.3], [0.0])))))
-            for data in cases.values()
+            for data in taylor
         )
-
-    def identity():
-        return _worst(ex.taylor_identity_residual(data, [0.3], [0.2]) for data in cases.values())
-
-    def quadratic():
-        return ex.taylor_quadratic_residual(0.7, 0.25)
-
-    return [
-        Check("taylor_zero_displacement", "R(u,0)=0", 1e-15, zero_disp),
-        Check("taylor_identity", "f(u+h) = f(u) + sum D^i f(u) h^i / i! + R(u,h) h^r",
-              1e-10, identity),
-        Check("taylor_quadratic", "quadratic case gives R(u,h) = h", 1e-12, quadratic),
-    ]
-
-
-def _transitions_checks(config: ExperimentConfig) -> list[Check]:
-    res = config.resolution
 
     def cocycle():
         return _worst(
@@ -299,16 +227,9 @@ def _transitions_checks(config: ExperimentConfig) -> list[Check]:
             for m in (config.sphere, config.torus)
         )
 
-    def derivative_sphere():
-        return _worst(
-            ex.derivative_identity_residual(config.sphere, res, rng)[1]
-            for rng in _trials(config, 32)
-        )
-
-    def derivative_torus():
-        return _worst(
-            ex.derivative_identity_residual(config.torus, res, rng)[0]
-            for rng in _trials(config, 33)
+    def derivative(m, error, tag):
+        return lambda: _worst(
+            ex.derivative_identity_residual(m, res, rng)[error] for rng in _trials(config, tag)
         )
 
     def chain():
@@ -318,44 +239,23 @@ def _transitions_checks(config: ExperimentConfig) -> list[Check]:
         )
 
     def metric():
-        rng = _rng(config, 35)
-        residuals = ex.metric_independence_residuals(
-            config.resolution, rng, n_sections=config.sections,
-            conformal_expr=config.conformal,
-        )
-        return max(residuals)
+        return max(ex.metric_independence_residuals(
+            res, _rng(config, 35), n_sections=config.sections, conformal_expr=config.conformal
+        ))
 
-    return [
-        Check("transition_cocycle", "transitions compose along chart triples", 1e-9, cocycle),
-        Check("transition_derivative_sphere",
-              "D(phi_g . phi_f^{-1})_{s0} s acts by the fiber derivative", 1e-5,
-              derivative_sphere),
-        Check("transition_derivative_torus",
-              "flat transitions differentiate to the identity", 1e-12, derivative_torus),
-        Check("transition_chain_rule", "fiber derivatives compose along chart triples",
-              1e-5, chain),
-        Check("metric_independence", "round and conformal charts are smoothly compatible",
-              1e-4, metric),
-    ]
-
-
-def _descent_checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
-    # each demo runs once, whichever of the four checks asks first
+    # each demo runs once, whichever of the four descent checks asks first
     torus_run = _once(lambda: ex.torus_descent_demo(
         config.descent_resolution, config.descent_steps, config.descent_step_size
     ))
     sphere_run = _once(lambda: ex.sphere_descent_demo(
         config.sphere_descent_resolution, config.descent_steps, config.descent_step_size
     ))
-    checks: list[Check] = []
+    torus_extras: dict = {}
 
     def torus_demo():
         energy = torus_run()[0]
-        checks[0].extras["final_energy"] = energy
+        torus_extras["final_energy"] = energy
         return abs(energy - math.pi)
-
-    def sphere_demo():
-        return sphere_run()[0]
 
     def monotone():
         worst = _worst(ex.trace_monotone_violation(run()[1]) for run in (torus_run, sphere_run))
@@ -363,52 +263,92 @@ def _descent_checks(config: ExperimentConfig, out_dir: Path | None) -> list[Chec
             write_trace_csv(torus_run()[1], out_dir / "torus_descent_trace.csv")
         return worst
 
-    def windings():
-        return 0.0 if torus_run()[2] else 1.0
-
-    checks.extend(
-        [
-            Check("descent_torus_class_minimum", "winding loops relax to energy pi w^2",
-                  1e-3, torus_demo),
-            Check("descent_sphere_contractible", "contractible loops relax to zero energy",
-                  1e-4, sphere_demo),
-            Check("descent_monotone", "backtracking keeps every trace non-increasing",
-                  1e-12, monotone),
-            Check("descent_homotopy_class", "winding numbers constant along the descent",
-                  0.5, windings),
-        ]
-    )
-    return checks
+    roundtrip_anchor = "phi_f^{-1}(phi_f(g)) = g"
+    return [
+        Check("charts", "chart_roundtrip_sphere_k0", roundtrip_anchor, 1e-9,
+              roundtrip(config.sphere, 0, 1)),
+        Check("charts", "chart_roundtrip_torus_k0", roundtrip_anchor, 1e-9,
+              roundtrip(config.torus, 0, 2)),
+        Check("charts", "chart_roundtrip_sphere_k2", f"{roundtrip_anchor} (order-2 jets)", 1e-5,
+              roundtrip(config.sphere, 2, 3)),
+        Check("charts", "chart_roundtrip_torus_k2", f"{roundtrip_anchor} (order-2 jets)", 1e-5,
+              roundtrip(config.torus, 2, 4)),
+        Check("charts", "overlap_consistency", "single-valuedness across chart overlaps", 1e-10,
+              overlap),
+        Check("charts", "jet_convergence_order", "chart jets converge at O(h^4)", 1.0,
+              lambda: abs(math.log2(ex.jet_convergence_ratio() / 16.0))),
+        Check("charts", "chart_homeo_rate", "phi_f and phi_f^{-1} are Lipschitz at the center",
+              1.0, homeo),
+        Check("topology", "ck_distance_symmetry", "d_k(f, g) = d_k(g, f) on a fixed cover", 1e-10,
+              pseudometric(0, 11, 12)),
+        Check("topology", "ck_distance_triangle", "d_k(f, h) <= d_k(f, g) + d_k(g, h)", 1e-10,
+              pseudometric(1, 13, 14)),
+        Check("topology", "section_norm_homogeneity", "|a s| = |a| |s|", 1e-12,
+              norm_axiom(0, 15)),
+        Check("topology", "section_norm_triangle", "|s + t| <= |s| + |t|", 1e-12,
+              norm_axiom(1, 16)),
+        Check("topology", "neighborhood_basis", "shrinking families enter every subbasis element",
+              0.5, basis),
+        Check("topology", "composition_lipschitz",
+              "k = 0 estimate bounded by the Lipschitz constant", 1e-9,
+              ex.lipschitz_probe_residual),
+        Check("topology", "composition_witness_monotone", "estimate constant non-decreasing in R",
+              1e-12, ladder),
+        *(
+            Check("omega", f"omega_derivative_{name}_r{r}", "D(Omega_g) = A_1 . Omega_{D_2 g}",
+                  1e-5, partial(ex.omega_fd_residual, kernel, f, h, r))
+            for name, kernel in ex.standard_kernels().items()
+            for r in (0, 1, 2)
+        ),
+        Check("taylor", "taylor_zero_displacement", "R(u,0)=0", 1e-15, zero_disp),
+        Check("taylor", "taylor_identity", "f(u+h) = f(u) + sum D^i f(u) h^i / i! + R(u,h) h^r",
+              1e-10, lambda: _worst(ex.taylor_identity_residual(d, [0.3], [0.2]) for d in taylor)),
+        Check("taylor", "taylor_quadratic", "quadratic case gives R(u,h) = h", 1e-12,
+              lambda: ex.taylor_quadratic_residual(0.7, 0.25)),
+        Check("transitions", "transition_cocycle", "transitions compose along chart triples",
+              1e-9, cocycle),
+        Check("transitions", "transition_derivative_sphere",
+              "D(phi_g . phi_f^{-1})_{s0} s acts by the fiber derivative", 1e-5,
+              derivative(config.sphere, 1, 32)),
+        Check("transitions", "transition_derivative_torus",
+              "flat transitions differentiate to the identity", 1e-12,
+              derivative(config.torus, 0, 33)),
+        Check("transitions", "transition_chain_rule",
+              "fiber derivatives compose along chart triples", 1e-5, chain),
+        Check("transitions", "metric_independence",
+              "round and conformal charts are smoothly compatible", 1e-4, metric),
+        Check("descent", "descent_torus_class_minimum", "winding loops relax to energy pi w^2",
+              1e-3, torus_demo, extras=torus_extras),
+        Check("descent", "descent_sphere_contractible",
+              "contractible loops relax to zero energy", 1e-4, lambda: sphere_run()[0]),
+        Check("descent", "descent_monotone", "backtracking keeps every trace non-increasing",
+              1e-12, monotone),
+        Check("descent", "descent_homotopy_class", "winding numbers constant along the descent",
+              0.5, lambda: 0.0 if torus_run()[2] else 1.0),
+    ]
 
 
 def build_suite(config: ExperimentConfig, suite: str, out_dir: Path | None) -> list[Check]:
-    builders = {
-        "charts": lambda: _charts_checks(config),
-        "topology": lambda: _topology_checks(config),
-        "omega": lambda: _omega_checks(config),
-        "taylor": lambda: _taylor_checks(config),
-        "transitions": lambda: _transitions_checks(config),
-        "descent": lambda: _descent_checks(config, out_dir),
-    }
-    if suite == "all":
-        checks = []
-        for name in SUITES:
-            checks.extend(builders[name]())
-        return checks
-    if suite not in builders:
+    if suite != "all" and suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}")
-    return builders[suite]()
+    return [c for c in _checks(config, out_dir) if suite in ("all", c.suite)]
 
 
 def execute_checks(checks: list[Check]) -> None:
     workers = int(os.environ.get("MAPCALC_THREADS", "1"))
 
     def run_one(check: Check) -> None:
+        # any failure becomes an error row; the other checks still run
         try:
-            check.residual = float(check.thunk())
-        except MapcalcError as err:
-            check.residual = math.inf
+            residual = float(check.thunk())
+        except Exception as err:
+            click.echo(f"check {check.name} raised:\n{traceback.format_exc()}", err=True)
             check.error = f"{type(err).__name__}: {err}"
+            return
+        if math.isfinite(residual):
+            check.residual = residual
+        else:
+            check.error = f"non-finite residual: {residual}"
 
     if workers > 1:
         # results land in the fixed check order regardless of completion order
@@ -445,14 +385,9 @@ def run_suite(config: ExperimentConfig, suite: str, out_dir: str | Path) -> int:
         (out / "report.json").write_text(canonical_json(report))
         (out / "metadata.json").write_text(canonical_json(metadata))
         transition_entries = [
-            {
-                "test": c.name,
-                "max_residual": c.residual,
-                "tolerance": c.tolerance,
-                "pass": c.passed,
-            }
-            for c in checks
-            if c.name.startswith(("transition", "metric"))
+            {new: row[old] for old, new in _TRANSITION_FIELDS.items() if old in row}
+            for c, row in zip(checks, report["checks"])
+            if c.suite == "transitions"
         ]
         if transition_entries:
             (out / "transitions_report.json").write_text(
@@ -463,8 +398,10 @@ def run_suite(config: ExperimentConfig, suite: str, out_dir: str | Path) -> int:
         return 3
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
-        click.echo(f"{status} {check.name}: residual={check.residual:.3e} "
-                   f"tol={check.tolerance:.1e}")
+        residual = "none" if check.residual is None else f"{check.residual:.3e}"
+        error = "" if check.error is None else f" ({check.error})"
+        click.echo(f"{status} {check.name}: residual={residual} "
+                   f"tol={check.tolerance:.1e}{error}")
     return 0 if report["all_pass"] else 1
 
 

@@ -11,9 +11,17 @@ from hypothesis import strategies as st
 
 from mapcalc import CIRCLE_ATLAS, TORUS2_ATLAS, MapFormula, flat_torus, sample_map, sphere
 from mapcalc.atlas import TAU
-from mapcalc.cli import ExperimentConfig, load_config, main, run_suite
+from mapcalc import experiments
+from mapcalc.cli import (
+    SUITES,
+    ExperimentConfig,
+    build_suite,
+    load_config,
+    main,
+    run_suite,
+)
 from mapcalc.energy import DescentTrace, descend
-from mapcalc.errors import ConfigError
+from mapcalc.errors import ConfigError, WellDefinednessViolated
 from mapcalc.experiments import random_center, random_section, random_vector_field
 from mapcalc.io import (
     read_map_csv,
@@ -268,6 +276,53 @@ class TestRunSuite:
         assert torus and abs(torus[0]["final_energy"] - math.pi) < 1e-3
         assert (tmp_path / "torus_descent_trace.csv").exists()
 
+    def test_all_is_the_suites_in_order(self):
+        config = ExperimentConfig()
+        checks = build_suite(config, "all", None)
+        by_suite = {suite: build_suite(config, suite, None) for suite in SUITES}
+        assert [c.name for c in checks] == [
+            c.name for suite in SUITES for c in by_suite[suite]
+        ]
+        for suite, built in by_suite.items():
+            assert built and all(c.suite == suite for c in built)
+
+    def test_failing_checks_become_strict_error_rows(self, tmp_path, monkeypatch):
+        def raise_value_error(*args, **kwargs):
+            raise ValueError("broken residual")
+
+        def raise_mapcalc_error(*args, **kwargs):
+            raise WellDefinednessViolated("off the chart")
+
+        monkeypatch.setattr(experiments, "cocycle_residual", raise_value_error)
+        monkeypatch.setattr(experiments, "derivative_identity_residual", raise_mapcalc_error)
+        monkeypatch.setattr(
+            experiments, "metric_independence_residuals", lambda *a, **k: [math.nan]
+        )
+        config = ExperimentConfig(resolution=24, trials=1, sections=1)
+        assert run_suite(config, "transitions", tmp_path) == 1
+
+        def strict(name):
+            def reject(constant):
+                raise ValueError(f"non-strict JSON constant {constant}")
+
+            return json.loads((tmp_path / name).read_text(), parse_constant=reject)
+
+        rows = {c["check"]: c for c in strict("report.json")["checks"]}
+        entries = {e["test"]: e for e in strict("transitions_report.json")}
+        assert set(rows) == set(entries)
+        failing = {
+            "transition_cocycle": "ValueError",
+            "transition_derivative_sphere": "WellDefinednessViolated",
+            "transition_derivative_torus": "WellDefinednessViolated",
+            "metric_independence": "non-finite",
+        }
+        for name, text in failing.items():
+            for row, residual in ((rows[name], "residual"), (entries[name], "max_residual")):
+                assert row[residual] is None and row["pass"] is False
+                assert text in row["error"]
+        chain = rows["transition_chain_rule"]
+        assert chain["pass"] and "error" not in chain
+
 
 class TestJsonReports:
     def test_section_norm_report_serializes(self, rng):
@@ -294,12 +349,26 @@ class TestJsonReports:
         assert set(parsed) == {"max_ratio", "bound_witness"}
 
 
+BAD_CONFIGS = {
+    "resolution_below_floor": ({"resolution": 4}, []),
+    "negative_seed": ({}, ["--seed", "-1"]),
+    "float_count": ({"trials": 2.5}, []),
+    "bool_count": ({"sections": True}, []),
+    "order_above_two": ({"order": 4}, []),
+    "non_positive_conformal": ({"conformal": "z-5"}, []),
+    "conformal_name_error": ({"conformal": "__import__"}, []),
+    "suites_field": ({"suites": ["taylor"]}, []),
+}
+
+
 class TestCliCommands:
-    def test_malformed_config_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("data, flags", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
+    def test_malformed_config_exits_2(self, tmp_path, data, flags):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"resolution": 4}))
+        cfg.write_text(json.dumps(data))
         runner = CliRunner()
-        result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
+        args = ["run", "--suite", "taylor", "--config", str(cfg), "--out", str(tmp_path)]
+        result = runner.invoke(main, args + flags)
         assert result.exit_code == 2
 
     def test_taylor_suite_exit_0(self, tmp_path):

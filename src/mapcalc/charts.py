@@ -36,13 +36,10 @@ from .manifolds import (
     apply_in_frames,
     exp_points,
     fiber_derivative_points,
-    frame_jacobian,
     frames_at,
-    from_frame,
     inj_radius,
     log_points,
     reduce_points,
-    to_frame,
 )
 from .sections import PullbackSection, make_section, maps_equal, section_sup
 
@@ -126,13 +123,11 @@ def transition_derivative(
     # slack covers the finite-difference probes around s0
     if not s0.bound + gap + 2 * step < inj_radius(m):
         raise WellDefinednessViolated("base section leaves the transition margin")
-    if m.kind == "torus":
-        return make_section(g, s.vectors)
-    out = []
-    for fv, gv, v0, v in zip(f.values, g.values, s0.vectors, s.vectors):
-        mats = fiber_derivative_points(m, fv, gv, v0, step=step)
-        out.append(apply_in_frames(mats, frames_at(m, fv), frames_at(m, gv), v))
-    return make_section(g, out)
+    mats = [
+        fiber_derivative_points(m, m, fv, gv, v0, step=step)
+        for fv, gv, v0 in zip(f.values, g.values, s0.vectors)
+    ]
+    return apply_fiber_matrices(f, g, mats, s)
 
 
 def metric_transition(
@@ -160,42 +155,25 @@ def metric_transition_fiber(
     Matrices are expressed in the pointwise frames along f; computing them
     once lets several direction sections share the shooting work.
     """
-    m = f.target
-    mats = []
-    for fv, v0 in zip(f.values, s0.vectors):
-        frames = frames_at(m, fv)
-
-        def img(wc):
-            moved = exp_points(m_from, fv, from_frame(frames, wc))
-            return to_frame(frames, log_points(m_to, fv, moved))
-
-        mats.append(frame_jacobian(img, to_frame(frames, v0), step))
-    return mats
+    return [
+        fiber_derivative_points(m_from, m_to, fv, fv, v0, step=step)
+        for fv, v0 in zip(f.values, s0.vectors)
+    ]
 
 
 def apply_fiber_matrices(
-    f: SampledMap, mats: list[np.ndarray], s: PullbackSection
+    f: SampledMap, g: SampledMap, mats: list[np.ndarray], s: PullbackSection
 ) -> PullbackSection:
-    """Contract per-node fiber matrices (in the pointwise frames) with a section."""
+    """Contract per-node fiber matrices with a section along f, giving one along g.
+
+    The matrices map the pointwise frames along f to those along g.
+    """
     m = f.target
-    out = []
-    for fv, mat, v in zip(f.values, mats, s.vectors):
-        frames = frames_at(m, fv)
-        out.append(apply_in_frames(mat, frames, frames, v))
-    return make_section(f, out)
-
-
-def metric_transition_derivative(
-    f: SampledMap,
-    s0: PullbackSection,
-    s: PullbackSection,
-    m_from: TargetManifold,
-    m_to: TargetManifold,
-    step: float = 1e-4,
-) -> PullbackSection:
-    """Nodewise fiber derivative of the two-metric transition at s0, applied to s."""
-    mats = metric_transition_fiber(f, s0, m_from, m_to, step=step)
-    return apply_fiber_matrices(f, mats, s)
+    out = [
+        apply_in_frames(mat, frames_at(m, fv), frames_at(m, gv), v)
+        for fv, gv, mat, v in zip(f.values, g.values, mats, s.vectors)
+    ]
+    return make_section(g, out)
 
 
 # ---------------------------------------------------------------------------

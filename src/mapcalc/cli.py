@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import threading
 import time
 import traceback
@@ -59,6 +60,9 @@ class ExperimentConfig:
             value, kind = getattr(self, f.name), _FIELD_TYPES.get(f.type, object)
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise ConfigError(f"{f.name} must be of type {f.type}, not {value!r}")
+        floats = [getattr(self, f.name) for f in fields(self) if f.type == "float"]
+        if not all(abs(v) <= sys.float_info.max for v in [*floats, *self.torus_periods]):
+            raise ConfigError("float fields must be finite")
         if min(self.resolution, self.descent_resolution, self.sphere_descent_resolution) < 8:
             raise ConfigError("resolution must be at least 8")
         if not 0 <= self.order <= 2:
@@ -71,6 +75,9 @@ class ExperimentConfig:
             raise ConfigError("counts must be positive")
         if self.descent_steps < 1 or self.descent_step_size <= 0:
             raise ConfigError("descent parameters must be positive")
+        # default_delta is delta_factor * inj / 6, which must stay below inj
+        if not 0 < self.delta_factor < 6 or self.epsilon <= 0:
+            raise ConfigError("delta_factor must lie in (0, 6) and epsilon must be positive")
         try:
             sphere(1.0, conformal=self.conformal)
         except Exception as err:

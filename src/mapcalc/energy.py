@@ -17,16 +17,13 @@ from typing import Callable
 import numpy as np
 
 from .atlas import CIRCLE, TAU, DomainAtlas, SampledMap, compact_slices, grid_ranges
-from .charts import chart_inverse, default_delta
+from .charts import apply_fiber_matrices, chart_inverse, default_delta
 from .errors import StepOutOfChart
 from .manifolds import (
     fiber_derivative_points,
-    frames_at,
-    from_frame,
     inner_points,
     log_points,
     norm_points,
-    to_frame,
     torus_wrap,
 )
 from .sections import (
@@ -225,12 +222,9 @@ def fixed_chart_step(
     """
     m = f0.target
     current = chart_inverse(f0, s)
-    grad = energy_gradient(current)
-    pulled = []
-    for fv, gv, sv, gr in zip(f0.values, current.values, s.vectors, grad.vectors):
-        mats = fiber_derivative_points(m, fv, gv, sv)
-        coords = to_frame(frames_at(m, gv), gr)
-        out_c = np.linalg.solve(mats, coords[..., None])[..., 0]
-        pulled.append(from_frame(frames_at(m, fv), out_c))
-    chart_grad = make_section(f0, pulled)
+    inverses = [
+        np.linalg.inv(fiber_derivative_points(m, m, fv, gv, sv))
+        for fv, gv, sv in zip(f0.values, current.values, s.vectors)
+    ]
+    chart_grad = apply_fiber_matrices(current, f0, inverses, energy_gradient(current))
     return section_add(s, section_scale(chart_grad, -step_size))

@@ -239,7 +239,7 @@ def metric_independence_residuals(
             plus = metric_transition(f, section_add(s0, section_scale(s, eps)), m_round, m_conf)
             minus = metric_transition(f, section_add(s0, section_scale(s, -eps)), m_round, m_conf)
             fd = section_scale(section_add(plus, section_scale(minus, -1.0)), 0.5 / eps)
-            analytic = apply_fiber_matrices(f, mats, s)
+            analytic = apply_fiber_matrices(f, f, mats, s)
             residuals.append(
                 section_max_diff(fd, analytic) / max(section_sup(analytic), 1e-12)
             )

@@ -14,9 +14,11 @@ with the point dimension last and are the workhorses for grid-sized data.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import CodeType
 from typing import Optional
 
 import numpy as np
@@ -29,7 +31,7 @@ TORUS = "torus"
 # Euclidean-orthonormality and membership tolerance for stored geometry.
 POINT_TOL = 1e-12
 
-_EXPR_NS = {
+_EXPR_FUNCS = {
     "sin": np.sin,
     "cos": np.cos,
     "tan": np.tan,
@@ -37,8 +39,33 @@ _EXPR_NS = {
     "log": np.log,
     "sqrt": np.sqrt,
     "abs": np.abs,
-    "pi": np.pi,
 }
+# the node types of the conformal grammar; names, calls and constants are narrowed below
+_EXPR_NODES = (ast.Expression, ast.Load, ast.Name, ast.Call, ast.Constant, ast.BinOp,
+               ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+
+
+def _compile_expr(expr: str) -> CodeType:
+    """Compile a conformal expression; anything outside its grammar raises ``ValueError``.
+
+    An ``eval`` with empty builtins is no sandbox, since attribute chains
+    still reach ``object``.  Integer constants become floats, so ``9**9**9``
+    overflows at once instead of building an integer with millions of digits.
+    """
+    try:
+        tree = ast.parse(expr, mode="eval")
+        for node in ast.walk(tree):
+            if not isinstance(node, _EXPR_NODES) or (
+                isinstance(node, ast.Name) and node.id not in {"x", "y", "z", "pi", *_EXPR_FUNCS}
+                or isinstance(node, ast.Call) and getattr(node.func, "id", "") not in _EXPR_FUNCS
+                or isinstance(node, ast.Constant) and type(node.value) not in (int, float)
+            ):
+                raise ValueError(f"{type(node).__name__} is outside the conformal grammar")
+            if isinstance(node, ast.Constant):
+                node.value = float(node.value)
+    except (SyntaxError, OverflowError) as err:
+        raise ValueError(f"bad conformal expression {expr!r}: {err}") from err
+    return compile(tree, "<conformal>", "eval")
 
 
 @dataclass(frozen=True)
@@ -52,22 +79,20 @@ class ConformalFactor:
     """
 
     expr: str
+    code: CodeType = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "code", _compile_expr(self.expr))
 
     def __call__(self, coords: np.ndarray) -> np.ndarray:
-        ns = dict(_EXPR_NS)
-        ns["x"] = coords[..., 0]
-        ns["y"] = coords[..., 1]
-        ns["z"] = coords[..., 2]
-        val = eval(self.expr, {"__builtins__": {}}, ns)  # trusted config input
+        ns = dict(_EXPR_FUNCS, pi=np.pi, x=coords[..., 0], y=coords[..., 1], z=coords[..., 2])
+        val = eval(self.code, {"__builtins__": {}}, ns)  # grammar checked by _compile_expr
         return np.asarray(val, dtype=float) * np.ones(coords.shape[:-1])
 
     def gradient(self, coords: np.ndarray, step: float = 1e-6) -> np.ndarray:
-        grad = np.empty_like(coords, dtype=float)
-        for axis in range(3):
-            e = np.zeros(3)
-            e[axis] = step
-            grad[..., axis] = (self(coords + e) - self(coords - e)) / (2.0 * step)
-        return grad
+        shift = step * np.eye(3)  # row a displaces the point along axis a
+        probes = coords[..., None, :]
+        return (self(probes + shift) - self(probes - shift)) / (2.0 * step)
 
 
 @dataclass(frozen=True)
@@ -301,13 +326,13 @@ def apply_in_frames(
 
 
 def frame_jacobian(image, w0: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference Jacobian at ``w0`` of a map between 2-d frame coordinates."""
-    cols = []
-    for a in range(2):
-        e = np.zeros(2)
-        e[a] = step
-        cols.append((image(w0 + e) - image(w0 - e)) / (2.0 * step))
-    return np.stack(cols, axis=-1)
+    """Central-difference Jacobian at ``w0`` of a map between 2-d frame coordinates.
+
+    ``image`` maps the four probes, stacked on a new leading axis, in one call.
+    """
+    e = step * np.eye(2)
+    out = image(np.stack([w0 + e[0], w0 - e[0], w0 + e[1], w0 - e[1]]))
+    return np.stack([out[0] - out[1], out[2] - out[3]], axis=-1) / (2.0 * step)
 
 
 # ---------------------------------------------------------------------------
@@ -369,19 +394,17 @@ def _sinc(x: np.ndarray) -> np.ndarray:
 def log_points(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.ndarray:
     base = np.asarray(base, dtype=float)
     target = np.asarray(target, dtype=float)
-    inj = inj_radius(m)
-    margin = _log_margin(m)
     if m.kind == TORUS:
         delta = torus_wrap(m, target - base)
         d = np.linalg.norm(delta, axis=-1)
-        _reject_beyond(d, inj, margin, m)
+        _reject_beyond(d, m)
         return delta
     if m.conformal is not None:
         return _shoot_log(m, base, target)
     r = m.radius
     dots, ang = _sphere_angle(r, base, target)
     d = r * ang
-    _reject_beyond(d, inj, margin, m)
+    _reject_beyond(d, m)
     u = target - dots[..., None] * base
     return u / _sinc(ang)[..., None]
 
@@ -399,9 +422,10 @@ def _sphere_angle(r: float, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
     return dots, np.arctan2(sins, dots)
 
 
-def _reject_beyond(d: np.ndarray, inj: float, margin: float, m: TargetManifold) -> None:
+def _reject_beyond(d: np.ndarray, m: TargetManifold) -> None:
+    inj = inj_radius(m)
     worst = float(np.max(d)) if np.size(d) else 0.0
-    if worst >= inj - margin:
+    if worst >= inj - _log_margin(m):
         raise BeyondInjectivityRadius(
             f"distance {worst:.6g} reaches the injectivity radius {inj:.6g} of {m.kind}"
         )
@@ -490,14 +514,13 @@ def _shoot_log(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.nd
     target = np.asarray(target, dtype=float)
     round_m = sphere(m.radius)
     frames = frames_at(m, base)
+    target_frames = frames_at(round_m, target)
 
     def residual(wc: np.ndarray) -> np.ndarray:
         end = _geodesic_flow(m, base, from_frame(frames, wc))
-        gap = log_points(round_m, target, end)
-        return to_frame(frames_at(round_m, target), gap)
+        return to_frame(target_frames, log_points(round_m, target, end))
 
     w = to_frame(frames, log_points(round_m, base, target))
-    fd = 1e-7
     inv = None
     r0 = residual(w)
     for it in range(_SHOOT_MAX_ITER):
@@ -505,26 +528,12 @@ def _shoot_log(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.nd
         if err < _SHOOT_TOL:
             return from_frame(frames, w)
         if inv is None or it % _JACOBIAN_REFRESH == 0:
-            # chord Newton: a forward-difference Jacobian is refreshed rarely
-            cols = []
-            for a in range(2):
-                e = np.zeros(2)
-                e[a] = fd
-                cols.append((residual(w + e) - r0) / fd)
-            jac = np.stack(cols, axis=-1)
-            det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-            if np.any(np.abs(det) < 1e-14):
+            # chord Newton: the Jacobian is refreshed rarely
+            jac = frame_jacobian(residual, w, 1e-7)
+            if np.any(np.abs(np.linalg.det(jac)) < 1e-14):
                 raise BeyondInjectivityRadius("conformal shooting became singular")
-            inv = (
-                np.stack(
-                    [jac[..., 1, 1], -jac[..., 0, 1], -jac[..., 1, 0], jac[..., 0, 0]],
-                    axis=-1,
-                )
-                / det[..., None]
-            )
-        dw0 = inv[..., 0] * r0[..., 0] + inv[..., 1] * r0[..., 1]
-        dw1 = inv[..., 2] * r0[..., 0] + inv[..., 3] * r0[..., 1]
-        w = w - np.stack([dw0, dw1], axis=-1)
+            inv = np.linalg.inv(jac)
+        w = w - np.einsum("...ab,...b->...a", inv, r0)
         r0 = residual(w)
     raise BeyondInjectivityRadius("conformal shooting did not converge")
 
@@ -534,7 +543,8 @@ def _shoot_log(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.nd
 
 
 def fiber_derivative_points(
-    m: TargetManifold,
+    m_src: TargetManifold,
+    m_dst: TargetManifold,
     src: np.ndarray,
     dst: np.ndarray,
     v0: np.ndarray,
@@ -542,20 +552,21 @@ def fiber_derivative_points(
 ) -> np.ndarray:
     """Derivative matrices of v -> log_dst(exp_src(v)) at v0, batched.
 
-    Matrices are expressed in the canonical frames of ``frames_at`` at the
-    source and destination.  On the flat torus the map is an affine
-    translation, so the derivative is returned as the exact identity.
+    exp is taken in ``m_src`` and log in ``m_dst``, two metrics for a change
+    of metric.  Matrices are expressed in the canonical frames of
+    ``frames_at`` at the source and destination.  On the flat torus the map
+    is an affine translation, so the derivative is returned as the exact identity.
     """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    sframes = frames_at(m, src)
-    if m.kind == TORUS:
+    sframes = frames_at(m_src, src)
+    if m_src.kind == TORUS:
         return sframes  # torus frames are the identity
-    dframes = frames_at(m, dst)
+    dframes = frames_at(m_dst, dst)
 
     def image_coords(wc: np.ndarray) -> np.ndarray:
-        out = log_points(m, dst, exp_points(m, src, from_frame(sframes, wc)))
+        out = log_points(m_dst, dst, exp_points(m_src, src, from_frame(sframes, wc)))
         return to_frame(dframes, out)
 
     return frame_jacobian(image_coords, to_frame(sframes, v0), step)
@@ -576,5 +587,5 @@ def fiber_transition_derivative(
         raise BeyondInjectivityRadius(
             f"source vector reaches {reach:.6g}, beyond the log domain at the destination"
         )
-    mat = fiber_derivative_points(m, p_src.coords, p_dst.coords, v0.vec, step=step)
+    mat = fiber_derivative_points(m, m, p_src.coords, p_dst.coords, v0.vec, step=step)
     return FiberLinearMap(p_src, p_dst, mat)

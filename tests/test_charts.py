@@ -7,6 +7,8 @@ import pytest
 
 from mapcalc import (
     CIRCLE_ATLAS,
+    TORUS2_ATLAS,
+    MapFormula,
     BaseMismatch,
     WellDefinednessViolated,
     as_point,
@@ -22,6 +24,7 @@ from mapcalc import (
     pushforward,
     sample_map,
     section_max_diff,
+    section_add,
     section_scale,
     section_sup,
     sphere,
@@ -31,7 +34,8 @@ from mapcalc import (
     zero_section,
 )
 from mapcalc.atlas import TAU
-from mapcalc.charts import metric_transition
+from mapcalc.charts import metric_transition, metric_transition_fiber
+from mapcalc.manifolds import exp_points, log_points
 from mapcalc.experiments import (
     chain_rule_residual,
     cocycle_residual,
@@ -53,7 +57,8 @@ from mapcalc.maps import (
     torus_loop,
     torus_translation,
 )
-from mapcalc.sections import make_section
+from mapcalc.sections import make_section, section_from_formula
+from oracles import _tangent_frame, richardson_matrix
 
 T22 = flat_torus(TAU, TAU)
 S1 = sphere(1.0)
@@ -192,6 +197,33 @@ class TestTransitionDerivative:
             worst = max(worst, rel)
         assert worst < 1e-5
 
+    def test_matches_directional_difference_on_torus2_domain(self):
+        # a 2-d domain: chart grids of shape (33, 33, 3) at resolution 32
+        def center(mesh):
+            a, b = mesh[..., 0], mesh[..., 1]
+            raw = np.stack([np.cos(a), np.sin(a), 0.4 * np.sin(b) + 0.2 * np.cos(a + b)], axis=-1)
+            return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+
+        def field(phase):
+            def vf(mesh):
+                a, b = mesh[..., 0] + phase, mesh[..., 1]
+                return np.stack([np.sin(a + b), np.cos(a - 2 * b), np.sin(b) + 0.5], axis=-1)
+
+            return vf
+
+        f = sample_map(TORUS2_ATLAS, S1, MapFormula("torus2_to_sphere", center), 32)
+        assert f.values[0].shape == (33, 33, 3)
+        delta = default_delta(f)
+        g = chart_inverse(f, section_from_formula(f, field(0.0), 0.3 * delta, bound=delta))
+        s0 = section_from_formula(f, field(1.0), 0.25 * delta, bound=0.3 * delta)
+        s = section_from_formula(f, field(2.0), 0.2 * delta, bound=0.25 * delta)
+        eps = 1e-4
+        plus = transition(f, g, section_add(s0, section_scale(s, eps)))
+        minus = transition(f, g, section_add(s0, section_scale(s, -eps)))
+        fd = section_scale(section_add(plus, section_scale(minus, -1.0)), 0.5 / eps)
+        analytic = transition_derivative(f, g, s0, s)
+        assert section_max_diff(fd, analytic) / section_sup(analytic) < 1e-5
+
     def test_chain_rule(self, rng):
         worst = 0.0
         for _ in range(5):
@@ -217,6 +249,24 @@ class TestMetricIndependence:
         out = metric_transition(f, s, S1, m_conf)
         back = metric_transition(f, out, m_conf, S1)
         assert section_max_diff(back, s) < 1e-9
+
+    def test_fiber_matrices_match_richardson_oracle(self, rng):
+        f = random_center(S1, 32, rng)
+        m_conf = sphere(1.0, conformal="exp(0.3*z)")
+        s0 = random_section(f, rng, 0.12, bound=0.2)
+        mats = metric_transition_fiber(f, s0, S1, m_conf)
+        for fv, v0, chart_mats in zip(f.values, s0.vectors, mats):
+            for node in (0, len(fv) // 2):
+                p = fv[node]
+                u1, u2 = _tangent_frame(p)
+
+                def image(w):
+                    moved = exp_points(S1, p, w[0] * u1 + w[1] * u2)
+                    out = log_points(m_conf, p, moved)
+                    return np.array([out @ u1, out @ u2])
+
+                expected = richardson_matrix(image, np.array([v0[node] @ u1, v0[node] @ u2]))
+                assert np.max(np.abs(chart_mats[node] - expected)) < 1e-7
 
     def test_derivative_check_small_sample(self, rng):
         residuals = metric_independence_residuals(64, rng, n_sections=4, dirs_per_base=4)

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +362,14 @@ BAD_CONFIGS = {
     "order_above_two": ({"order": 4}, []),
     "non_positive_conformal": ({"conformal": "z-5"}, []),
     "conformal_name_error": ({"conformal": "__import__"}, []),
+    "conformal_attribute_chain": (
+        {"conformal": "1 + 0*x + 0*(().__class__.__base__ is None)"}, []
+    ),
+    "nan_sphere_radius": ({"sphere_radius": math.nan}, []),
+    "infinite_descent_step_size": ({"descent_step_size": math.inf}, []),
+    "negative_delta_factor": ({"delta_factor": -1}, []),
+    "delta_factor_above_six": ({"delta_factor": 7}, []),
+    "zero_epsilon": ({"epsilon": 0}, []),
     "suites_field": ({"suites": ["taylor"]}, []),
 }
 
@@ -370,6 +383,18 @@ class TestCliCommands:
         args = ["run", "--suite", "taylor", "--config", str(cfg), "--out", str(tmp_path)]
         result = runner.invoke(main, args + flags)
         assert result.exit_code == 2
+
+    def test_conformal_power_tower_exits_2_quickly(self, tmp_path):
+        # 9**9**9 as a Python integer has hundreds of millions of digits
+        cfg = tmp_path / "tower.json"
+        cfg.write_text(json.dumps({"conformal": "1 + 0*x + 0*9**9**9"}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        args = ["run", "--suite", "taylor", "--config", str(cfg), "--out", str(tmp_path)]
+        result = subprocess.run(
+            [sys.executable, "-m", "mapcalc.cli", *args], env=env, capture_output=True, timeout=60
+        )
+        assert result.returncode == 2
 
     def test_taylor_suite_exit_0(self, tmp_path):
         runner = CliRunner()
@@ -398,3 +423,32 @@ class TestCliCommands:
         assert abs(report["final_energy"] - math.pi) < 5e-2
         assert (tmp_path / "out/descent_trace.csv").exists()
         assert (tmp_path / "out/descent_final_map.csv").exists()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+_FUZZED_FIELDS = [f.name for f in fields(ExperimentConfig) if f.name != "conformal"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.dictionaries(
+        st.sampled_from(_FUZZED_FIELDS), st.floats() | st.integers() | _JSON_VALUES, max_size=3
+    )
+)
+def test_load_config_fuzz(tmp_path_factory, data):
+    """Arbitrary JSON field values, NaN and infinities included, give a
+    ConfigError or a config with finite floats in range; nothing else."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed_config.json"
+    path.write_text(json.dumps(data))
+    try:
+        config = load_config(str(path))
+    except ConfigError:
+        return
+    floats = [getattr(config, f.name) for f in fields(config) if f.type == "float"]
+    assert all(math.isfinite(v) for v in [*floats, *config.torus_periods])
+    assert 0 < config.delta_factor < 6 and config.epsilon > 0

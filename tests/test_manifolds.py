@@ -244,7 +244,7 @@ class TestRoundTripInvariants:
 class TestFiberTransitionDerivative:
     def test_flat_torus_identity_exact(self, rng):
         base, vecs = random_torus_data(T22, rng, 3, 0.5)
-        mats = fiber_derivative_points(T22, base, base + 0.3, vecs)
+        mats = fiber_derivative_points(T22, T22, base, base + 0.3, vecs)
         assert np.array_equal(mats, np.broadcast_to(np.eye(2), mats.shape))
 
     def test_same_point_zero_vector_identity(self):
@@ -355,3 +355,19 @@ class TestFramesAndSerialization:
     def test_nonpositive_conformal_factor_rejected(self):
         with pytest.raises(ValueError):
             sphere(1.0, conformal="z")
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "1 + 0*x + 0*(().__class__.__base__ is None)",
+            "1 + x.real",
+            "1 + 0*x[0]",
+            "(lambda: 2)()",
+            "'2'",
+            "True",
+        ],
+        ids=["attribute_chain", "attribute", "subscript", "lambda", "string", "bool"],
+    )
+    def test_conformal_expression_outside_grammar_rejected(self, expr):
+        with pytest.raises(ValueError):
+            sphere(1.0, conformal=expr)

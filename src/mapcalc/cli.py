@@ -69,8 +69,8 @@ class ExperimentConfig:
             raise ConfigError("derivative order must lie in [0, 2]")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.sphere_radius <= 0 or any(p <= 0 for p in self.torus_periods):
-            raise ConfigError("manifold dimensions must be positive")
+        if self.sphere_radius <= 0:
+            raise ConfigError("sphere radius must be positive")
         if self.trials < 1 or self.sections < 1:
             raise ConfigError("counts must be positive")
         if self.descent_steps < 1 or self.descent_step_size <= 0:
@@ -78,6 +78,10 @@ class ExperimentConfig:
         # default_delta is delta_factor * inj / 6, which must stay below inj
         if not 0 < self.delta_factor < 6 or self.epsilon <= 0:
             raise ConfigError("delta_factor must lie in (0, 6) and epsilon must be positive")
+        try:
+            flat_torus(*self.torus_periods)
+        except ValueError as err:
+            raise ConfigError(f"bad torus periods {self.torus_periods!r}: {err}") from err
         try:
             sphere(1.0, conformal=self.conformal)
         except Exception as err:

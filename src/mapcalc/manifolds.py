@@ -83,6 +83,12 @@ class ConformalFactor:
 
     def __post_init__(self):
         object.__setattr__(self, "code", _compile_expr(self.expr))
+        # x, y and z are arrays, so only the float constants can raise, at any point
+        try:
+            with np.errstate(all="ignore"):
+                self(np.zeros((1, 3)))
+        except ArithmeticError as err:
+            raise ValueError(f"bad conformal expression {self.expr!r}: {err}") from err
 
     def __call__(self, coords: np.ndarray) -> np.ndarray:
         ns = dict(_EXPR_FUNCS, pi=np.pi, x=coords[..., 0], y=coords[..., 1], z=coords[..., 2])

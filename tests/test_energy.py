@@ -21,14 +21,15 @@ from mapcalc import (
     winding_numbers,
 )
 from mapcalc.atlas import TAU
-from mapcalc.energy import loop_inner, loop_values
+from mapcalc.cli import ExperimentConfig
+from mapcalc.energy import _on_loop, loop_inner, loop_step, loop_values, sobolev_gradient
 from mapcalc.experiments import (
     random_section,
     sphere_descent_demo,
     torus_descent_demo,
     trace_monotone_violation,
 )
-from mapcalc.manifolds import inner_points, log_points
+from mapcalc.manifolds import inner_points, log_points, project_tangent
 from mapcalc.maps import constant_formula, sphere_cap_loop, torus_loop
 
 T22 = flat_torus(TAU, TAU)
@@ -99,6 +100,37 @@ class TestEnergyGradient:
         assert worst < 1e-5
 
 
+PERTURBED_LOOPS = [
+    (T22, torus_loop((1, 0), waves=((0, 0.3, 0.4), (1, 0.2, 1.1)))),
+    (T22, torus_loop((1, 1), waves=((0, 0.2, 0.1),))),
+    (T22, torus_loop((0, 0), waves=((0, 0.4, 0.0), (1, 0.3, 0.7)))),
+    (S1, sphere_cap_loop(1.0, 0.5)),
+    (S1, sphere_cap_loop(1.0, 1.2)),
+]
+
+
+class TestSobolevGradient:
+    @pytest.mark.parametrize("m,formula", [PERTURBED_LOOPS[0], PERTURBED_LOOPS[3]])
+    def test_matches_dense_circulant_solve(self, m, formula):
+        f = sample_map(CIRCLE_ATLAS, m, formula, 64)
+        n, h = f.resolution, loop_step(f)
+        # I - Delta_h for the periodic second difference, as a dense matrix
+        shift = np.roll(np.eye(n), 1, axis=1)
+        op = (1.0 + 2.0 / h**2) * np.eye(n) - (shift + shift.T) / h**2
+        grad = _on_loop(f, energy_gradient(f).vectors)
+        expected = project_tangent(m, loop_values(f), np.linalg.solve(op, grad))
+        got = _on_loop(f, sobolev_gradient(f).vectors)
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+    @pytest.mark.parametrize("m,formula", PERTURBED_LOOPS)
+    def test_is_a_descent_direction(self, m, formula, rng):
+        f0 = sample_map(CIRCLE_ATLAS, m, formula, 48)
+        for f in [f0] + [chart_inverse(f0, random_section(f0, rng, 0.05, bound=0.1))
+                         for _ in range(3)]:
+            assert geodesic_residual(f) > 1e-3
+            assert loop_inner(f, energy_gradient(f), sobolev_gradient(f)) > 0.0
+
+
 class TestDescend:
     def test_geodesic_start_stays_put(self):
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 64)
@@ -126,13 +158,27 @@ class TestDescend:
         assert section_sup(energy_gradient(final)) < 1e-6
         assert geodesic_residual(final) < 1e-5
 
+    @pytest.mark.parametrize("demo,resolution_field", [
+        (torus_descent_demo, "descent_resolution"),
+        (sphere_descent_demo, "sphere_descent_resolution"),
+    ])
+    def test_iteration_count_is_mesh_independent(self, demo, resolution_field):
+        counts = [len(demo(n, 5000, 0.1)[1].rows) for n in (64, 128, 256, 512)]
+        assert all(abs(c - counts[0]) <= 3 for c in counts), counts
+        # the default-config demo stops on grad_tol long before the step cap
+        config = ExperimentConfig()
+        _, trace, *_ = demo(
+            getattr(config, resolution_field), config.descent_steps, config.descent_step_size
+        )
+        assert len(trace.rows) < 100
+
     def test_step_out_of_chart(self):
         f = sample_map(
             CIRCLE_ATLAS, T22, torus_loop((1, 0), waves=((0, 0.3, 0.0),)), 64
         )
         # an enormous forced step cannot fit inside the chart bound
         with pytest.raises(StepOutOfChart):
-            descend(f, 1, 1e12, backtracking=True, max_halvings=0)
+            descend(f, 1, 1e12, max_halvings=0)
 
     def test_winding_preserved_along_run(self):
         f0 = sample_map(

@@ -106,6 +106,16 @@ def test_map_reader_rejects_corrupted_file(tmp_path, corrupt):
         read_map_csv(path)
 
 
+def test_map_reader_rejects_overflowing_conformal_header(tmp_path):
+    f = sample_map(CIRCLE_ATLAS, sphere(1.0, conformal="exp(0.3*z)"), great_circle(), 8)
+    path = tmp_path / "map.csv"
+    write_map_csv(f, path)
+    text = path.read_text()
+    path.write_text(text.replace("exp(0.3*z)", "1 + 0*x + 0*9**9**9", 1))
+    with pytest.raises(ValueError):
+        read_map_csv(path)
+
+
 def _random_formula(target, seed: int) -> MapFormula:
     """A smooth map from either domain into the target, for codec tests."""
     rng = np.random.default_rng(seed)
@@ -371,6 +381,7 @@ BAD_CONFIGS = {
     "delta_factor_above_six": ({"delta_factor": 7}, []),
     "zero_epsilon": ({"epsilon": 0}, []),
     "suites_field": ({"suites": ["taylor"]}, []),
+    "empty_torus_periods": ({"torus_periods": []}, []),
 }
 
 

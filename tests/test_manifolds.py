@@ -365,8 +365,12 @@ class TestFramesAndSerialization:
             "(lambda: 2)()",
             "'2'",
             "True",
+            # in the grammar, but its constants cannot be evaluated
+            "1 + 0*x + 0*9**9**9",
+            "1 + 0*x + 1/0",
         ],
-        ids=["attribute_chain", "attribute", "subscript", "lambda", "string", "bool"],
+        ids=["attribute_chain", "attribute", "subscript", "lambda", "string", "bool",
+             "overflowing_constant", "zero_division_constant"],
     )
     def test_conformal_expression_outside_grammar_rejected(self, expr):
         with pytest.raises(ValueError):

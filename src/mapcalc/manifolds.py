@@ -483,29 +483,39 @@ def _conformal_rhs(m: TargetManifold, pos: np.ndarray, vel: np.ndarray) -> np.nd
     return acc
 
 
-def _geodesic_flow(
-    m: TargetManifold, base: np.ndarray, vec: np.ndarray, steps: int | None = None
-) -> np.ndarray:
-    pos = np.array(base, dtype=float)
-    vel = np.array(vec, dtype=float)
-    if steps is None:
-        # step count grows with the longest geodesic in the batch, keeping
-        # the fourth-order error near the shooting tolerance
-        vmax = float(np.max(np.linalg.norm(vel, axis=-1))) if vel.size else 0.0
-        steps = max(_ODE_STEPS, int(math.ceil(160.0 * vmax)))
-    h = 1.0 / steps
-    for _ in range(steps):
-        k1p, k1v = vel, _conformal_rhs(m, pos, vel)
-        k2p = vel + 0.5 * h * k1v
-        k2v = _conformal_rhs(m, pos + 0.5 * h * k1p, k2p)
-        k3p = vel + 0.5 * h * k2v
-        k3v = _conformal_rhs(m, pos + 0.5 * h * k2p, k3p)
-        k4p = vel + h * k3v
-        k4v = _conformal_rhs(m, pos + h * k3p, k4p)
-        pos = pos + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        vel = vel + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        pos = reduce_points(m, pos)
-    return pos
+def _geodesic_flow(m: TargetManifold, base: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """RK4 flow to time 1, batched over all leading axes.
+
+    Each node takes its own step count, which grows with its own speed to
+    keep the fourth-order error near the shooting tolerance; a node's end
+    point therefore does not depend on the other nodes of the batch.
+    """
+    base, vec = np.broadcast_arrays(np.asarray(base, dtype=float), np.asarray(vec, dtype=float))
+    shape = base.shape
+    pos = base.reshape(-1, shape[-1]).copy()
+    vel = vec.reshape(-1, shape[-1]).copy()
+    steps = np.maximum(_ODE_STEPS, np.ceil(160.0 * np.linalg.norm(vel, axis=-1)))
+    h = (1.0 / steps)[:, None]
+    for k in range(int(np.max(steps, initial=0))):
+        # nodes whose flow has ended drop out; the rest advance one step
+        live = slice(None) if k < _ODE_STEPS else np.flatnonzero(steps > k)
+        pos[live], vel[live] = _rk4_step(m, pos[live], vel[live], h[live])
+    return pos.reshape(shape)
+
+
+def _rk4_step(
+    m: TargetManifold, pos: np.ndarray, vel: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    k1p, k1v = vel, _conformal_rhs(m, pos, vel)
+    k2p = vel + 0.5 * h * k1v
+    k2v = _conformal_rhs(m, pos + 0.5 * h * k1p, k2p)
+    k3p = vel + 0.5 * h * k2v
+    k3v = _conformal_rhs(m, pos + 0.5 * h * k2p, k3p)
+    k4p = vel + h * k3v
+    k4v = _conformal_rhs(m, pos + h * k3p, k4p)
+    pos = pos + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+    vel = vel + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+    return reduce_points(m, pos), vel
 
 
 def _shoot_log(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -514,33 +524,42 @@ def _shoot_log(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.nd
     The iteration is batched over all leading axes; the round-metric
     logarithm provides the initial guess and the residual is measured
     through the round logarithm at the target, which is well defined for
-    the desk-scale distances the charts allow.
+    the desk-scale distances the charts allow.  Each node stops once its own
+    residual is below ``_SHOOT_TOL``, and later iterations run on the nodes
+    still moving, so a node's result does not depend on the rest of the batch.
     """
-    base = np.asarray(base, dtype=float)
-    target = np.asarray(target, dtype=float)
+    base, target = np.broadcast_arrays(
+        np.asarray(base, dtype=float), np.asarray(target, dtype=float)
+    )
+    shape = base.shape
+    base, target = base.reshape(-1, 3), target.reshape(-1, 3)
     round_m = sphere(m.radius)
     frames = frames_at(m, base)
     target_frames = frames_at(round_m, target)
 
-    def residual(wc: np.ndarray) -> np.ndarray:
-        end = _geodesic_flow(m, base, from_frame(frames, wc))
-        return to_frame(target_frames, log_points(round_m, target, end))
+    def residual(wc: np.ndarray, live: np.ndarray) -> np.ndarray:
+        end = _geodesic_flow(m, base[live], from_frame(frames[live], wc))
+        return to_frame(target_frames[live], log_points(round_m, target[live], end))
 
     w = to_frame(frames, log_points(round_m, base, target))
+    live = np.arange(len(w))
     inv = None
-    r0 = residual(w)
+    r0 = residual(w, live)
     for it in range(_SHOOT_MAX_ITER):
-        err = float(np.max(np.linalg.norm(r0, axis=-1))) if np.size(r0) else 0.0
-        if err < _SHOOT_TOL:
-            return from_frame(frames, w)
+        moving = ~(np.linalg.norm(r0, axis=-1) < _SHOOT_TOL)
+        live, r0 = live[moving], r0[moving]
+        if not live.size:
+            return from_frame(frames, w).reshape(shape)
         if inv is None or it % _JACOBIAN_REFRESH == 0:
             # chord Newton: the Jacobian is refreshed rarely
-            jac = frame_jacobian(residual, w, 1e-7)
+            jac = frame_jacobian(lambda wc: residual(wc, live), w[live], 1e-7)
             if np.any(np.abs(np.linalg.det(jac)) < 1e-14):
                 raise BeyondInjectivityRadius("conformal shooting became singular")
             inv = np.linalg.inv(jac)
-        w = w - np.einsum("...ab,...b->...a", inv, r0)
-        r0 = residual(w)
+        else:
+            inv = inv[moving]
+        w[live] = w[live] - np.einsum("...ab,...b->...a", inv, r0)
+        r0 = residual(w[live], live)
     raise BeyondInjectivityRadius("conformal shooting did not converge")
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapcalc import (
     BaseMismatch,
@@ -315,6 +317,30 @@ class TestConformalMetric:
         fine = conformal_path_stationarity(path(120), phi)
         assert fine < 1e-6
         assert 3.0 < coarse / fine < 20.0
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        short=st.lists(st.floats(1e-3, 0.4), min_size=1, max_size=3),
+        long=st.lists(st.floats(0.4, 1.3), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_nodes_are_batch_invariant(self, short, long, seed):
+        # |v| = 0.4 is where the per-node RK4 step count leaves its floor of
+        # 64, so every batch mixes step counts; each node must come out
+        # bit-identical alone and inside the batch
+        m = sphere(1.0, conformal="exp(0.3*z)")
+        rng = np.random.default_rng(seed)
+        speeds = rng.permutation(short + long)[:, None]
+        base, vecs = random_sphere_data(S1, rng, len(speeds), 1.0)
+        vecs = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True) * speeds
+        ends = exp_points(m, base, vecs)
+        # log targets stay inside the injectivity radius of the conformal metric
+        reach = np.minimum(speeds, 0.9 * inj_radius(m)) / norm_points(m, base, vecs)[:, None]
+        targets = exp_points(m, base, vecs * reach)
+        logs = log_points(m, base, targets)
+        for i in range(len(speeds)):
+            assert np.array_equal(exp_points(m, base[i], vecs[i]), ends[i])
+            assert np.array_equal(log_points(m, base[i], targets[i]), logs[i])
 
     def test_dist_uses_weighted_norm(self):
         m = sphere(1.0, conformal="exp(0.3*z)")

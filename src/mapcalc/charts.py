@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -131,16 +131,28 @@ def transition_derivative(
 
 
 def metric_transition(
-    f: SampledMap, s: PullbackSection, m_from: TargetManifold, m_to: TargetManifold
-) -> PullbackSection:
-    """Transition at a fixed center between charts built from two metrics."""
-    if not maps_equal(s.base_map, f):
+    f: SampledMap,
+    s: PullbackSection | Sequence[PullbackSection],
+    m_from: TargetManifold,
+    m_to: TargetManifold,
+) -> PullbackSection | list[PullbackSection]:
+    """Transition at a fixed center between charts built from two metrics.
+
+    ``s`` may be one section or a sequence of them, all along f; the nodes of
+    every section and chart go through one exp batch and one log batch, and
+    a list of sections comes back for a sequence.
+    """
+    sections = [s] if isinstance(s, PullbackSection) else list(s)
+    if not all(maps_equal(t.base_map, f) for t in sections):
         raise BaseMismatch("section is not based on the chart center")
-    vecs = []
-    for fv, v in zip(f.values, s.vectors):
-        moved = exp_points(m_from, fv, v)
-        vecs.append(log_points(m_to, fv, moved))
-    return make_section(f, vecs)
+    base = np.concatenate([_nodes(f.values)] * len(sections))
+    vecs = np.concatenate([_nodes(t.vectors) for t in sections])
+    moved = log_points(m_to, base, exp_points(m_from, base, vecs))
+    out = [
+        make_section(f, _unstack(part, f.values))
+        for part in np.split(moved, len(sections))
+    ]
+    return out[0] if isinstance(s, PullbackSection) else out
 
 
 def metric_transition_fiber(
@@ -152,13 +164,25 @@ def metric_transition_fiber(
 ) -> list[np.ndarray]:
     """Nodewise fiber derivative matrices of the two-metric transition at s0.
 
-    Matrices are expressed in the pointwise frames along f; computing them
-    once lets several direction sections share the shooting work.
+    Matrices are expressed in the pointwise frames along f, one array per
+    chart; computing them once lets several direction sections share the
+    shooting work, and every chart shares one shooting batch.
     """
-    return [
-        fiber_derivative_points(m_from, m_to, fv, fv, v0, step=step)
-        for fv, v0 in zip(f.values, s0.vectors)
-    ]
+    base = _nodes(f.values)
+    mats = fiber_derivative_points(m_from, m_to, base, base, _nodes(s0.vectors), step=step)
+    return _unstack(mats, f.values)
+
+
+def _nodes(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The nodes of per-chart arrays of points or vectors, in one (n, amb) array."""
+    return np.concatenate([a.reshape(-1, a.shape[-1]) for a in arrays])
+
+
+def _unstack(flat: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Split rows stacked by ``_nodes`` back into arrays over the grids of ``like``."""
+    sizes = [math.prod(a.shape[:-1]) for a in like]
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return [p.reshape(a.shape[:-1] + p.shape[1:]) for p, a in zip(parts, like)]
 
 
 def apply_fiber_matrices(

@@ -225,7 +225,9 @@ def metric_independence_residuals(
     """Derivative checks for the transition between round and conformal charts.
 
     Bases s0 are shared by several direction sections, so the nodewise
-    fiber derivative (four shooting batches) is amortized across them.
+    fiber derivative (one shooting batch of four probes) is amortized across
+    them, and the plus and minus sections of all directions of a base share
+    one shooting batch.
     """
     m_round = DEFAULT_SPHERE
     m_conf = sphere(1.0, conformal=conformal_expr)
@@ -234,10 +236,11 @@ def metric_independence_residuals(
     while len(residuals) < n_sections:
         s0 = random_section(f, rng, 0.12, bound=0.2)
         mats = metric_transition_fiber(f, s0, m_round, m_conf, step=1e-4)
-        for _ in range(min(dirs_per_base, n_sections - len(residuals))):
-            s = random_section(f, rng, 0.08, bound=0.12)
-            plus = metric_transition(f, section_add(s0, section_scale(s, eps)), m_round, m_conf)
-            minus = metric_transition(f, section_add(s0, section_scale(s, -eps)), m_round, m_conf)
+        count = min(dirs_per_base, n_sections - len(residuals))
+        dirs = [random_section(f, rng, 0.08, bound=0.12) for _ in range(count)]
+        probes = [section_add(s0, section_scale(s, sign * eps)) for s in dirs for sign in (1, -1)]
+        moved = metric_transition(f, probes, m_round, m_conf)
+        for s, plus, minus in zip(dirs, moved[::2], moved[1::2]):
             fd = section_scale(section_add(plus, section_scale(minus, -1.0)), 0.5 / eps)
             analytic = apply_fiber_matrices(f, f, mats, s)
             residuals.append(

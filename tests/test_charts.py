@@ -35,7 +35,7 @@ from mapcalc import (
 )
 from mapcalc.atlas import TAU
 from mapcalc.charts import metric_transition, metric_transition_fiber
-from mapcalc.manifolds import exp_points, log_points
+from mapcalc.manifolds import exp_points, fiber_derivative_points, log_points, project_tangent
 from mapcalc.experiments import (
     chain_rule_residual,
     cocycle_residual,
@@ -249,6 +249,25 @@ class TestMetricIndependence:
         out = metric_transition(f, s, S1, m_conf)
         back = metric_transition(f, out, m_conf, S1)
         assert section_max_diff(back, s) < 1e-9
+
+    def test_stacked_sections_match_one_call_per_section_and_chart(self, rng):
+        f = random_center(S1, 32, rng)
+        m_conf = sphere(1.0, conformal="exp(0.3*z)")
+        s0 = random_section(f, rng, 0.12, bound=0.2)
+        sections = [random_section(f, rng, 0.1, bound=0.15) for _ in range(3)]
+        stacked = metric_transition(f, sections, S1, m_conf)
+        assert len(stacked) == len(sections)
+        for s, out in zip(sections, stacked):
+            single = metric_transition(f, s, S1, m_conf)
+            assert out.bound == single.bound
+            for fv, v, got, alone in zip(f.values, s.vectors, out.vectors, single.vectors):
+                chart = project_tangent(S1, fv, log_points(m_conf, fv, exp_points(S1, fv, v)))
+                assert np.array_equal(got, chart)
+                assert np.array_equal(alone, chart)
+        mats = metric_transition_fiber(f, s0, S1, m_conf)
+        for fv, v0, chart_mats in zip(f.values, s0.vectors, mats):
+            chart = fiber_derivative_points(S1, m_conf, fv, fv, v0, step=1e-4)
+            assert np.array_equal(chart_mats, chart)
 
     def test_fiber_matrices_match_richardson_oracle(self, rng):
         f = random_center(S1, 32, rng)

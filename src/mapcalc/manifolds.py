@@ -68,13 +68,119 @@ def _compile_expr(expr: str) -> CodeType:
     return compile(tree, "<conformal>", "eval")
 
 
+class _Dual:
+    """Values with their ambient gradients, for forward-mode differentiation
+    of the conformal grammar.
+
+    ``v`` holds values of shape S and ``d`` their gradients, shape S + (3,).
+    Each operation computes ``v`` exactly as on plain arrays, so a factor's
+    value is the same bits on either.  Constants stay plain floats.
+    """
+
+    __slots__ = ("v", "d")
+
+    def __init__(self, v: np.ndarray, d: np.ndarray):
+        self.v, self.d = v, d
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.v.shape
+
+    def __getitem__(self, key: tuple) -> "_Dual":
+        # the key indexes the value axes; the gradient axis stays last
+        return _Dual(self.v[key], self.d[(*key, slice(None))])
+
+    def _chain(self, v: np.ndarray, slope: np.ndarray) -> "_Dual":
+        """``v`` = g(self) for a function g with derivative ``slope`` at self."""
+        return _Dual(v, slope[..., None] * self.d)
+
+    def __add__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.v + o.v, self.d + o.d)
+        return _Dual(self.v + o, self.d)
+
+    def __radd__(self, o):
+        return _Dual(o + self.v, self.d)
+
+    def __sub__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.v - o.v, self.d - o.d)
+        return _Dual(self.v - o, self.d)
+
+    def __rsub__(self, o):
+        return _Dual(o - self.v, -self.d)
+
+    def __mul__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.v * o.v, self.d * o.v[..., None] + o.d * self.v[..., None])
+        return _Dual(self.v * o, self.d * o)
+
+    def __rmul__(self, o):
+        return _Dual(o * self.v, o * self.d)
+
+    def __truediv__(self, o):
+        if isinstance(o, _Dual):
+            q = self.v / o.v
+            return _Dual(q, (self.d - q[..., None] * o.d) / o.v[..., None])
+        return _Dual(self.v / o, self.d / o)
+
+    def __rtruediv__(self, o):
+        q = o / self.v
+        return self._chain(q, -q / self.v)
+
+    def __pow__(self, o):
+        if isinstance(o, _Dual):
+            val = self.v**o.v
+            d = (o.v * self.v ** (o.v - 1.0))[..., None] * self.d
+            return _Dual(val, d + (val * np.log(self.v))[..., None] * o.d)
+        return self._chain(self.v**o, o * self.v ** (o - 1.0))
+
+    def __rpow__(self, o):
+        val = o**self.v
+        # a base of 0 gives 0 (or inf) for every exponent, and a negative base nan
+        return self._chain(val, val * (math.log(o) if o > 0 else 0.0))
+
+    def __neg__(self):
+        return _Dual(-self.v, -self.d)
+
+    def __pos__(self):
+        return _Dual(+self.v, self.d)
+
+
+def _dual_function(fn, slope):
+    """Extend a function of the grammar to ``_Dual``; ``slope(a, fn(a))`` is fn'(a)."""
+
+    def extended(a):
+        if not isinstance(a, _Dual):
+            return fn(a)
+        val = fn(a.v)
+        return a._chain(val, slope(a.v, val))
+
+    return extended
+
+
+_DUAL_FUNCS = {
+    name: _dual_function(_EXPR_FUNCS[name], slope)
+    for name, slope in {
+        "sin": lambda a, v: np.cos(a),
+        "cos": lambda a, v: -np.sin(a),
+        "tan": lambda a, v: 1.0 + v * v,
+        "exp": lambda a, v: v,
+        "log": lambda a, v: 1.0 / a,
+        "sqrt": lambda a, v: 0.5 / v,
+        "abs": lambda a, v: np.sign(a),
+    }.items()
+}
+
+
 @dataclass(frozen=True)
 class ConformalFactor:
     """Strictly positive scalar field on the sphere, given as an expression.
 
     The expression uses ambient coordinates ``x, y, z`` and the usual
-    elementary functions.  The ambient gradient is taken by central
-    differences; only its tangential part enters the geodesic equation,
+    elementary functions.  Its ambient gradient is exact: the same compiled
+    expression runs once on dual numbers (forward-mode differentiation).
+    Only the tangential part of the gradient enters the geodesic equation,
     so the (arbitrary) ambient extension does not matter.
     """
 
@@ -83,22 +189,37 @@ class ConformalFactor:
 
     def __post_init__(self):
         object.__setattr__(self, "code", _compile_expr(self.expr))
-        # x, y and z are arrays, so only the float constants can raise, at any point
+        # x, y and z are arrays, so only the float constants can raise or
+        # turn complex (a negative base to a fractional power), at any point
         try:
             with np.errstate(all="ignore"):
-                self(np.zeros((1, 3)))
+                val = self._eval(np.zeros((1, 3)))
         except ArithmeticError as err:
             raise ValueError(f"bad conformal expression {self.expr!r}: {err}") from err
+        if np.iscomplexobj(val):
+            raise ValueError(f"bad conformal expression {self.expr!r}: complex value")
 
-    def __call__(self, coords: np.ndarray) -> np.ndarray:
-        ns = dict(_EXPR_FUNCS, pi=np.pi, x=coords[..., 0], y=coords[..., 1], z=coords[..., 2])
-        val = eval(self.code, {"__builtins__": {}}, ns)  # grammar checked by _compile_expr
-        return np.asarray(val, dtype=float) * np.ones(coords.shape[:-1])
+    def _eval(self, coords):
+        ns = dict(_DUAL_FUNCS, pi=np.pi, x=coords[..., 0], y=coords[..., 1], z=coords[..., 2])
+        return eval(self.code, {"__builtins__": {}}, ns)  # grammar checked by _compile_expr
 
-    def gradient(self, coords: np.ndarray, step: float = 1e-6) -> np.ndarray:
-        shift = step * np.eye(3)  # row a displaces the point along axis a
-        probes = coords[..., None, :]
-        return (self(probes + shift) - self(probes - shift)) / (2.0 * step)
+    def __call__(self, coords):
+        """The factor at ``coords``; at dual coordinates, a ``_Dual`` with its gradient."""
+        val = self._eval(coords)
+        if isinstance(val, _Dual):
+            return val
+        # an expression without coordinates, or plain coordinates
+        val = np.asarray(val, dtype=float) * np.ones(coords.shape[:-1])
+        return _Dual(val, np.zeros(val.shape + (3,))) if isinstance(coords, _Dual) else val
+
+    def value_and_gradient(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The factor and its exact ambient gradient at ``coords``, from one evaluation."""
+        seeds = np.broadcast_to(np.eye(3), coords.shape + (3,))
+        out = self(_Dual(coords, seeds))
+        return out.v, out.d
+
+    def gradient(self, coords: np.ndarray) -> np.ndarray:
+        return self.value_and_gradient(coords)[1]
 
 
 @dataclass(frozen=True)
@@ -473,8 +594,8 @@ _JACOBIAN_REFRESH = 8
 
 def _conformal_rhs(m: TargetManifold, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
     r2 = m.radius**2
-    phi = m.conformal(pos)[..., None]
-    grad = m.conformal.gradient(pos)
+    phi, grad = m.conformal.value_and_gradient(pos)
+    phi = phi[..., None]
     n = pos / m.radius
     grad_t = grad - np.sum(grad * n, axis=-1, keepdims=True) * n
     sq = np.sum(vel * vel, axis=-1, keepdims=True)

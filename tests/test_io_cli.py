@@ -116,6 +116,16 @@ def test_map_reader_rejects_overflowing_conformal_header(tmp_path):
         read_map_csv(path)
 
 
+def test_map_reader_rejects_complex_conformal_header(tmp_path):
+    f = sample_map(CIRCLE_ATLAS, sphere(1.0, conformal="exp(0.3*z)"), great_circle(), 8)
+    path = tmp_path / "map.csv"
+    write_map_csv(f, path)
+    text = path.read_text()
+    path.write_text(text.replace("exp(0.3*z)", "1 + 0*x + (-1)**0.5", 1))
+    with pytest.raises(ValueError):
+        read_map_csv(path)
+
+
 def _random_formula(target, seed: int) -> MapFormula:
     """A smooth map from either domain into the target, for codec tests."""
     rng = np.random.default_rng(seed)
@@ -382,6 +392,7 @@ BAD_CONFIGS = {
     "zero_epsilon": ({"epsilon": 0}, []),
     "suites_field": ({"suites": ["taylor"]}, []),
     "empty_torus_periods": ({"torus_periods": []}, []),
+    "complex_conformal": ({"conformal": "1 + 0*x + (-1)**0.5"}, []),
 }
 
 

@@ -342,6 +342,36 @@ class TestConformalMetric:
             assert np.array_equal(exp_points(m, base[i], vecs[i]), ends[i])
             assert np.array_equal(log_points(m, base[i], targets[i]), logs[i])
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "2 + sin(x) * cos(y) - tan(0.5 * z)",
+            "exp(0.3 * z) + log(3 + y) + sqrt(2 + x * z)",
+            "abs(x - 0.1) + 1",
+            "7 + (-x) + (+y) * 2 - 3 / (2 + z)",
+            "pi + (2 + x)**3 + (1.5 + y)**-0.5",
+            "(2 + x)**(1 + 0.5 * y)",
+            "2**z",
+            "2.5 + 0*x",
+        ],
+        ids=["trig", "exp_log_sqrt", "abs", "arithmetic_unary", "constant_exponent",
+             "variable_exponent", "reflected_power", "constant"],
+    )
+    def test_gradient_matches_central_difference(self, expr, rng):
+        phi = sphere(1.0, conformal=expr).conformal
+        pts = rng.standard_normal((400, 3))
+        pts = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+        # keep the abs kink outside the difference stencil
+        pts = pts[np.abs(pts[:, 0] - 0.1) > 1e-3][:200]
+        shift = 1e-6 * np.eye(3)  # row a displaces the point along axis a
+        probes = pts[:, None, :]
+        central = (phi(probes + shift) - phi(probes - shift)) / 2e-6
+        value, grad = phi.value_and_gradient(pts)
+        assert len(pts) == 200
+        assert np.array_equal(value, phi(pts))
+        assert np.max(np.abs(phi.gradient(pts) - central)) < 1e-7
+        assert np.array_equal(grad, phi.gradient(pts))
+
     def test_dist_uses_weighted_norm(self):
         m = sphere(1.0, conformal="exp(0.3*z)")
         p = np.array([0.0, 0.0, 1.0])
@@ -394,9 +424,10 @@ class TestFramesAndSerialization:
             # in the grammar, but its constants cannot be evaluated
             "1 + 0*x + 0*9**9**9",
             "1 + 0*x + 1/0",
+            "1 + 0*x + (-1)**0.5",
         ],
         ids=["attribute_chain", "attribute", "subscript", "lambda", "string", "bool",
-             "overflowing_constant", "zero_division_constant"],
+             "overflowing_constant", "zero_division_constant", "complex_constant"],
     )
     def test_conformal_expression_outside_grammar_rejected(self, expr):
         with pytest.raises(ValueError):

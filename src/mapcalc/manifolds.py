@@ -597,11 +597,18 @@ def _conformal_rhs(m: TargetManifold, pos: np.ndarray, vel: np.ndarray) -> np.nd
     phi, grad = m.conformal.value_and_gradient(pos)
     phi = phi[..., None]
     n = pos / m.radius
-    grad_t = grad - np.sum(grad * n, axis=-1, keepdims=True) * n
-    sq = np.sum(vel * vel, axis=-1, keepdims=True)
-    acc = (0.5 * sq * grad_t - np.sum(grad_t * vel, axis=-1, keepdims=True) * vel) / phi
+    grad_t = grad - _dot3(grad, n) * n
+    sq = _dot3(vel, vel)
+    acc = (0.5 * sq * grad_t - _dot3(grad_t, vel) * vel) / phi
     acc = acc - (sq / r2) * pos
     return acc
+
+
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # summed left to right over the three components, like np.sum(a * b,
+    # axis=-1, keepdims=True), but without a reduction over a length-3 axis
+    p = a * b
+    return (p[..., 0] + p[..., 1] + p[..., 2])[..., None]
 
 
 def _geodesic_flow(m: TargetManifold, base: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -144,7 +144,7 @@ class _Dual:
         return _Dual(-self.v, -self.d)
 
     def __pos__(self):
-        return _Dual(+self.v, self.d)
+        return self
 
 
 def _dual_function(fn, slope):
@@ -217,9 +217,6 @@ class ConformalFactor:
         seeds = np.broadcast_to(np.eye(3), coords.shape + (3,))
         out = self(_Dual(coords, seeds))
         return out.v, out.d
-
-    def gradient(self, coords: np.ndarray) -> np.ndarray:
-        return self.value_and_gradient(coords)[1]
 
 
 @dataclass(frozen=True)

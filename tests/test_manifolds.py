@@ -318,10 +318,10 @@ class TestConformalMetric:
         assert fine < 1e-6
         assert 3.0 < coarse / fine < 20.0
 
-    @settings(max_examples=10, deadline=None, derandomize=True)
+    @settings(max_examples=6, deadline=None, derandomize=True)
     @given(
-        short=st.lists(st.floats(1e-3, 0.4), min_size=1, max_size=3),
-        long=st.lists(st.floats(0.4, 1.3), min_size=1, max_size=3),
+        short=st.lists(st.floats(1e-3, 0.4), min_size=1, max_size=2),
+        long=st.lists(st.floats(0.4, 1.3), min_size=1, max_size=2),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_nodes_are_batch_invariant(self, short, long, seed):
@@ -334,8 +334,10 @@ class TestConformalMetric:
         base, vecs = random_sphere_data(S1, rng, len(speeds), 1.0)
         vecs = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True) * speeds
         ends = exp_points(m, base, vecs)
-        # log targets stay inside the injectivity radius of the conformal metric
-        reach = np.minimum(speeds, 0.9 * inj_radius(m)) / norm_points(m, base, vecs)[:, None]
+        # log targets at metric distance up to 0.6 (Euclidean |v| up to 0.7),
+        # inside the injectivity radius and past the step boundary; longer
+        # shots only add Newton iterations
+        reach = np.minimum(speeds, 0.6) / norm_points(m, base, vecs)[:, None]
         targets = exp_points(m, base, vecs * reach)
         logs = log_points(m, base, targets)
         for i in range(len(speeds)):
@@ -353,9 +355,10 @@ class TestConformalMetric:
             "(2 + x)**(1 + 0.5 * y)",
             "2**z",
             "2.5 + 0*x",
+            "2.5",
         ],
         ids=["trig", "exp_log_sqrt", "abs", "arithmetic_unary", "constant_exponent",
-             "variable_exponent", "reflected_power", "constant"],
+             "variable_exponent", "reflected_power", "constant", "no_coordinates"],
     )
     def test_gradient_matches_central_difference(self, expr, rng):
         phi = sphere(1.0, conformal=expr).conformal
@@ -369,8 +372,7 @@ class TestConformalMetric:
         value, grad = phi.value_and_gradient(pts)
         assert len(pts) == 200
         assert np.array_equal(value, phi(pts))
-        assert np.max(np.abs(phi.gradient(pts) - central)) < 1e-7
-        assert np.array_equal(grad, phi.gradient(pts))
+        assert np.max(np.abs(grad - central)) < 1e-7
 
     def test_dist_uses_weighted_norm(self):
         m = sphere(1.0, conformal="exp(0.3*z)")

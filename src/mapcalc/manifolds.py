@@ -94,29 +94,27 @@ class _Dual:
         """``v`` = g(self) for a function g with derivative ``slope`` at self."""
         return _Dual(v, slope[..., None] * self.d)
 
+    # IEEE addition and multiplication commute and a - b is exactly a + (-b),
+    # so the reflected and subtracting forms keep the bits of plain arrays
     def __add__(self, o):
         if isinstance(o, _Dual):
             return _Dual(self.v + o.v, self.d + o.d)
         return _Dual(self.v + o, self.d)
 
-    def __radd__(self, o):
-        return _Dual(o + self.v, self.d)
+    __radd__ = __add__
 
     def __sub__(self, o):
-        if isinstance(o, _Dual):
-            return _Dual(self.v - o.v, self.d - o.d)
-        return _Dual(self.v - o, self.d)
+        return self + -o
 
     def __rsub__(self, o):
-        return _Dual(o - self.v, -self.d)
+        return -self + o
 
     def __mul__(self, o):
         if isinstance(o, _Dual):
             return _Dual(self.v * o.v, self.d * o.v[..., None] + o.d * self.v[..., None])
         return _Dual(self.v * o, self.d * o)
 
-    def __rmul__(self, o):
-        return _Dual(o * self.v, o * self.d)
+    __rmul__ = __mul__
 
     def __truediv__(self, o):
         if isinstance(o, _Dual):

@@ -130,7 +130,11 @@ class _Dual:
         if isinstance(o, _Dual):
             val = self.v**o.v
             d = (o.v * self.v ** (o.v - 1.0))[..., None] * self.d
-            return _Dual(val, d + (val * np.log(self.v))[..., None] * o.d)
+            # the exponent's term vanishes where the exponent does not vary,
+            # also at a base <= 0, whose logarithm is not real
+            with np.errstate(divide="ignore", invalid="ignore"):
+                grow = (val * np.log(self.v))[..., None] * o.d
+            return _Dual(val, d + np.where(o.d == 0.0, 0.0, grow))
         return self._chain(self.v**o, o * self.v ** (o - 1.0))
 
     def __rpow__(self, o):

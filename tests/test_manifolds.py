@@ -353,12 +353,14 @@ class TestConformalMetric:
             "7 + (-x) + (+y) * 2 - 3 / (2 + z)",
             "pi + (2 + x)**3 + (1.5 + y)**-0.5",
             "(2 + x)**(1 + 0.5 * y)",
+            "1 + x**(2 + 0*y)",
             "2**z",
             "2.5 + 0*x",
             "2.5",
         ],
         ids=["trig", "exp_log_sqrt", "abs", "arithmetic_unary", "constant_exponent",
-             "variable_exponent", "reflected_power", "constant", "no_coordinates"],
+             "variable_exponent", "variable_exponent_negative_base", "reflected_power",
+             "constant", "no_coordinates"],
     )
     def test_gradient_matches_central_difference(self, expr, rng):
         phi = sphere(1.0, conformal=expr).conformal

@@ -463,9 +463,7 @@ def descend_cmd(config_path, out_dir):
     from .energy import dirichlet_energy
 
     f0 = sample_map(CIRCLE_ATLAS, config.torus, ex.TORUS_DEMO_LOOP, config.descent_resolution)
-    final, trace = run_descend(
-        f0, config.descent_steps, config.descent_step_size, grad_tol=1e-8
-    )
+    final, trace = run_descend(f0, config.descent_steps, config.descent_step_size)
     try:
         write_trace_csv(trace, out / "descent_trace.csv")
         write_map_csv(final, out / "descent_final_map.csv")

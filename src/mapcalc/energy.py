@@ -180,7 +180,7 @@ def descend(
     steps: int,
     step_size: float,
     max_halvings: int = 30,
-    grad_tol: float = 0.0,
+    grad_tol: float = 1e-8,
     on_step: Callable[[int, SampledMap], None] | None = None,
 ) -> tuple[SampledMap, DescentTrace]:
     """Sobolev gradient descent with the chart at the current iterate as retraction.

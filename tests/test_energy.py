@@ -172,6 +172,16 @@ class TestDescend:
         )
         assert len(trace.rows) < 100
 
+    def test_default_tolerance_stops_before_the_step_cap(self):
+        # the README example, without an explicit grad_tol
+        f0 = sample_map(
+            CIRCLE_ATLAS, T22, torus_loop((1, 0), waves=((0, 0.3, 0.4),)), 128
+        )
+        final, trace = descend(f0, 500, 0.1)
+        assert len(trace.rows) < 100
+        assert trace.rows[-1][2] <= 1e-8
+        assert dirichlet_energy(final) == pytest.approx(math.pi, abs=1e-9)
+
     def test_step_out_of_chart(self):
         f = sample_map(
             CIRCLE_ATLAS, T22, torus_loop((1, 0), waves=((0, 0.3, 0.0),)), 64

@@ -147,11 +147,9 @@ def metric_transition(
         raise BaseMismatch("section is not based on the chart center")
     base = np.concatenate([_nodes(f.values)] * len(sections))
     vecs = np.concatenate([_nodes(t.vectors) for t in sections])
-    moved = log_points(m_to, base, exp_points(m_from, base, vecs))
-    out = [
-        make_section(f, _unstack(part, f.values))
-        for part in np.split(moved, len(sections))
-    ]
+    moved = exp_points(m_from, base, vecs)
+    parts = np.split(log_points(m_to, base, moved), len(sections))
+    out = [make_section(f, _unstack(part, f.values)) for part in parts]
     return out[0] if isinstance(s, PullbackSection) else out
 
 

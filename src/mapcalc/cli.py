@@ -103,6 +103,8 @@ def load_config(path: str | None, **overrides) -> ExperimentConfig:
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config {path}: {err}") from err
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path} must hold a JSON object, not {data!r}")
     data.update({k: v for k, v in overrides.items() if v is not None})
     try:
         if "torus_periods" in data:
@@ -216,10 +218,12 @@ def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
         ))
 
     def ladder():
-        case = ex.composition_probe_case(_rng(config, 18))
+        case = ex.composition_probe_case(_rng(config, 18), count=100)
         values = ex.witness_ladder(
             lambda y: y**2, case["f1"], case["samples"], (0.1, 0.5, 1.0), k=1, box=case["box"]
         )
+        if not all(map(math.isfinite, values)):
+            return math.nan  # max(0.0, nan) is 0.0, so a NaN witness would pass
         return max((max(0.0, a - b) for a, b in zip(values, values[1:])), default=0.0)
 
     f, h = ex.omega_test_functions()
@@ -313,9 +317,11 @@ def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
         ),
         Check("taylor", "taylor_zero_displacement", "R(u,0)=0", 1e-15, zero_disp),
         Check("taylor", "taylor_identity", "f(u+h) = f(u) + sum D^i f(u) h^i / i! + R(u,h) h^r",
-              1e-10, lambda: _worst(ex.taylor_identity_residual(d, [0.3], [0.2]) for d in taylor)),
+              1e-10, lambda: _worst(ex.taylor_identity_residual(d, u, h) for d in taylor
+                                    for u, h in (([0.3], [0.2]), ([-0.5], [0.35])))),
         Check("taylor", "taylor_quadratic", "quadratic case gives R(u,h) = h", 1e-12,
-              lambda: ex.taylor_quadratic_residual(0.7, 0.25)),
+              lambda: max(ex.taylor_quadratic_residual(0.7, 0.25),
+                          ex.taylor_quadratic_residual(-0.2, 0.4))),
         Check("transitions", "transition_cocycle", "transitions compose along chart triples",
               1e-9, cocycle),
         Check("transitions", "transition_derivative_sphere",
@@ -345,9 +351,7 @@ def build_suite(config: ExperimentConfig, suite: str, out_dir: Path | None) -> l
     return [c for c in _checks(config, out_dir) if suite in ("all", c.suite)]
 
 
-def execute_checks(checks: list[Check]) -> None:
-    workers = int(os.environ.get("MAPCALC_THREADS", "1"))
-
+def execute_checks(checks: list[Check], workers: int = 1) -> None:
     def run_one(check: Check) -> None:
         # any failure becomes an error row; the other checks still run
         try:
@@ -372,6 +376,11 @@ def execute_checks(checks: list[Check]) -> None:
 
 def run_suite(config: ExperimentConfig, suite: str, out_dir: str | Path) -> int:
     """Run a suite, write report files, and return the exit status."""
+    workers = os.environ.get("MAPCALC_THREADS", "1")  # read once, before any check runs
+    if not workers.isdecimal() or int(workers) < 1:
+        click.echo(f"config error: MAPCALC_THREADS must be a positive integer, not {workers!r}",
+                   err=True)
+        return 2
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -380,7 +389,7 @@ def run_suite(config: ExperimentConfig, suite: str, out_dir: str | Path) -> int:
         return 3
     started = time.time()
     checks = build_suite(config, suite, out)
-    execute_checks(checks)
+    execute_checks(checks, int(workers))
     report = {
         "suite": suite,
         "seed": config.seed,

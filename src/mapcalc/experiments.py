@@ -1,8 +1,9 @@
 """Builders and residual computations for the verification experiments.
 
-Each function here produces the raw residual of one property check; the
-CLI suites and the acceptance tests wrap them with counts and tolerances.
-Randomness always flows through an explicit generator.
+Each function here produces the raw residual of one property check.  The
+CLI check table (`cli._checks`) is their one wrapper: it adds the trial
+counts, seeds and tolerances, and the acceptance tests run its rows at
+pinned configs.  Randomness always flows through an explicit generator.
 """
 
 from __future__ import annotations

@@ -158,3 +158,25 @@ def conformal_path_stationarity(points, phi, total_time=1.0):
         tangential = grad - np.dot(grad, norm_dir) * norm_dir
         worst = max(worst, float(np.linalg.norm(tangential)))
     return worst
+
+
+def ray_sweep_ratio(f1, rays, psi, steps=10):
+    """Largest C^1 composition ratio along a dense sweep of each probe ray.
+
+    A ray (lam, q) is swept at f1 + c q for `steps` values of c up to lam,
+    the sampled point c = lam included, so the sweep can only raise the
+    sampled witness.  The jet distance is the package's own: what is
+    independent here is the sampling, not the stencil.
+    """
+    from mapcalc.gridfn import GridFunction, grid_jet_sup_diff
+
+    sweep = 0.0
+    for lam, ray in rays:
+        for c in np.linspace(lam / steps, lam, steps):
+            f2 = GridFunction(ray.lo, ray.hi, f1.values + c * ray.values)
+            base = grid_jet_sup_diff(f1, f2, 1)
+            if base < 1e-14:
+                continue
+            comp = grid_jet_sup_diff(f1.map_values(psi), f2.map_values(psi), 1)
+            sweep = max(sweep, comp / base)
+    return sweep

@@ -21,6 +21,7 @@ from mapcalc.cli import (
     SUITES,
     ExperimentConfig,
     build_suite,
+    execute_checks,
     load_config,
     main,
     run_suite,
@@ -348,6 +349,16 @@ class TestRunSuite:
         chain = rows["transition_chain_rule"]
         assert chain["pass"] and "error" not in chain
 
+    def test_non_finite_witness_is_an_error_row(self, monkeypatch):
+        # the drops max(0.0, a - b) alone read a NaN witness as no drop at all
+        monkeypatch.setattr(experiments, "witness_ladder", lambda *a, **k: [1.0, math.nan, 2.0])
+        checks = [c for c in build_suite(ExperimentConfig(), "topology", None)
+                  if c.name == "composition_witness_monotone"]
+        execute_checks(checks)
+        row = checks[0].as_report()
+        assert row["residual"] is None and row["pass"] is False
+        assert "non-finite" in row["error"]
+
 
 class TestJsonReports:
     def test_section_norm_report_serializes(self, rng):
@@ -393,6 +404,8 @@ BAD_CONFIGS = {
     "suites_field": ({"suites": ["taylor"]}, []),
     "empty_torus_periods": ({"torus_periods": []}, []),
     "complex_conformal": ({"conformal": "1 + 0*x + (-1)**0.5"}, []),
+    "list_config": ([1, 2], []),
+    "null_config": (None, []),
 }
 
 
@@ -405,6 +418,15 @@ class TestCliCommands:
         args = ["run", "--suite", "taylor", "--config", str(cfg), "--out", str(tmp_path)]
         result = runner.invoke(main, args + flags)
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_thread_cap_exits_2_before_any_output(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("MAPCALC_THREADS", value)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["run", "--suite", "taylor", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "config error: MAPCALC_THREADS" in result.output
+        assert not out.exists()
 
     def test_conformal_power_tower_exits_2_quickly(self, tmp_path):
         # 9**9**9 as a Python integer has hundreds of millions of digits

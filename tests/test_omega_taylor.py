@@ -20,7 +20,6 @@ from mapcalc import (
 )
 from mapcalc.experiments import (
     omega_fd_residual,
-    omega_test_functions,
     standard_kernels,
     taylor_cases,
     taylor_quadratic_residual,
@@ -79,13 +78,6 @@ class TestOmegaDerivative:
         out2 = omega_derivative(kernel, f2, h)
         assert np.array_equal(out1.values, out2.values)
         assert np.max(np.abs(out1.values[:, 0] - np.sin(f1.xs) * h.values[:, 0])) < 1e-14
-
-    @pytest.mark.parametrize("name", ["square", "sinx_times_y", "exp"])
-    @pytest.mark.parametrize("r", [0, 1, 2])
-    def test_matches_function_space_difference(self, name, r):
-        f, h = omega_test_functions()
-        kernel = standard_kernels()[name]
-        assert omega_fd_residual(kernel, f, h, r) < 1e-5
 
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_two_component_fiber(self, r):

@@ -27,12 +27,11 @@ from mapcalc.experiments import (
     basis_convergence_failures,
     composition_probe_case,
     norm_axiom_residuals,
-    pseudometric_residuals,
     random_center,
     random_section,
 )
-from mapcalc.gridfn import grid_jet_sup_diff
 from mapcalc.maps import great_circle, sphere_rotation, torus_loop
+from oracles import ray_sweep_ratio
 
 T22 = flat_torus(TAU, TAU)
 S1 = sphere(1.0)
@@ -96,12 +95,6 @@ class TestCkDistance:
         g = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0), shift=(2.5, 0.0)), 64)
         with pytest.raises(TargetChartViolated):
             ck_distance(f, g, 0)
-
-    @pytest.mark.parametrize("m", [T22, S1])
-    def test_pseudometric_axioms(self, m, rng):
-        sym, tri = pseudometric_residuals(m, 128, rng, 2)
-        assert sym < 1e-10
-        assert tri < 1e-10
 
 
 class TestSectionNorm:
@@ -201,20 +194,9 @@ class TestCompositionProbe:
     def test_sampled_ratio_dominated_by_ray_sweep(self, rng):
         # every sample sits on a ray; a sweep along the rays with the sample's
         # own parameter included can only raise the witness
-        case = composition_probe_case(rng, count=30)
+        case = composition_probe_case(rng, count=100)
         psi = lambda y: y**2
         res = composition_bound_probe(
             psi, case["f1"], case["samples"], R=1.0, k=1, box=case["box"]
         )
-        sweep = 0.0
-        for lam, ray in case["rays"]:
-            for c in np.linspace(lam / 8, lam, 8):
-                f2 = GridFunction(ray.lo, ray.hi, case["f1"].values + c * ray.values)
-                base = grid_jet_sup_diff(case["f1"], f2, 1)
-                if base < 1e-14:
-                    continue
-                comp = grid_jet_sup_diff(
-                    case["f1"].map_values(psi), f2.map_values(psi), 1
-                )
-                sweep = max(sweep, comp / base)
-        assert res["max_ratio"] <= sweep + 1e-12
+        assert res["max_ratio"] <= ray_sweep_ratio(case["f1"], case["rays"], psi) + 1e-12

@@ -349,9 +349,10 @@ class TestRunSuite:
         chain = rows["transition_chain_rule"]
         assert chain["pass"] and "error" not in chain
 
-    def test_non_finite_witness_is_an_error_row(self, monkeypatch):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_witness_is_an_error_row(self, monkeypatch, bad):
         # the drops max(0.0, a - b) alone read a NaN witness as no drop at all
-        monkeypatch.setattr(experiments, "witness_ladder", lambda *a, **k: [1.0, math.nan, 2.0])
+        monkeypatch.setattr(experiments, "witness_ladder", lambda *a, **k: [1.0, bad, 2.0])
         checks = [c for c in build_suite(ExperimentConfig(), "topology", None)
                   if c.name == "composition_witness_monotone"]
         execute_checks(checks)
@@ -406,6 +407,8 @@ BAD_CONFIGS = {
     "complex_conformal": ({"conformal": "1 + 0*x + (-1)**0.5"}, []),
     "list_config": ([1, 2], []),
     "null_config": (None, []),
+    "string_config": ("x", []),
+    "number_config": (3, []),
 }
 
 
@@ -419,13 +422,21 @@ class TestCliCommands:
         result = runner.invoke(main, args + flags)
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("value", ["abc", "0"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", ""])
     def test_bad_thread_cap_exits_2_before_any_output(self, tmp_path, monkeypatch, value):
         monkeypatch.setenv("MAPCALC_THREADS", value)
         out = tmp_path / "out"
         result = CliRunner().invoke(main, ["run", "--suite", "taylor", "--out", str(out)])
         assert result.exit_code == 2
         assert "config error: MAPCALC_THREADS" in result.output
+        assert not out.exists()
+
+    def test_descend_non_object_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "list.json"
+        cfg.write_text(json.dumps([1, 2]))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["descend", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2
         assert not out.exists()
 
     def test_conformal_power_tower_exits_2_quickly(self, tmp_path):

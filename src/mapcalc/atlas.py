@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FormulaOutOfTarget, ResolutionMismatch, TargetChartViolated
-from .finite_diff import diff_multi, multi_indices
+from .finite_diff import Jets, jets
 from .manifolds import SPHERE, TORUS, TargetManifold, dist_points, reduce_points
 from .target_charts import SphereCapChart, TargetChart, lift_grid
 
@@ -115,8 +115,7 @@ def compact_slices(chart: Chart, resolution: int) -> tuple[slice, ...]:
     h = TAU / resolution
     out = []
     for (j0, _), (klo, khi) in zip(grid_ranges(chart, resolution), chart.compact):
-        a0 = math.ceil(klo / h - 1e-9)
-        a1 = math.floor(khi / h + 1e-9)
+        a0, a1 = _axis_range(klo, khi, h)
         out.append(slice(a0 - j0, a1 - j0 + 1))
     return tuple(out)
 
@@ -188,13 +187,6 @@ def map_sup_distance(f: SampledMap, g: SampledMap) -> float:
 # chart-local jets
 
 
-@dataclass(frozen=True, eq=False)
-class JetTable:
-    chart_id: int
-    order: int
-    entries: dict[tuple[int, ...], np.ndarray]
-
-
 def chart_rep(f: SampledMap, target_chart: TargetChart, chart_id: int) -> np.ndarray:
     """Smooth chart representative of the values over the full chart grid.
 
@@ -217,7 +209,7 @@ def check_containment(f: SampledMap, target_chart: TargetChart, chart_id: int) -
     return bool(np.all(target_chart.contains(f.values[chart_id][ksl])))
 
 
-def chart_jet(f: SampledMap, target_chart: TargetChart, chart_id: int, k: int) -> JetTable:
+def chart_jet(f: SampledMap, target_chart: TargetChart, chart_id: int, k: int) -> Jets:
     """Finite-difference partial derivatives of the chart representative.
 
     Entries hold every multi-index up to total order ``k``, evaluated at the
@@ -225,48 +217,20 @@ def chart_jet(f: SampledMap, target_chart: TargetChart, chart_id: int, k: int) -
     inside the target chart; the surrounding stencil nodes only need the
     representative, which both chart kinds provide smoothly.
     """
-    if k > 4:
-        raise ValueError("jet order capped at 4")
     if not check_containment(f, target_chart, chart_id):
         raise TargetChartViolated(
             f"values on the compact piece of chart {chart_id} leave the target chart"
         )
     rep = chart_rep(f, target_chart, chart_id)
-    return JetTable(chart_id, k, compact_jets(rep, f.atlas.charts[chart_id], f.resolution, k))
+    return compact_jets(rep, f.atlas.charts[chart_id], f.resolution, k)
 
 
-def compact_jets(
-    rep: np.ndarray, chart: Chart, resolution: int, k: int
-) -> dict[tuple[int, ...], np.ndarray]:
+def compact_jets(rep: np.ndarray, chart: Chart, resolution: int, k: int) -> Jets:
     """Partial derivatives of a chart-grid array at the compact-piece nodes.
 
-    Fourth-order central differences for every multi-index up to total order
-    ``k``; the enlarged chart grid must leave room for the stencils.
+    The enlarged chart grid must leave room for the stencils.
     """
-    h = TAU / resolution
-    ksl = compact_slices(chart, resolution)
-    entries: dict[tuple[int, ...], np.ndarray] = {}
-    for alpha in multi_indices(chart.dim, k):
-        darr, offsets = diff_multi(rep, alpha, h)
-        sl = []
-        for axis, s in enumerate(ksl):
-            start = s.start - offsets[axis]
-            stop = s.stop - offsets[axis]
-            if start < 0 or stop > darr.shape[axis]:
-                raise ValueError(
-                    f"resolution {resolution} too coarse for order-{sum(alpha)} stencils"
-                )
-            sl.append(slice(start, stop))
-        entries[alpha] = darr[tuple(sl)]
-    return entries
-
-
-def jet_table_sup_diff(a: JetTable, b: JetTable) -> float:
-    worst = 0.0
-    for alpha, ea in a.entries.items():
-        diff = ea - b.entries[alpha]
-        worst = max(worst, float(np.max(np.linalg.norm(diff, axis=-1))))
-    return worst
+    return jets(rep, compact_slices(chart, resolution), TAU / resolution, k)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,10 @@ import numpy as np
 
 from .atlas import (
     CIRCLE_ATLAS,
-    TAU,
     SampledMap,
     chart_jet,
     compact_slices,
-    grid_ranges,
+    grid_coords,
     sample_map,
 )
 from .charts import (
@@ -146,10 +145,9 @@ def jet_convergence_ratio(resolutions=(128, 256), alpha=(2,)) -> float:
         for chart in f.atlas.charts:
             tchart = auto_chart(f.target, f.values[chart.id][compact_slices(chart, res)])
             jet = chart_jet(f, tchart, chart.id, sum(alpha))
-            entry = jet.entries[alpha][..., 0]
+            entry = jet[alpha][..., 0]
             (js,) = compact_slices(chart, res)
-            (j0, _), = grid_ranges(chart, res)
-            thetas = (np.arange(js.start, js.stop) + j0) * (TAU / res)
+            thetas = grid_coords(chart, res)[0][js]
             exact = {1: np.cos(thetas), 2: -np.sin(thetas)}[sum(alpha)]
             worst = max(worst, float(np.max(np.abs(entry - exact))))
         errs.append(worst)

@@ -6,6 +6,9 @@ from itertools import product
 
 import numpy as np
 
+# partial derivatives by multi-index, each over the nodes of a window
+Jets = dict[tuple[int, ...], np.ndarray]
+
 # offsets are symmetric around 0; radius 2 up to second order, 3 above
 _STENCILS = {
     1: (2, np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0),
@@ -64,3 +67,33 @@ def multi_indices(dim: int, k: int) -> list[tuple[int, ...]]:
     alphas = [a for a in product(range(k + 1), repeat=dim) if sum(a) <= k]
     alphas.sort(key=lambda a: (sum(a), a))
     return alphas
+
+
+def jets(values: np.ndarray, window: tuple[slice, ...], h: float, k: int) -> Jets:
+    """Partial derivatives of a grid array at the nodes of ``window``.
+
+    Fourth-order central differences for every multi-index up to total order
+    ``k``; ``window`` holds one slice per grid axis and must leave room for
+    the stencils on every side.
+    """
+    entries: Jets = {}
+    for alpha in multi_indices(len(window), k):
+        darr, offsets = diff_multi(values, alpha, h)
+        sl = []
+        for axis, s in enumerate(window):
+            start = s.start - offsets[axis]
+            stop = s.stop - offsets[axis]
+            if start < 0 or stop > darr.shape[axis]:
+                raise ValueError(f"grid too coarse for order-{sum(alpha)} stencils")
+            sl.append(slice(start, stop))
+        entries[alpha] = darr[tuple(sl)]
+    return entries
+
+
+def jet_sup_diff(a: Jets, b: Jets) -> float:
+    """Sup over multi-indices and nodes of the norm of the jet difference."""
+    worst = 0.0
+    for alpha, ea in a.items():
+        diff = ea - b[alpha]
+        worst = max(worst, float(np.max(np.linalg.norm(diff, axis=-1))))
+    return worst

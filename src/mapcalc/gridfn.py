@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .finite_diff import diff_axis, stencil_radius
+from .finite_diff import jet_sup_diff, jets, stencil_radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,29 +52,18 @@ class GridFunction:
             out = out[:, None]
         return GridFunction(self.lo, self.hi, out)
 
-    def derivative(self, order: int) -> np.ndarray:
-        return diff_axis(self.values, order, self.h, axis=0)
-
 
 def same_grid(a: GridFunction, b: GridFunction) -> None:
-    if a.n != b.n or a.lo != b.lo or a.hi != b.hi:
-        raise ValueError("grid functions live on different grids")
+    if a.n != b.n or a.lo != b.lo or a.hi != b.hi or a.m != b.m:
+        raise ValueError("grid functions live on different grids or value spaces")
 
 
 def grid_jet_sup_diff(a: GridFunction, b: GridFunction, k: int) -> float:
     """C^k-style sup of the jet difference over the interior window."""
     same_grid(a, b)
     pad = stencil_radius(min(k, 4)) if k > 0 else 0
-    worst = 0.0
-    for order in range(k + 1):
-        da = a.derivative(order)
-        db = b.derivative(order)
-        trim = pad - stencil_radius(order)
-        if trim > 0:
-            da = da[trim:-trim]
-            db = db[trim:-trim]
-        worst = max(worst, float(np.max(np.linalg.norm(da - db, axis=-1))))
-    return worst
+    window = (slice(pad, a.n - pad),)
+    return jet_sup_diff(jets(a.values, window, a.h, k), jets(b.values, window, b.h, k))
 
 
 def grid_norm(a: GridFunction, k: int) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .atlas import CIRCLE_ATLAS, TORUS2_ATLAS, SampledMap, grid_ranges
 from .energy import DescentTrace
-from .manifolds import TargetManifold, check_points
+from .manifolds import TargetManifold, check_points, finite_number
 from .sections import PullbackSection
 
 _ATLASES = {"circle": CIRCLE_ATLAS, "torus2": TORUS2_ATLAS}
@@ -56,14 +56,20 @@ def _read_grid_csv(path, ngroups: int) -> tuple[dict, SampledMap, tuple]:
     """Read a per-chart file with ``ngroups`` column groups, the first being
     the base points; returns the header, the base map and the other groups.
 
-    Rejects missing, duplicate and out-of-grid nodes, rows with the wrong
-    field count, non-finite values, and base points off the target.
+    Rejects a header without a known atlas, an integer resolution of at
+    least 8 and a valid target; missing, duplicate and out-of-grid nodes,
+    rows with the wrong field count, non-finite values, and base points off
+    the target.
     """
     with Path(path).open() as fh:
         head = _read_header(fh.readline())
+        if not isinstance(head, dict) or head.get("atlas") not in tuple(_ATLASES) or "target" not in head:
+            raise ValueError(f"{path}: header must be an object with a known atlas and a target")
+        res = head.get("resolution")
+        if not isinstance(res, int) or isinstance(res, bool) or res < 8:
+            raise ValueError(f"{path}: resolution must be an integer of at least 8, not {res!r}")
         atlas = _ATLASES[head["atlas"]]
         target = TargetManifold.from_json(json.dumps(head["target"]))
-        res = int(head["resolution"])
         reader = csv.reader(fh)
         next(reader)  # column names
         dim = atlas.dim
@@ -114,7 +120,7 @@ def read_section_csv(path) -> PullbackSection:
     head, f, (vecs,) = _read_grid_csv(path, 2)
     # stored vectors were projected when the section was built; re-projecting
     # here would perturb the last bits and break exact round trips
-    return PullbackSection(f, vecs, float(head["bound"]))
+    return PullbackSection(f, vecs, finite_number(head.get("bound"), "section bound"))
 
 
 def write_trace_csv(trace: DescentTrace, path) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from types import CodeType
 from typing import Optional
@@ -63,7 +64,7 @@ def _compile_expr(expr: str) -> CodeType:
                 raise ValueError(f"{type(node).__name__} is outside the conformal grammar")
             if isinstance(node, ast.Constant):
                 node.value = float(node.value)
-    except (SyntaxError, OverflowError) as err:
+    except (SyntaxError, OverflowError, TypeError) as err:
         raise ValueError(f"bad conformal expression {expr!r}: {err}") from err
     return compile(tree, "<conformal>", "eval")
 
@@ -269,15 +270,27 @@ class TargetManifold:
 
     @staticmethod
     def from_json(text: str) -> "TargetManifold":
+        """Parse ``to_json`` text; a malformed description raises ``ValueError``."""
         obj = json.loads(text)
-        if obj["kind"] == "sphere":
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        if kind == SPHERE:
             conf = obj.get("conformal")
-            return sphere(obj["radius"], conformal=conf)
-        return flat_torus(*obj["periods"])
+            return sphere(finite_number(obj.get("radius"), "sphere radius"), conformal=conf)
+        if kind == TORUS and isinstance(obj.get("periods"), list):
+            return flat_torus(*(finite_number(p, "torus period") for p in obj["periods"]))
+        raise ValueError(f"not a sphere or torus target: {text}")
+
+
+def finite_number(x, what: str) -> float:
+    """``x`` as a float when it is a finite JSON number, else ``ValueError``."""
+    # the comparison is exact for ints, and false for NaN and infinities
+    if isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max:
+        return float(x)
+    raise ValueError(f"{what} must be a finite number, not {x!r}")
 
 
 def sphere(radius: float = 1.0, conformal: str | ConformalFactor | None = None) -> TargetManifold:
-    if isinstance(conformal, str):
+    if conformal is not None and not isinstance(conformal, ConformalFactor):
         conformal = ConformalFactor(conformal)
     return TargetManifold(SPHERE, radius=radius, conformal=conformal)
 
@@ -465,7 +478,7 @@ def frame_jacobian(image, w0: np.ndarray, step: float) -> np.ndarray:
 # exponential / logarithm / distance
 
 
-def inj_radius(m: TargetManifold, p: Point | None = None) -> float:
+def inj_radius(m: TargetManifold) -> float:
     """Injectivity radius; constant over each supported manifold.
 
     For the conformally rescaled sphere a conservative lower bound is

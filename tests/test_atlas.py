@@ -120,15 +120,15 @@ class TestChartJets:
     def test_constant_map_zero_derivatives(self):
         f = sample_map(CIRCLE_ATLAS, T22, constant_formula(T22, [1.0, 1.0]), 64)
         jet = chart_jet(f, k_chart(f, 0), 0, 2)
-        for alpha, arr in jet.entries.items():
+        for alpha, arr in jet.items():
             if sum(alpha) >= 1:
                 assert np.max(np.abs(arr)) < 1e-12
 
     def test_linear_loop_first_derivative(self):
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 128)
         jet = chart_jet(f, k_chart(f, 0), 0, 1)
-        assert np.max(np.abs(jet.entries[(1,)][..., 0] - 1.0)) < 1e-12
-        assert np.max(np.abs(jet.entries[(1,)][..., 1])) < 1e-12
+        assert np.max(np.abs(jet[(1,)][..., 0] - 1.0)) < 1e-12
+        assert np.max(np.abs(jet[(1,)][..., 1])) < 1e-12
 
     def test_sine_second_derivative(self):
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((0, 0), waves=((0, 1.0, 0.0),)), 256)
@@ -137,7 +137,7 @@ class TestChartJets:
         (js,) = compact_slices(chart, 256)
         (j0, _), = grid_ranges(chart, 256)
         thetas = (np.arange(js.start, js.stop) + j0) * (TAU / 256)
-        assert np.max(np.abs(jet.entries[(2,)][..., 0] + np.sin(thetas))) < 1e-6
+        assert np.max(np.abs(jet[(2,)][..., 0] + np.sin(thetas))) < 1e-6
 
     def test_convergence_order_fourth(self):
         errs = []
@@ -148,7 +148,7 @@ class TestChartJets:
             (js,) = compact_slices(chart, res)
             (j0, _), = grid_ranges(chart, res)
             thetas = (np.arange(js.start, js.stop) + j0) * (TAU / res)
-            errs.append(np.max(np.abs(jet.entries[(2,)][..., 0] + np.sin(thetas))))
+            errs.append(np.max(np.abs(jet[(2,)][..., 0] + np.sin(thetas))))
         assert 8.0 <= errs[0] / errs[1] <= 32.0
 
     def test_mixed_partials_symmetric_on_torus_domain(self):
@@ -179,13 +179,13 @@ class TestChartJets:
     def test_higher_orders_on_finer_grids(self):
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((0, 0), waves=((0, 0.5, 0.2),)), 64)
         jet = chart_jet(f, k_chart(f, 0), 0, 4)
-        assert (4,) in jet.entries
-        assert (3,) in jet.entries
+        assert (4,) in jet
+        assert (3,) in jet
 
 
 class TestSphereJets:
     def test_great_circle_rep_smooth(self):
         f = sample_map(CIRCLE_ATLAS, S1, great_circle(1.0), 128)
         jet = chart_jet(f, k_chart(f, 0), 0, 2)
-        for arr in jet.entries.values():
+        for arr in jet.values():
             assert np.all(np.isfinite(arr))

@@ -107,6 +107,31 @@ def test_map_reader_rejects_corrupted_file(tmp_path, corrupt):
         read_map_csv(path)
 
 
+HEADER_CORRUPTIONS = {
+    "unknown_atlas": lambda head: {**head, "atlas": "sphere3"},
+    "missing_target": lambda head: {k: v for k, v in head.items() if k != "target"},
+    "zero_resolution": lambda head: {**head, "resolution": 0},
+    "fractional_resolution": lambda head: {**head, "resolution": 16.7},
+    "list_header": lambda head: [head],
+    "unknown_target_kind": lambda head: {**head, "target": {"kind": "cube", "periods": [TAU, TAU]}},
+    "sphere_without_radius": lambda head: {**head, "target": {"kind": "sphere"}},
+    "string_radius": lambda head: {**head, "target": {"kind": "sphere", "radius": "1"}},
+    "numeric_conformal": lambda head: {**head, "target": {"kind": "sphere", "radius": 1.0, "conformal": 5}},
+    "list_target": lambda head: {**head, "target": [6.0, 6.0]},
+}
+
+
+@pytest.mark.parametrize("corrupt", list(HEADER_CORRUPTIONS.values()), ids=list(HEADER_CORRUPTIONS))
+def test_map_reader_rejects_bad_header(tmp_path, corrupt):
+    f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 16)
+    path = tmp_path / "map.csv"
+    write_map_csv(f, path)
+    head, rest = path.read_text().split("\n", 1)
+    path.write_text("# " + json.dumps(corrupt(json.loads(head[2:]))) + "\n" + rest)
+    with pytest.raises(ValueError):
+        read_map_csv(path)
+
+
 def test_map_reader_rejects_overflowing_conformal_header(tmp_path):
     f = sample_map(CIRCLE_ATLAS, sphere(1.0, conformal="exp(0.3*z)"), great_circle(), 8)
     path = tmp_path / "map.csv"
@@ -195,6 +220,14 @@ class TestSectionCsv:
             assert np.array_equal(a, b)
         for a, b in zip(s.base_map.values, again.base_map.values):
             assert np.array_equal(a, b)
+
+    def test_missing_bound_rejected(self, tmp_path, rng):
+        f = random_center(S1, 16, rng)
+        path = tmp_path / "section.csv"
+        write_section_csv(random_section(f, rng, 0.2, bound=0.3), path)
+        path.write_text(path.read_text().replace('"bound": ', '"bond": ', 1))
+        with pytest.raises(ValueError):
+            read_section_csv(path)
 
 
 class TestTraceCsv:

@@ -11,6 +11,7 @@ from mapcalc import (
     OmegaKernel,
     TaylorData,
     ThickeningViolated,
+    grid_jet_sup_diff,
     grid_norm,
     omega_apply,
     omega_derivative,
@@ -112,6 +113,21 @@ class TestGridNorms:
         f = GridFunction.sample(np.sin, 0, TAU, 401)
         assert grid_norm(f, 2) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("k, pad", [(0, 0), (1, 2), (2, 2), (3, 3), (4, 3)])
+    def test_window_at_every_order(self, k, pad):
+        # x^5 and its derivatives grow on [0, 1], so each sup sits at the last
+        # window node, pad nodes in from the end; the stencil error is below 1e-8
+        f = GridFunction.sample(lambda x: x**5, 0.0, 1.0, 101)
+        x = 1.0 - pad * 0.01
+        derivs = (x**5, 5 * x**4, 20 * x**3, 60 * x**2, 120 * x)
+        assert grid_norm(f, k) == pytest.approx(max(derivs[: k + 1]), rel=1e-7)
+
+    def test_component_counts_must_match(self):
+        one = GridFunction.sample(np.sin, 0, TAU, 50)
+        two = GridFunction.sample(lambda x: np.stack([np.sin(x), np.cos(x)], axis=-1), 0, TAU, 50)
+        with pytest.raises(ValueError):
+            grid_jet_sup_diff(one, two, 1)
+
 
 class TestTaylor:
     def test_zero_displacement_exact(self):
@@ -121,11 +137,6 @@ class TestTaylor:
     def test_quadratic_remainder_is_h(self):
         assert taylor_quadratic_residual(0.7, 0.25) < 1e-12
         assert taylor_quadratic_residual(-0.3, 0.11) < 1e-12
-
-    @pytest.mark.parametrize("name", ["sin_r1", "sin_r2", "sin_r3", "exp_r3"])
-    def test_identity_analytic(self, name):
-        data = taylor_cases()[name]
-        assert taylor_identity_residual(data, [0.3], [0.2]) < 1e-10
 
     def test_identity_two_dimensional(self):
         # f(u) = sin(u0) * exp(u1 / 2), expanded to second order

@@ -21,8 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import FormulaOutOfTarget, ResolutionMismatch, TargetChartViolated
-from .finite_diff import Jets, jets
-from .manifolds import SPHERE, TORUS, TargetManifold, dist_points, reduce_points
+from .finite_diff import Jets, jets, stencil_window
+from .manifolds import SPHERE, TORUS, TargetManifold, dist_points, norm, reduce_points
 from .target_charts import SphereCapChart, TargetChart, lift_grid
 
 TAU = 2.0 * math.pi
@@ -158,7 +158,7 @@ def sample_map(
         if not np.all(np.isfinite(raw)):
             raise FormulaOutOfTarget(f"formula {formula.name!r} produced non-finite values")
         if target.kind == SPHERE:
-            err = np.max(np.abs(np.linalg.norm(raw, axis=-1) - target.radius))
+            err = np.max(np.abs(norm(raw) - target.radius))
             if err > 1e-9:
                 raise FormulaOutOfTarget(
                     f"formula {formula.name!r} leaves the sphere by {err:g}"
@@ -187,8 +187,10 @@ def map_sup_distance(f: SampledMap, g: SampledMap) -> float:
 # chart-local jets
 
 
-def chart_rep(f: SampledMap, target_chart: TargetChart, chart_id: int) -> np.ndarray:
-    """Smooth chart representative of the values over the full chart grid.
+def chart_rep(
+    f: SampledMap, target_chart: TargetChart, chart_id: int, window: tuple[slice, ...]
+) -> np.ndarray:
+    """Smooth chart representative of the values over the chart-grid ``window``.
 
     Torus values are lifted to the universal cover and anchored so the
     representative agrees with the branch representative on the compact
@@ -196,12 +198,14 @@ def chart_rep(f: SampledMap, target_chart: TargetChart, chart_id: int) -> np.nda
     """
     vals = f.values[chart_id]
     if isinstance(target_chart, SphereCapChart):
-        return target_chart.rep(vals)
+        return target_chart.rep(vals[window])
+    # the lift runs over the whole grid: np.unwrap's running correction
+    # depends on where it starts, so a lift of the window alone could move bits
     lifted = lift_grid(vals, target_chart.periods)
     ksl = compact_slices(f.atlas.charts[chart_id], f.resolution)
     anchor = tuple(s.start for s in ksl)
     shift = target_chart.rep(vals[anchor]) - lifted[anchor]
-    return lifted + shift
+    return lifted[window] + shift
 
 
 def check_containment(f: SampledMap, target_chart: TargetChart, chart_id: int) -> bool:
@@ -221,16 +225,12 @@ def chart_jet(f: SampledMap, target_chart: TargetChart, chart_id: int, k: int) -
         raise TargetChartViolated(
             f"values on the compact piece of chart {chart_id} leave the target chart"
         )
-    rep = chart_rep(f, target_chart, chart_id)
-    return compact_jets(rep, f.atlas.charts[chart_id], f.resolution, k)
-
-
-def compact_jets(rep: np.ndarray, chart: Chart, resolution: int, k: int) -> Jets:
-    """Partial derivatives of a chart-grid array at the compact-piece nodes.
-
-    The enlarged chart grid must leave room for the stencils.
-    """
-    return jets(rep, compact_slices(chart, resolution), TAU / resolution, k)
+    ksl = compact_slices(f.atlas.charts[chart_id], f.resolution)
+    # the representative is needed on the compact piece and its stencil margin only
+    outer = stencil_window(ksl, k, f.values[chart_id].shape)
+    rep = chart_rep(f, target_chart, chart_id, outer)
+    inner = tuple(slice(s.start - o.start, s.stop - o.start) for s, o in zip(ksl, outer))
+    return jets(rep, inner, TAU / f.resolution, k)
 
 
 # ---------------------------------------------------------------------------

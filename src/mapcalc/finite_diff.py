@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 
+from .manifolds import norm
+
 # partial derivatives by multi-index, each over the nodes of a window
 Jets = dict[tuple[int, ...], np.ndarray]
 
@@ -69,24 +71,36 @@ def multi_indices(dim: int, k: int) -> list[tuple[int, ...]]:
     return alphas
 
 
+def stencil_window(window: tuple[slice, ...], k: int, shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """``window`` widened by the order-``k`` stencil radius on every grid axis.
+
+    Raises ``ValueError`` when a grid of ``shape`` leaves less than that margin.
+    """
+    pad = stencil_radius(k)
+    out = []
+    for s, n in zip(window, shape):
+        if s.start < pad or s.stop + pad > n:
+            raise ValueError(f"grid too coarse for order-{k} stencils")
+        out.append(slice(s.start - pad, s.stop + pad))
+    return tuple(out)
+
+
 def jets(values: np.ndarray, window: tuple[slice, ...], h: float, k: int) -> Jets:
     """Partial derivatives of a grid array at the nodes of ``window``.
 
     Fourth-order central differences for every multi-index up to total order
     ``k``; ``window`` holds one slice per grid axis and must leave room for
-    the stencils on every side.
+    the stencils on every side.  Only the window and that margin are
+    differentiated; each entry is the same stencil sum over the same values.
     """
+    values = values[stencil_window(window, k, values.shape)]
+    pad = stencil_radius(k)
     entries: Jets = {}
     for alpha in multi_indices(len(window), k):
         darr, offsets = diff_multi(values, alpha, h)
-        sl = []
-        for axis, s in enumerate(window):
-            start = s.start - offsets[axis]
-            stop = s.stop - offsets[axis]
-            if start < 0 or stop > darr.shape[axis]:
-                raise ValueError(f"grid too coarse for order-{sum(alpha)} stencils")
-            sl.append(slice(start, stop))
-        entries[alpha] = darr[tuple(sl)]
+        entries[alpha] = darr[
+            tuple(slice(pad - o, pad - o + s.stop - s.start) for s, o in zip(window, offsets))
+        ]
     return entries
 
 
@@ -95,5 +109,5 @@ def jet_sup_diff(a: Jets, b: Jets) -> float:
     worst = 0.0
     for alpha, ea in a.items():
         diff = ea - b[alpha]
-        worst = max(worst, float(np.max(np.linalg.norm(diff, axis=-1))))
+        worst = max(worst, float(np.max(norm(diff))))
     return worst

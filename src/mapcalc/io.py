@@ -123,6 +123,9 @@ def read_section_csv(path) -> PullbackSection:
     return PullbackSection(f, vecs, finite_number(head.get("bound"), "section bound"))
 
 
+_TRACE_COLUMNS = ["step", "energy", "grad_norm", "step_size"]
+
+
 def write_trace_csv(trace: DescentTrace, path) -> None:
     """One row per iterate: step, energy, grad_norm, step_size."""
     if not trace.rows:
@@ -130,20 +133,41 @@ def write_trace_csv(trace: DescentTrace, path) -> None:
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "energy", "grad_norm", "step_size"])
+        writer.writerow(_TRACE_COLUMNS)
         for step, energy, gnorm, size in trace.rows:
             writer.writerow([step, repr(energy), repr(gnorm), repr(size)])
 
 
 def read_trace_csv(path) -> DescentTrace:
+    """Read ``write_trace_csv`` output.
+
+    Rejects with ``ValueError`` another header, a file without data rows, a
+    row without four fields, a step that is not an integer or does not
+    increase, a non-finite value and (through ``DescentTrace``) a step size
+    that is not positive.
+    """
     path = Path(path)
+    rows = []
     with path.open() as fh:
         reader = csv.reader(fh)
-        next(reader)
-        rows = tuple(
-            (int(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in reader
-        )
-    return DescentTrace(rows)
+        if next(reader, None) != _TRACE_COLUMNS:
+            raise ValueError(f"{path}: header must be {','.join(_TRACE_COLUMNS)}")
+        for r in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(r) != len(_TRACE_COLUMNS):
+                raise ValueError(f"{where}: expected {len(_TRACE_COLUMNS)} fields")
+            if not (r[0].isascii() and r[0].isdigit()):
+                raise ValueError(f"{where}: step {r[0]!r} is not an integer")
+            step = int(r[0])
+            if rows and step <= rows[-1][0]:
+                raise ValueError(f"{where}: step {step} does not follow step {rows[-1][0]}")
+            nums = [float(x) for x in r[1:]]
+            if not all(map(math.isfinite, nums)):
+                raise ValueError(f"{where}: non-finite value")
+            rows.append((step, *nums))
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return DescentTrace(tuple(rows))
 
 
 def canonical_json(obj) -> str:

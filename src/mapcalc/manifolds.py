@@ -326,6 +326,30 @@ class FiberLinearMap:
 
 
 # ---------------------------------------------------------------------------
+# pointwise inner products
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product over the last axis, with the bits of ``np.sum(a * b, axis=-1)``.
+
+    The components are added left to right as whole arrays, one loop over
+    the nodes each, instead of a length-2 or length-3 reduction per node.
+    ``np.sum`` starts from +0.0 (and is left to right below 8 terms), so the
+    leading ``0.0 +`` keeps signed zeros, infinities and NaNs the same too.
+    """
+    p = a * b
+    out = 0.0 + p[..., 0]
+    for i in range(1, p.shape[-1]):
+        out = out + p[..., i]
+    return out
+
+
+def norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, with the bits of ``np.linalg.norm(x, axis=-1)``."""
+    return np.sqrt(dot(x, x))
+
+
+# ---------------------------------------------------------------------------
 # canonical coordinates
 
 
@@ -333,8 +357,7 @@ def reduce_points(m: TargetManifold, coords: np.ndarray) -> np.ndarray:
     """Project raw coordinates onto the canonical representation."""
     coords = np.asarray(coords, dtype=float)
     if m.kind == SPHERE:
-        norms = np.linalg.norm(coords, axis=-1, keepdims=True)
-        return coords * (m.radius / norms)
+        return coords * (m.radius / norm(coords)[..., None])
     periods = np.asarray(m.periods)
     return np.mod(coords, periods)
 
@@ -342,7 +365,7 @@ def reduce_points(m: TargetManifold, coords: np.ndarray) -> np.ndarray:
 def check_points(m: TargetManifold, coords: np.ndarray, tol: float = POINT_TOL) -> None:
     coords = np.asarray(coords, dtype=float)
     if m.kind == SPHERE:
-        err = np.max(np.abs(np.linalg.norm(coords, axis=-1) - m.radius))
+        err = np.max(np.abs(norm(coords) - m.radius))
         if err > tol:
             raise ValueError(f"sphere point off the sphere by {err:g}")
     else:
@@ -367,7 +390,7 @@ def tangent(m: TargetManifold, p: Point, vec) -> TangentVector:
 def project_tangent(m: TargetManifold, base: np.ndarray, vec: np.ndarray) -> np.ndarray:
     if m.kind == SPHERE:
         n = base / m.radius
-        return vec - np.sum(vec * n, axis=-1, keepdims=True) * n
+        return vec - dot(vec, n)[..., None] * n
     return np.asarray(vec, dtype=float)
 
 
@@ -382,7 +405,7 @@ def conformal_weight(m: TargetManifold, base: np.ndarray) -> np.ndarray:
 
 
 def inner_points(m: TargetManifold, base: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return conformal_weight(m, base) * np.sum(v * w, axis=-1)
+    return conformal_weight(m, base) * dot(v, w)
 
 
 def norm_points(m: TargetManifold, base: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -440,8 +463,8 @@ def smooth_frames(m: TargetManifold, base_grid: np.ndarray) -> np.ndarray:
 def _frame_legs(n: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Gram-Schmidt the reference axes ``e`` against the unit normals ``n``;
     the second leg is the cross product with the normal."""
-    u1 = e - np.sum(e * n, axis=-1, keepdims=True) * n
-    u1 = u1 / np.linalg.norm(u1, axis=-1, keepdims=True)
+    u1 = e - dot(e, n)[..., None] * n
+    u1 = u1 / norm(u1)[..., None]
     u2 = np.cross(n, u1)
     return np.stack([u1, u2], axis=-2)
 
@@ -518,7 +541,7 @@ def exp_points(m: TargetManifold, base: np.ndarray, vec: np.ndarray) -> np.ndarr
     if m.conformal is not None:
         return _geodesic_flow(m, base, vec)
     r = m.radius
-    speed = np.linalg.norm(vec, axis=-1, keepdims=True)
+    speed = norm(vec)[..., None]
     ang = speed / r
     # sinc form keeps vec = 0 exact and smooth
     unit_term = vec * _sinc(ang)
@@ -535,7 +558,7 @@ def log_points(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.nd
     target = np.asarray(target, dtype=float)
     if m.kind == TORUS:
         delta = torus_wrap(m, target - base)
-        d = np.linalg.norm(delta, axis=-1)
+        d = norm(delta)
         _reject_beyond(d, m)
         return delta
     if m.conformal is not None:
@@ -556,8 +579,8 @@ def torus_wrap(m: TargetManifold, delta: np.ndarray) -> np.ndarray:
 
 def _sphere_angle(r: float, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clipped cosine and angle between sphere points of radius ``r``."""
-    dots = np.clip(np.sum(a * b, axis=-1) / r**2, -1.0, 1.0)
-    sins = np.linalg.norm(np.cross(a, b), axis=-1) / r**2
+    dots = np.clip(dot(a, b) / r**2, -1.0, 1.0)
+    sins = norm(np.cross(a, b)) / r**2
     return dots, np.arctan2(sins, dots)
 
 
@@ -574,7 +597,7 @@ def dist_points(m: TargetManifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if m.kind == TORUS:
-        return np.linalg.norm(torus_wrap(m, b - a), axis=-1)
+        return norm(torus_wrap(m, b - a))
     if m.conformal is not None:
         v = _shoot_log(m, a, b)
         return norm_points(m, a, v)
@@ -609,18 +632,11 @@ def _conformal_rhs(m: TargetManifold, pos: np.ndarray, vel: np.ndarray) -> np.nd
     phi, grad = m.conformal.value_and_gradient(pos)
     phi = phi[..., None]
     n = pos / m.radius
-    grad_t = grad - _dot3(grad, n) * n
-    sq = _dot3(vel, vel)
-    acc = (0.5 * sq * grad_t - _dot3(grad_t, vel) * vel) / phi
+    grad_t = grad - dot(grad, n)[..., None] * n
+    sq = dot(vel, vel)[..., None]
+    acc = (0.5 * sq * grad_t - dot(grad_t, vel)[..., None] * vel) / phi
     acc = acc - (sq / r2) * pos
     return acc
-
-
-def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # summed left to right over the three components, like np.sum(a * b,
-    # axis=-1, keepdims=True), but without a reduction over a length-3 axis
-    p = a * b
-    return (p[..., 0] + p[..., 1] + p[..., 2])[..., None]
 
 
 def _geodesic_flow(m: TargetManifold, base: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -634,7 +650,7 @@ def _geodesic_flow(m: TargetManifold, base: np.ndarray, vec: np.ndarray) -> np.n
     shape = base.shape
     pos = base.reshape(-1, shape[-1]).copy()
     vel = vec.reshape(-1, shape[-1]).copy()
-    steps = np.maximum(_ODE_STEPS, np.ceil(160.0 * np.linalg.norm(vel, axis=-1)))
+    steps = np.maximum(_ODE_STEPS, np.ceil(160.0 * norm(vel)))
     h = (1.0 / steps)[:, None]
     for k in range(int(np.max(steps, initial=0))):
         # nodes whose flow has ended drop out; the rest advance one step
@@ -686,7 +702,7 @@ def _shoot_log(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.nd
     inv = None
     r0 = residual(w, live)
     for it in range(_SHOOT_MAX_ITER):
-        moving = ~(np.linalg.norm(r0, axis=-1) < _SHOOT_TOL)
+        moving = ~(norm(r0) < _SHOOT_TOL)
         live, r0 = live[moving], r0[moving]
         if not live.size:
             return from_frame(frames, w).reshape(shape)

@@ -6,7 +6,7 @@ import numpy as np
 
 from .atlas import CIRCLE_ATLAS, MapFormula
 from .charts import DomainMap, TargetMap
-from .manifolds import TargetManifold, reduce_points
+from .manifolds import TargetManifold, norm, reduce_points
 
 
 def constant_formula(m: TargetManifold, coords) -> MapFormula:
@@ -68,11 +68,17 @@ def sphere_cap_loop(radius: float, cap_angle: float) -> MapFormula:
 
 
 def add_fourier_modes(out: np.ndarray, theta: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """``out`` plus sum_k sin((k+1) theta) coeffs[k, 0] + cos((k+1) theta) coeffs[k, 1]."""
+    """``out`` plus sum_k sin((k+1) theta) coeffs[k, 0] + cos((k+1) theta) coeffs[k, 1].
+
+    Each component is summed in its own column, in the order of the sum, and
+    the columns are stacked once at the end.
+    """
+    cols = [out[..., a] for a in range(out.shape[-1])]
     for k in range(coeffs.shape[0]):
-        out = out + np.sin((k + 1) * theta)[..., None] * coeffs[k, 0]
-        out = out + np.cos((k + 1) * theta)[..., None] * coeffs[k, 1]
-    return out
+        s, c = np.sin((k + 1) * theta), np.cos((k + 1) * theta)
+        cols = [col + s * coeffs[k, 0, a] for a, col in enumerate(cols)]
+        cols = [col + c * coeffs[k, 1, a] for a, col in enumerate(cols)]
+    return np.stack(cols, axis=-1)
 
 
 def sphere_fourier_loop(
@@ -85,7 +91,7 @@ def sphere_fourier_loop(
         theta = mesh[..., 0]
         base = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1)
         base = add_fourier_modes(base, theta, coeffs)
-        return radius * base / np.linalg.norm(base, axis=-1, keepdims=True)
+        return radius * base / norm(base)[..., None]
 
     return MapFormula("sphere_fourier", fn)
 

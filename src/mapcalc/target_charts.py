@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TargetChartViolated
-from .manifolds import SPHERE, TORUS, TargetManifold, frames_at
+from .manifolds import SPHERE, TORUS, TargetManifold, dot, frames_at
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +51,7 @@ class SphereCapChart:
         )
 
     def contains(self, values: np.ndarray) -> np.ndarray:
-        cosang = np.clip(np.sum(values * self.center, axis=-1) / self.radius, -1.0, 1.0)
+        cosang = np.clip(dot(values, self.center) / self.radius, -1.0, 1.0)
         return np.arccos(cosang) < self.cap_angle
 
     def rep(self, values: np.ndarray) -> np.ndarray:
@@ -62,18 +62,18 @@ class SphereCapChart:
         beyond the reach of the derivative stencils.
         """
         r = self.radius
-        dots = np.sum(values * self.center, axis=-1, keepdims=True)
+        dots = dot(values, self.center)[..., None]
         tang = values - dots * self.center
         u = 2.0 * r * tang / np.maximum(r + dots, 0.02 * r)
         legs = self._legs()
-        return np.stack([np.sum(u * legs[a], axis=-1) for a in range(2)], axis=-1)
+        return np.stack([dot(u, legs[a]) for a in range(2)], axis=-1)
 
     def point(self, coords: np.ndarray) -> np.ndarray:
         """Inverse of ``rep``; returns ambient sphere coordinates."""
         r = self.radius
         legs = self._legs()
         u = coords[..., 0:1] * legs[0] + coords[..., 1:2] * legs[1]
-        s = np.sum(u * u, axis=-1, keepdims=True)
+        s = dot(u, u)[..., None]
         return r * ((4 * r**2 - s) * self.center + 4 * r * u) / (4 * r**2 + s)
 
 

@@ -9,21 +9,22 @@ but is not a global metric on the mapping space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .atlas import (
+    TAU,
     SampledMap,
     chart_jet,
     check_containment,
-    compact_jets,
     compact_slices,
     same_discretization,
 )
-from .errors import HypothesisViolated, TargetChartViolated
-from .finite_diff import jet_sup_diff
+from .errors import HypothesisViolated
+from .finite_diff import Jets, jet_sup_diff, jets
 from .gridfn import GridFunction, grid_jet_sup_diff
+from .manifolds import norm
 from .sections import PullbackSection, section_rep
 from .target_charts import TargetChart, auto_chart
 
@@ -45,22 +46,27 @@ def canonical_cover(f: SampledMap) -> CkCover:
 
 @dataclass(frozen=True, eq=False)
 class CkNeighborhood:
-    """A finite intersection of subbasis neighborhoods around a center map."""
+    """A finite intersection of subbasis neighborhoods around a center map.
+
+    The center's jets are computed once per chart, when the neighborhood is
+    built; ``chart_jet`` raises ``TargetChartViolated`` when the center
+    leaves its own target chart.
+    """
 
     center: SampledMap
     cover: CkCover
     chart_ids: tuple[int, ...]
     epsilon: float
     order: int
+    center_jets: dict[int, Jets] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        for cid in self.chart_ids:
-            if not check_containment(self.center, self.cover.target_charts[cid], cid):
-                raise TargetChartViolated(
-                    f"center leaves its own target chart on chart {cid}"
-                )
+        object.__setattr__(self, "center_jets", {
+            cid: chart_jet(self.center, self.cover.target_charts[cid], cid, self.order)
+            for cid in self.chart_ids
+        })
 
 
 def neighborhood(
@@ -84,9 +90,8 @@ def nbhd_contains(nbhd: CkNeighborhood, g: SampledMap) -> bool:
         tchart = nbhd.cover.target_charts[cid]
         if not check_containment(g, tchart, cid):
             return False
-        jf = chart_jet(nbhd.center, tchart, cid, nbhd.order)
         jg = chart_jet(g, tchart, cid, nbhd.order)
-        if not jet_sup_diff(jf, jg) < nbhd.epsilon:
+        if not jet_sup_diff(nbhd.center_jets[cid], jg) < nbhd.epsilon:
             return False
     return True
 
@@ -143,9 +148,10 @@ def section_norm(s: PullbackSection, k: int) -> SectionNormReport:
     f = s.base_map
     entries: dict[tuple[int, tuple[int, ...]], float] = {}
     for chart in f.atlas.charts:
-        jets = compact_jets(section_rep(s, chart.id), chart, f.resolution, k)
-        for alpha, block in jets.items():
-            entries[(chart.id, alpha)] = float(np.max(np.linalg.norm(block, axis=-1)))
+        window = compact_slices(chart, f.resolution)
+        block_jets = jets(section_rep(s, chart.id), window, TAU / f.resolution, k)
+        for alpha, block in block_jets.items():
+            entries[(chart.id, alpha)] = float(np.max(norm(block)))
     total = max(entries.values(), default=0.0)
     return SectionNormReport(entries, total)
 

@@ -17,7 +17,8 @@ from mapcalc import (
     sample_map,
     sphere,
 )
-from mapcalc.atlas import TAU, compact_slices, grid_coords, grid_ranges
+from mapcalc.atlas import TAU, chart_rep, compact_slices, grid_coords, grid_ranges
+from mapcalc.finite_diff import diff_multi, jets, multi_indices, stencil_radius
 from mapcalc.maps import constant_formula, great_circle, torus2_wave, torus_loop
 from mapcalc.target_charts import auto_chart
 
@@ -153,16 +154,30 @@ class TestChartJets:
 
     def test_mixed_partials_symmetric_on_torus_domain(self):
         f = sample_map(TORUS2_ATLAS, T22, torus2_wave(((1, 0), (0, 1)), amp=0.2), 64)
-        from mapcalc.atlas import chart_rep
-        from mapcalc.finite_diff import diff_multi
-
-        rep = chart_rep(f, k_chart(f, 0), 0)
+        full = tuple(slice(0, n) for n in f.values[0].shape[:-1])
+        rep = chart_rep(f, k_chart(f, 0), 0, full)
         h = TAU / 64
         d12, _ = diff_multi(rep, (1, 1), h)
         # apply the axis stencils in the opposite order
         d1, _ = diff_multi(rep, (1, 0), h)
         d21 = diff_multi(d1, (0, 1), h)[0]
         assert np.max(np.abs(d12 - d21)) < 1e-5
+
+    @pytest.mark.parametrize(
+        "target,formula",
+        [(S1, great_circle(1.0)), (T22, torus_loop((1, 0), waves=((0, 0.3, 0.4),)))],
+    )
+    def test_representative_on_the_padded_window_only(self, target, formula):
+        # chart_jet builds the representative on the compact piece plus the
+        # stencil margin; the jets keep the bits of the full-grid representative
+        f = sample_map(CIRCLE_ATLAS, target, formula, 128)
+        tchart = k_chart(f, 0)
+        full = (slice(0, f.values[0].shape[0]),)
+        ksl = compact_slices(CIRCLE_ATLAS.charts[0], 128)
+        expected = jets(chart_rep(f, tchart, 0, full), ksl, TAU / 128, 3)
+        got = chart_jet(f, tchart, 0, 3)
+        assert got.keys() == expected.keys()
+        assert all(np.array_equal(got[a], expected[a]) for a in expected)
 
     def test_jet_order_cap(self):
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 64)
@@ -189,3 +204,24 @@ class TestSphereJets:
         jet = chart_jet(f, k_chart(f, 0), 0, 2)
         for arr in jet.values():
             assert np.all(np.isfinite(arr))
+
+
+class TestWindowedJets:
+    @pytest.mark.parametrize("shape", [(23,), (17, 19)])
+    @pytest.mark.parametrize("k", range(5))
+    def test_match_stencils_on_the_untrimmed_grid(self, shape, k, rng):
+        # the window leaves exactly the stencil margin; one node less raises
+        pad = stencil_radius(k)
+        values = rng.standard_normal(shape + (3,))
+        h = 0.1
+        window = tuple(slice(pad, n - pad) for n in shape)
+        got = jets(values, window, h, k)
+        assert list(got) == multi_indices(len(shape), k)
+        for alpha, block in got.items():
+            darr, offsets = diff_multi(values, alpha, h)
+            expected = darr[tuple(slice(s.start - o, s.stop - o) for s, o in zip(window, offsets))]
+            assert np.array_equal(block, expected)
+        n = shape[-1]
+        for last in (slice(pad - 1, n - pad), slice(pad, n - pad + 1)):
+            with pytest.raises(ValueError, match="grid too coarse"):
+                jets(values, window[:-1] + (last,), h, k)

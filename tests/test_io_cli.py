@@ -230,6 +230,9 @@ class TestSectionCsv:
             read_section_csv(path)
 
 
+_TRACE_HEAD = "step,energy,grad_norm,step_size\n"
+
+
 class TestTraceCsv:
     def test_single_step_trace_two_lines(self, tmp_path):
         trace = DescentTrace(((0, 1.5, 0.1, 0.05),))
@@ -244,6 +247,29 @@ class TestTraceCsv:
         write_trace_csv(trace, path)
         assert read_trace_csv(path).rows == trace.rows
         assert path.read_text().count("\n") == len(trace.rows) + 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "step,energy,grad,step_size\n0,1.5,0.1,0.05\n",
+            _TRACE_HEAD,
+            _TRACE_HEAD + "0,1.5\n",
+            _TRACE_HEAD + "0,1.5,0.1,0.05,7\n",
+            _TRACE_HEAD + "1_0,1.5,0.1,0.05\n",
+            _TRACE_HEAD + "0,1.5,0.1,0.05\n0,1.4,0.1,0.1\n",
+            _TRACE_HEAD + "0,nan,0.1,0.05\n",
+            _TRACE_HEAD + "0,1.5,inf,0.05\n",
+            _TRACE_HEAD + "0,1.5,0.1,nan\n",
+        ],
+        ids=["empty", "header", "no_rows", "two_fields", "five_fields", "step_not_int",
+             "repeated_step", "nan_energy", "inf_grad_norm", "nan_step_size"],
+    )
+    def test_reader_rejects_bad_file(self, tmp_path, text):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            read_trace_csv(path)
 
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the closed-form geometry of the sphere and flat torus."""
 
+import itertools
 import math
 
 import numpy as np
@@ -24,10 +25,12 @@ from mapcalc import (
 )
 from mapcalc.manifolds import (
     dist_points,
+    dot,
     exp_points,
     fiber_derivative_points,
     frames_at,
     log_points,
+    norm,
     norm_points,
     project_tangent,
     smooth_frames,
@@ -436,3 +439,37 @@ class TestFramesAndSerialization:
     def test_conformal_expression_outside_grammar_rejected(self, expr):
         with pytest.raises(ValueError):
             sphere(1.0, conformal=expr)
+
+
+_SPECIAL = (-0.0, 0.0, 1.0, -1.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan, 3.5)
+
+
+def _assert_same_bits(got, ref):
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan], ref[~nan])
+    assert np.array_equal(np.signbit(got[~nan]), np.signbit(ref[~nan]))
+
+
+class TestPointwiseDot:
+    """``dot``/``norm`` keep the bits of numpy's reductions over the last axis."""
+
+    @pytest.mark.parametrize("ncomp", [2, 3])
+    def test_special_values(self, ncomp):
+        a = np.array(list(itertools.product(_SPECIAL, repeat=ncomp)))
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            for b in (np.ones_like(a), a, a[::-1]):
+                _assert_same_bits(dot(a, b), np.sum(a * b, axis=-1))
+            _assert_same_bits(norm(a), np.linalg.norm(a, axis=-1))
+
+    def test_random_sphere_grid(self, rng):
+        a = rng.standard_normal((64, 65, 3))
+        b = rng.standard_normal((64, 65, 3))
+        assert np.array_equal(dot(a, b), np.sum(a * b, axis=-1))
+        assert np.array_equal(norm(a), np.linalg.norm(a, axis=-1))
+
+    def test_random_torus_array(self, rng):
+        a = rng.uniform(-TAU, TAU, (257, 2))
+        b = rng.uniform(-TAU, TAU, (257, 2))
+        assert np.array_equal(dot(a, b), np.sum(a * b, axis=-1))
+        assert np.array_equal(norm(a), np.linalg.norm(a, axis=-1))

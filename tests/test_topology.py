@@ -10,6 +10,7 @@ from mapcalc import (
     ResolutionMismatch,
     TargetChartViolated,
     canonical_cover,
+    chart_jet,
     ck_distance,
     composition_bound_probe,
     flat_torus,
@@ -59,6 +60,28 @@ class TestNeighborhood:
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 64)
         with pytest.raises(ValueError):
             neighborhood(f, epsilon=0.0, order=0)
+
+    def test_center_jets_computed_once(self, monkeypatch):
+        import mapcalc.topology as topology
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return chart_jet(*args)
+
+        monkeypatch.setattr(topology, "chart_jet", counting)
+        f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 64)
+        nb = neighborhood(f, epsilon=1.0, order=1, chart_ids=(0,))
+        for _ in range(5):
+            assert nbhd_contains(nb, f)
+        assert len(calls) == 5 + 1
+
+    def test_center_outside_its_cover_rejected(self):
+        f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 64)
+        g = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0), shift=(2.5, 0.0)), 64)
+        with pytest.raises(TargetChartViolated):
+            neighborhood(f, epsilon=1.0, order=0, cover=canonical_cover(g))
 
     def test_verdicts_match_dense_grid_oracle(self):
         # sup on the working grid against a brute-force sup on a 10x grid

@@ -227,10 +227,8 @@ def chart_jet(f: SampledMap, target_chart: TargetChart, chart_id: int, k: int) -
         )
     ksl = compact_slices(f.atlas.charts[chart_id], f.resolution)
     # the representative is needed on the compact piece and its stencil margin only
-    outer = stencil_window(ksl, k, f.values[chart_id].shape)
-    rep = chart_rep(f, target_chart, chart_id, outer)
-    inner = tuple(slice(s.start - o.start, s.stop - o.start) for s, o in zip(ksl, outer))
-    return jets(rep, inner, TAU / f.resolution, k)
+    outer, inner = stencil_window(ksl, k, f.values[chart_id].shape)
+    return jets(chart_rep(f, target_chart, chart_id, outer), inner, TAU / f.resolution, k)
 
 
 # ---------------------------------------------------------------------------

@@ -395,13 +395,9 @@ def pseudometric_residuals(
     cover = canonical_cover(f)
     g = chart_inverse(f, random_section(f, rng, 0.1 * delta, bound=delta))
     h = chart_inverse(f, random_section(f, rng, 0.1 * delta, bound=delta))
-    sym = abs(ck_distance(f, g, k, cover=cover) - ck_distance(g, f, k, cover=cover))
-    tri = max(
-        0.0,
-        ck_distance(f, h, k, cover=cover)
-        - ck_distance(f, g, k, cover=cover)
-        - ck_distance(g, h, k, cover=cover),
-    )
+    d_fg = ck_distance(f, g, k, cover=cover)
+    sym = abs(d_fg - ck_distance(g, f, k, cover=cover))
+    tri = max(0.0, ck_distance(f, h, k, cover=cover) - d_fg - ck_distance(g, h, k, cover=cover))
     return sym, tri
 
 

@@ -71,18 +71,22 @@ def multi_indices(dim: int, k: int) -> list[tuple[int, ...]]:
     return alphas
 
 
-def stencil_window(window: tuple[slice, ...], k: int, shape: tuple[int, ...]) -> tuple[slice, ...]:
-    """``window`` widened by the order-``k`` stencil radius on every grid axis.
+def stencil_window(
+    window: tuple[slice, ...], k: int, shape: tuple[int, ...]
+) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """``window`` widened by the order-``k`` stencil radius on every grid axis,
+    and ``window`` itself in the coordinates of that widened window.
 
     Raises ``ValueError`` when a grid of ``shape`` leaves less than that margin.
     """
     pad = stencil_radius(k)
-    out = []
+    outer, inner = [], []
     for s, n in zip(window, shape):
         if s.start < pad or s.stop + pad > n:
             raise ValueError(f"grid too coarse for order-{k} stencils")
-        out.append(slice(s.start - pad, s.stop + pad))
-    return tuple(out)
+        outer.append(slice(s.start - pad, s.stop + pad))
+        inner.append(slice(pad, pad + s.stop - s.start))
+    return tuple(outer), tuple(inner)
 
 
 def jets(values: np.ndarray, window: tuple[slice, ...], h: float, k: int) -> Jets:
@@ -93,7 +97,7 @@ def jets(values: np.ndarray, window: tuple[slice, ...], h: float, k: int) -> Jet
     the stencils on every side.  Only the window and that margin are
     differentiated; each entry is the same stencil sum over the same values.
     """
-    values = values[stencil_window(window, k, values.shape)]
+    values = values[stencil_window(window, k, values.shape)[0]]
     pad = stencil_radius(k)
     entries: Jets = {}
     for alpha in multi_indices(len(window), k):

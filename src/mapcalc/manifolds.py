@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BaseMismatch, BeyondInjectivityRadius
+from .errors import BaseMismatch, BeyondInjectivityRadius, WellDefinednessViolated
 
 SPHERE = "sphere"
 TORUS = "torus"
@@ -217,7 +217,9 @@ class ConformalFactor:
 
     def value_and_gradient(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The factor and its exact ambient gradient at ``coords``, from one evaluation."""
-        seeds = np.broadcast_to(np.eye(3), coords.shape + (3,))
+        # component-major seeds: each gradient column is one contiguous block
+        seeds = np.zeros(coords.shape + (3,), order="F")
+        seeds[..., (0, 1, 2), (0, 1, 2)] = 1.0
         out = self(_Dual(coords, seeds))
         return out.v, out.d
 
@@ -340,7 +342,7 @@ def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     p = a * b
     out = 0.0 + p[..., 0]
     for i in range(1, p.shape[-1]):
-        out = out + p[..., i]
+        out += p[..., i]
     return out
 
 
@@ -440,16 +442,20 @@ def frames_at(m: TargetManifold, base: np.ndarray) -> np.ndarray:
     return _frame_legs(n, e)
 
 
-def smooth_frames(m: TargetManifold, base_grid: np.ndarray) -> np.ndarray:
-    """Orthonormal frame field along a grid of sphere points, single axis pick.
+def smooth_frames(
+    m: TargetManifold, base_grid: np.ndarray, window: tuple[slice, ...]
+) -> np.ndarray:
+    """Orthonormal frame field along a grid of sphere points, single axis pick,
+    at the nodes of the grid ``window``.
 
     The reference axis is chosen once for the whole grid (the one whose worst
     alignment with the normals is smallest), which keeps the field smooth in
-    the grid as long as the values stay away from that axis.
+    the grid as long as the values stay away from that axis; so a node's
+    frame does not depend on the window.
     """
     base_grid = np.asarray(base_grid, dtype=float)
     if m.kind == TORUS:
-        return frames_at(m, base_grid)
+        return frames_at(m, base_grid[window])
     n = base_grid / m.radius
     worst = np.max(np.abs(n.reshape(-1, 3)), axis=0)
     axis = int(np.argmin(worst))
@@ -457,7 +463,7 @@ def smooth_frames(m: TargetManifold, base_grid: np.ndarray) -> np.ndarray:
         raise ValueError("no ambient axis yields a smooth trivialization over this grid")
     e = np.zeros(3)
     e[axis] = 1.0
-    return _frame_legs(n, e)
+    return _frame_legs(n[window], e)
 
 
 def _frame_legs(n: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -644,34 +650,76 @@ def _geodesic_flow(m: TargetManifold, base: np.ndarray, vec: np.ndarray) -> np.n
 
     Each node takes its own step count, which grows with its own speed to
     keep the fourth-order error near the shooting tolerance; a node's end
-    point therefore does not depend on the other nodes of the batch.
+    point therefore does not depend on the other nodes of the batch.  The
+    state is held component-major (Fortran order), so every broadcast of a
+    per-node scalar against a vector runs over whole contiguous columns;
+    the result is C-ordered again, in the caller's shape.
     """
     base, vec = np.broadcast_arrays(np.asarray(base, dtype=float), np.asarray(vec, dtype=float))
     shape = base.shape
-    pos = base.reshape(-1, shape[-1]).copy()
-    vel = vec.reshape(-1, shape[-1]).copy()
-    steps = np.maximum(_ODE_STEPS, np.ceil(160.0 * norm(vel)))
+    pos = np.array(base.reshape(-1, shape[-1]), order="F")
+    vel = np.array(vec.reshape(-1, shape[-1]), order="F")
+    speed = norm(vel)
+    bad = np.flatnonzero(~(np.isfinite(pos).all(axis=-1) & np.isfinite(speed)))
+    if bad.size:
+        i = int(bad[0])
+        node = tuple(int(j) for j in np.unravel_index(i, shape[:-1]))
+        raise WellDefinednessViolated(
+            f"conformal geodesic at node {node}: base {pos[i]} and velocity {vel[i]} "
+            "need finite coordinates and a finite speed"
+        )
+    steps = np.maximum(_ODE_STEPS, np.ceil(160.0 * speed))
     h = (1.0 / steps)[:, None]
+    half, sixth = 0.5 * h, h / 6.0
     for k in range(int(np.max(steps, initial=0))):
+        if k < _ODE_STEPS:
+            pos, vel = _rk4_step(m, pos, vel, h, half, sixth)
+            continue
         # nodes whose flow has ended drop out; the rest advance one step
-        live = slice(None) if k < _ODE_STEPS else np.flatnonzero(steps > k)
-        pos[live], vel[live] = _rk4_step(m, pos[live], vel[live], h[live])
-    return pos.reshape(shape)
+        # (fancy indexing returns C order, so the live state is made column-major again)
+        live = np.flatnonzero(steps > k)
+        pos[live], vel[live] = _rk4_step(
+            m, np.asfortranarray(pos[live]), np.asfortranarray(vel[live]),
+            h[live], half[live], sixth[live],
+        )
+    return np.ascontiguousarray(pos).reshape(shape)
 
 
 def _rk4_step(
-    m: TargetManifold, pos: np.ndarray, vel: np.ndarray, h: np.ndarray
+    m: TargetManifold,
+    pos: np.ndarray,
+    vel: np.ndarray,
+    h: np.ndarray,
+    half: np.ndarray,
+    sixth: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """One RK4 step of width ``h``; ``half`` and ``sixth`` are ``0.5 * h`` and ``h / 6.0``."""
     k1p, k1v = vel, _conformal_rhs(m, pos, vel)
-    k2p = vel + 0.5 * h * k1v
-    k2v = _conformal_rhs(m, pos + 0.5 * h * k1p, k2p)
-    k3p = vel + 0.5 * h * k2v
-    k3v = _conformal_rhs(m, pos + 0.5 * h * k2p, k3p)
+    k2p = vel + half * k1v
+    k2v = _conformal_rhs(m, pos + half * k1p, k2p)
+    k3p = vel + half * k2v
+    k3v = _conformal_rhs(m, pos + half * k2p, k3p)
     k4p = vel + h * k3v
     k4v = _conformal_rhs(m, pos + h * k3p, k4p)
-    pos = pos + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    vel = vel + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return reduce_points(m, pos), vel
+    return (
+        reduce_points(m, _rk4_update(pos, k1p, k2p, k3p, k4p, sixth)),
+        _rk4_update(vel, k1v, k2v, k3v, k4v, sixth),
+    )
+
+
+def _rk4_update(y, k1, k2, k3, k4, sixth):
+    """``y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)``, accumulated in one temporary.
+
+    The sum runs in the order ((k1 + 2 k2) + 2 k3) + k4; IEEE addition and
+    multiplication commute, so the bits are those of the written expression.
+    """
+    out = 2 * k2
+    out += k1
+    out += 2 * k3
+    out += k4
+    out *= sixth
+    out += y
+    return out
 
 
 def _shoot_log(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -122,12 +122,15 @@ def section_max_diff(s: PullbackSection, t: PullbackSection) -> float:
     return _sup_norm(s.base_map, (a - b for a, b in zip(s.vectors, t.vectors)))
 
 
-def section_rep(s: PullbackSection, chart_id: int) -> np.ndarray:
-    """Components of the section in a smooth orthonormal frame field.
+def section_rep(s: PullbackSection, chart_id: int, window: tuple[slice, ...]) -> np.ndarray:
+    """Components of the section in a smooth orthonormal frame field, over
+    the chart-grid ``window``.
 
     The frame field along the base values is built per chart, mirroring how
-    bundle trivializations are chosen per chart piece.
+    bundle trivializations are chosen per chart piece: its reference axis
+    comes from the whole chart grid, so the components at a node do not
+    depend on the window.
     """
     fv = s.base_map.values[chart_id]
-    frames = smooth_frames(s.base_map.target, fv)
-    return to_frame(frames, s.vectors[chart_id])
+    frames = smooth_frames(s.base_map.target, fv, window)
+    return to_frame(frames, s.vectors[chart_id][window])

@@ -22,7 +22,7 @@ from .atlas import (
     same_discretization,
 )
 from .errors import HypothesisViolated
-from .finite_diff import Jets, jet_sup_diff, jets
+from .finite_diff import Jets, jet_sup_diff, jets, stencil_window
 from .gridfn import GridFunction, grid_jet_sup_diff
 from .manifolds import norm
 from .sections import PullbackSection, section_rep
@@ -149,7 +149,9 @@ def section_norm(s: PullbackSection, k: int) -> SectionNormReport:
     entries: dict[tuple[int, tuple[int, ...]], float] = {}
     for chart in f.atlas.charts:
         window = compact_slices(chart, f.resolution)
-        block_jets = jets(section_rep(s, chart.id), window, TAU / f.resolution, k)
+        # the representative is needed on the compact piece and its stencil margin only
+        outer, inner = stencil_window(window, k, f.values[chart.id].shape)
+        block_jets = jets(section_rep(s, chart.id, outer), inner, TAU / f.resolution, k)
         for alpha, block in block_jets.items():
             entries[(chart.id, alpha)] = float(np.max(norm(block)))
     total = max(entries.values(), default=0.0)

@@ -12,6 +12,7 @@ from mapcalc import (
     BaseMismatch,
     BeyondInjectivityRadius,
     TargetManifold,
+    WellDefinednessViolated,
     as_point,
     dist,
     exp,
@@ -37,7 +38,9 @@ from mapcalc.manifolds import (
 )
 
 from oracles import (
+    broadcast_seed_gradient,
     conformal_path_stationarity,
+    conformal_rk4_flow,
     polyline_great_circle_length,
     richardson_matrix,
     rk4_round_geodesic,
@@ -283,6 +286,24 @@ class TestFiberTransitionDerivative:
             fiber_transition_derivative(S1, p, q, z)
 
 
+# expressions covering every rule of the conformal grammar's dual numbers
+GRADIENT_EXPRS = [
+    "2 + sin(x) * cos(y) - tan(0.5 * z)",
+    "exp(0.3 * z) + log(3 + y) + sqrt(2 + x * z)",
+    "abs(x - 0.1) + 1",
+    "7 + (-x) + (+y) * 2 - 3 / (2 + z)",
+    "pi + (2 + x)**3 + (1.5 + y)**-0.5",
+    "(2 + x)**(1 + 0.5 * y)",
+    "1 + x**(2 + 0*y)",
+    "2**z",
+    "2.5 + 0*x",
+    "2.5",
+]
+GRADIENT_IDS = ["trig", "exp_log_sqrt", "abs", "arithmetic_unary", "constant_exponent",
+                "variable_exponent", "variable_exponent_negative_base", "reflected_power",
+                "constant", "no_coordinates"]
+
+
 class TestConformalMetric:
     def test_constant_factor_matches_round_geodesics(self, rng):
         m = sphere(1.0, conformal="2.5 + 0*x")
@@ -347,24 +368,62 @@ class TestConformalMetric:
             assert np.array_equal(exp_points(m, base[i], vecs[i]), ends[i])
             assert np.array_equal(log_points(m, base[i], targets[i]), logs[i])
 
+    def test_flow_matches_c_ordered_oracle(self, rng):
+        # speeds on both sides of 0.4 mix step counts in one batch; the
+        # component-major kernel must give the oracle's bits whatever the
+        # layout of its input, and hand back a C-ordered array
+        m = sphere(1.0, conformal="exp(0.3*z)")
+        base, vecs = random_sphere_data(S1, rng, 12, 1.0)
+        vecs = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+        vecs = vecs * np.linspace(0.05, 1.1, 12)[:, None]
+        ref = conformal_rk4_flow(m, base, vecs)
+        wide = np.zeros((2, 24, 3))
+        wide[:, ::2] = base, vecs
+        layouts = {
+            "C": (base, vecs),
+            "F": (np.asfortranarray(base), np.asfortranarray(vecs)),
+            "strided": (wide[0, ::2], wide[1, ::2]),
+            "grid": (base.reshape(3, 4, 3), vecs.reshape(3, 4, 3)),
+        }
+        for name, (b, v) in layouts.items():
+            ends = exp_points(m, b, v)
+            assert ends.flags.c_contiguous, name
+            assert np.array_equal(ends, ref.reshape(b.shape)), name
+
     @pytest.mark.parametrize(
-        "expr",
+        "fn, base, other",
         [
-            "2 + sin(x) * cos(y) - tan(0.5 * z)",
-            "exp(0.3 * z) + log(3 + y) + sqrt(2 + x * z)",
-            "abs(x - 0.1) + 1",
-            "7 + (-x) + (+y) * 2 - 3 / (2 + z)",
-            "pi + (2 + x)**3 + (1.5 + y)**-0.5",
-            "(2 + x)**(1 + 0.5 * y)",
-            "1 + x**(2 + 0*y)",
-            "2**z",
-            "2.5 + 0*x",
-            "2.5",
+            (exp_points, [0.0, 0.0, 1.0], [np.inf, 0.0, 0.0]),
+            (exp_points, [0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]),
+            (exp_points, [np.nan, 0.0, 1.0], [0.1, 0.0, 0.0]),
+            (log_points, [0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]),
+            (dist_points, [0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]),
         ],
-        ids=["trig", "exp_log_sqrt", "abs", "arithmetic_unary", "constant_exponent",
-             "variable_exponent", "variable_exponent_negative_base", "reflected_power",
-             "constant", "no_coordinates"],
+        ids=["exp_inf_vector", "exp_nan_vector", "exp_nan_base", "log_nan_target",
+             "dist_nan_target"],
     )
+    def test_non_finite_input_raises_typed_error(self, fn, base, other):
+        # the bad node sits between two good ones, and the error names it
+        m = sphere(1.0, conformal="exp(0.3*z)")
+        good_base, good_other = [0.0, 0.0, 1.0], [0.1, 0.0, 0.0]
+        if fn is not exp_points:
+            good_other = exp_points(m, np.array(good_base), np.array(good_other))
+        bases = np.array([good_base, base, good_base])
+        others = np.array([good_other, other, good_other])
+        with pytest.raises(WellDefinednessViolated, match=r"node \(1,\)"):
+            fn(m, bases, others)
+
+    @pytest.mark.parametrize("expr", GRADIENT_EXPRS, ids=GRADIENT_IDS)
+    def test_gradient_matches_broadcast_seeds(self, expr, rng):
+        phi = sphere(1.0, conformal=expr).conformal
+        pts = rng.standard_normal((200, 3))
+        pts = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+        value, grad = phi.value_and_gradient(pts)
+        ref_value, ref_grad = broadcast_seed_gradient(phi, pts)
+        assert np.array_equal(value, ref_value)
+        assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("expr", GRADIENT_EXPRS, ids=GRADIENT_IDS)
     def test_gradient_matches_central_difference(self, expr, rng):
         phi = sphere(1.0, conformal=expr).conformal
         pts = rng.standard_normal((400, 3))
@@ -397,7 +456,7 @@ class TestFramesAndSerialization:
     def test_smooth_frames_continuous_along_loop(self):
         thetas = np.linspace(0, TAU, 400)
         loop = np.stack([np.cos(thetas), np.sin(thetas), np.zeros_like(thetas)], axis=-1)
-        frames = smooth_frames(S1, loop)
+        frames = smooth_frames(S1, loop, (slice(None),))
         jumps = np.linalg.norm(np.diff(frames, axis=0), axis=(-2, -1))
         assert np.max(jumps) < 0.1
 

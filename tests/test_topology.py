@@ -22,15 +22,19 @@ from mapcalc import (
     sphere,
     zero_section,
 )
-from mapcalc.atlas import TAU
+from mapcalc import topology
+from mapcalc.atlas import TAU, compact_slices
 from mapcalc.experiments import (
     basis_convergence_failures,
     composition_probe_case,
     norm_axiom_residuals,
+    pseudometric_residuals,
     random_center,
     random_section,
 )
+from mapcalc.finite_diff import stencil_window
 from mapcalc.maps import great_circle, sphere_rotation, torus_loop
+from mapcalc.sections import section_rep
 from oracles import ray_sweep_ratio
 
 T22 = flat_torus(TAU, TAU)
@@ -118,6 +122,20 @@ class TestCkDistance:
         with pytest.raises(TargetChartViolated):
             ck_distance(f, g, 0)
 
+    @pytest.mark.parametrize("m", [T22, S1], ids=["torus", "sphere"])
+    def test_pseudometric_residuals_measure_each_pair_once(self, m, rng, monkeypatch):
+        # d(f, g) enters both residuals; four distances of two charts with
+        # two jets each is 16 chart_jet calls
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return chart_jet(*args, **kwargs)
+
+        monkeypatch.setattr(topology, "chart_jet", counted)
+        pseudometric_residuals(m, 64, rng, 2)
+        assert len(calls) == 16
+
 
 class TestSectionNorm:
     def test_zero_section(self):
@@ -150,6 +168,18 @@ class TestSectionNorm:
         hom, tri = norm_axiom_residuals(m, 128, rng, 2)
         assert hom < 1e-12
         assert tri < 1e-12
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_windowed_rep_is_full_rep_sliced(self, k, rng):
+        # frames take their reference axis from the whole chart grid, so a
+        # node's components do not depend on the window they are built over
+        f = random_center(S1, 96, rng)
+        s = random_section(f, rng, 0.2)
+        for chart in f.atlas.charts:
+            shape = f.values[chart.id].shape[:-1]
+            full = section_rep(s, chart.id, tuple(slice(0, n) for n in shape))
+            outer, _ = stencil_window(compact_slices(chart, f.resolution), k, shape)
+            assert np.array_equal(section_rep(s, chart.id, outer), full[outer])
 
     def test_report_total_is_max(self, rng):
         f = random_center(S1, 96, rng)

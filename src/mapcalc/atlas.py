@@ -22,7 +22,15 @@ import numpy as np
 
 from .errors import FormulaOutOfTarget, ResolutionMismatch, TargetChartViolated
 from .finite_diff import Jets, jets, stencil_window
-from .manifolds import SPHERE, TORUS, TargetManifold, dist_points, norm, reduce_points
+from .manifolds import (
+    SPHERE,
+    TORUS,
+    TargetManifold,
+    dist_points,
+    mod_periods,
+    norm,
+    reduce_points,
+)
 from .target_charts import SphereCapChart, TargetChart, lift_grid
 
 TAU = 2.0 * math.pi
@@ -199,7 +207,7 @@ def chart_rep(
     vals = f.values[chart_id]
     if isinstance(target_chart, SphereCapChart):
         return target_chart.rep(vals[window])
-    # the lift runs over the whole grid: np.unwrap's running correction
+    # the lift runs over the whole grid: the unwrap's running correction
     # depends on where it starts, so a lift of the window alone could move bits
     lifted = lift_grid(vals, target_chart.periods)
     ksl = compact_slices(f.atlas.charts[chart_id], f.resolution)
@@ -336,7 +344,7 @@ def locate_chart(atlas: DomainAtlas, points: np.ndarray) -> tuple[np.ndarray, np
         rep = np.empty_like(points)
         depth = np.full(npts, np.inf)
         for a, (lo, hi) in enumerate(chart.box):
-            r = lo + np.mod(points[:, a] - lo, TAU)
+            r = lo + mod_periods(points[:, a] - lo, TAU)
             rep[:, a] = r
             depth = np.minimum(depth, np.minimum(r - lo, hi - r))
         better = depth > best_depth

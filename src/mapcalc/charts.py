@@ -41,7 +41,7 @@ from .manifolds import (
     log_points,
     reduce_points,
 )
-from .sections import PullbackSection, make_section, maps_equal, section_sup
+from .sections import PullbackSection, make_section, maps_equal
 
 
 def default_delta(f: SampledMap, factor: float = 0.4) -> float:
@@ -70,7 +70,7 @@ def chart_inverse(f: SampledMap, s: PullbackSection) -> SampledMap:
     """Leave the chart at f: nodewise exponential of the section."""
     if not maps_equal(s.base_map, f):
         raise BaseMismatch("section is not based on the chart center")
-    if not min(s.bound, section_sup(s) * (1 + 1e-12)) < inj_radius(f.target):
+    if not min(s.bound, s.sup * (1 + 1e-12)) < inj_radius(f.target):
         raise WellDefinednessViolated(
             "section is too large to push through the exponential map"
         )

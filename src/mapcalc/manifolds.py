@@ -351,6 +351,51 @@ def norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(dot(x, x))
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over the last axis, with the bits of ``np.cross(a, b)`` for 3-vectors.
+
+    Each component is one product minus another, in ``np.cross``'s order,
+    computed on whole component columns and written into its column of the
+    result; ``a`` and ``b`` broadcast as there.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)))
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
+
+
+def mod_periods(x: np.ndarray, periods) -> np.ndarray:
+    """``np.mod(x, periods)`` with the same bits, for a period per last axis
+    entry or one common period.
+
+    Only entries outside ``[0, period)`` go through ``np.mod``; the others
+    come back as ``x + 0.0``, which is what ``np.mod`` returns for them
+    (``-0.0`` included, which becomes ``+0.0``).  A tiny negative entry
+    still reduces to exactly the period, as in ``np.mod``.  A common period
+    is applied as a scalar, which spares a length-2 or length-3 broadcast
+    per node.
+    """
+    x = np.asarray(x, dtype=float)
+    p = _period_operand(periods)
+    out = np.add(x, 0.0, out=np.empty_like(x))
+    inside = x >= 0.0
+    inside &= x < p
+    if not inside.all():
+        np.mod(x, p, out=out, where=~inside)
+    return out
+
+
+def _period_operand(periods):
+    """A common period as a scalar, unequal ones as a float array."""
+    if np.ndim(periods) == 0:
+        return periods
+    p = np.asarray(periods, dtype=float)
+    return p[0] if p.size and (p == p[0]).all() else p
+
+
 # ---------------------------------------------------------------------------
 # canonical coordinates
 
@@ -360,8 +405,7 @@ def reduce_points(m: TargetManifold, coords: np.ndarray) -> np.ndarray:
     coords = np.asarray(coords, dtype=float)
     if m.kind == SPHERE:
         return coords * (m.radius / norm(coords)[..., None])
-    periods = np.asarray(m.periods)
-    return np.mod(coords, periods)
+    return mod_periods(coords, m.periods)
 
 
 def check_points(m: TargetManifold, coords: np.ndarray, tol: float = POINT_TOL) -> None:
@@ -400,14 +444,11 @@ def project_tangent(m: TargetManifold, base: np.ndarray, vec: np.ndarray) -> np.
 # metric, frames
 
 
-def conformal_weight(m: TargetManifold, base: np.ndarray) -> np.ndarray:
-    if m.conformal is None:
-        return np.ones(np.asarray(base).shape[:-1])
-    return m.conformal(np.asarray(base))
-
-
 def inner_points(m: TargetManifold, base: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return conformal_weight(m, base) * dot(v, w)
+    if m.conformal is None:
+        # the round and flat weight is all ones, and 1.0 * x is x
+        return dot(v, w)
+    return m.conformal(np.asarray(base)) * dot(v, w)
 
 
 def norm_points(m: TargetManifold, base: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -471,7 +512,7 @@ def _frame_legs(n: np.ndarray, e: np.ndarray) -> np.ndarray:
     the second leg is the cross product with the normal."""
     u1 = e - dot(e, n)[..., None] * n
     u1 = u1 / norm(u1)[..., None]
-    u2 = np.cross(n, u1)
+    u2 = cross(n, u1)
     return np.stack([u1, u2], axis=-2)
 
 
@@ -539,9 +580,31 @@ def _log_margin(m: TargetManifold) -> float:
     return 1e-12 * min(m.periods)
 
 
+def _require_finite(m: TargetManifold, op: str, a: np.ndarray, b: np.ndarray) -> None:
+    """Raise ``WellDefinednessViolated`` naming the first node at which ``a``
+    or ``b`` (two point arrays, broadcast together) has a non-finite coordinate.
+
+    A geodesic through such a node has no meaning, and the closed forms would
+    return NaN without a word.
+    """
+    if np.isfinite(a).all() and np.isfinite(b).all():
+        return
+    a, b = np.broadcast_arrays(a, b)
+    bad = ~(np.isfinite(a).all(axis=-1) & np.isfinite(b).all(axis=-1))
+    node = tuple(int(j) for j in np.unravel_index(int(np.flatnonzero(bad)[0]), bad.shape))
+    if m.kind == TORUS:
+        label = "flat torus"
+    else:
+        label = "round sphere" if m.conformal is None else "conformal sphere"
+    raise WellDefinednessViolated(
+        f"{op} on the {label} at node {node}: {a[node]} and {b[node]} need finite coordinates"
+    )
+
+
 def exp_points(m: TargetManifold, base: np.ndarray, vec: np.ndarray) -> np.ndarray:
     base = np.asarray(base, dtype=float)
     vec = np.asarray(vec, dtype=float)
+    _require_finite(m, "exp", base, vec)
     if m.kind == TORUS:
         return reduce_points(m, base + vec)
     if m.conformal is not None:
@@ -562,6 +625,7 @@ def _sinc(x: np.ndarray) -> np.ndarray:
 def log_points(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.ndarray:
     base = np.asarray(base, dtype=float)
     target = np.asarray(target, dtype=float)
+    _require_finite(m, "log", base, target)
     if m.kind == TORUS:
         delta = torus_wrap(m, target - base)
         d = norm(delta)
@@ -579,14 +643,14 @@ def log_points(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.nd
 
 def torus_wrap(m: TargetManifold, delta: np.ndarray) -> np.ndarray:
     """Shortest representative of torus coordinate differences, per axis."""
-    periods = np.asarray(m.periods)
-    return np.mod(delta + periods / 2.0, periods) - periods / 2.0
+    periods = _period_operand(m.periods)
+    return mod_periods(delta + periods / 2.0, periods) - periods / 2.0
 
 
 def _sphere_angle(r: float, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clipped cosine and angle between sphere points of radius ``r``."""
     dots = np.clip(dot(a, b) / r**2, -1.0, 1.0)
-    sins = norm(np.cross(a, b)) / r**2
+    sins = norm(cross(a, b)) / r**2
     return dots, np.arctan2(sins, dots)
 
 
@@ -602,6 +666,7 @@ def _reject_beyond(d: np.ndarray, m: TargetManifold) -> None:
 def dist_points(m: TargetManifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    _require_finite(m, "dist", a, b)
     if m.kind == TORUS:
         return norm(torus_wrap(m, b - a))
     if m.conformal is not None:
@@ -628,6 +693,12 @@ def dist(m: TargetManifold, p: Point, q: Point) -> float:
 # conformal geodesics: fixed-step RK4 plus batched Newton shooting
 
 _ODE_STEPS = 64
+# Most RK4 steps one node's flow may take.  A node takes ceil(160 |v|) steps,
+# so this caps the speed near 1,600.  Chart and probe vectors stay below the
+# injectivity radius, under pi times the sphere radius, so on the unit sphere
+# they take at most a few hundred.  One node's flow at the cap costs about
+# 100 s; an uncapped |v| = 1e6 would take hours.
+_MAX_ODE_STEPS = 2**18
 _SHOOT_TOL = 1e-11
 _SHOOT_MAX_ITER = 60
 _JACOBIAN_REFRESH = 8
@@ -659,16 +730,17 @@ def _geodesic_flow(m: TargetManifold, base: np.ndarray, vec: np.ndarray) -> np.n
     shape = base.shape
     pos = np.array(base.reshape(-1, shape[-1]), order="F")
     vel = np.array(vec.reshape(-1, shape[-1]), order="F")
-    speed = norm(vel)
-    bad = np.flatnonzero(~(np.isfinite(pos).all(axis=-1) & np.isfinite(speed)))
-    if bad.size:
-        i = int(bad[0])
+    # exp_points and log_points have checked base and target; a velocity that
+    # is not finite or too fast (say, from a diverging shooting) fails the cap
+    steps = np.maximum(_ODE_STEPS, np.ceil(160.0 * norm(vel)))
+    over = np.flatnonzero(~(steps <= _MAX_ODE_STEPS))
+    if over.size:
+        i = int(over[0])
         node = tuple(int(j) for j in np.unravel_index(i, shape[:-1]))
         raise WellDefinednessViolated(
-            f"conformal geodesic at node {node}: base {pos[i]} and velocity {vel[i]} "
-            "need finite coordinates and a finite speed"
+            f"geodesic flow on the conformal sphere at node {node}: speed {norm(vel[i]):.6g} "
+            f"needs {steps[i]:.6g} RK4 steps, more than the cap of {_MAX_ODE_STEPS}"
         )
-    steps = np.maximum(_ODE_STEPS, np.ceil(160.0 * speed))
     h = (1.0 / steps)[:, None]
     half, sixth = 0.5 * h, h / 6.0
     for k in range(int(np.max(steps, initial=0))):

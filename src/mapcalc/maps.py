@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .atlas import CIRCLE_ATLAS, MapFormula
@@ -67,15 +69,41 @@ def sphere_cap_loop(radius: float, cap_angle: float) -> MapFormula:
     return MapFormula(f"cap_loop({cap_angle:.3g})", fn)
 
 
+def harmonic_tables(theta: np.ndarray, modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``sin((k+1) theta)`` and ``cos((k+1) theta)`` for k < ``modes``,
+    stacked on a leading axis.
+
+    The tables are kept by the values of ``theta``: random loops and vector
+    fields evaluate their harmonics on the same chart lattice again and
+    again.
+    """
+    theta = np.asarray(theta, dtype=float)
+    return _harmonic_tables(theta.shape, theta.tobytes(), modes)
+
+
+# the lattices of one run are few (one per chart and resolution), so a small
+# bound keeps them all while capping the memory at a few grids' worth
+@functools.lru_cache(maxsize=8)
+def _harmonic_tables(shape: tuple, data: bytes, modes: int) -> tuple[np.ndarray, np.ndarray]:
+    theta = np.frombuffer(data).reshape(shape)
+    angles = [(k + 1) * theta for k in range(modes)]
+    tables = (np.array([np.sin(t) for t in angles]), np.array([np.cos(t) for t in angles]))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def add_fourier_modes(out: np.ndarray, theta: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """``out`` plus sum_k sin((k+1) theta) coeffs[k, 0] + cos((k+1) theta) coeffs[k, 1].
 
     Each component is summed in its own column, in the order of the sum, and
-    the columns are stacked once at the end.
+    the columns are stacked once at the end; the harmonics come from
+    ``harmonic_tables``.
     """
+    sines, cosines = harmonic_tables(theta, coeffs.shape[0])
     cols = [out[..., a] for a in range(out.shape[-1])]
     for k in range(coeffs.shape[0]):
-        s, c = np.sin((k + 1) * theta), np.cos((k + 1) * theta)
+        s, c = sines[k], cosines[k]
         cols = [col + s * coeffs[k, 0, a] for a, col in enumerate(cols)]
         cols = [col + c * coeffs[k, 1, a] for a, col in enumerate(cols)]
     return np.stack(cols, axis=-1)

@@ -7,7 +7,7 @@ identify maps near f with small sections along f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -24,17 +24,21 @@ class PullbackSection:
     ``bound`` strictly dominates the sup of the fiber norms.  Whether it is
     also small enough to push the section through the exponential map is
     checked where that happens, so raw data like energy gradients can be
-    carried as sections too.
+    carried as sections too.  ``sup``, the sup of the fiber norms, is
+    computed once here; a section is a value, its vectors are not changed
+    in place.
     """
 
     base_map: SampledMap
     vectors: tuple[np.ndarray, ...]
     bound: float
+    sup: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        sup = section_sup(self)
+        sup = _sup_norm(self.base_map, self.vectors)
         if not sup < self.bound:
             raise ValueError(f"section sup {sup:g} must stay strictly below bound {self.bound:g}")
+        object.__setattr__(self, "sup", sup)
 
 
 def maps_equal(f: SampledMap, g: SampledMap) -> bool:
@@ -101,7 +105,7 @@ def _sup_norm(f: SampledMap, vectors) -> float:
 
 def section_sup(s: PullbackSection) -> float:
     """Sup over all grid nodes of the fiber norm."""
-    return _sup_norm(s.base_map, s.vectors)
+    return s.sup
 
 
 def section_add(s: PullbackSection, t: PullbackSection) -> PullbackSection:

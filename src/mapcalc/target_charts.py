@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TargetChartViolated
-from .manifolds import SPHERE, TORUS, TargetManifold, dot, frames_at
+from .manifolds import SPHERE, TORUS, TargetManifold, dot, frames_at, mod_periods
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,13 +26,19 @@ class TorusBranchChart:
     def dim(self) -> int:
         return len(self.periods)
 
+    def _rel(self, values: np.ndarray, a: int) -> np.ndarray:
+        """Axis ``a`` of the values, reduced into [0, period) above ``lo``."""
+        return mod_periods(values[..., a] - self.lo[a], self.periods[a])
+
     def contains(self, values: np.ndarray) -> np.ndarray:
-        rel = np.mod(values - self.lo, self.periods)
-        return np.all(rel < self.widths, axis=-1)
+        inside = self._rel(values, 0) < self.widths[0]
+        for a in range(1, self.dim):
+            inside &= self._rel(values, a) < self.widths[a]
+        return inside
 
     def rep(self, values: np.ndarray) -> np.ndarray:
         """Representative in [lo, lo + period); in-branch for contained values."""
-        return self.lo + np.mod(values - self.lo, self.periods)
+        return np.stack([self.lo[a] + self._rel(values, a) for a in range(self.dim)], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,12 +100,31 @@ def lift_grid(values: np.ndarray, periods) -> np.ndarray:
     out = np.empty_like(values)
     for a, period in enumerate(periods):
         comp = values[..., a]
-        lifted = np.unwrap(comp, period=period, axis=0)
+        lifted = unwrap(comp, period)
         if grid_ndim == 2:
-            row0 = np.unwrap(lifted[0, :], period=period)
+            row0 = unwrap(lifted[0, :], period)
             lifted = lifted + (row0 - lifted[0, :])[None, :]
         out[..., a] = lifted
     return out
+
+
+def unwrap(p: np.ndarray, period: float) -> np.ndarray:
+    """``np.unwrap(p, period=period, axis=0)`` for float data, step for step,
+    with its ``np.mod`` replaced by ``mod_periods`` (the same bits).
+
+    Grid steps are small, so almost no difference needs a true reduction.
+    """
+    dd = p[1:] - p[:-1]
+    high = period / 2
+    low = -high
+    ddmod = mod_periods(dd - low, period) + low
+    # a step of exactly half a period keeps its sign
+    np.copyto(ddmod, high, where=(ddmod == low) & (dd > 0))
+    correct = ddmod - dd
+    np.copyto(correct, 0, where=abs(dd) < high)
+    up = np.array(p, dtype=float)
+    up[1:] = p[1:] + correct.cumsum(axis=0)
+    return up
 
 
 def auto_chart(m: TargetManifold, values: np.ndarray) -> TargetChart:

@@ -225,3 +225,20 @@ def ray_sweep_ratio(f1, rays, psi, steps=10):
             comp = grid_jet_sup_diff(f1.map_values(psi), f2.map_values(psi), 1)
             sweep = max(sweep, comp / base)
     return sweep
+
+
+def unwrap_lift(values, periods):
+    """Continuous lift of torus-valued grid data by ``np.unwrap``.
+
+    Columns are unwrapped along the first grid axis; on 2-d grids the
+    per-column constants are then fixed by unwrapping the first row.
+    """
+    values = np.asarray(values, dtype=float)
+    out = np.empty_like(values)
+    for a, period in enumerate(np.asarray(periods, dtype=float)):
+        lifted = np.unwrap(values[..., a], period=period, axis=0)
+        if values.ndim == 3:
+            row0 = np.unwrap(lifted[0, :], period=period)
+            lifted = lifted + (row0 - lifted[0, :])[None, :]
+        out[..., a] = lifted
+    return out

@@ -1,0 +1,188 @@
+"""Bit equality of the fast periodic, cross-product and harmonic kernels
+with the numpy functions they replace."""
+
+import math
+import types
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mapcalc
+from mapcalc import maps, target_charts
+from mapcalc.cli import ExperimentConfig, run_suite
+from mapcalc.manifolds import cross, mod_periods
+from mapcalc.maps import add_fourier_modes, harmonic_tables
+from mapcalc.target_charts import lift_grid
+
+from oracles import unwrap_lift
+
+TAU = 2 * math.pi
+
+
+def assert_same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan], ref[~nan])
+    assert np.array_equal(np.signbit(got[~nan]), np.signbit(ref[~nan]))
+
+
+def special_values(period):
+    """The edge cases of a periodic reduction by ``period``."""
+    return np.array([
+        -0.0, 0.0, period, np.nextafter(period, 0.0), -1e-300, 1e-300, -period,
+        2 * period, np.nextafter(-period, 0.0), 0.5 * period, -0.5 * period,
+        np.inf, -np.inf, np.nan, 1e300, -1e300,
+    ])
+
+
+class TestModPeriods:
+    @pytest.mark.parametrize("period", [TAU, 4.0, 1.0, 3e-7])
+    def test_special_values_1d(self, period):
+        x = special_values(period)
+        with np.errstate(invalid="ignore"):
+            assert_same_bits(mod_periods(x, period), np.mod(x, period))
+            assert_same_bits(mod_periods(x, (period,)), np.mod(x, period))
+
+    def test_tiny_negative_reduces_to_the_period(self):
+        # -1e-300 + period rounds to the period, so np.mod returns it
+        assert np.mod(-1e-300, TAU) == TAU
+        assert mod_periods(np.array([-1e-300]), TAU)[0] == TAU
+        assert not np.signbit(mod_periods(np.array([-0.0]), TAU)[0])
+
+    @pytest.mark.parametrize("periods", [(TAU, TAU), (TAU, 4.0), (1.0, 3e-7)])
+    def test_special_values_per_axis(self, periods):
+        cols = [special_values(p) for p in periods]
+        # every pairing of the two axes' special values
+        x = np.stack(np.meshgrid(*cols, indexing="ij"), axis=-1)
+        with np.errstate(invalid="ignore"):
+            for arr in (x.reshape(-1, 2), x):
+                assert_same_bits(mod_periods(arr, periods), np.mod(arr, np.asarray(periods)))
+                assert_same_bits(
+                    mod_periods(arr, np.asarray(periods)), np.mod(arr, np.asarray(periods))
+                )
+
+    def test_single_point_and_scalar(self):
+        assert_same_bits(mod_periods(np.array([-0.5, 7.0]), (TAU, 4.0)),
+                         np.mod(np.array([-0.5, 7.0]), np.array([TAU, 4.0])))
+        assert_same_bits(mod_periods(-0.5, TAU), np.mod(-0.5, TAU))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=2, max_size=40),
+        st.sampled_from([(TAU, TAU), (TAU, 4.0), (0.1, 1e3)]),
+    )
+    def test_random_floats(self, values, periods):
+        x = np.array(values[: len(values) // 2 * 2]).reshape(-1, 2)
+        with np.errstate(invalid="ignore"):
+            assert_same_bits(mod_periods(x, periods), np.mod(x, np.asarray(periods)))
+
+
+class TestLiftGrid:
+    def test_curve_with_half_period_steps(self, rng):
+        for periods in ((TAU, TAU), (TAU, 4.0)):
+            p = np.asarray(periods)
+            steps = rng.uniform(-0.45, 0.45, (300, 2)) * p
+            # steps of exactly +-period/2 hit the ambiguous boundary both ways
+            steps[[10, 50]] = 0.5 * p
+            steps[[20, 70]] = -0.5 * p
+            values = np.mod(np.cumsum(steps, axis=0) + 0.3, p)
+            values[[5, 6]] = [[-0.0, 0.0], [np.nextafter(p[0], 0.0), 0.0]]
+            assert_same_bits(lift_grid(values, periods), unwrap_lift(values, periods))
+
+    def test_grid_2d(self, rng):
+        periods = (TAU, 4.0)
+        p = np.asarray(periods)
+        steps = rng.uniform(-0.45, 0.45, (40, 30, 2)) * p
+        steps[3, 4] = 0.5 * p
+        steps[7, 0] = -0.5 * p
+        steps[0, 5] = 0.5 * p
+        values = np.mod(np.cumsum(np.cumsum(steps, axis=0), axis=1), p)
+        assert_same_bits(lift_grid(values, periods), unwrap_lift(values, periods))
+
+    def test_random_torus_loop(self, rng):
+        theta = np.linspace(0.0, TAU, 4097)
+        values = np.mod(theta[:, None] * [1.0, -1.0] + rng.uniform(0, TAU, 2), TAU)
+        assert_same_bits(lift_grid(values, (TAU, TAU)), unwrap_lift(values, (TAU, TAU)))
+
+
+class TestCross:
+    def test_broadcast_shapes(self, rng):
+        a = rng.standard_normal((257, 3))
+        b = rng.standard_normal((257, 3))
+        e = np.array([0.0, 0.0, 1.0])
+        for x, y in ((a, b), (e, a), (a, e), (e, b[0]), (a[0], b[0])):
+            assert_same_bits(cross(x, y), np.cross(x, y))
+        grid_a = rng.standard_normal((17, 19, 3))
+        grid_b = rng.standard_normal((17, 19, 3))
+        assert_same_bits(cross(grid_a, grid_b), np.cross(grid_a, grid_b))
+
+    def test_special_values(self):
+        special = np.array([-0.0, 0.0, 1.0, -1e-300, 1e300, np.inf, -np.inf, np.nan])
+        grid = np.stack(np.meshgrid(special, special, special, indexing="ij"), axis=-1)
+        a = grid.reshape(-1, 3)
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            for b in (a[::-1], np.roll(a, 7, axis=0)):
+                assert_same_bits(cross(a, b), np.cross(a, b))
+
+
+class TestHarmonicTables:
+    def test_tables_are_direct_trig_and_read_only(self):
+        theta = np.arange(-3, 4098) * (TAU / 4096)
+        sines, cosines = harmonic_tables(theta, 3)
+        for k in range(3):
+            assert_same_bits(sines[k], np.sin((k + 1) * theta))
+            assert_same_bits(cosines[k], np.cos((k + 1) * theta))
+        for table in (sines, cosines):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+        # the same values give the same tables, also from another array
+        assert harmonic_tables(theta.copy(), 3)[0] is sines
+
+    def test_fourier_modes_match_direct_sum(self, rng):
+        theta = np.arange(0, 1025) * (TAU / 1024)
+        coeffs = rng.standard_normal((3, 2, 3))
+        out = rng.standard_normal((1025, 3))
+        ref = out.copy()
+        for k in range(3):
+            s, c = np.sin((k + 1) * theta), np.cos((k + 1) * theta)
+            ref = ref + s[:, None] * coeffs[k, 0]
+            ref = ref + c[:, None] * coeffs[k, 1]
+        assert_same_bits(add_fourier_modes(out, theta, coeffs), ref)
+
+
+def _plain_harmonics(theta, modes):
+    angles = [(k + 1) * np.asarray(theta, dtype=float) for k in range(modes)]
+    return np.array([np.sin(t) for t in angles]), np.array([np.cos(t) for t in angles])
+
+
+def _rebind_everywhere(monkeypatch, original, replacement):
+    """Rebind ``original`` in every mapcalc module that holds it by name."""
+    for module in vars(mapcalc).values():
+        if isinstance(module, types.ModuleType) and module.__name__.startswith("mapcalc"):
+            for name, value in vars(module).items():
+                if value is original:
+                    monkeypatch.setattr(module, name, replacement)
+
+
+def test_reports_keep_their_bytes_with_plain_numpy_kernels(tmp_path, monkeypatch):
+    config = ExperimentConfig(resolution=1024, seed=5)
+    for suite in ("charts", "topology"):
+        run_suite(config, suite, tmp_path / "fast" / suite)
+    with monkeypatch.context() as patch:
+        _rebind_everywhere(patch, mod_periods,
+                           lambda x, periods: np.mod(x, np.asarray(periods, dtype=float)))
+        _rebind_everywhere(patch, cross, np.cross)
+        _rebind_everywhere(patch, target_charts.unwrap,
+                           lambda p, period: np.unwrap(p, period=period, axis=0))
+        _rebind_everywhere(patch, maps.harmonic_tables, _plain_harmonics)
+        assert target_charts.mod_periods is not mod_periods
+        for suite in ("charts", "topology"):
+            run_suite(config, suite, tmp_path / "plain" / suite)
+    for suite in ("charts", "topology"):
+        fast = (tmp_path / "fast" / suite / "report.json").read_bytes()
+        assert fast == (tmp_path / "plain" / suite / "report.json").read_bytes()

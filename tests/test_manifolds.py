@@ -25,6 +25,7 @@ from mapcalc import (
     tangent,
 )
 from mapcalc.manifolds import (
+    _MAX_ODE_STEPS,
     dist_points,
     dot,
     exp_points,
@@ -170,6 +171,33 @@ class TestDist:
         b2, _ = random_torus_data(T22, rng, 10, 1.0)
         drift = dist_points(T22, a2 + TAU, b2 + TAU) - dist_points(T22, a2, b2)
         assert np.max(np.abs(drift)) < 1e-14
+
+
+class TestNonFiniteInput:
+    """Round-sphere and flat-torus geodesics reject non-finite input by node."""
+
+    @pytest.mark.parametrize("m", [S1, T24], ids=["round", "torus"])
+    @pytest.mark.parametrize("fn", [exp_points, log_points, dist_points],
+                             ids=["exp", "log", "dist"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("where", ["base", "other"])
+    def test_bad_node_is_named(self, m, fn, bad, where):
+        good_base = np.array([0.0, 0.0, 1.0]) if m is S1 else np.array([0.5, 1.0])
+        good_other = 0.1 * np.ones_like(good_base)
+        if fn is not exp_points:
+            good_other = exp_points(m, good_base, good_other)
+        bases = np.array([good_base] * 3)
+        others = np.array([good_other] * 3)
+        (bases if where == "base" else others)[1, 0] = bad
+        with pytest.raises(WellDefinednessViolated, match=r"node \(1,\)"):
+            fn(m, bases, others)
+
+    def test_grid_node_index(self):
+        base = np.zeros((4, 5, 2))
+        vec = np.full((4, 5, 2), 0.1)
+        vec[2, 3, 1] = np.nan
+        with pytest.raises(WellDefinednessViolated, match=r"node \(2, 3\)"):
+            exp_points(T22, base, vec)
 
 
 class TestInjRadius:
@@ -412,6 +440,19 @@ class TestConformalMetric:
         others = np.array([good_other, other, good_other])
         with pytest.raises(WellDefinednessViolated, match=r"node \(1,\)"):
             fn(m, bases, others)
+
+    def test_huge_speed_raises_at_once(self):
+        # 160 |v| RK4 steps would take hours; the cap stops the flow before any
+        m = sphere(1.0, conformal="exp(0.3*z)")
+        bases = np.array([[0.0, 0.0, 1.0]] * 3)
+        vecs = np.array([[0.1, 0.0, 0.0], [1e6, 0.0, 0.0], [0.0, 0.1, 0.0]])
+        with pytest.raises(WellDefinednessViolated, match=r"node \(1,\).*RK4 steps"):
+            exp_points(m, bases, vecs)
+
+    def test_step_cap_sits_far_above_chart_speeds(self):
+        # chart and probe vectors stay inside the injectivity radius
+        m = sphere(1.0, conformal="exp(0.3*z)")
+        assert _MAX_ODE_STEPS > 100 * 160 * inj_radius(m)
 
     @pytest.mark.parametrize("expr", GRADIENT_EXPRS, ids=GRADIENT_IDS)
     def test_gradient_matches_broadcast_seeds(self, expr, rng):

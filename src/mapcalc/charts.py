@@ -23,6 +23,7 @@ from .atlas import (
     evaluate_map,
     grid_mesh,
     map_sup_distance,
+    same_discretization,
 )
 from .errors import (
     BaseMismatch,
@@ -32,14 +33,19 @@ from .errors import (
 )
 from .gridfn import GridFunction
 from .manifolds import (
+    TORUS,
     TargetManifold,
     apply_in_frames,
     exp_points,
     fiber_derivative_points,
+    fiber_matrices,
+    fiber_probes,
     frames_at,
     inj_radius,
+    log_dist_points,
     log_points,
     reduce_points,
+    require_log_reach,
 )
 from .sections import PullbackSection, make_section, maps_equal
 
@@ -54,16 +60,24 @@ def default_delta(f: SampledMap, factor: float = 0.4) -> float:
 
 
 def chart_forward(f: SampledMap, g: SampledMap, delta: float) -> PullbackSection:
-    """Represent g in the chart centered at f: nodewise logarithm along f."""
+    """Represent g in the chart centered at f: nodewise logarithm along f.
+
+    Each chart's logarithm gives both the gap to g and the section; a gap
+    at or over ``delta`` is reported before any pair beyond the injectivity
+    radius.
+    """
     if not delta < inj_radius(f.target):
         raise WellDefinednessViolated("delta must stay below the injectivity radius")
-    gap = map_sup_distance(f, g)
+    same_discretization(f, g)
+    logs = [log_dist_points(f.target, fv, gv) for fv, gv in zip(f.values, g.values)]
+    gap = max([0.0, *(float(np.max(d)) for _, d in logs)])
     if not gap < delta:
         raise WellDefinednessViolated(
             f"maps are {gap:.6g} apart, not within the chart bound {delta:.6g}"
         )
-    vecs = [log_points(f.target, fv, gv) for fv, gv in zip(f.values, g.values)]
-    return PullbackSection(f, tuple(vecs), float(delta))
+    for _, d in logs:
+        require_log_reach(f.target, d)
+    return PullbackSection(f, tuple(vecs for vecs, _ in logs), float(delta))
 
 
 def chart_inverse(f: SampledMap, s: PullbackSection) -> SampledMap:
@@ -143,13 +157,7 @@ def metric_transition(
     a list of sections comes back for a sequence.
     """
     sections = [s] if isinstance(s, PullbackSection) else list(s)
-    if not all(maps_equal(t.base_map, f) for t in sections):
-        raise BaseMismatch("section is not based on the chart center")
-    base = np.concatenate([_nodes(f.values)] * len(sections))
-    vecs = np.concatenate([_nodes(t.vectors) for t in sections])
-    moved = exp_points(m_from, base, vecs)
-    parts = np.split(log_points(m_to, base, moved), len(sections))
-    out = [make_section(f, _unstack(part, f.values)) for part in parts]
+    _, out = metric_transition_batch(f, None, sections, m_from, m_to)
     return out[0] if isinstance(s, PullbackSection) else out
 
 
@@ -166,9 +174,44 @@ def metric_transition_fiber(
     chart; computing them once lets several direction sections share the
     shooting work, and every chart shares one shooting batch.
     """
+    mats, _ = metric_transition_batch(f, s0, [], m_from, m_to, step=step)
+    return mats
+
+
+def metric_transition_batch(
+    f: SampledMap,
+    s0: PullbackSection | None,
+    sections: Sequence[PullbackSection],
+    m_from: TargetManifold,
+    m_to: TargetManifold,
+    step: float = 1e-4,
+) -> tuple[list[np.ndarray] | None, list[PullbackSection]]:
+    """The fiber matrices of ``metric_transition_fiber`` at s0 (None without
+    s0) and the transitions of ``sections``, from one exp and one log batch.
+
+    The four ``fiber_probes`` around s0 and the nodes of every section and
+    chart are stacked into one batch.  A node's logarithm does not depend on
+    its batch, so each result has the bits of a call of its own.  On the
+    torus the matrices are the exact identity and need no probes.
+    """
+    if not all(maps_equal(t.base_map, f) for t in sections):
+        raise BaseMismatch("section is not based on the chart center")
     base = _nodes(f.values)
-    mats = fiber_derivative_points(m_from, m_to, base, base, _nodes(s0.vectors), step=step)
-    return _unstack(mats, f.values)
+    blocks = [_nodes(t.vectors) for t in sections]
+    probed = s0 is not None and m_from.kind != TORUS
+    if probed:
+        blocks = [*fiber_probes(m_from, base, _nodes(s0.vectors), step), *blocks]
+    if blocks:
+        nodes = np.concatenate([base] * len(blocks))
+        moved = exp_points(m_from, nodes, np.concatenate(blocks))
+        blocks = np.split(log_points(m_to, nodes, moved), len(blocks))
+    mats = None
+    if probed:
+        mats = _unstack(fiber_matrices(m_to, base, np.stack(blocks[:4]), step), f.values)
+        blocks = blocks[4:]
+    elif s0 is not None:
+        mats = _unstack(frames_at(m_from, base), f.values)  # torus frames are the identity
+    return mats, [make_section(f, _unstack(part, f.values)) for part in blocks]
 
 
 def _nodes(arrays: Sequence[np.ndarray]) -> np.ndarray:

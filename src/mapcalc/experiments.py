@@ -27,8 +27,7 @@ from .charts import (
     chart_forward,
     chart_inverse,
     default_delta,
-    metric_transition,
-    metric_transition_fiber,
+    metric_transition_batch,
     omega_apply,
     omega_derivative,
     taylor_identity_residual,
@@ -224,9 +223,9 @@ def metric_independence_residuals(
     """Derivative checks for the transition between round and conformal charts.
 
     Bases s0 are shared by several direction sections, so the nodewise
-    fiber derivative (one shooting batch of four probes) is amortized across
-    them, and the plus and minus sections of all directions of a base share
-    one shooting batch.
+    fiber derivative (four probes per node) is amortized across them; the
+    fiber probes and the plus and minus sections of all directions of a base
+    share one shooting batch.
     """
     m_round = DEFAULT_SPHERE
     m_conf = sphere(1.0, conformal=conformal_expr)
@@ -234,11 +233,10 @@ def metric_independence_residuals(
     residuals: list[float] = []
     while len(residuals) < n_sections:
         s0 = random_section(f, rng, 0.12, bound=0.2)
-        mats = metric_transition_fiber(f, s0, m_round, m_conf, step=1e-4)
         count = min(dirs_per_base, n_sections - len(residuals))
         dirs = [random_section(f, rng, 0.08, bound=0.12) for _ in range(count)]
         probes = [section_add(s0, section_scale(s, sign * eps)) for s in dirs for sign in (1, -1)]
-        moved = metric_transition(f, probes, m_round, m_conf)
+        mats, moved = metric_transition_batch(f, s0, probes, m_round, m_conf, step=1e-4)
         for s, plus, minus in zip(dirs, moved[::2], moved[1::2]):
             fd = section_scale(section_add(plus, section_scale(minus, -1.0)), 0.5 / eps)
             analytic = apply_fiber_matrices(f, f, mats, s)

@@ -15,6 +15,7 @@ with the point dimension last and are the workhorses for grid-sized data.
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import math
 import sys
@@ -216,12 +217,28 @@ class ConformalFactor:
         return _Dual(val, np.zeros(val.shape + (3,))) if isinstance(coords, _Dual) else val
 
     def value_and_gradient(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The factor and its exact ambient gradient at ``coords``, from one evaluation."""
-        # component-major seeds: each gradient column is one contiguous block
-        seeds = np.zeros(coords.shape + (3,), order="F")
-        seeds[..., (0, 1, 2), (0, 1, 2)] = 1.0
-        out = self(_Dual(coords, seeds))
+        """The factor and its exact ambient gradient at ``coords``, from one evaluation.
+
+        Where a coordinate's gradient passes through unchanged (``z``,
+        ``2 + z``), the gradient is a read-only view of the shared seeds.
+        """
+        out = self(_Dual(coords, _identity_seeds(coords.shape)))
         return out.v, out.d
+
+
+@functools.lru_cache(maxsize=4)
+def _identity_seeds(shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only dual seeds for coordinates of ``shape``: the identity per node.
+
+    They are component-major, so each gradient column is one contiguous
+    block.  A geodesic flow evaluates the factor four times per step on one
+    batch size, so the seeds are built once per size instead of per call;
+    being read-only, a cached array cannot be written into by mistake.
+    """
+    seeds = np.zeros(shape + (3,), order="F")
+    seeds[..., (0, 1, 2), (0, 1, 2)] = 1.0
+    seeds.flags.writeable = False
+    return seeds
 
 
 @dataclass(frozen=True)
@@ -339,7 +356,11 @@ def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``np.sum`` starts from +0.0 (and is left to right below 8 terms), so the
     leading ``0.0 +`` keeps signed zeros, infinities and NaNs the same too.
     """
-    p = a * b
+    return _last_axis_sum(a * b)
+
+
+def _last_axis_sum(p: np.ndarray) -> np.ndarray:
+    """``np.sum(p, axis=-1)`` with its bits, for the short last axes of points."""
     out = 0.0 + p[..., 0]
     for i in range(1, p.shape[-1]):
         out += p[..., i]
@@ -375,11 +396,14 @@ def mod_periods(x: np.ndarray, periods) -> np.ndarray:
     come back as ``x + 0.0``, which is what ``np.mod`` returns for them
     (``-0.0`` included, which becomes ``+0.0``).  A tiny negative entry
     still reduces to exactly the period, as in ``np.mod``.  A common period
-    is applied as a scalar, which spares a length-2 or length-3 broadcast
-    per node.
+    is applied as a scalar, and unequal ones as an array of x's shape that
+    holds each entry's own period, so no operation broadcasts a length-2 or
+    length-3 period vector over the nodes.
     """
     x = np.asarray(x, dtype=float)
     p = _period_operand(periods)
+    if getattr(p, "ndim", 0):
+        p = np.tile(p, x.shape[:-1] + (1,))
     out = np.add(x, 0.0, out=np.empty_like(x))
     inside = x >= 0.0
     inside &= x < p
@@ -539,8 +563,19 @@ def frame_jacobian(image, w0: np.ndarray, step: float) -> np.ndarray:
 
     ``image`` maps the four probes, stacked on a new leading axis, in one call.
     """
+    return frame_quotient(image(frame_probes(w0, step)), step)
+
+
+def frame_probes(w0: np.ndarray, step: float) -> np.ndarray:
+    """The probes w0 + step e1, w0 - step e1, w0 + step e2, w0 - step e2 of
+    ``frame_jacobian``, stacked on a new leading axis."""
     e = step * np.eye(2)
-    out = image(np.stack([w0 + e[0], w0 - e[0], w0 + e[1], w0 - e[1]]))
+    return np.stack([w0 + e[0], w0 - e[0], w0 + e[1], w0 - e[1]])
+
+
+def frame_quotient(out: np.ndarray, step: float) -> np.ndarray:
+    """The central differences of the images ``out`` of the ``frame_probes``,
+    as Jacobian columns."""
     return np.stack([out[0] - out[1], out[2] - out[3]], axis=-1) / (2.0 * step)
 
 
@@ -626,19 +661,50 @@ def log_points(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.nd
     base = np.asarray(base, dtype=float)
     target = np.asarray(target, dtype=float)
     _require_finite(m, "log", base, target)
-    if m.kind == TORUS:
-        delta = torus_wrap(m, target - base)
-        d = norm(delta)
-        _reject_beyond(d, m)
-        return delta
     if m.conformal is not None:
         return _shoot_log(m, base, target)
+    vecs, d = _closed_log(m, base, target)
+    _reject_beyond(d, m)
+    return vecs
+
+
+def log_dist_points(
+    m: TargetManifold, base: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``log_points`` and ``dist_points`` of the same pairs, from one logarithm.
+
+    Pairs beyond the injectivity radius are not rejected here, so a caller
+    can run its own checks on the distances first; ``require_log_reach``
+    then rejects them as ``log_points`` does.
+    """
+    base = np.asarray(base, dtype=float)
+    target = np.asarray(target, dtype=float)
+    _require_finite(m, "log", base, target)
+    if m.conformal is not None:
+        vecs = _shoot_log(m, base, target)
+        return vecs, norm_points(m, base, vecs)
+    return _closed_log(m, base, target)
+
+
+def require_log_reach(m: TargetManifold, d: np.ndarray) -> None:
+    """The injectivity check of ``log_points`` on distances from ``log_dist_points``.
+
+    Conformal shooting raises on its own when it fails, so only the round
+    and flat logarithms are checked.
+    """
+    if m.conformal is None:
+        _reject_beyond(d, m)
+
+
+def _closed_log(m: TargetManifold, base: np.ndarray, target: np.ndarray):
+    """The round or flat logarithm and the distance, from one angle or wrap."""
+    if m.kind == TORUS:
+        delta = torus_wrap(m, target - base)
+        return delta, norm(delta)
     r = m.radius
     dots, ang = _sphere_angle(r, base, target)
-    d = r * ang
-    _reject_beyond(d, m)
     u = target - dots[..., None] * base
-    return u / _sinc(ang)[..., None]
+    return u / _sinc(ang)[..., None], r * ang
 
 
 def torus_wrap(m: TargetManifold, delta: np.ndarray) -> np.ndarray:
@@ -705,15 +771,28 @@ _JACOBIAN_REFRESH = 8
 
 
 def _conformal_rhs(m: TargetManifold, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
-    r2 = m.radius**2
+    """Acceleration of the conformal geodesic at ``(pos, vel)``, for (n, 3) arrays.
+
+    With n = pos / r and the tangential gradient grad_t = grad - (grad . n) n,
+    it is (0.5 |vel|^2 grad_t - (grad_t . vel) vel) / phi - (|vel|^2 / r^2) pos.
+    Two work arrays take every (n, 3) intermediate through ``out=``, with the
+    operands and order of operations of that formula, so the bits are the
+    same as from fresh temporaries.  ``pos``, ``vel`` and the gradient (for
+    ``z`` or ``+z``, a view of the read-only seeds) are only read.
+    """
     phi, grad = m.conformal.value_and_gradient(pos)
-    phi = phi[..., None]
-    n = pos / m.radius
-    grad_t = grad - dot(grad, n)[..., None] * n
-    sq = dot(vel, vel)[..., None]
-    acc = (0.5 * sq * grad_t - dot(grad_t, vel)[..., None] * vel) / phi
-    acc = acc - (sq / r2) * pos
-    return acc
+    acc = np.divide(pos, m.radius, out=np.empty_like(pos))
+    work = np.multiply(grad, acc, out=np.empty_like(pos))
+    np.multiply(_last_axis_sum(work)[..., None], acc, out=acc)
+    grad_t = np.subtract(grad, acc, out=acc)
+    sq = _last_axis_sum(np.multiply(vel, vel, out=work))[..., None]
+    along = _last_axis_sum(np.multiply(grad_t, vel, out=work))[..., None]
+    np.multiply(along, vel, out=work)
+    np.multiply(0.5 * sq, grad_t, out=acc)
+    np.subtract(acc, work, out=acc)
+    np.divide(acc, phi[..., None], out=acc)
+    np.multiply(sq / m.radius**2, pos, out=work)
+    return np.subtract(acc, work, out=acc)
 
 
 def _geodesic_flow(m: TargetManifold, base: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -765,18 +844,29 @@ def _rk4_step(
     half: np.ndarray,
     sixth: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One RK4 step of width ``h``; ``half`` and ``sixth`` are ``0.5 * h`` and ``h / 6.0``."""
+    """One RK4 step of width ``h``; ``half`` and ``sixth`` are ``0.5 * h`` and ``h / 6.0``.
+
+    The three stage positions share one work array, which the right-hand
+    side only reads.
+    """
+    stage = np.empty_like(pos)
     k1p, k1v = vel, _conformal_rhs(m, pos, vel)
-    k2p = vel + half * k1v
-    k2v = _conformal_rhs(m, pos + half * k1p, k2p)
-    k3p = vel + half * k2v
-    k3v = _conformal_rhs(m, pos + half * k2p, k3p)
-    k4p = vel + h * k3v
-    k4v = _conformal_rhs(m, pos + h * k3p, k4p)
+    k2p = _shifted(vel, half, k1v)
+    k2v = _conformal_rhs(m, _shifted(pos, half, k1p, stage), k2p)
+    k3p = _shifted(vel, half, k2v)
+    k3v = _conformal_rhs(m, _shifted(pos, half, k2p, stage), k3p)
+    k4p = _shifted(vel, h, k3v)
+    k4v = _conformal_rhs(m, _shifted(pos, h, k3p, stage), k4p)
     return (
         reduce_points(m, _rk4_update(pos, k1p, k2p, k3p, k4p, sixth)),
         _rk4_update(vel, k1v, k2v, k3v, k4v, sixth),
     )
+
+
+def _shifted(y: np.ndarray, c: np.ndarray, k: np.ndarray, out: np.ndarray | None = None):
+    """``y + c * k``, computed in ``out`` (a new array when None)."""
+    out = np.multiply(c, k, out=out)
+    return np.add(y, out, out=out)
 
 
 def _rk4_update(y, k1, k2, k3, k4, sixth):
@@ -860,17 +950,27 @@ def fiber_derivative_points(
     """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    sframes = frames_at(m_src, src)
     if m_src.kind == TORUS:
-        return sframes  # torus frames are the identity
-    dframes = frames_at(m_dst, dst)
+        return frames_at(m_src, src)  # torus frames are the identity
+    probes = fiber_probes(m_src, src, v0, step)
+    return fiber_matrices(m_dst, dst, log_points(m_dst, dst, exp_points(m_src, src, probes)), step)
 
-    def image_coords(wc: np.ndarray) -> np.ndarray:
-        out = log_points(m_dst, dst, exp_points(m_src, src, from_frame(sframes, wc)))
-        return to_frame(dframes, out)
 
-    return frame_jacobian(image_coords, to_frame(sframes, v0), step)
+def fiber_probes(m_src: TargetManifold, src: np.ndarray, v0: np.ndarray, step: float) -> np.ndarray:
+    """The ``frame_probes`` of ``fiber_derivative_points`` around ``v0``, as
+    ambient vectors at ``src`` stacked on a new leading axis.
+
+    A caller may push them through exp and log inside a larger batch and
+    hand their images to ``fiber_matrices``.
+    """
+    frames = frames_at(m_src, src)
+    return from_frame(frames, frame_probes(to_frame(frames, np.asarray(v0, dtype=float)), step))
+
+
+def fiber_matrices(m_dst: TargetManifold, dst: np.ndarray, images: np.ndarray, step: float):
+    """Derivative matrices from ``images``, log_dst(exp_src(probe)) of the
+    ``fiber_probes`` in their stacked order."""
+    return frame_quotient(to_frame(frames_at(m_dst, dst), images), step)
 
 
 def fiber_transition_derivative(

@@ -10,6 +10,7 @@ from mapcalc import (
     TORUS2_ATLAS,
     MapFormula,
     BaseMismatch,
+    BeyondInjectivityRadius,
     WellDefinednessViolated,
     as_point,
     canonical_cover,
@@ -34,7 +35,8 @@ from mapcalc import (
     zero_section,
 )
 from mapcalc.atlas import TAU
-from mapcalc.charts import metric_transition, metric_transition_fiber
+from mapcalc import manifolds
+from mapcalc.charts import metric_transition, metric_transition_batch, metric_transition_fiber
 from mapcalc.manifolds import exp_points, fiber_derivative_points, log_points, project_tangent
 from mapcalc.experiments import (
     chain_rule_residual,
@@ -61,7 +63,23 @@ from mapcalc.sections import make_section, section_from_formula
 from oracles import _tangent_frame, richardson_matrix
 
 T22 = flat_torus(TAU, TAU)
+T24 = flat_torus(TAU, 4.0)
 S1 = sphere(1.0)
+S_CONF = sphere(1.0, conformal="exp(0.3*z)")
+
+
+@pytest.fixture
+def shoot_calls(monkeypatch):
+    """The node counts of the conformal shooting calls made during a test."""
+    calls = []
+    shoot = manifolds._shoot_log
+
+    def counted(m, base, target):
+        calls.append(len(base))
+        return shoot(m, base, target)
+
+    monkeypatch.setattr(manifolds, "_shoot_log", counted)
+    return calls
 
 
 class TestChartForward:
@@ -86,6 +104,36 @@ class TestChartForward:
         assert map_sup_distance(f, antipodal) == pytest.approx(math.pi, abs=1e-12)
         with pytest.raises(WellDefinednessViolated):
             chart_forward(f, antipodal, math.pi / 2)
+
+    def test_pair_past_the_log_margin_rejected(self):
+        # the gap sits inside delta, which sits inside the injectivity
+        # radius, but not inside the logarithm's margin below it
+        f = sample_map(CIRCLE_ATLAS, S1, great_circle(1.0), 16)
+        g = pushforward(sphere_rotation(S1, [1, 0, 0], math.pi - 5e-7), f)
+        assert map_sup_distance(f, g) < math.pi - 1e-7
+        with pytest.raises(BeyondInjectivityRadius):
+            chart_forward(f, g, math.pi - 1e-7)
+
+    @pytest.mark.parametrize("m", [S1, T22, T24, S_CONF], ids=["round", "torus", "torus_2pi_4",
+                                                              "conformal"])
+    def test_gap_and_vectors_match_separate_calls(self, m, rng):
+        f, g, delta = random_pair(m, 16, rng)
+        s = chart_forward(f, g, delta)
+        assert s.bound == delta
+        for fv, gv, vec in zip(f.values, g.values, s.vectors):
+            assert np.array_equal(vec, log_points(m, fv, gv))
+        # the gap is map_sup_distance to the bit: a bound just above it
+        # admits g, and a bound equal to it does not
+        gap = map_sup_distance(f, g)
+        chart_forward(f, g, np.nextafter(gap, np.inf))
+        with pytest.raises(WellDefinednessViolated, match="apart"):
+            chart_forward(f, g, gap)
+
+    def test_conformal_logarithm_shoots_once_per_chart(self, rng, shoot_calls):
+        f, g, delta = random_pair(S_CONF, 16, rng)
+        shoot_calls.clear()
+        chart_forward(f, g, delta)
+        assert shoot_calls == [len(fv) for fv in f.values]
 
 
 class TestChartInverse:
@@ -268,6 +316,38 @@ class TestMetricIndependence:
         for fv, v0, chart_mats in zip(f.values, s0.vectors, mats):
             chart = fiber_derivative_points(S1, m_conf, fv, fv, v0, step=1e-4)
             assert np.array_equal(chart_mats, chart)
+
+    def test_batch_matches_separate_fiber_and_transition_calls(self, rng):
+        f = random_center(S1, 32, rng)
+        s0 = random_section(f, rng, 0.12, bound=0.2)
+        sections = [random_section(f, rng, 0.1, bound=0.15) for _ in range(3)]
+        mats, moved = metric_transition_batch(f, s0, sections, S1, S_CONF, step=1e-4)
+        separate = metric_transition_fiber(f, s0, S1, S_CONF, step=1e-4)
+        for fv, v0, got, alone in zip(f.values, s0.vectors, mats, separate):
+            assert np.array_equal(got, alone)
+            assert np.array_equal(got, fiber_derivative_points(S1, S_CONF, fv, fv, v0, step=1e-4))
+        assert len(moved) == len(sections)
+        for s, out in zip(sections, moved):
+            alone = metric_transition(f, s, S1, S_CONF)
+            assert out.bound == alone.bound
+            for got, vec in zip(out.vectors, alone.vectors):
+                assert np.array_equal(got, vec)
+
+    def test_torus_fiber_matrices_are_the_identity(self):
+        f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 16)
+        s0 = make_section(f, [np.full_like(v, 0.1) for v in f.values])
+        mats, moved = metric_transition_batch(f, s0, [], T22, T22)
+        assert moved == []
+        for fv, chart_mats in zip(f.values, mats):
+            assert np.array_equal(chart_mats, np.broadcast_to(np.eye(2), fv.shape[:-1] + (2, 2)))
+
+    def test_one_conformal_shooting_per_base(self, rng, shoot_calls):
+        residuals = metric_independence_residuals(16, rng, n_sections=4, dirs_per_base=2)
+        assert len(residuals) == 4
+        # two bases; each batch holds 4 fiber probes and 2 x 2 direction
+        # probes per node
+        assert len(shoot_calls) == 2
+        assert shoot_calls[0] == shoot_calls[1] and shoot_calls[0] % 8 == 0
 
     def test_fiber_matrices_match_richardson_oracle(self, rng):
         f = random_center(S1, 32, rng)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -26,6 +27,11 @@ from mapcalc import (
 )
 from mapcalc.manifolds import (
     _MAX_ODE_STEPS,
+    SPHERE,
+    ConformalFactor,
+    _conformal_rhs,
+    _geodesic_flow,
+    _identity_seeds,
     dist_points,
     dot,
     exp_points,
@@ -485,6 +491,64 @@ class TestConformalMetric:
         v = np.array([0.4, 0.0, 0.0])
         d = dist_points(m, p[None], exp_points(m, p[None], v[None]))[0]
         assert d == pytest.approx(math.sqrt(math.exp(0.3)) * 0.4, rel=1e-9)
+
+
+def northern_data(rng, count):
+    """Bases within 0.6 rad of the north pole with speeds 0.05 to 0.5.
+
+    Flows under ``z`` stay where z > 0.3, and the speeds lie on both sides
+    of 0.4, where the RK4 step count leaves its floor of 64.
+    """
+    polar = rng.uniform(0.0, 0.6, count)
+    azimuth = rng.uniform(0.0, TAU, count)
+    base = np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+                     np.cos(polar)], axis=-1)
+    vecs = project_tangent(S1, base, rng.standard_normal((count, 3)))
+    vecs = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+    return base, vecs * rng.uniform(0.05, 0.5, (count, 1))
+
+
+class TestConformalKernel:
+    """The right-hand side writes only its own arrays, and shared seeds stay
+    the identity whatever flows ran before."""
+
+    # z and +z hand back the seeds themselves as the gradient
+    FACTORS = ["exp(0.3*z)", "z", "+z", "2.5"]
+
+    @staticmethod
+    def target(expr):
+        # z is not positive on the whole sphere, so no TargetManifold accepts
+        # it; the flow reads only the kind, the radius and the factor
+        return types.SimpleNamespace(kind=SPHERE, radius=1.0, conformal=ConformalFactor(expr))
+
+    @pytest.mark.parametrize("expr", FACTORS)
+    def test_rhs_only_reads_its_state(self, expr, rng):
+        m = self.target(expr)
+        base, vecs = northern_data(rng, 6)
+        pos, vel = np.asfortranarray(base), np.asfortranarray(vecs)
+        acc = _conformal_rhs(m, pos, vel)
+        assert np.array_equal(pos, base) and np.array_equal(vel, vecs)
+        assert not np.shares_memory(acc, pos) and not np.shares_memory(acc, vel)
+        assert np.array_equal(_conformal_rhs(m, pos, vel), acc)
+        _, grad = m.conformal.value_and_gradient(pos)
+        seeded = np.shares_memory(grad, _identity_seeds(pos.shape))
+        assert seeded == (expr in ("z", "+z"))
+        assert not (seeded and grad.flags.writeable)
+
+    @pytest.mark.parametrize("expr", FACTORS)
+    def test_flows_of_changing_sizes_match_oracle(self, expr, rng):
+        # sizes 3, 5 and 3 back to back reuse the seeds built for size 3
+        m = self.target(expr)
+        for count in (3, 5, 3):
+            base, vecs = northern_data(rng, count)
+            ends = _geodesic_flow(m, base, vecs)
+            assert np.array_equal(ends, conformal_rk4_flow(m, base, vecs))
+
+    def test_seeds_are_a_read_only_identity(self):
+        seeds = _identity_seeds((5, 3))
+        assert seeds is _identity_seeds((5, 3))
+        assert not seeds.flags.writeable and seeds.flags.f_contiguous
+        assert np.array_equal(seeds, np.broadcast_to(np.eye(3), (5, 3, 3)))
 
 
 class TestFramesAndSerialization:

@@ -124,10 +124,25 @@ class Check:
     residual: float | None = None
     error: str | None = None
     extras: dict = field(default_factory=dict)
+    seconds: float | None = None
 
     @property
     def passed(self) -> bool:
         return self.error is None and self.residual < self.tolerance
+
+    @property
+    def over_tolerance(self) -> float | None:
+        """residual / tolerance of a failing row that has a residual, else None."""
+        if self.passed or self.residual is None:
+            return None
+        return self.residual / self.tolerance
+
+    def as_metadata(self) -> dict:
+        """The row's wall-clock entry for metadata.json, never for the report."""
+        entry = {"check": self.name, "seconds": self.seconds}
+        if self.over_tolerance is not None:
+            entry["over_tolerance"] = self.over_tolerance
+        return entry
 
     def as_report(self) -> dict:
         entry = {
@@ -354,12 +369,15 @@ def build_suite(config: ExperimentConfig, suite: str, out_dir: Path | None) -> l
 def execute_checks(checks: list[Check], workers: int = 1) -> None:
     def run_one(check: Check) -> None:
         # any failure becomes an error row; the other checks still run
+        start = time.perf_counter()
         try:
             residual = float(check.thunk())
         except Exception as err:
             click.echo(f"check {check.name} raised:\n{traceback.format_exc()}", err=True)
             check.error = f"{type(err).__name__}: {err}"
             return
+        finally:
+            check.seconds = time.perf_counter() - start
         if math.isfinite(residual):
             check.residual = residual
         else:
@@ -400,6 +418,7 @@ def run_suite(config: ExperimentConfig, suite: str, out_dir: str | Path) -> int:
     metadata = {
         "started_unix": started,
         "runtime_seconds": time.time() - started,
+        "checks": [c.as_metadata() for c in checks],
     }
     try:
         (out / "report.json").write_text(canonical_json(report))
@@ -419,9 +438,10 @@ def run_suite(config: ExperimentConfig, suite: str, out_dir: str | Path) -> int:
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
         residual = "none" if check.residual is None else f"{check.residual:.3e}"
+        over = "" if check.over_tolerance is None else f" ({check.over_tolerance:.3g}x tol)"
         error = "" if check.error is None else f" ({check.error})"
         click.echo(f"{status} {check.name}: residual={residual} "
-                   f"tol={check.tolerance:.1e}{error}")
+                   f"tol={check.tolerance:.1e}{over}{error}")
     return 0 if report["all_pass"] else 1
 
 

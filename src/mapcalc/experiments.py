@@ -52,6 +52,8 @@ from .topology import (
     canonical_cover,
     ck_distance,
     composition_bound_probe,
+    cover_jets,
+    jets_distance,
     nbhd_contains,
     neighborhood,
     section_norm,
@@ -123,10 +125,11 @@ def homeo_rate_ratios(
     u = random_section(f, rng, sup=1.0, bound=2.0)
     fwd, inv = [], []
     cover = canonical_cover(f)
+    jf = cover_jets(f, cover, k)
     for t in ladder:
         ut = section_scale(u, t * delta)
         g = chart_inverse(f, ut)
-        d = ck_distance(f, g, k, cover=cover)
+        d = jets_distance(jf, cover_jets(g, cover, k))
         s = chart_forward(f, g, delta)
         fwd.append(section_norm(s, k).total / d)
         inv.append(d / section_norm(ut, k).total)
@@ -393,9 +396,11 @@ def pseudometric_residuals(
     cover = canonical_cover(f)
     g = chart_inverse(f, random_section(f, rng, 0.1 * delta, bound=delta))
     h = chart_inverse(f, random_section(f, rng, 0.1 * delta, bound=delta))
-    d_fg = ck_distance(f, g, k, cover=cover)
-    sym = abs(d_fg - ck_distance(g, f, k, cover=cover))
-    tri = max(0.0, ck_distance(f, h, k, cover=cover) - d_fg - ck_distance(g, h, k, cover=cover))
+    # each map's jets once; jets_distance gives ck_distance's value
+    jf, jg, jh = (cover_jets(x, cover, k) for x in (f, g, h))
+    d_fg = jets_distance(jf, jg)
+    sym = abs(d_fg - jets_distance(jg, jf))
+    tri = max(0.0, jets_distance(jf, jh) - d_fg - jets_distance(jg, jh))
     return sym, tri
 
 

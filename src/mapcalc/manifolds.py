@@ -401,9 +401,11 @@ def mod_periods(x: np.ndarray, periods) -> np.ndarray:
     length-3 period vector over the nodes.
     """
     x = np.asarray(x, dtype=float)
-    p = _period_operand(periods)
-    if getattr(p, "ndim", 0):
-        p = np.tile(p, x.shape[:-1] + (1,))
+    return _mod_entries(x, _entry_periods(x.shape, periods))
+
+
+def _mod_entries(x: np.ndarray, p) -> np.ndarray:
+    """``mod_periods`` with the periods from ``_entry_periods``."""
     out = np.add(x, 0.0, out=np.empty_like(x))
     inside = x >= 0.0
     inside &= x < p
@@ -412,12 +414,15 @@ def mod_periods(x: np.ndarray, periods) -> np.ndarray:
     return out
 
 
-def _period_operand(periods):
-    """A common period as a scalar, unequal ones as a float array."""
+def _entry_periods(shape: tuple[int, ...], periods):
+    """A common period as a scalar, unequal ones as an array of ``shape``
+    holding each entry's own period along the last axis."""
     if np.ndim(periods) == 0:
         return periods
     p = np.asarray(periods, dtype=float)
-    return p[0] if p.size and (p == p[0]).all() else p
+    if p.size and (p == p[0]).all():
+        return p[0]
+    return np.tile(p, shape[:-1] + (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +713,14 @@ def _closed_log(m: TargetManifold, base: np.ndarray, target: np.ndarray):
 
 
 def torus_wrap(m: TargetManifold, delta: np.ndarray) -> np.ndarray:
-    """Shortest representative of torus coordinate differences, per axis."""
-    periods = _period_operand(m.periods)
-    return mod_periods(delta + periods / 2.0, periods) - periods / 2.0
+    """Shortest representative of torus coordinate differences, per axis.
+
+    The half-period shifts come from the same per-entry periods as the
+    reduction, so unequal periods are never broadcast over the nodes.
+    """
+    periods = _entry_periods(np.shape(delta), m.periods)
+    half = periods / 2.0
+    return _mod_entries(delta + half, periods) - half
 
 
 def _sphere_angle(r: float, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -758,7 +768,13 @@ def dist(m: TargetManifold, p: Point, q: Point) -> float:
 # ---------------------------------------------------------------------------
 # conformal geodesics: fixed-step RK4 plus batched Newton shooting
 
-_ODE_STEPS = 64
+# RK4 step rule (floor, steps per unit speed): a node of speed |v| takes
+# max(floor, ceil(per_speed |v|)) steps
+_FLOW_RULE = (64, 160.0)
+# The chord Jacobian only steers the Newton iteration, whose root and stopping
+# test come from full-rule residual flows, so its probes flow at an eighth of
+# the steps (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995)
+_JACOBIAN_RULE = (8, 20.0)
 # Most RK4 steps one node's flow may take.  A node takes ceil(160 |v|) steps,
 # so this caps the speed near 1,600.  Chart and probe vectors stay below the
 # injectivity radius, under pi times the sphere radius, so on the unit sphere
@@ -795,15 +811,17 @@ def _conformal_rhs(m: TargetManifold, pos: np.ndarray, vel: np.ndarray) -> np.nd
     return np.subtract(acc, work, out=acc)
 
 
-def _geodesic_flow(m: TargetManifold, base: np.ndarray, vec: np.ndarray) -> np.ndarray:
+def _geodesic_flow(
+    m: TargetManifold, base: np.ndarray, vec: np.ndarray, rule: tuple[int, float] = _FLOW_RULE
+) -> np.ndarray:
     """RK4 flow to time 1, batched over all leading axes.
 
-    Each node takes its own step count, which grows with its own speed to
-    keep the fourth-order error near the shooting tolerance; a node's end
-    point therefore does not depend on the other nodes of the batch.  The
-    state is held component-major (Fortran order), so every broadcast of a
-    per-node scalar against a vector runs over whole contiguous columns;
-    the result is C-ordered again, in the caller's shape.
+    Each node takes its own step count by ``rule``, which grows with its own
+    speed to keep the fourth-order error near the shooting tolerance; a
+    node's end point therefore does not depend on the other nodes of the
+    batch.  The state is held component-major (Fortran order), so every
+    broadcast of a per-node scalar against a vector runs over whole
+    contiguous columns; the result is C-ordered again, in the caller's shape.
     """
     base, vec = np.broadcast_arrays(np.asarray(base, dtype=float), np.asarray(vec, dtype=float))
     shape = base.shape
@@ -811,7 +829,8 @@ def _geodesic_flow(m: TargetManifold, base: np.ndarray, vec: np.ndarray) -> np.n
     vel = np.array(vec.reshape(-1, shape[-1]), order="F")
     # exp_points and log_points have checked base and target; a velocity that
     # is not finite or too fast (say, from a diverging shooting) fails the cap
-    steps = np.maximum(_ODE_STEPS, np.ceil(160.0 * norm(vel)))
+    floor, per_speed = rule
+    steps = np.maximum(floor, np.ceil(per_speed * norm(vel)))
     over = np.flatnonzero(~(steps <= _MAX_ODE_STEPS))
     if over.size:
         i = int(over[0])
@@ -823,7 +842,7 @@ def _geodesic_flow(m: TargetManifold, base: np.ndarray, vec: np.ndarray) -> np.n
     h = (1.0 / steps)[:, None]
     half, sixth = 0.5 * h, h / 6.0
     for k in range(int(np.max(steps, initial=0))):
-        if k < _ODE_STEPS:
+        if k < floor:
             pos, vel = _rk4_step(m, pos, vel, h, half, sixth)
             continue
         # nodes whose flow has ended drop out; the rest advance one step
@@ -893,18 +912,31 @@ def _shoot_log(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.nd
     the desk-scale distances the charts allow.  Each node stops once its own
     residual is below ``_SHOOT_TOL``, and later iterations run on the nodes
     still moving, so a node's result does not depend on the rest of the batch.
+    That is why each distinct (base, target) pair, compared by its bytes
+    (``-0.0`` and ``+0.0`` differ), is shot once and its result handed to
+    every row that repeats it.
     """
     base, target = np.broadcast_arrays(
         np.asarray(base, dtype=float), np.asarray(target, dtype=float)
     )
     shape = base.shape
-    base, target = base.reshape(-1, 3), target.reshape(-1, 3)
+    pairs = np.concatenate([base.reshape(-1, 3), target.reshape(-1, 3)], axis=1)
+    _, first, inverse = np.unique(
+        pairs.view(np.dtype((np.void, pairs.itemsize * 6))).ravel(),
+        return_index=True, return_inverse=True,
+    )
+    w = _shoot_pairs(m, pairs[first, :3], pairs[first, 3:])
+    return w[inverse].reshape(shape)
+
+
+def _shoot_pairs(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``_shoot_log`` on (n, 3) arrays of bases and targets."""
     round_m = sphere(m.radius)
     frames = frames_at(m, base)
     target_frames = frames_at(round_m, target)
 
-    def residual(wc: np.ndarray, live: np.ndarray) -> np.ndarray:
-        end = _geodesic_flow(m, base[live], from_frame(frames[live], wc))
+    def residual(wc: np.ndarray, live: np.ndarray, rule=_FLOW_RULE) -> np.ndarray:
+        end = _geodesic_flow(m, base[live], from_frame(frames[live], wc), rule)
         return to_frame(target_frames[live], log_points(round_m, target[live], end))
 
     w = to_frame(frames, log_points(round_m, base, target))
@@ -915,10 +947,10 @@ def _shoot_log(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.nd
         moving = ~(norm(r0) < _SHOOT_TOL)
         live, r0 = live[moving], r0[moving]
         if not live.size:
-            return from_frame(frames, w).reshape(shape)
+            return from_frame(frames, w)
         if inv is None or it % _JACOBIAN_REFRESH == 0:
-            # chord Newton: the Jacobian is refreshed rarely
-            jac = frame_jacobian(lambda wc: residual(wc, live), w[live], 1e-7)
+            # chord Newton: the Jacobian is refreshed rarely, from coarse flows
+            jac = frame_jacobian(lambda wc: residual(wc, live, _JACOBIAN_RULE), w[live], 1e-7)
             if np.any(np.abs(np.linalg.det(jac)) < 1e-14):
                 raise BeyondInjectivityRadius("conformal shooting became singular")
             inv = np.linalg.inv(jac)

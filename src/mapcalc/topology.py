@@ -101,17 +101,26 @@ def ck_distance(f: SampledMap, g: SampledMap, k: int, cover: CkCover | None = No
     ``TargetChartViolated`` when f or g leaves it.
 
     With a shared cover this is a pseudometric: symmetric by construction
-    and triangle-bounded node by node.
+    and triangle-bounded node by node.  A caller that measures one map
+    against several others can take ``cover_jets`` once per map and compare
+    them with ``jets_distance``, which gives the same value.
     """
     same_discretization(f, g)
     if cover is None:
         cover = canonical_cover(f)
+    return jets_distance(cover_jets(f, cover, k), cover_jets(g, cover, k))
+
+
+def cover_jets(f: SampledMap, cover: CkCover, k: int) -> list[Jets]:
+    """``f``'s chart jets up to order ``k`` in the cover's target charts, one per domain chart."""
+    return [chart_jet(f, cover.target_charts[c.id], c.id, k) for c in f.atlas.charts]
+
+
+def jets_distance(jf: list[Jets], jg: list[Jets]) -> float:
+    """``ck_distance`` from two maps' ``cover_jets`` under the same cover and order."""
     worst = 0.0
-    for chart in f.atlas.charts:
-        tchart = cover.target_charts[chart.id]
-        jf = chart_jet(f, tchart, chart.id, k)
-        jg = chart_jet(g, tchart, chart.id, k)
-        worst = max(worst, jet_sup_diff(jf, jg))
+    for a, b in zip(jf, jg, strict=True):
+        worst = max(worst, jet_sup_diff(a, b))
     return worst
 
 

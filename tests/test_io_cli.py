@@ -408,6 +408,39 @@ class TestRunSuite:
         chain = rows["transition_chain_rule"]
         assert chain["pass"] and "error" not in chain
 
+    def test_metadata_times_each_check_and_rates_failures(self, tmp_path, monkeypatch, capsys):
+        def raise_mapcalc_error(*args, **kwargs):
+            raise WellDefinednessViolated("off the chart")
+
+        # the cocycle fails at 2.5 times its tolerance of 1e-9
+        monkeypatch.setattr(experiments, "cocycle_residual", lambda *a, **k: 2.5e-9)
+        monkeypatch.setattr(experiments, "derivative_identity_residual", raise_mapcalc_error)
+        monkeypatch.setattr(experiments, "metric_independence_residuals", lambda *a, **k: [1e-6])
+        config = ExperimentConfig(resolution=24, trials=1, sections=1)
+        assert run_suite(config, "transitions", tmp_path / "serial") == 1
+        monkeypatch.setenv("MAPCALC_THREADS", "4")
+        assert run_suite(config, "transitions", tmp_path / "threaded") == 1
+        for name in ("report.json", "transitions_report.json"):
+            assert (tmp_path / "serial" / name).read_bytes() == (
+                tmp_path / "threaded" / name
+            ).read_bytes()
+        report = json.loads((tmp_path / "serial" / "report.json").read_text())
+        assert not any({"seconds", "over_tolerance"} & set(row) for row in report["checks"])
+        for run in ("serial", "threaded"):
+            meta = json.loads((tmp_path / run / "metadata.json").read_text())
+            rows = {row["check"]: row for row in meta["checks"]}
+            assert list(rows) == [row["check"] for row in report["checks"]]
+            assert all(row["seconds"] >= 0.0 for row in rows.values())
+            # only a failing row with a residual has a ratio; error rows have none
+            assert {name for name, row in rows.items() if "over_tolerance" in row} == {
+                "transition_cocycle"
+            }
+            assert rows["transition_cocycle"]["over_tolerance"] == 2.5e-9 / 1e-9
+        out = capsys.readouterr().out
+        assert "FAIL transition_cocycle: residual=2.500e-09 tol=1.0e-09 (2.5x tol)" in out
+        assert "FAIL transition_derivative_sphere: residual=none tol=1.0e-05 (" in out
+        assert "PASS metric_independence: residual=1.000e-06 tol=1.0e-04\n" in out
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_witness_is_an_error_row(self, monkeypatch, bad):
         # the drops max(0.0, a - b) alone read a NaN witness as no drop at all

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import mapcalc
 from mapcalc import maps, target_charts
 from mapcalc.cli import ExperimentConfig, run_suite
-from mapcalc.manifolds import cross, mod_periods
+from mapcalc.manifolds import cross, dist_points, flat_torus, log_points, mod_periods
 from mapcalc.maps import add_fourier_modes, harmonic_tables
 from mapcalc.target_charts import lift_grid
 
@@ -79,6 +79,39 @@ class TestModPeriods:
         x = np.array(values[: len(values) // 2 * 2]).reshape(-1, 2)
         with np.errstate(invalid="ignore"):
             assert_same_bits(mod_periods(x, periods), np.mod(x, np.asarray(periods)))
+
+
+def broadcast_wrap(delta, periods):
+    """The torus wrap with the period vector broadcast over the nodes."""
+    half = np.asarray(periods) / 2.0
+    return np.mod(delta + half, np.asarray(periods)) - half
+
+
+class TestTorusWrap:
+    """Per-entry half periods keep the bits of the broadcast wrap."""
+
+    @pytest.mark.parametrize("periods", [(TAU, 4.0), (TAU, TAU)])
+    def test_dist_points_on_special_differences(self, periods, rng):
+        m = flat_torus(*periods)
+        cols = [special_values(p)[np.isfinite(special_values(p))] for p in periods]
+        delta = np.stack(np.meshgrid(*cols, indexing="ij"), axis=-1).reshape(-1, 2)
+        base = rng.uniform(0.0, 1.0, delta.shape) * np.asarray(periods)
+        for a, b in ((base, base + delta), (np.zeros_like(delta), delta)):
+            assert_same_bits(dist_points(m, a, b),
+                             np.linalg.norm(broadcast_wrap(b - a, periods), axis=-1))
+
+    @pytest.mark.parametrize("periods", [(TAU, 4.0), (TAU, TAU)])
+    def test_log_points_inside_the_reach(self, periods, rng):
+        m = flat_torus(*periods)
+        base = rng.uniform(0.0, 1.0, (300, 2)) * np.asarray(periods)
+        delta = rng.uniform(-1.3, 1.3, (300, 2))
+        delta[:4] = [[-0.0, 0.0], [1e-300, -1e-300], [-0.0, -0.0], [0.0, 1e-300]]
+        # whole turns on either axis must wrap back
+        turns = rng.integers(-2, 3, (300, 2)) * np.asarray(periods)
+        target = base + delta + turns
+        for a, b in ((base, target), (base.reshape(3, 100, 2), target.reshape(3, 100, 2)),
+                     (base[7], target[7])):
+            assert_same_bits(log_points(m, a, b), broadcast_wrap(b - a, periods))
 
 
 class TestLiftGrid:

@@ -25,7 +25,10 @@ from mapcalc import (
     sphere,
     tangent,
 )
+from mapcalc import manifolds
 from mapcalc.manifolds import (
+    _FLOW_RULE,
+    _JACOBIAN_RULE,
     _MAX_ODE_STEPS,
     SPHERE,
     ConformalFactor,
@@ -549,6 +552,98 @@ class TestConformalKernel:
         assert seeds is _identity_seeds((5, 3))
         assert not seeds.flags.writeable and seeds.flags.f_contiguous
         assert np.array_equal(seeds, np.broadcast_to(np.eye(3), (5, 3, 3)))
+
+
+def spy_flows(monkeypatch):
+    """The node count and step rule of every conformal RK4 flow run."""
+    flows = []
+    flow = manifolds._geodesic_flow
+
+    def spy(m, base, vec, rule=_FLOW_RULE):
+        flows.append((math.prod(np.broadcast_shapes(np.shape(base), np.shape(vec))[:-1]), rule))
+        return flow(m, base, vec, rule)
+
+    monkeypatch.setattr(manifolds, "_geodesic_flow", spy)
+    return flows
+
+
+class TestConformalShooting:
+    """Each distinct (base, target) pair is shot once, and the chord
+    Jacobian's coarse probe flows leave the Newton schedule as it was."""
+
+    M = sphere(1.0, conformal="exp(0.3*z)")
+
+    # nodes per flow of a 200-node logarithm before the Jacobian's probe
+    # flows took the coarse rule: the residual, the Jacobian's four probes
+    # per node, then one residual per chord-Newton step over the nodes still
+    # moving
+    SCHEDULE = {
+        0.05: [200, 800, 200, 194],
+        0.3: [200, 800, 200, 200, 195, 23],
+        0.7: [200, 800, 200, 200, 200, 198, 137, 3],
+        1.0: [200, 800, 200, 200, 200, 199, 196, 159, 70],
+        1.1: [200, 800, 200, 200, 200, 199, 198, 179, 119, 30],
+    }
+
+    @staticmethod
+    def shots(speed, count, seed=7):
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((count, 3))
+        base /= np.linalg.norm(base, axis=-1, keepdims=True)
+        vecs = project_tangent(S1, base, rng.standard_normal((count, 3)))
+        return base, vecs / np.linalg.norm(vecs, axis=-1, keepdims=True) * speed
+
+    @pytest.mark.parametrize("speed", sorted(SCHEDULE))
+    def test_newton_schedule_is_unchanged(self, speed, monkeypatch):
+        base, vecs = self.shots(speed, 200)
+        targets = exp_points(self.M, base, vecs)
+        flows = spy_flows(monkeypatch)
+        logs = log_points(self.M, base, targets)
+        assert [n for n, _ in flows] == self.SCHEDULE[speed]
+        # only the Jacobian's probes (the second flow) take the coarse rule
+        assert [rule for _, rule in flows] == [
+            _JACOBIAN_RULE if i == 1 else _FLOW_RULE for i in range(len(flows))
+        ]
+        assert np.max(np.abs(logs - vecs)) < 2e-11
+
+    def test_coarse_rule_flow_matches_c_ordered_oracle(self, rng):
+        # the coarse rule runs the same kernel at max(8, ceil(20 |v|)) steps
+        assert _JACOBIAN_RULE == (8, 20.0) and _FLOW_RULE == (64, 160.0)
+        base, vecs = random_sphere_data(S1, rng, 12, 1.0)
+        vecs = vecs * np.linspace(0.05, 1.1, 12)[:, None] / norm(vecs)[:, None]
+        ends = _geodesic_flow(self.M, base, vecs, _JACOBIAN_RULE)
+        assert np.array_equal(ends, conformal_rk4_flow(self.M, base, vecs, 8, 20.0))
+
+    def test_repeated_pairs_are_shot_once(self, monkeypatch):
+        base, vecs = self.shots(0.5, 5)
+        targets = exp_points(self.M, base, vecs)
+        rows = np.array([3, 0, 3, 1, 4, 4, 2, 0, 3, 1, 2, 4])
+        alone = [log_points(self.M, base[i], targets[i]) for i in range(5)]
+        flows = spy_flows(monkeypatch)
+        distinct = log_points(self.M, base, targets)
+        distinct_flows = list(flows)
+        flows.clear()
+        logs = log_points(self.M, base[rows].reshape(3, 4, 3), targets[rows].reshape(3, 4, 3))
+        # the flows of the repeated batch are those of its 5 distinct pairs
+        assert flows == distinct_flows and flows[0][0] == 5
+        assert logs.shape == (3, 4, 3) and logs.flags.c_contiguous
+        for i, got in zip(rows, logs.reshape(-1, 3)):
+            assert np.array_equal(got, alone[i]) and np.array_equal(got, distinct[i])
+
+    def test_signed_zeros_are_distinct_pairs(self, monkeypatch):
+        base = np.array([[0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        target = exp_points(self.M, base[0], np.array([0.3, 0.2, 0.0]))
+        targets = np.array([target] * 3)
+        alone = [log_points(self.M, b, t) for b, t in zip(base, targets)]
+        flows = spy_flows(monkeypatch)
+        logs = log_points(self.M, base, targets)
+        # rows 0 and 2 repeat each other; row 1 differs only in the sign of a zero
+        assert flows[0][0] == 2
+        for got, ref in zip(logs, alone):
+            assert np.array_equal(got, ref)
+
+    def test_empty_batch(self):
+        assert log_points(self.M, np.empty((0, 3)), np.empty((0, 3))).shape == (0, 3)
 
 
 class TestFramesAndSerialization:

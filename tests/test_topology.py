@@ -1,5 +1,7 @@
 """Tests for neighborhoods, the C^k distance, section norms, and the probe."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,11 @@ from mapcalc import (
 )
 from mapcalc import topology
 from mapcalc.atlas import TAU, compact_slices
+from mapcalc.charts import chart_inverse
 from mapcalc.experiments import (
     basis_convergence_failures,
     composition_probe_case,
+    homeo_rate_ratios,
     norm_axiom_residuals,
     pseudometric_residuals,
     random_center,
@@ -35,6 +39,7 @@ from mapcalc.experiments import (
 from mapcalc.finite_diff import stencil_window
 from mapcalc.maps import great_circle, sphere_rotation, torus_loop
 from mapcalc.sections import section_rep
+from mapcalc.topology import CkCover, cover_jets, jets_distance
 from oracles import ray_sweep_ratio
 
 T22 = flat_torus(TAU, TAU)
@@ -124,17 +129,58 @@ class TestCkDistance:
 
     @pytest.mark.parametrize("m", [T22, S1], ids=["torus", "sphere"])
     def test_pseudometric_residuals_measure_each_pair_once(self, m, rng, monkeypatch):
-        # d(f, g) enters both residuals; four distances of two charts with
-        # two jets each is 16 chart_jet calls
-        calls = []
+        # f, g and h take their jets once per chart: 3 maps x 2 charts, and
+        # the residuals are those of ck_distance on the same maps and cover
+        spied = spy_chart_jets(monkeypatch)
+        sym, tri = pseudometric_residuals(m, 64, rng, 2)
+        assert_no_repeated_jets(spied, maps=3, charts=2)
+        monkeypatch.undo()
+        f, g, h = spied.maps
+        cover = CkCover(tuple(spied.charts[c] for c in sorted(spied.charts)))
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return chart_jet(*args, **kwargs)
+        def d(a, b):
+            return ck_distance(a, b, 2, cover=cover)
 
-        monkeypatch.setattr(topology, "chart_jet", counted)
-        pseudometric_residuals(m, 64, rng, 2)
-        assert len(calls) == 16
+        assert sym == abs(d(f, g) - d(g, f))
+        assert tri == max(0.0, d(f, h) - d(f, g) - d(g, h))
+
+    def test_homeo_rate_ratios_take_the_center_jets_once(self, rng, monkeypatch):
+        # the center and one map per rung of the ladder, two charts each
+        f = random_center(S1, 64, rng)
+        spied = spy_chart_jets(monkeypatch)
+        homeo_rate_ratios(f, rng, k=2, ladder=(1e-1, 1e-2, 1e-3))
+        assert spied.maps[0] is f
+        assert_no_repeated_jets(spied, maps=4, charts=2)
+
+    def test_jets_distance_is_ck_distance(self, rng):
+        f = random_center(S1, 64, rng)
+        cover = canonical_cover(f)
+        g = chart_inverse(f, random_section(f, rng, 0.05, bound=0.2))
+        jf, jg = cover_jets(f, cover, 2), cover_jets(g, cover, 2)
+        assert jets_distance(jf, jg) == ck_distance(f, g, 2, cover=cover) > 0.0
+        with pytest.raises(ValueError):
+            jets_distance(jf, jg[:1])
+
+
+def spy_chart_jets(monkeypatch):
+    """Record every ``topology.chart_jet`` call, keeping its maps alive so
+    that their ids stay unique."""
+    spied = types.SimpleNamespace(keys=[], maps=[], charts={})
+
+    def spy(f, tchart, cid, k):
+        spied.keys.append((id(f), id(tchart), cid, k))
+        if not any(f is seen for seen in spied.maps):
+            spied.maps.append(f)
+        spied.charts.setdefault(cid, tchart)
+        return chart_jet(f, tchart, cid, k)
+
+    monkeypatch.setattr(topology, "chart_jet", spy)
+    return spied
+
+
+def assert_no_repeated_jets(spied, maps, charts):
+    assert len(spied.maps) == maps
+    assert len(spied.keys) == len(set(spied.keys)) == maps * charts
 
 
 class TestSectionNorm:

@@ -37,7 +37,6 @@ from .manifolds import (
     TargetManifold,
     apply_in_frames,
     exp_points,
-    fiber_derivative_points,
     fiber_matrices,
     fiber_probes,
     frames_at,
@@ -137,10 +136,7 @@ def transition_derivative(
     # slack covers the finite-difference probes around s0
     if not s0.bound + gap + 2 * step < inj_radius(m):
         raise WellDefinednessViolated("base section leaves the transition margin")
-    mats = [
-        fiber_derivative_points(m, m, fv, gv, v0, step=step)
-        for fv, gv, v0 in zip(f.values, g.values, s0.vectors)
-    ]
+    mats, _ = metric_transition_batch(f, g, s0, [], m, m, step=step)
     return apply_fiber_matrices(f, g, mats, s)
 
 
@@ -157,7 +153,7 @@ def metric_transition(
     a list of sections comes back for a sequence.
     """
     sections = [s] if isinstance(s, PullbackSection) else list(s)
-    _, out = metric_transition_batch(f, None, sections, m_from, m_to)
+    _, out = metric_transition_batch(f, f, None, sections, m_from, m_to)
     return out[0] if isinstance(s, PullbackSection) else out
 
 
@@ -174,44 +170,51 @@ def metric_transition_fiber(
     chart; computing them once lets several direction sections share the
     shooting work, and every chart shares one shooting batch.
     """
-    mats, _ = metric_transition_batch(f, s0, [], m_from, m_to, step=step)
+    mats, _ = metric_transition_batch(f, f, s0, [], m_from, m_to, step=step)
     return mats
 
 
 def metric_transition_batch(
     f: SampledMap,
+    g: SampledMap,
     s0: PullbackSection | None,
     sections: Sequence[PullbackSection],
     m_from: TargetManifold,
     m_to: TargetManifold,
     step: float = 1e-4,
 ) -> tuple[list[np.ndarray] | None, list[PullbackSection]]:
-    """The fiber matrices of ``metric_transition_fiber`` at s0 (None without
-    s0) and the transitions of ``sections``, from one exp and one log batch.
+    """The fiber derivative matrices of v -> log_g(exp_f(v)) at s0 (None
+    without s0) and the images of ``sections``, from one exp and one log batch.
 
-    The four ``fiber_probes`` around s0 and the nodes of every section and
-    chart are stacked into one batch.  A node's logarithm does not depend on
-    its batch, so each result has the bits of a call of its own.  On the
-    torus the matrices are the exact identity and need no probes.
+    exp is taken at f's nodes in ``m_from`` and log at g's in ``m_to``: a
+    change of metric passes g = f, a chart transition one metric.  The
+    matrices map the frames of ``frames_at`` along f to those along g, and
+    the images are sections along g.  The four ``fiber_probes`` around s0
+    and the nodes of every section and chart are stacked into one batch.  A
+    node's logarithm does not depend on its batch, so each result has the
+    bits of a call of its own.  On the torus the matrices are the exact
+    identity and need no probes.
     """
-    if not all(maps_equal(t.base_map, f) for t in sections):
+    given = [s0, *sections] if s0 is not None else sections
+    if not all(maps_equal(t.base_map, f) for t in given):
         raise BaseMismatch("section is not based on the chart center")
-    base = _nodes(f.values)
+    same_discretization(f, g)
+    base, dst = _nodes(f.values), _nodes(g.values)
     blocks = [_nodes(t.vectors) for t in sections]
     probed = s0 is not None and m_from.kind != TORUS
     if probed:
         blocks = [*fiber_probes(m_from, base, _nodes(s0.vectors), step), *blocks]
     if blocks:
-        nodes = np.concatenate([base] * len(blocks))
-        moved = exp_points(m_from, nodes, np.concatenate(blocks))
-        blocks = np.split(log_points(m_to, nodes, moved), len(blocks))
+        moved = exp_points(m_from, np.concatenate([base] * len(blocks)), np.concatenate(blocks))
+        logs = log_points(m_to, np.concatenate([dst] * len(blocks)), moved)
+        blocks = np.split(logs, len(blocks))
     mats = None
     if probed:
-        mats = _unstack(fiber_matrices(m_to, base, np.stack(blocks[:4]), step), f.values)
+        mats = _unstack(fiber_matrices(m_to, dst, np.stack(blocks[:4]), step), f.values)
         blocks = blocks[4:]
     elif s0 is not None:
         mats = _unstack(frames_at(m_from, base), f.values)  # torus frames are the identity
-    return mats, [make_section(f, _unstack(part, f.values)) for part in blocks]
+    return mats, [make_section(g, _unstack(part, g.values)) for part in blocks]
 
 
 def _nodes(arrays: Sequence[np.ndarray]) -> np.ndarray:

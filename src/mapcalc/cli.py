@@ -487,7 +487,6 @@ def descend_cmd(config_path, out_dir):
     except OSError as err:
         click.echo(f"cannot create output directory: {err}", err=True)
         raise SystemExit(3)
-    from .atlas import CIRCLE_ATLAS, sample_map
     from .energy import descend as run_descend
     from .energy import dirichlet_energy
 

@@ -17,10 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .atlas import CIRCLE, TAU, DomainAtlas, SampledMap, compact_slices, grid_ranges
-from .charts import apply_fiber_matrices, chart_inverse, default_delta
+from .charts import apply_fiber_matrices, chart_inverse, default_delta, metric_transition_batch
 from .errors import StepOutOfChart
 from .manifolds import (
-    fiber_derivative_points,
     inner_points,
     log_points,
     norm_points,
@@ -238,9 +237,7 @@ def fixed_chart_step(
     """
     m = f0.target
     current = chart_inverse(f0, s)
-    inverses = [
-        np.linalg.inv(fiber_derivative_points(m, m, fv, gv, sv))
-        for fv, gv, sv in zip(f0.values, current.values, s.vectors)
-    ]
+    mats, _ = metric_transition_batch(f0, current, s, [], m, m, step=1e-6)
+    inverses = [np.linalg.inv(mat) for mat in mats]
     chart_grad = apply_fiber_matrices(current, f0, inverses, energy_gradient(current))
     return section_add(s, section_scale(chart_grad, -step_size))

@@ -47,7 +47,6 @@ from .sections import (
     section_scale,
     section_sup,
 )
-from .target_charts import auto_chart
 from .topology import (
     canonical_cover,
     ck_distance,
@@ -143,10 +142,10 @@ def jet_convergence_ratio(resolutions=(128, 256), alpha=(2,)) -> float:
         f = sample_map(
             CIRCLE_ATLAS, DEFAULT_TORUS, torus_loop((0, 0), waves=((0, 1.0, 0.0),)), res
         )
+        cover = canonical_cover(f)
         worst = 0.0
         for chart in f.atlas.charts:
-            tchart = auto_chart(f.target, f.values[chart.id][compact_slices(chart, res)])
-            jet = chart_jet(f, tchart, chart.id, sum(alpha))
+            jet = chart_jet(f, cover.target_charts[chart.id], chart.id, sum(alpha))
             entry = jet[alpha][..., 0]
             (js,) = compact_slices(chart, res)
             thetas = grid_coords(chart, res)[0][js]
@@ -239,7 +238,7 @@ def metric_independence_residuals(
         count = min(dirs_per_base, n_sections - len(residuals))
         dirs = [random_section(f, rng, 0.08, bound=0.12) for _ in range(count)]
         probes = [section_add(s0, section_scale(s, sign * eps)) for s in dirs for sign in (1, -1)]
-        mats, moved = metric_transition_batch(f, s0, probes, m_round, m_conf, step=1e-4)
+        mats, moved = metric_transition_batch(f, f, s0, probes, m_round, m_conf, step=1e-4)
         for s, plus, minus in zip(dirs, moved[::2], moved[1::2]):
             fd = section_scale(section_add(plus, section_scale(minus, -1.0)), 0.5 / eps)
             analytic = apply_fiber_matrices(f, f, mats, s)

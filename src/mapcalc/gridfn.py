@@ -61,7 +61,7 @@ def same_grid(a: GridFunction, b: GridFunction) -> None:
 def grid_jet_sup_diff(a: GridFunction, b: GridFunction, k: int) -> float:
     """C^k-style sup of the jet difference over the interior window."""
     same_grid(a, b)
-    pad = stencil_radius(min(k, 4)) if k > 0 else 0
+    pad = stencil_radius(k)
     window = (slice(pad, a.n - pad),)
     return jet_sup_diff(jets(a.values, window, a.h, k), jets(b.values, window, b.h, k))
 

@@ -274,10 +274,6 @@ class TargetManifold:
     def ambient_dim(self) -> int:
         return 3 if self.kind == SPHERE else len(self.periods)
 
-    @property
-    def is_conformal(self) -> bool:
-        return self.conformal is not None
-
     def to_json(self) -> str:
         if self.kind == SPHERE:
             obj = {"kind": "sphere", "radius": self.radius}
@@ -663,32 +659,36 @@ def _sinc(x: np.ndarray) -> np.ndarray:
 
 
 def log_points(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.ndarray:
-    base = np.asarray(base, dtype=float)
-    target = np.asarray(target, dtype=float)
-    _require_finite(m, "log", base, target)
-    if m.conformal is not None:
-        return _shoot_log(m, base, target)
-    vecs, d = _closed_log(m, base, target)
-    _reject_beyond(d, m)
+    vecs, d = log_dist_points(m, base, target)
+    require_log_reach(m, d)
     return vecs
 
 
 def log_dist_points(
     m: TargetManifold, base: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``log_points`` and ``dist_points`` of the same pairs, from one logarithm.
+    """The logarithm and the distance of the same pairs, from one computation.
 
-    Pairs beyond the injectivity radius are not rejected here, so a caller
-    can run its own checks on the distances first; ``require_log_reach``
-    then rejects them as ``log_points`` does.
+    This is the one round, flat and conformal logarithm: ``log_points`` is it
+    plus ``require_log_reach``, and ``dist_points`` is its distance.  Pairs
+    beyond the injectivity radius are not rejected here, so a caller can run
+    its own checks on the distances first.
     """
     base = np.asarray(base, dtype=float)
     target = np.asarray(target, dtype=float)
     _require_finite(m, "log", base, target)
+    if m.kind == TORUS:
+        delta = torus_wrap(m, target - base)
+        return delta, norm(delta)
     if m.conformal is not None:
         vecs = _shoot_log(m, base, target)
         return vecs, norm_points(m, base, vecs)
-    return _closed_log(m, base, target)
+    # clipped cosine and angle, from which both the vector and the distance come
+    r = m.radius
+    dots = np.clip(dot(base, target) / r**2, -1.0, 1.0)
+    ang = np.arctan2(norm(cross(base, target)) / r**2, dots)
+    u = target - dots[..., None] * base
+    return u / _sinc(ang)[..., None], r * ang
 
 
 def require_log_reach(m: TargetManifold, d: np.ndarray) -> None:
@@ -697,19 +697,14 @@ def require_log_reach(m: TargetManifold, d: np.ndarray) -> None:
     Conformal shooting raises on its own when it fails, so only the round
     and flat logarithms are checked.
     """
-    if m.conformal is None:
-        _reject_beyond(d, m)
-
-
-def _closed_log(m: TargetManifold, base: np.ndarray, target: np.ndarray):
-    """The round or flat logarithm and the distance, from one angle or wrap."""
-    if m.kind == TORUS:
-        delta = torus_wrap(m, target - base)
-        return delta, norm(delta)
-    r = m.radius
-    dots, ang = _sphere_angle(r, base, target)
-    u = target - dots[..., None] * base
-    return u / _sinc(ang)[..., None], r * ang
+    if m.conformal is not None:
+        return
+    inj = inj_radius(m)
+    worst = float(np.max(d)) if np.size(d) else 0.0
+    if worst >= inj - _log_margin(m):
+        raise BeyondInjectivityRadius(
+            f"distance {worst:.6g} reaches the injectivity radius {inj:.6g} of {m.kind}"
+        )
 
 
 def torus_wrap(m: TargetManifold, delta: np.ndarray) -> np.ndarray:
@@ -723,32 +718,8 @@ def torus_wrap(m: TargetManifold, delta: np.ndarray) -> np.ndarray:
     return _mod_entries(delta + half, periods) - half
 
 
-def _sphere_angle(r: float, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped cosine and angle between sphere points of radius ``r``."""
-    dots = np.clip(dot(a, b) / r**2, -1.0, 1.0)
-    sins = norm(cross(a, b)) / r**2
-    return dots, np.arctan2(sins, dots)
-
-
-def _reject_beyond(d: np.ndarray, m: TargetManifold) -> None:
-    inj = inj_radius(m)
-    worst = float(np.max(d)) if np.size(d) else 0.0
-    if worst >= inj - _log_margin(m):
-        raise BeyondInjectivityRadius(
-            f"distance {worst:.6g} reaches the injectivity radius {inj:.6g} of {m.kind}"
-        )
-
-
 def dist_points(m: TargetManifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _require_finite(m, "dist", a, b)
-    if m.kind == TORUS:
-        return norm(torus_wrap(m, b - a))
-    if m.conformal is not None:
-        v = _shoot_log(m, a, b)
-        return norm_points(m, a, v)
-    return m.radius * _sphere_angle(m.radius, a, b)[1]
+    return log_dist_points(m, a, b)[1]
 
 
 def exp(m: TargetManifold, v: TangentVector) -> Point:
@@ -819,14 +790,15 @@ def _geodesic_flow(
     Each node takes its own step count by ``rule``, which grows with its own
     speed to keep the fourth-order error near the shooting tolerance; a
     node's end point therefore does not depend on the other nodes of the
-    batch.  The state is held component-major (Fortran order), so every
-    broadcast of a per-node scalar against a vector runs over whole
-    contiguous columns; the result is C-ordered again, in the caller's shape.
+    batch.  The nodes are sorted once by step count, so the nodes still
+    flowing are always a prefix of the state.  The state is held
+    component-major (Fortran order), so every broadcast of a per-node scalar
+    against a vector runs over whole contiguous columns; the result is
+    un-permuted into a C-ordered array in the caller's shape.
     """
     base, vec = np.broadcast_arrays(np.asarray(base, dtype=float), np.asarray(vec, dtype=float))
     shape = base.shape
-    pos = np.array(base.reshape(-1, shape[-1]), order="F")
-    vel = np.array(vec.reshape(-1, shape[-1]), order="F")
+    vel = vec.reshape(-1, shape[-1])
     # exp_points and log_points have checked base and target; a velocity that
     # is not finite or too fast (say, from a diverging shooting) fails the cap
     floor, per_speed = rule
@@ -839,20 +811,20 @@ def _geodesic_flow(
             f"geodesic flow on the conformal sphere at node {node}: speed {norm(vel[i]):.6g} "
             f"needs {steps[i]:.6g} RK4 steps, more than the cap of {_MAX_ODE_STEPS}"
         )
+    # slowest first, ties in batch order: the nodes taking step k are the
+    # first live[k], the count of step counts over k
+    order = np.argsort(-steps, kind="stable")
+    steps = steps[order]
+    live = np.searchsorted(-steps, -np.arange(np.max(steps, initial=0)))
+    pos = np.asfortranarray(base.reshape(-1, shape[-1])[order])
+    vel = np.asfortranarray(vel[order])
     h = (1.0 / steps)[:, None]
     half, sixth = 0.5 * h, h / 6.0
-    for k in range(int(np.max(steps, initial=0))):
-        if k < floor:
-            pos, vel = _rk4_step(m, pos, vel, h, half, sixth)
-            continue
-        # nodes whose flow has ended drop out; the rest advance one step
-        # (fancy indexing returns C order, so the live state is made column-major again)
-        live = np.flatnonzero(steps > k)
-        pos[live], vel[live] = _rk4_step(
-            m, np.asfortranarray(pos[live]), np.asfortranarray(vel[live]),
-            h[live], half[live], sixth[live],
-        )
-    return np.ascontiguousarray(pos).reshape(shape)
+    for n in live:
+        pos[:n], vel[:n] = _rk4_step(m, pos[:n], vel[:n], h[:n], half[:n], sixth[:n])
+    out = np.empty(pos.shape)
+    out[order] = pos
+    return out.reshape(shape)
 
 
 def _rk4_step(

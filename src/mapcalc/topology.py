@@ -17,11 +17,10 @@ from .atlas import (
     TAU,
     SampledMap,
     chart_jet,
-    check_containment,
     compact_slices,
     same_discretization,
 )
-from .errors import HypothesisViolated
+from .errors import HypothesisViolated, TargetChartViolated
 from .finite_diff import Jets, jet_sup_diff, jets, stencil_window
 from .gridfn import GridFunction, grid_jet_sup_diff
 from .manifolds import norm
@@ -88,9 +87,10 @@ def nbhd_contains(nbhd: CkNeighborhood, g: SampledMap) -> bool:
     same_discretization(nbhd.center, g)
     for cid in nbhd.chart_ids:
         tchart = nbhd.cover.target_charts[cid]
-        if not check_containment(g, tchart, cid):
+        try:
+            jg = chart_jet(g, tchart, cid, nbhd.order)
+        except TargetChartViolated:
             return False
-        jg = chart_jet(g, tchart, cid, nbhd.order)
         if not jet_sup_diff(nbhd.center_jets[cid], jg) < nbhd.epsilon:
             return False
     return True

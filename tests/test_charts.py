@@ -11,6 +11,7 @@ from mapcalc import (
     MapFormula,
     BaseMismatch,
     BeyondInjectivityRadius,
+    ResolutionMismatch,
     WellDefinednessViolated,
     as_point,
     canonical_cover,
@@ -36,7 +37,12 @@ from mapcalc import (
 )
 from mapcalc.atlas import TAU
 from mapcalc import manifolds
-from mapcalc.charts import metric_transition, metric_transition_batch, metric_transition_fiber
+from mapcalc.charts import (
+    apply_fiber_matrices,
+    metric_transition,
+    metric_transition_batch,
+    metric_transition_fiber,
+)
 from mapcalc.manifolds import exp_points, fiber_derivative_points, log_points, project_tangent
 from mapcalc.experiments import (
     chain_rule_residual,
@@ -279,6 +285,90 @@ class TestTransitionDerivative:
         assert worst < 1e-5
 
 
+def per_chart_fiber_matrices(f, g, s0, step=1e-6):
+    """The per-chart loop of fiber derivatives ``transition_derivative`` ran
+    before it took its matrices from ``metric_transition_batch``."""
+    m = f.target
+    return [
+        fiber_derivative_points(m, m, fv, gv, v0, step=step)
+        for fv, gv, v0 in zip(f.values, g.values, s0.vectors)
+    ]
+
+
+class TestOneFiberDerivativeBatch:
+    """Chart transitions and changes of metric share one fiber-derivative batch."""
+
+    @staticmethod
+    def centers(m, rng, resolution=48):
+        f = random_center(m, resolution, rng)
+        delta = default_delta(f)
+        g = chart_inverse(f, random_section(f, rng, 0.3 * delta, bound=delta))
+        s0 = random_section(f, rng, 0.25 * delta, bound=0.3 * delta)
+        s = random_section(f, rng, 0.2 * delta, bound=0.25 * delta)
+        return f, g, s0, s
+
+    @pytest.mark.parametrize("m", [S1, T22, T24], ids=["sphere", "torus", "torus_unequal"])
+    def test_transition_derivative_matches_per_chart_loop(self, m, rng):
+        f, g, s0, s = self.centers(m, rng)
+        assert map_sup_distance(f, g) > 0.0
+        ref = per_chart_fiber_matrices(f, g, s0)
+        mats, moved = metric_transition_batch(f, g, s0, [], m, m, step=1e-6)
+        assert moved == []
+        for got, chart in zip(mats, ref):
+            assert np.array_equal(got, chart)
+        out = transition_derivative(f, g, s0, s)
+        assert out.base_map is g
+        for got, vec in zip(out.vectors, apply_fiber_matrices(f, g, ref, s).vectors):
+            assert np.array_equal(got, vec)
+
+    def test_transition_derivative_matches_per_chart_loop_on_torus2_domain(self):
+        def center(mesh):
+            a, b = mesh[..., 0], mesh[..., 1]
+            raw = np.stack([np.cos(a), np.sin(a), 0.4 * np.sin(b) + 0.2 * np.cos(a + b)], axis=-1)
+            return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+
+        f = sample_map(TORUS2_ATLAS, S1, MapFormula("torus2_to_sphere", center), 16)
+        delta = default_delta(f)
+
+        def field(phase):
+            return lambda mesh: np.sin(mesh + phase)[..., (0, 1, 0)]
+
+        g = chart_inverse(f, section_from_formula(f, field(0.0), 0.3 * delta, bound=delta))
+        s0 = section_from_formula(f, field(1.0), 0.25 * delta, bound=0.3 * delta)
+        s = section_from_formula(f, field(2.0), 0.2 * delta, bound=0.25 * delta)
+        ref = apply_fiber_matrices(f, g, per_chart_fiber_matrices(f, g, s0), s)
+        for got, vec in zip(transition_derivative(f, g, s0, s).vectors, ref.vectors):
+            assert np.array_equal(got, vec)
+
+    def test_sections_move_to_the_destination_center(self, rng):
+        f, g, _, s = self.centers(S1, rng)
+        _, (moved,) = metric_transition_batch(f, g, None, [s], S1, S1)
+        assert moved.base_map is g
+        for fv, gv, v, got in zip(f.values, g.values, s.vectors, moved.vectors):
+            assert np.array_equal(got, project_tangent(S1, gv, log_points(S1, gv, exp_points(S1, fv, v))))
+
+    def test_s0_along_another_map_is_rejected(self, rng):
+        f = random_center(S1, 32, rng)
+        other = random_center(S1, 32, rng)
+        s0 = random_section(other, rng, 0.12, bound=0.2)
+        with pytest.raises(BaseMismatch):
+            metric_transition_fiber(f, s0, S1, S1)
+        with pytest.raises(BaseMismatch):
+            metric_transition_batch(f, f, s0, [], S1, S1)
+
+    def test_s0_at_another_resolution_is_rejected(self, rng):
+        f = random_center(S1, 32, rng)
+        coarse = random_center(S1, 16, rng)
+        s0 = random_section(coarse, rng, 0.12, bound=0.2)
+        with pytest.raises(BaseMismatch):
+            metric_transition_fiber(f, s0, S1, S1)
+
+    def test_destination_on_another_grid_is_rejected(self, rng):
+        f = random_center(S1, 32, rng)
+        with pytest.raises(ResolutionMismatch):
+            metric_transition_batch(f, random_center(S1, 16, rng), None, [], S1, S1)
+
+
 class TestHomeoRate:
     def test_linear_rate_both_directions(self, rng):
         f = random_center(S1, 128, rng)
@@ -321,7 +411,7 @@ class TestMetricIndependence:
         f = random_center(S1, 32, rng)
         s0 = random_section(f, rng, 0.12, bound=0.2)
         sections = [random_section(f, rng, 0.1, bound=0.15) for _ in range(3)]
-        mats, moved = metric_transition_batch(f, s0, sections, S1, S_CONF, step=1e-4)
+        mats, moved = metric_transition_batch(f, f, s0, sections, S1, S_CONF, step=1e-4)
         separate = metric_transition_fiber(f, s0, S1, S_CONF, step=1e-4)
         for fv, v0, got, alone in zip(f.values, s0.vectors, mats, separate):
             assert np.array_equal(got, alone)
@@ -336,7 +426,7 @@ class TestMetricIndependence:
     def test_torus_fiber_matrices_are_the_identity(self):
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 16)
         s0 = make_section(f, [np.full_like(v, 0.1) for v in f.values])
-        mats, moved = metric_transition_batch(f, s0, [], T22, T22)
+        mats, moved = metric_transition_batch(f, f, s0, [], T22, T22)
         assert moved == []
         for fv, chart_mats in zip(f.values, mats):
             assert np.array_equal(chart_mats, np.broadcast_to(np.eye(2), fv.shape[:-1] + (2, 2)))

@@ -12,9 +12,11 @@ from mapcalc import (
     descend,
     dirichlet_energy,
     energy_gradient,
+    fixed_chart_step,
     flat_torus,
     geodesic_residual,
     sample_map,
+    section_add,
     section_scale,
     section_sup,
     sphere,
@@ -28,7 +30,8 @@ from mapcalc.experiments import (
     sphere_descent_demo,
     torus_descent_demo,
 )
-from mapcalc.manifolds import inner_points, log_points, project_tangent
+from mapcalc.charts import apply_fiber_matrices
+from mapcalc.manifolds import fiber_derivative_points, inner_points, log_points, project_tangent
 from mapcalc.maps import constant_formula, sphere_cap_loop, torus_loop
 
 T22 = flat_torus(TAU, TAU)
@@ -188,12 +191,30 @@ class TestDescend:
 
 
 class TestFixedChartDescent:
-    @pytest.mark.parametrize("m,formula", [
+    FIXED_CHART_LOOPS = [
         (T22, torus_loop((1, 0), waves=((0, 0.2, 0.3),))),
         (S1, sphere_cap_loop(1.0, 0.6)),
-    ])
+    ]
+
+    @pytest.mark.parametrize("m,formula", FIXED_CHART_LOOPS)
+    def test_step_matches_per_chart_inverse_loop(self, m, formula, rng):
+        # the per-chart fiber derivatives the step inverted before it took
+        # them from one metric_transition_batch
+        f0 = sample_map(CIRCLE_ATLAS, m, formula, 64)
+        s = random_section(f0, rng, 0.05, bound=0.1)
+        current = chart_inverse(f0, s)
+        inverses = [
+            np.linalg.inv(fiber_derivative_points(m, m, fv, gv, sv))
+            for fv, gv, sv in zip(f0.values, current.values, s.vectors)
+        ]
+        grad = apply_fiber_matrices(current, f0, inverses, energy_gradient(current))
+        ref = section_add(s, section_scale(grad, -0.01))
+        for got, vec in zip(fixed_chart_step(f0, s, 0.01).vectors, ref.vectors):
+            assert np.array_equal(got, vec)
+
+    @pytest.mark.parametrize("m,formula", FIXED_CHART_LOOPS)
     def test_agrees_with_moving_chart_to_second_order(self, m, formula, rng):
-        from mapcalc import fixed_chart_step, map_sup_distance
+        from mapcalc import map_sup_distance
 
         f0 = sample_map(CIRCLE_ATLAS, m, formula, 64)
         s0 = random_section(f0, rng, 0.05, bound=0.1)

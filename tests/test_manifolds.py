@@ -40,10 +40,12 @@ from mapcalc.manifolds import (
     exp_points,
     fiber_derivative_points,
     frames_at,
+    log_dist_points,
     log_points,
     norm,
     norm_points,
     project_tangent,
+    require_log_reach,
     smooth_frames,
 )
 
@@ -644,6 +646,114 @@ class TestConformalShooting:
 
     def test_empty_batch(self):
         assert log_points(self.M, np.empty((0, 3)), np.empty((0, 3))).shape == (0, 3)
+
+
+class TestOneLogarithm:
+    """``log_points`` and ``dist_points`` are the two halves of
+    ``log_dist_points``, with no geometry of their own."""
+
+    CONF = sphere(1.0, conformal="exp(0.3*z)")
+    TARGETS = [S1, S2, T22, T24, CONF]
+    IDS = ["round", "round_r2", "torus", "torus_unequal", "conformal"]
+
+    @classmethod
+    def pairs(cls, m, rng, count):
+        if m.kind == "torus":
+            base, vecs = random_torus_data(m, rng, count, 2.0)
+        else:
+            base, vecs = random_sphere_data(m, rng, count, 0.6 if m is cls.CONF else 2.5)
+        return base, exp_points(m, base, vecs)
+
+    @pytest.mark.parametrize("m", TARGETS, ids=IDS)
+    def test_log_and_dist_are_the_halves(self, m, rng):
+        base, target = self.pairs(m, rng, 6 if m is self.CONF else 40)
+        vecs, d = log_dist_points(m, base, target)
+        _assert_same_bits(log_points(m, base, target), vecs)
+        _assert_same_bits(dist_points(m, base, target), d)
+        # on a grid, and with one base broadcast against every target
+        grid = base.reshape(2, -1, base.shape[-1]), target.reshape(2, -1, base.shape[-1])
+        _assert_same_bits(log_points(m, *grid), vecs.reshape(grid[0].shape))
+        _assert_same_bits(dist_points(m, *grid), d.reshape(grid[0].shape[:-1]))
+        _assert_same_bits(dist_points(m, base[0], target), log_dist_points(m, base[0], target)[1])
+
+    @pytest.mark.parametrize(
+        "m, far", [(S1, [0.0, 0.0, -1.0]), (S2, [0.0, 0.0, -2.0]), (T22, [math.pi, 0.0])],
+        ids=["round", "round_r2", "torus"],
+    )
+    def test_round_and_flat_cut_locus(self, m, far):
+        base = np.array([[0.0, 0.0, m.radius]] * 2 if m.kind == "sphere" else [[0.0, 0.0]] * 2)
+        near = exp_points(m, base[0], 0.1 * np.eye(base.shape[-1])[0])
+        target = np.array([near, far])
+        vecs, d = log_dist_points(m, base, target)
+        with pytest.raises(BeyondInjectivityRadius) as from_log:
+            log_points(m, base, target)
+        with pytest.raises(BeyondInjectivityRadius) as from_reach:
+            require_log_reach(m, d)
+        assert str(from_log.value) == str(from_reach.value)
+        # the distance has no reach limit: the cut locus is at the injectivity radius
+        _assert_same_bits(dist_points(m, base, target), d)
+        assert d[1] == inj_radius(m)
+
+    def test_conformal_cut_locus(self):
+        base = np.array([[0.0, 0.0, 1.0]] * 2)
+        target = np.array([[0.1, 0.0, math.sqrt(0.99)], [0.0, 0.0, -1.0]])
+        errors = []
+        for fn in (log_points, dist_points, log_dist_points):
+            with pytest.raises(BeyondInjectivityRadius) as err:
+                fn(self.CONF, base, target)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] == errors[2]
+
+    @pytest.mark.parametrize("m", TARGETS, ids=IDS)
+    def test_non_finite_node_is_named(self, m, rng):
+        base, target = self.pairs(m, rng, 4)
+        target[2, -1] = np.nan
+        messages = []
+        for fn in (log_points, dist_points, log_dist_points):
+            with pytest.raises(WellDefinednessViolated, match=r"node \(2,\)") as err:
+                fn(m, base, target)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == messages[2]
+
+
+class TestOneRK4Loop:
+    """The flow sorts its nodes once by step count, slowest first, and
+    advances the prefix of the nodes still flowing."""
+
+    M = sphere(1.0, conformal="exp(0.3*z)")
+
+    @staticmethod
+    def shuffled(rng):
+        # |v| = 0.1 and 0.3 both sit at the floor of 64 steps, 0.503 takes 81
+        # and 0.9 takes 144; every count is tied, and the order is shuffled
+        speeds = rng.permutation(np.repeat([0.1, 0.3, 0.503, 0.9], 3))
+        base, vecs = random_sphere_data(S1, rng, len(speeds), 1.0)
+        return base, vecs / np.linalg.norm(vecs, axis=-1, keepdims=True) * speeds[:, None]
+
+    @pytest.mark.parametrize("rule", [_FLOW_RULE, _JACOBIAN_RULE], ids=["full", "coarse"])
+    def test_shuffled_tied_speeds_match_oracle(self, rule, rng, monkeypatch):
+        base, vecs = self.shuffled(rng)
+        floor, per_speed = rule
+        steps = np.maximum(floor, np.ceil(per_speed * np.linalg.norm(vecs, axis=-1)))
+        assert len(np.unique(steps)) < len(steps)
+        widths = []
+        step = manifolds._rk4_step
+
+        def spy(m, pos, vel, *rest):
+            widths.append(len(pos))
+            return step(m, pos, vel, *rest)
+
+        monkeypatch.setattr(manifolds, "_rk4_step", spy)
+        ends = _geodesic_flow(self.M, base, vecs, rule)
+        assert ends.flags.c_contiguous
+        assert np.array_equal(ends, conformal_rk4_flow(self.M, base, vecs, floor, per_speed))
+        # step k advances the nodes that take more than k steps, once each
+        assert widths == [int(np.sum(steps > k)) for k in range(int(steps.max()))]
+
+    def test_empty_batch(self):
+        for rule in (_FLOW_RULE, _JACOBIAN_RULE):
+            ends = _geodesic_flow(self.M, np.empty((0, 3)), np.empty((0, 3)), rule)
+            assert ends.shape == (0, 3)
 
 
 class TestFramesAndSerialization:

@@ -122,6 +122,11 @@ class TestGridNorms:
         derivs = (x**5, 5 * x**4, 20 * x**3, 60 * x**2, 120 * x)
         assert grid_norm(f, k) == pytest.approx(max(derivs[: k + 1]), rel=1e-7)
 
+    def test_order_past_the_stencils_rejected(self):
+        f = GridFunction.sample(np.sin, 0, TAU, 50)
+        with pytest.raises(ValueError, match="no central stencil for derivative order 5"):
+            grid_jet_sup_diff(f, f, 5)
+
     def test_component_counts_must_match(self):
         one = GridFunction.sample(np.sin, 0, TAU, 50)
         two = GridFunction.sample(lambda x: np.stack([np.sin(x), np.cos(x)], axis=-1), 0, TAU, 50)

@@ -86,6 +86,24 @@ class TestNeighborhood:
             assert nbhd_contains(nb, f)
         assert len(calls) == 5 + 1
 
+    def test_containment_checked_once_per_chart(self, monkeypatch):
+        import mapcalc.atlas as atlas
+
+        calls = []
+        check = atlas.check_containment
+
+        def counting(*args):
+            calls.append(args[2])
+            return check(*args)
+
+        for module in (atlas, topology):
+            monkeypatch.setattr(module, "check_containment", counting, raising=False)
+        f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 64)
+        nb = neighborhood(f, epsilon=1.0, order=1)
+        calls.clear()
+        assert nbhd_contains(nb, f)
+        assert calls == list(nb.chart_ids)
+
     def test_center_outside_its_cover_rejected(self):
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 64)
         g = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0), shift=(2.5, 0.0)), 64)

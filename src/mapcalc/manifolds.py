@@ -627,7 +627,7 @@ def _require_finite(m: TargetManifold, op: str, a: np.ndarray, b: np.ndarray) ->
         return
     a, b = np.broadcast_arrays(a, b)
     bad = ~(np.isfinite(a).all(axis=-1) & np.isfinite(b).all(axis=-1))
-    node = tuple(int(j) for j in np.unravel_index(int(np.flatnonzero(bad)[0]), bad.shape))
+    node = _node(np.flatnonzero(bad)[0], bad.shape)
     if m.kind == TORUS:
         label = "flat torus"
     else:
@@ -739,18 +739,23 @@ def dist(m: TargetManifold, p: Point, q: Point) -> float:
 # ---------------------------------------------------------------------------
 # conformal geodesics: fixed-step RK4 plus batched Newton shooting
 
-# RK4 step rule (floor, steps per unit speed): a node of speed |v| takes
-# max(floor, ceil(per_speed |v|)) steps
-_FLOW_RULE = (64, 160.0)
+# RK4 step rule (floor, scale): a node of speed |v| on a sphere of radius R
+# takes max(floor, ceil(scale (|v| / R)^(5/4))) steps.  After n steps the
+# end-point error is about k (|v| / R)^5 / n^4 times R, with k from 0.01 to
+# 0.035 for factors like exp((0.3 / R) z) against a 4,096-step flow, so this
+# n holds the relative error near a constant.  A scale of 370 keeps it at or
+# below 2e-12, the error of the former 64-step floor at |v| = 0.3, at every
+# speed up to 1.3 R
+_FLOW_RULE = (8, 370.0)
 # The chord Jacobian only steers the Newton iteration, whose root and stopping
 # test come from full-rule residual flows, so its probes flow at an eighth of
 # the steps (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995)
-_JACOBIAN_RULE = (8, 20.0)
-# Most RK4 steps one node's flow may take.  A node takes ceil(160 |v|) steps,
-# so this caps the speed near 1,600.  Chart and probe vectors stay below the
-# injectivity radius, under pi times the sphere radius, so on the unit sphere
-# they take at most a few hundred.  One node's flow at the cap costs about
-# 100 s; an uncapped |v| = 1e6 would take hours.
+_JACOBIAN_RULE = (4, 46.25)
+# Most RK4 steps one node's flow may take.  With 370 (|v| / R)^(5/4) steps
+# this caps the speed near 190 R.  Chart and probe vectors stay below the
+# injectivity radius, pi R, so they take at most about 1,500 steps at any
+# radius.  One node's flow at the cap costs over a minute; an uncapped
+# |v| = 1e6 R would take weeks.
 _MAX_ODE_STEPS = 2**18
 _SHOOT_TOL = 1e-11
 _SHOOT_MAX_ITER = 60
@@ -782,34 +787,39 @@ def _conformal_rhs(m: TargetManifold, pos: np.ndarray, vel: np.ndarray) -> np.nd
     return np.subtract(acc, work, out=acc)
 
 
+def _node(i, shape: tuple) -> tuple:
+    """The index tuple of flat node ``i`` in a batch of leading shape ``shape``."""
+    return tuple(int(j) for j in np.unravel_index(int(i), shape))
+
+
 def _geodesic_flow(
     m: TargetManifold, base: np.ndarray, vec: np.ndarray, rule: tuple[int, float] = _FLOW_RULE
 ) -> np.ndarray:
     """RK4 flow to time 1, batched over all leading axes.
 
     Each node takes its own step count by ``rule``, which grows with its own
-    speed to keep the fourth-order error near the shooting tolerance; a
-    node's end point therefore does not depend on the other nodes of the
-    batch.  The nodes are sorted once by step count, so the nodes still
-    flowing are always a prefix of the state.  The state is held
-    component-major (Fortran order), so every broadcast of a per-node scalar
-    against a vector runs over whole contiguous columns; the result is
-    un-permuted into a C-ordered array in the caller's shape.
+    speed over the sphere radius to keep the end-point error within a fixed
+    fraction of the radius; a node's end point therefore does not depend on
+    the other nodes of the batch.  The nodes are sorted once by step count,
+    so the nodes still flowing are always a prefix of the state.  The state
+    is held component-major (Fortran order), so every broadcast of a
+    per-node scalar against a vector runs over whole contiguous columns; the
+    result is un-permuted into a C-ordered array in the caller's shape.
     """
     base, vec = np.broadcast_arrays(np.asarray(base, dtype=float), np.asarray(vec, dtype=float))
     shape = base.shape
     vel = vec.reshape(-1, shape[-1])
     # exp_points and log_points have checked base and target; a velocity that
     # is not finite or too fast (say, from a diverging shooting) fails the cap
-    floor, per_speed = rule
-    steps = np.maximum(floor, np.ceil(per_speed * norm(vel)))
+    floor, scale = rule
+    steps = np.maximum(floor, np.ceil(scale * (norm(vel) / m.radius) ** 1.25))
     over = np.flatnonzero(~(steps <= _MAX_ODE_STEPS))
     if over.size:
         i = int(over[0])
-        node = tuple(int(j) for j in np.unravel_index(i, shape[:-1]))
         raise WellDefinednessViolated(
-            f"geodesic flow on the conformal sphere at node {node}: speed {norm(vel[i]):.6g} "
-            f"needs {steps[i]:.6g} RK4 steps, more than the cap of {_MAX_ODE_STEPS}"
+            f"geodesic flow on the conformal sphere at node {_node(i, shape[:-1])}: "
+            f"speed {norm(vel[i]):.6g} needs {steps[i]:.6g} RK4 steps, "
+            f"more than the cap of {_MAX_ODE_STEPS}"
         )
     # slowest first, ties in batch order: the nodes taking step k are the
     # first live[k], the count of step counts over k
@@ -897,12 +907,17 @@ def _shoot_log(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.nd
         pairs.view(np.dtype((np.void, pairs.itemsize * 6))).ravel(),
         return_index=True, return_inverse=True,
     )
-    w = _shoot_pairs(m, pairs[first, :3], pairs[first, 3:])
+    w = _shoot_pairs(m, pairs[first, :3], pairs[first, 3:], lambda i: _node(first[i], shape[:-1]))
     return w[inverse].reshape(shape)
 
 
-def _shoot_pairs(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """``_shoot_log`` on (n, 3) arrays of bases and targets."""
+def _shoot_pairs(m: TargetManifold, base: np.ndarray, target: np.ndarray, node) -> np.ndarray:
+    """``_shoot_log`` on (n, 3) arrays of bases and targets.
+
+    A failure names the worst pair, by ``node(i)`` for pair i: the node with
+    the smallest Jacobian determinant, or the largest residual left after the
+    last iteration.
+    """
     round_m = sphere(m.radius)
     frames = frames_at(m, base)
     target_frames = frames_at(round_m, target)
@@ -915,22 +930,33 @@ def _shoot_pairs(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.
     live = np.arange(len(w))
     inv = None
     r0 = residual(w, live)
-    for it in range(_SHOOT_MAX_ITER):
+    for it in range(_SHOOT_MAX_ITER + 1):
         moving = ~(norm(r0) < _SHOOT_TOL)
         live, r0 = live[moving], r0[moving]
         if not live.size:
             return from_frame(frames, w)
+        if it == _SHOOT_MAX_ITER:
+            break
         if inv is None or it % _JACOBIAN_REFRESH == 0:
             # chord Newton: the Jacobian is refreshed rarely, from coarse flows
             jac = frame_jacobian(lambda wc: residual(wc, live, _JACOBIAN_RULE), w[live], 1e-7)
-            if np.any(np.abs(np.linalg.det(jac)) < 1e-14):
-                raise BeyondInjectivityRadius("conformal shooting became singular")
+            det = np.abs(np.linalg.det(jac))
+            if np.any(det < 1e-14):
+                i = int(np.nanargmin(det))
+                raise BeyondInjectivityRadius(
+                    f"conformal shooting became singular at node {node(live[i])}: "
+                    f"Jacobian determinant of magnitude {det[i]:.3g}, below 1e-14"
+                )
             inv = np.linalg.inv(jac)
         else:
             inv = inv[moving]
         w[live] = w[live] - np.einsum("...ab,...b->...a", inv, r0)
         r0 = residual(w[live], live)
-    raise BeyondInjectivityRadius("conformal shooting did not converge")
+    i = int(np.argmax(norm(r0)))
+    raise BeyondInjectivityRadius(
+        f"conformal shooting did not converge at node {node(live[i])}: residual "
+        f"{norm(r0[i]):.3g} after {_SHOOT_MAX_ITER} iterations, tolerance {_SHOOT_TOL:g}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -40,14 +40,14 @@ def broadcast_seed_gradient(phi, coords):
     return out.v, out.d
 
 
-def conformal_rk4_flow(m, base, vec, floor=64, per_speed=160.0):
+def conformal_rk4_flow(m, base, vec, floor=8, scale=370.0):
     """Conformal geodesic endpoints by RK4 on C-ordered (n, 3) arrays.
 
-    Node i takes max(floor, ceil(per_speed |v_i|)) steps of width 1/steps
-    (by default the step rule of every flow but the shooting's chord
-    Jacobian), with the
-    plain broadcasts and numpy reductions of a direct transcription of the
-    geodesic equation, and is projected back onto the sphere after each step.
+    On a sphere of radius r, node i takes max(floor, ceil(scale (|v_i| / r)^(5/4)))
+    steps of width 1/steps (by default the step rule of every flow but the
+    shooting's chord Jacobian), with the plain broadcasts and numpy
+    reductions of a direct transcription of the geodesic equation, and is
+    projected back onto the sphere after each step.
     """
     r = m.radius
 
@@ -61,7 +61,7 @@ def conformal_rk4_flow(m, base, vec, floor=64, per_speed=160.0):
 
     pos = np.array(base, dtype=float).reshape(-1, 3)
     vel = np.array(vec, dtype=float).reshape(-1, 3)
-    steps = np.maximum(floor, np.ceil(per_speed * np.linalg.norm(vel, axis=-1)))
+    steps = np.maximum(floor, np.ceil(scale * (np.linalg.norm(vel, axis=-1) / r) ** 1.25))
     for k in range(int(np.max(steps))):
         live = steps > k
         p, v, h = pos[live], vel[live], (1.0 / steps[live])[:, None]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import types
 
 import numpy as np
@@ -388,9 +389,10 @@ class TestConformalMetric:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_nodes_are_batch_invariant(self, short, long, seed):
-        # |v| = 0.4 is where the per-node RK4 step count leaves its floor of
-        # 64, so every batch mixes step counts; each node must come out
-        # bit-identical alone and inside the batch
+        # the per-node RK4 step count grows with |v| from |v| = 0.0466, where
+        # it leaves its floor of 8, and the short and long speeds meet at 0.4
+        # (118 steps), so every batch mixes step counts; each node must come
+        # out bit-identical alone and inside the batch
         m = sphere(1.0, conformal="exp(0.3*z)")
         rng = np.random.default_rng(seed)
         speeds = rng.permutation(short + long)[:, None]
@@ -408,7 +410,7 @@ class TestConformalMetric:
             assert np.array_equal(log_points(m, base[i], targets[i]), logs[i])
 
     def test_flow_matches_c_ordered_oracle(self, rng):
-        # speeds on both sides of 0.4 mix step counts in one batch; the
+        # speeds from 0.05 to 1.1 take 9 to 417 steps in one batch; the
         # component-major kernel must give the oracle's bits whatever the
         # layout of its input, and hand back a C-ordered array
         m = sphere(1.0, conformal="exp(0.3*z)")
@@ -453,7 +455,7 @@ class TestConformalMetric:
             fn(m, bases, others)
 
     def test_huge_speed_raises_at_once(self):
-        # 160 |v| RK4 steps would take hours; the cap stops the flow before any
+        # 370 |v|^(5/4) RK4 steps would take weeks; the cap stops the flow before any
         m = sphere(1.0, conformal="exp(0.3*z)")
         bases = np.array([[0.0, 0.0, 1.0]] * 3)
         vecs = np.array([[0.1, 0.0, 0.0], [1e6, 0.0, 0.0], [0.0, 0.1, 0.0]])
@@ -461,9 +463,37 @@ class TestConformalMetric:
             exp_points(m, bases, vecs)
 
     def test_step_cap_sits_far_above_chart_speeds(self):
-        # chart and probe vectors stay inside the injectivity radius
-        m = sphere(1.0, conformal="exp(0.3*z)")
-        assert _MAX_ODE_STEPS > 100 * 160 * inj_radius(m)
+        # chart and probe vectors stay inside the injectivity radius, and the
+        # step count depends on the speed only through |v| / R
+        _, scale = _FLOW_RULE
+        for radius in (0.1, 1.0, 1e4):
+            m = sphere(radius, conformal=f"exp({0.3 / radius!r}*z)")
+            assert _MAX_ODE_STEPS > 100 * scale * (inj_radius(m) / radius) ** 1.25
+
+    def test_large_radius_flows_at_chart_speed(self):
+        # a step rule in |v| alone, 160 |v| steps, gives |v| = 0.2 R on a
+        # sphere of radius 1e4 320,000 RK4 steps, over the cap; the rule in
+        # |v| / R gives it the 50 steps of |v| = 0.2 on the unit sphere
+        radius = 1e4
+        m = sphere(radius, conformal="exp(3e-05*z)")
+        base, vec = np.array([0.0, 0.0, radius]), np.array([0.2 * radius, 0.0, 0.0])
+        end = exp_points(m, base, vec)
+        unit = exp_points(sphere(1.0, conformal="exp(0.3*z)"), base / radius, vec / radius)
+        assert np.max(np.abs(end / radius - unit)) < 1e-14
+        assert np.max(np.abs(log_points(m, base, end) - vec)) < 1e-14 * radius
+
+    @pytest.mark.parametrize("radius", [0.1, 1.0, 1000.0])
+    def test_flow_rule_meets_its_error_budget(self, radius, rng):
+        # the end-point error relative to R, against a 4,096-step flow, stays
+        # at or below 2e-12 (the old 64-step floor's error at |v| = 0.3) at
+        # speeds from 1e-3 R to 1.3 R; with exp((0.3 / R) z) it is scale-free
+        m = sphere(radius, conformal=f"exp({0.3 / radius!r}*z)")
+        speeds = np.repeat([1e-3, 0.01, 0.05, 0.1, 0.3, 0.7, 1.0, 1.3], 25)[:, None]
+        base, vecs = random_sphere_data(sphere(radius), rng, len(speeds), 1.0)
+        vecs = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True) * speeds * radius
+        ref = _geodesic_flow(m, base, vecs, (4096, 0.0))
+        ends = _geodesic_flow(m, base, vecs)
+        assert np.max(np.abs(ends - ref)) <= 2e-12 * radius
 
     @pytest.mark.parametrize("expr", GRADIENT_EXPRS, ids=GRADIENT_IDS)
     def test_gradient_matches_broadcast_seeds(self, expr, rng):
@@ -501,8 +531,8 @@ class TestConformalMetric:
 def northern_data(rng, count):
     """Bases within 0.6 rad of the north pole with speeds 0.05 to 0.5.
 
-    Flows under ``z`` stay where z > 0.3, and the speeds lie on both sides
-    of 0.4, where the RK4 step count leaves its floor of 64.
+    Flows under ``z`` stay where z > 0.3, and the speeds take 9 to 156 RK4
+    steps, so a batch mixes step counts.
     """
     polar = rng.uniform(0.0, 0.6, count)
     azimuth = rng.uniform(0.0, TAU, count)
@@ -575,16 +605,17 @@ class TestConformalShooting:
 
     M = sphere(1.0, conformal="exp(0.3*z)")
 
-    # nodes per flow of a 200-node logarithm before the Jacobian's probe
-    # flows took the coarse rule: the residual, the Jacobian's four probes
-    # per node, then one residual per chord-Newton step over the nodes still
-    # moving
+    # nodes per flow of a 200-node logarithm: the residual, the Jacobian's
+    # four probes per node, then one residual per chord-Newton step over the
+    # nodes still moving.  Step counts from the error budget left the schedule
+    # of the 64-step floor as it was up to |v| = 0.7; at 1.0 and 1.1 one node
+    # stops an iteration sooner
     SCHEDULE = {
         0.05: [200, 800, 200, 194],
         0.3: [200, 800, 200, 200, 195, 23],
         0.7: [200, 800, 200, 200, 200, 198, 137, 3],
-        1.0: [200, 800, 200, 200, 200, 199, 196, 159, 70],
-        1.1: [200, 800, 200, 200, 200, 199, 198, 179, 119, 30],
+        1.0: [200, 800, 200, 200, 200, 199, 196, 159, 69],
+        1.1: [200, 800, 200, 200, 200, 199, 198, 178, 118, 30],
     }
 
     @staticmethod
@@ -609,12 +640,13 @@ class TestConformalShooting:
         assert np.max(np.abs(logs - vecs)) < 2e-11
 
     def test_coarse_rule_flow_matches_c_ordered_oracle(self, rng):
-        # the coarse rule runs the same kernel at max(8, ceil(20 |v|)) steps
-        assert _JACOBIAN_RULE == (8, 20.0) and _FLOW_RULE == (64, 160.0)
+        # the coarse rule runs the same kernel at max(4, ceil(46.25 |v|^(5/4)))
+        # steps, an eighth of the full rule's
+        assert _JACOBIAN_RULE == (4, 46.25) and _FLOW_RULE == (8, 370.0)
         base, vecs = random_sphere_data(S1, rng, 12, 1.0)
         vecs = vecs * np.linspace(0.05, 1.1, 12)[:, None] / norm(vecs)[:, None]
         ends = _geodesic_flow(self.M, base, vecs, _JACOBIAN_RULE)
-        assert np.array_equal(ends, conformal_rk4_flow(self.M, base, vecs, 8, 20.0))
+        assert np.array_equal(ends, conformal_rk4_flow(self.M, base, vecs, *_JACOBIAN_RULE))
 
     def test_repeated_pairs_are_shot_once(self, monkeypatch):
         base, vecs = self.shots(0.5, 5)
@@ -646,6 +678,55 @@ class TestConformalShooting:
 
     def test_empty_batch(self):
         assert log_points(self.M, np.empty((0, 3)), np.empty((0, 3))).shape == (0, 3)
+
+    def failure(self, base, targets):
+        with pytest.raises(BeyondInjectivityRadius) as err:
+            log_points(self.M, base, targets)
+        return str(err.value)
+
+    def test_non_convergence_names_the_worst_node(self, monkeypatch):
+        # after two chord-Newton steps no node has converged; the error names
+        # the node with the largest residual, as each node reports it alone
+        monkeypatch.setattr(manifolds, "_SHOOT_MAX_ITER", 2)
+        base, vecs = self.shots(1.0, 4)
+        vecs = vecs * np.array([0.3, 0.6, 0.4, 0.5])[:, None]
+        targets = exp_points(self.M, base, vecs)
+        alone = [self.failure(base[i:i + 1], targets[i:i + 1]) for i in range(4)]
+        residuals = [re.search(r"node \(0,\): residual (\S+) after 2 ", a)[1] for a in alone]
+        worst = int(np.argmax([float(r) for r in residuals]))
+        assert residuals.count(residuals[worst]) == 1 and float(residuals[worst]) > 1e-11
+        message = self.failure(base.reshape(2, 2, 3), targets.reshape(2, 2, 3))
+        assert f"at node {(worst // 2, worst % 2)}: residual {residuals[worst]} " in message
+
+    def test_last_allowed_iteration_may_converge(self, monkeypatch):
+        base, vecs = self.shots(0.3, 6)
+        targets = exp_points(self.M, base, vecs)
+        flows = spy_flows(monkeypatch)
+        logs = log_points(self.M, base, targets)
+        # the first residual and one Jacobian's probes, then a residual per step
+        steps = len(flows) - 2
+        assert 1 < steps <= manifolds._JACOBIAN_REFRESH
+        monkeypatch.setattr(manifolds, "_SHOOT_MAX_ITER", steps)
+        assert np.array_equal(log_points(self.M, base, targets), logs)
+
+    def test_singular_jacobian_names_the_worst_node(self, monkeypatch):
+        # shrunk by 1e-8, every 2x2 Jacobian's determinant falls below 1e-14;
+        # the error names the first row of the pair with the smallest one
+        frame_jacobian = manifolds.frame_jacobian
+        monkeypatch.setattr(manifolds, "frame_jacobian", lambda *a: 1e-8 * frame_jacobian(*a))
+        base, vecs = self.shots(1.0, 4)
+        vecs = vecs * np.array([0.1, 0.5, 0.3, 0.2])[:, None]
+        targets = exp_points(self.M, base, vecs)
+        alone = [self.failure(base[i:i + 1], targets[i:i + 1]) for i in range(4)]
+        dets = [re.search(r"node \(0,\): Jacobian determinant of magnitude (\S+),", a)[1]
+                for a in alone]
+        worst = int(np.argmin([float(d) for d in dets]))
+        assert dets.count(dets[worst]) == 1
+        rows = np.array([1, 3, 0, 2, 1, 3])
+        message = self.failure(base[rows].reshape(2, 3, 3), targets[rows].reshape(2, 3, 3))
+        first = int(np.flatnonzero(rows == worst)[0])
+        node = (first // 3, first % 3)
+        assert f"at node {node}: Jacobian determinant of magnitude {dets[worst]}," in message
 
 
 class TestOneLogarithm:
@@ -724,17 +805,18 @@ class TestOneRK4Loop:
 
     @staticmethod
     def shuffled(rng):
-        # |v| = 0.1 and 0.3 both sit at the floor of 64 steps, 0.503 takes 81
-        # and 0.9 takes 144; every count is tied, and the order is shuffled
-        speeds = rng.permutation(np.repeat([0.1, 0.3, 0.503, 0.9], 3))
+        # |v| = 0.03 and 0.04 both sit at the floor of 8 steps (4 coarse),
+        # 0.503 takes 157 (20) and 0.9 takes 325 (41); every count is tied,
+        # and the order is shuffled
+        speeds = rng.permutation(np.repeat([0.03, 0.04, 0.503, 0.9], 3))
         base, vecs = random_sphere_data(S1, rng, len(speeds), 1.0)
         return base, vecs / np.linalg.norm(vecs, axis=-1, keepdims=True) * speeds[:, None]
 
     @pytest.mark.parametrize("rule", [_FLOW_RULE, _JACOBIAN_RULE], ids=["full", "coarse"])
     def test_shuffled_tied_speeds_match_oracle(self, rule, rng, monkeypatch):
         base, vecs = self.shuffled(rng)
-        floor, per_speed = rule
-        steps = np.maximum(floor, np.ceil(per_speed * np.linalg.norm(vecs, axis=-1)))
+        floor, scale = rule
+        steps = np.maximum(floor, np.ceil(scale * np.linalg.norm(vecs, axis=-1) ** 1.25))
         assert len(np.unique(steps)) < len(steps)
         widths = []
         step = manifolds._rk4_step
@@ -746,7 +828,7 @@ class TestOneRK4Loop:
         monkeypatch.setattr(manifolds, "_rk4_step", spy)
         ends = _geodesic_flow(self.M, base, vecs, rule)
         assert ends.flags.c_contiguous
-        assert np.array_equal(ends, conformal_rk4_flow(self.M, base, vecs, floor, per_speed))
+        assert np.array_equal(ends, conformal_rk4_flow(self.M, base, vecs, floor, scale))
         # step k advances the nodes that take more than k steps, once each
         assert widths == [int(np.sum(steps > k)) for k in range(int(steps.max()))]
 

@@ -9,16 +9,13 @@ from .atlas import (
     SampledMap,
     chart_jet,
     circle_atlas,
-    evaluate_map,
     map_sup_distance,
     overlap_residual,
     sample_map,
     torus2_atlas,
 )
 from .charts import (
-    DomainMap,
     OmegaKernel,
-    TargetMap,
     TaylorData,
     chart_forward,
     chart_inverse,
@@ -26,8 +23,6 @@ from .charts import (
     metric_transition,
     omega_apply,
     omega_derivative,
-    pullback,
-    pushforward,
     taylor_identity_residual,
     taylor_remainder,
     thickening_admissible,
@@ -58,23 +53,13 @@ from .errors import (
     ThickeningViolated,
     WellDefinednessViolated,
 )
-from .gridfn import GridFunction, grid_jet_sup_diff, grid_norm
+from .gridfn import GridFunction, grid_jet_sup_diff
 from .manifolds import (
     ConformalFactor,
-    FiberLinearMap,
-    Point,
-    TangentVector,
     TargetManifold,
-    as_point,
-    dist,
-    exp,
-    fiber_transition_derivative,
     flat_torus,
     inj_radius,
-    log,
-    metric_inner,
     sphere,
-    tangent,
 )
 from .sections import (
     PullbackSection,

@@ -24,10 +24,8 @@ from .errors import FormulaOutOfTarget, ResolutionMismatch, TargetChartViolated
 from .finite_diff import Jets, jets, stencil_window
 from .manifolds import (
     SPHERE,
-    TORUS,
     TargetManifold,
     dist_points,
-    mod_periods,
     norm,
     reduce_points,
 )
@@ -286,79 +284,3 @@ def overlap_residual(f: SampledMap) -> float:
                     worst = max(worst, float(np.max(dist_points(f.target, va, vb))))
     return worst
 
-
-# ---------------------------------------------------------------------------
-# chart-local cubic interpolation (for precomposition with domain maps)
-
-
-def interpolate_chart(f: SampledMap, chart_id: int, coords: np.ndarray) -> np.ndarray:
-    """Evaluate the chart's values at arbitrary chart coordinates.
-
-    Piecewise-cubic 4-point Lagrange interpolation per axis, applied to a
-    continuous lift for torus targets and renormalized for sphere targets.
-    ``coords`` has shape (npts, dim); the result is reduced target points.
-    """
-    chart = f.atlas.charts[chart_id]
-    vals = f.values[chart_id]
-    if f.target.kind == TORUS:
-        data = lift_grid(vals, f.target.periods)
-    else:
-        data = vals
-    h = TAU / f.resolution
-    ranges = grid_ranges(chart, f.resolution)
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    npts = coords.shape[0]
-    out = data
-    for axis in range(chart.dim):
-        j0, j1 = ranges[axis]
-        x = coords[:, axis] / h - j0
-        base = np.clip(np.floor(x).astype(int) - 1, 0, (j1 - j0) - 3)
-        t = x - (base + 1)
-        w = _lagrange_weights(t)
-        stacked = np.stack([out[base + k] if axis == 0 else out[np.arange(npts), base + k] for k in range(4)], axis=0)
-        out = np.einsum("kn,kn...->n...", w, stacked)
-    return reduce_points(f.target, out)
-
-
-def _lagrange_weights(t: np.ndarray) -> np.ndarray:
-    """Weights of the cubic through nodes at offsets -1, 0, 1, 2 from the base."""
-    w0 = -t * (t - 1.0) * (t - 2.0) / 6.0
-    w1 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
-    w2 = -(t + 1.0) * t * (t - 2.0) / 2.0
-    w3 = (t + 1.0) * t * (t - 1.0) / 6.0
-    return np.stack([w0, w1, w2, w3], axis=0)
-
-
-def locate_chart(atlas: DomainAtlas, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deepest chart (by domain box) containing each domain point.
-
-    Returns chart ids and the chart-coordinate representatives,
-    shape (npts,) and (npts, dim).
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    npts, dim = points.shape
-    best_depth = np.full(npts, -np.inf)
-    best_chart = np.zeros(npts, dtype=int)
-    best_rep = np.zeros_like(points)
-    for chart in atlas.charts:
-        rep = np.empty_like(points)
-        depth = np.full(npts, np.inf)
-        for a, (lo, hi) in enumerate(chart.box):
-            r = lo + mod_periods(points[:, a] - lo, TAU)
-            rep[:, a] = r
-            depth = np.minimum(depth, np.minimum(r - lo, hi - r))
-        better = depth > best_depth
-        best_depth = np.where(better, depth, best_depth)
-        best_chart = np.where(better, chart.id, best_chart)
-        best_rep = np.where(better[:, None], rep, best_rep)
-    return best_chart, best_rep
-
-
-def evaluate_map(f: SampledMap, points: np.ndarray) -> np.ndarray:
-    """Interpolated values of the map at arbitrary domain points."""
-    cids, reps = locate_chart(f.atlas, points)
-    out = np.empty((reps.shape[0], f.target.ambient_dim))
-    for cid in np.unique(cids):
-        mask = cids == cid
-        out[mask] = interpolate_chart(f, int(cid), reps[mask])
-    return out

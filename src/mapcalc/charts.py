@@ -17,14 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .atlas import (
-    DomainAtlas,
-    SampledMap,
-    evaluate_map,
-    grid_mesh,
-    map_sup_distance,
-    same_discretization,
-)
+from .atlas import SampledMap, map_sup_distance, same_discretization
 from .errors import (
     BaseMismatch,
     FiberBoxViolated,
@@ -378,51 +371,3 @@ def taylor_identity_residual(data: TaylorData, u, h) -> float:
     total = total - taylor_remainder(data, u, h)
     return float(np.max(np.abs(total)))
 
-
-# ---------------------------------------------------------------------------
-# post- and pre-composition with fixed smooth maps
-
-
-@dataclass(frozen=True)
-class TargetMap:
-    """Closed-form map between targets, for post-composition."""
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    target: TargetManifold
-
-
-@dataclass(frozen=True)
-class DomainMap:
-    """Closed-form map between domains, for pre-composition."""
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    source_atlas: DomainAtlas
-
-
-def pushforward(g_target: TargetMap, f: SampledMap) -> SampledMap:
-    """Post-compose the sampled map with a fixed map of the targets."""
-    values = []
-    for fv in f.values:
-        raw = np.asarray(g_target.fn(fv), dtype=float)
-        values.append(reduce_points(g_target.target, raw))
-    return SampledMap(f.atlas, g_target.target, f.resolution, tuple(values))
-
-
-def pullback(g_dom: DomainMap, f: SampledMap) -> SampledMap:
-    """Pre-compose with a fixed map of the domains, by chart interpolation.
-
-    The new map is sampled on the source atlas; values come from the cubic
-    chart interpolant of f at the image points, so the chart-local
-    representative is linear in the representative of f.
-    """
-    atlas = g_dom.source_atlas
-    values = []
-    for chart in atlas.charts:
-        mesh = grid_mesh(chart, f.resolution)
-        pts = np.asarray(g_dom.fn(mesh), dtype=float)
-        flat = pts.reshape(-1, pts.shape[-1])
-        vals = evaluate_map(f, flat)
-        values.append(vals.reshape(mesh.shape[:-1] + (f.target.ambient_dim,)))
-    return SampledMap(atlas, f.target, f.resolution, tuple(values))

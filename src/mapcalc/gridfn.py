@@ -65,7 +65,3 @@ def grid_jet_sup_diff(a: GridFunction, b: GridFunction, k: int) -> float:
     window = (slice(pad, a.n - pad),)
     return jet_sup_diff(jets(a.values, window, a.h, k), jets(b.values, window, b.h, k))
 
-
-def grid_norm(a: GridFunction, k: int) -> float:
-    zero = GridFunction(a.lo, a.hi, np.zeros_like(a.values))
-    return grid_jet_sup_diff(a, zero, k)

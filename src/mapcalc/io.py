@@ -11,7 +11,7 @@ import numpy as np
 
 from .atlas import CIRCLE_ATLAS, TORUS2_ATLAS, SampledMap, grid_ranges
 from .energy import DescentTrace
-from .manifolds import TargetManifold, check_points, finite_number
+from .manifolds import POINT_TOL, SPHERE, TargetManifold, check_points, dot, finite_number, norm
 from .sections import PullbackSection
 
 _ATLASES = {"circle": CIRCLE_ATLAS, "torus2": TORUS2_ATLAS}
@@ -57,9 +57,9 @@ def _read_grid_csv(path, ngroups: int) -> tuple[dict, SampledMap, tuple]:
     the base points; returns the header, the base map and the other groups.
 
     Rejects a header without a known atlas, an integer resolution of at
-    least 8 and a valid target; missing, duplicate and out-of-grid nodes,
-    rows with the wrong field count, non-finite values, and base points off
-    the target.
+    least 8 and a valid target; a file that ends after the header; missing,
+    duplicate and out-of-grid nodes, rows with the wrong field count,
+    non-finite values, and base points off the target.
     """
     with Path(path).open() as fh:
         head = _read_header(fh.readline())
@@ -71,7 +71,8 @@ def _read_grid_csv(path, ngroups: int) -> tuple[dict, SampledMap, tuple]:
         atlas = _ATLASES[head["atlas"]]
         target = TargetManifold.from_json(json.dumps(head["target"]))
         reader = csv.reader(fh)
-        next(reader)  # column names
+        if next(reader, None) is None:
+            raise ValueError(f"{path}: missing column names line")
         dim = atlas.dim
         amb = target.ambient_dim
         shapes = [tuple(j1 - j0 + 1 for j0, j1 in grid_ranges(c, res)) for c in atlas.charts]
@@ -117,9 +118,18 @@ def write_section_csv(s: PullbackSection, path) -> None:
 
 
 def read_section_csv(path) -> PullbackSection:
+    """Read ``write_section_csv`` output; rejects what ``_read_grid_csv``
+    rejects, and on the sphere a vector v at a point p with
+    |v.p| / R > ``POINT_TOL`` max(1, |v|)."""
     head, f, (vecs,) = _read_grid_csv(path, 2)
     # stored vectors were projected when the section was built; re-projecting
-    # here would perturb the last bits and break exact round trips
+    # here would perturb the last bits and break exact round trips, so off-tangent
+    # vectors are rejected instead
+    if f.target.kind == SPHERE:
+        for base, vec in zip(f.values, vecs):
+            off = np.abs(dot(vec, base)) / f.target.radius
+            if np.any(off > POINT_TOL * np.maximum(1.0, norm(vec))):
+                raise ValueError(f"{path}: vector off the tangent plane by {np.max(off):g}")
     return PullbackSection(f, vecs, finite_number(head.get("bound"), "section bound"))
 
 

@@ -7,9 +7,9 @@ rest of the package can be cross-checked analytically.  A sphere may carry
 an optional conformal rescaling of the round metric; its geodesics are then
 integrated numerically and the logarithm is recovered by shooting.
 
-All operations are pure functions over immutable values.  Array-level
-variants (suffix ``_points``/``_vectors``) act on stacked coordinate arrays
-with the point dimension last and are the workhorses for grid-sized data.
+All operations are pure functions on stacked coordinate arrays with the
+point dimension last (suffix ``_points``), so one call serves a single point
+or a whole grid.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BaseMismatch, BeyondInjectivityRadius, WellDefinednessViolated
+from .errors import BeyondInjectivityRadius, WellDefinednessViolated
 
 SPHERE = "sphere"
 TORUS = "torus"
@@ -314,32 +314,6 @@ def flat_torus(*periods: float) -> TargetManifold:
     return TargetManifold(TORUS, periods=tuple(float(p) for p in periods))
 
 
-@dataclass(frozen=True, eq=False)
-class Point:
-    """A point of the target, stored in canonical coordinates."""
-
-    coords: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    base: Point
-    vec: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class FiberLinearMap:
-    """Linear map between tangent fibers, in fixed orthonormal frames."""
-
-    source_base: Point
-    target_base: Point
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("fiber matrix entries must be finite")
-
-
 # ---------------------------------------------------------------------------
 # pointwise inner products
 
@@ -445,19 +419,6 @@ def check_points(m: TargetManifold, coords: np.ndarray, tol: float = POINT_TOL) 
             raise ValueError("torus coordinates not reduced into [0, period)")
 
 
-def as_point(m: TargetManifold, coords) -> Point:
-    coords = reduce_points(m, np.asarray(coords, dtype=float))
-    check_points(m, coords)
-    return Point(coords)
-
-
-def tangent(m: TargetManifold, p: Point, vec) -> TangentVector:
-    vec = np.asarray(vec, dtype=float)
-    if m.kind == SPHERE:
-        vec = project_tangent(m, p.coords, vec)
-    return TangentVector(p, vec)
-
-
 def project_tangent(m: TargetManifold, base: np.ndarray, vec: np.ndarray) -> np.ndarray:
     if m.kind == SPHERE:
         n = base / m.radius
@@ -478,12 +439,6 @@ def inner_points(m: TargetManifold, base: np.ndarray, v: np.ndarray, w: np.ndarr
 
 def norm_points(m: TargetManifold, base: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(inner_points(m, base, v, v), 0.0))
-
-
-def metric_inner(m: TargetManifold, v: TangentVector, w: TangentVector) -> float:
-    if not np.allclose(v.base.coords, w.base.coords, atol=POINT_TOL):
-        raise BaseMismatch("tangent vectors live at different base points")
-    return float(inner_points(m, v.base.coords, v.vec, w.vec))
 
 
 def frames_at(m: TargetManifold, base: np.ndarray) -> np.ndarray:
@@ -720,20 +675,6 @@ def torus_wrap(m: TargetManifold, delta: np.ndarray) -> np.ndarray:
 
 def dist_points(m: TargetManifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return log_dist_points(m, a, b)[1]
-
-
-def exp(m: TargetManifold, v: TangentVector) -> Point:
-    """Geodesic endpoint at time 1 from ``v.base`` with velocity ``v.vec``."""
-    return Point(exp_points(m, v.base.coords, v.vec))
-
-
-def log(m: TargetManifold, p: Point, q: Point) -> TangentVector:
-    """Inverse of ``exp`` at ``p``; requires dist(p, q) inside the injectivity radius."""
-    return TangentVector(p, log_points(m, p.coords, q.coords))
-
-
-def dist(m: TargetManifold, p: Point, q: Point) -> float:
-    return float(dist_points(m, p.coords, q.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -1002,21 +943,3 @@ def fiber_matrices(m_dst: TargetManifold, dst: np.ndarray, images: np.ndarray, s
     ``fiber_probes`` in their stacked order."""
     return frame_quotient(to_frame(frames_at(m_dst, dst), images), step)
 
-
-def fiber_transition_derivative(
-    m: TargetManifold,
-    p_src: Point,
-    p_dst: Point,
-    v0: TangentVector,
-    step: float = 1e-6,
-) -> FiberLinearMap:
-    if not np.allclose(v0.base.coords, p_src.coords, atol=POINT_TOL):
-        raise BaseMismatch("v0 must be tangent at p_src")
-    vnorm = float(norm_points(m, p_src.coords, v0.vec))
-    reach = dist(m, p_src, p_dst) + vnorm
-    if reach >= inj_radius(m) - _log_margin(m):
-        raise BeyondInjectivityRadius(
-            f"source vector reaches {reach:.6g}, beyond the log domain at the destination"
-        )
-    mat = fiber_derivative_points(m, m, p_src.coords, p_dst.coords, v0.vec, step=step)
-    return FiberLinearMap(p_src, p_dst, mat)

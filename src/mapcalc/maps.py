@@ -6,8 +6,7 @@ import functools
 
 import numpy as np
 
-from .atlas import CIRCLE_ATLAS, MapFormula
-from .charts import DomainMap, TargetMap
+from .atlas import MapFormula
 from .manifolds import TargetManifold, norm, reduce_points
 
 
@@ -168,41 +167,3 @@ def torus2_wave(winding: tuple[tuple[int, int], tuple[int, int]], amp: float = 0
 
     return MapFormula("torus2_wave", fn)
 
-
-# ---------------------------------------------------------------------------
-# fixed maps of targets and domains
-
-
-def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    k = np.array(
-        [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
-    )
-    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
-
-
-def sphere_rotation(m: TargetManifold, axis, angle: float) -> TargetMap:
-    rot = rotation_matrix(np.asarray(axis, dtype=float), angle)
-    return TargetMap(f"rot({angle:.3g})", lambda pts: pts @ rot.T, m)
-
-
-def torus_translation(m: TargetManifold, offset) -> TargetMap:
-    off = np.asarray(offset, dtype=float)
-    return TargetMap(f"shift{tuple(np.round(off, 3))}", lambda pts: pts + off, m)
-
-
-def identity_target(m: TargetManifold) -> TargetMap:
-    return TargetMap("id", lambda pts: pts, m)
-
-
-def circle_shift(c: float) -> DomainMap:
-    return DomainMap(f"theta+{c:.3g}", lambda mesh: mesh + c, CIRCLE_ATLAS)
-
-
-def circle_cover(degree: int) -> DomainMap:
-    return DomainMap(f"theta*{degree}", lambda mesh: degree * mesh, CIRCLE_ATLAS)
-
-
-def circle_identity() -> DomainMap:
-    return DomainMap("id", lambda mesh: mesh, CIRCLE_ATLAS)

@@ -1,4 +1,4 @@
-"""Tests for the mapping-space charts, transitions, and fixed compositions."""
+"""Tests for the mapping-space charts and transitions."""
 
 import math
 
@@ -13,17 +13,11 @@ from mapcalc import (
     BeyondInjectivityRadius,
     ResolutionMismatch,
     WellDefinednessViolated,
-    as_point,
-    canonical_cover,
     chart_forward,
     chart_inverse,
-    ck_distance,
     default_delta,
     flat_torus,
-    log,
     map_sup_distance,
-    pullback,
-    pushforward,
     sample_map,
     section_max_diff,
     section_add,
@@ -32,7 +26,6 @@ from mapcalc import (
     sphere,
     transition,
     transition_derivative,
-    winding_numbers,
     zero_section,
 )
 from mapcalc.atlas import TAU
@@ -43,7 +36,13 @@ from mapcalc.charts import (
     metric_transition_batch,
     metric_transition_fiber,
 )
-from mapcalc.manifolds import exp_points, fiber_derivative_points, log_points, project_tangent
+from mapcalc.manifolds import (
+    exp_points,
+    fiber_derivative_points,
+    log_points,
+    project_tangent,
+    reduce_points,
+)
 from mapcalc.experiments import (
     chain_rule_residual,
     cocycle_residual,
@@ -55,16 +54,7 @@ from mapcalc.experiments import (
     random_section,
     roundtrip_residual,
 )
-from mapcalc.maps import (
-    circle_cover,
-    circle_identity,
-    circle_shift,
-    constant_formula,
-    great_circle,
-    sphere_rotation,
-    torus_loop,
-    torus_translation,
-)
+from mapcalc.maps import constant_formula, great_circle, torus_loop
 from mapcalc.sections import make_section, section_from_formula
 from oracles import _tangent_frame, richardson_matrix
 
@@ -72,6 +62,12 @@ T22 = flat_torus(TAU, TAU)
 T24 = flat_torus(TAU, 4.0)
 S1 = sphere(1.0)
 S_CONF = sphere(1.0, conformal="exp(0.3*z)")
+
+
+def x_rotation(angle):
+    """The rotation of R^3 by ``angle`` about the first axis."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 @pytest.fixture
@@ -98,15 +94,17 @@ class TestChartForward:
         f = sample_map(CIRCLE_ATLAS, S1, constant_formula(S1, [0, 0, 1]), 64)
         g = sample_map(CIRCLE_ATLAS, S1, constant_formula(S1, [math.sin(0.3), 0, math.cos(0.3)]), 64)
         s = chart_forward(f, g, 0.5)
-        expected = log(
-            S1, as_point(S1, [0, 0, 1]), as_point(S1, [math.sin(0.3), 0, math.cos(0.3)])
-        ).vec
+        expected = log_points(
+            S1, reduce_points(S1, [0, 0, 1]), reduce_points(S1, [math.sin(0.3), 0, math.cos(0.3)])
+        )
         for vec in s.vectors:
             assert np.max(np.abs(vec - expected)) < 1e-12
 
     def test_far_map_rejected(self):
         f = sample_map(CIRCLE_ATLAS, S1, great_circle(1.0), 64)
-        antipodal = pushforward(sphere_rotation(S1, [1, 0, 0], math.pi), f)
+        antipodal = sample_map(
+            CIRCLE_ATLAS, S1, great_circle(1.0, rotation=x_rotation(math.pi)), 64
+        )
         assert map_sup_distance(f, antipodal) == pytest.approx(math.pi, abs=1e-12)
         with pytest.raises(WellDefinednessViolated):
             chart_forward(f, antipodal, math.pi / 2)
@@ -115,7 +113,9 @@ class TestChartForward:
         # the gap sits inside delta, which sits inside the injectivity
         # radius, but not inside the logarithm's margin below it
         f = sample_map(CIRCLE_ATLAS, S1, great_circle(1.0), 16)
-        g = pushforward(sphere_rotation(S1, [1, 0, 0], math.pi - 5e-7), f)
+        g = sample_map(
+            CIRCLE_ATLAS, S1, great_circle(1.0, rotation=x_rotation(math.pi - 5e-7)), 16
+        )
         assert map_sup_distance(f, g) < math.pi - 1e-7
         with pytest.raises(BeyondInjectivityRadius):
             chart_forward(f, g, math.pi - 1e-7)
@@ -463,122 +463,3 @@ class TestMetricIndependence:
         assert len(residuals) == 4
         assert max(residuals) < 1e-4
 
-
-class TestPushforward:
-    def test_identity(self):
-        f = sample_map(CIRCLE_ATLAS, S1, great_circle(1.0), 64)
-        from mapcalc.maps import identity_target
-
-        # output points are renormalized, which may perturb the last bit
-        assert map_sup_distance(pushforward(identity_target(S1), f), f) < 1e-15
-
-    def test_torus_translation(self):
-        f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 64)
-        shifted = pushforward(torus_translation(T22, (0.5, 0.25)), f)
-        expected = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0), shift=(0.5, 0.25)), 64)
-        assert map_sup_distance(shifted, expected) < 1e-12
-
-    def test_sphere_rotation_of_great_circle(self):
-        f = sample_map(CIRCLE_ATLAS, S1, great_circle(1.0), 128)
-        rot = sphere_rotation(S1, [0, 0, 1], 0.3)
-        g = pushforward(rot, f)
-        c, s = math.cos(0.3), math.sin(0.3)
-        expected = sample_map(
-            CIRCLE_ATLAS, S1,
-            great_circle(1.0, rotation=np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])),
-            128,
-        )
-        assert map_sup_distance(g, expected) < 1e-12
-
-    def test_continuity_witness(self, rng):
-        # images of a converging family converge
-        f = random_center(S1, 96, rng)
-        rot = sphere_rotation(S1, [0, 1, 0], 0.4)
-        u = random_section(f, rng, 0.15, bound=0.2)
-        dists = []
-        for mlevel in (1, 4, 16):
-            g = chart_inverse(f, section_scale(u, 1.0 / mlevel))
-            pf, pg = pushforward(rot, f), pushforward(rot, g)
-            dists.append(ck_distance(pf, pg, 1, cover=canonical_cover(pf)))
-        assert dists[2] < dists[0] / 8
-
-
-class TestPullback:
-    def test_identity_near_exact(self):
-        f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 128)
-        assert map_sup_distance(pullback(circle_identity(), f), f) < 1e-9
-
-    def test_lattice_shift_exact(self):
-        f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 128)
-        c = 8 * (TAU / 128)
-        out = pullback(circle_shift(c), f)
-        expected = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0), shift=(c, 0)), 128)
-        assert map_sup_distance(out, expected) < 1e-12
-
-    def test_generic_shift_interpolates(self):
-        from mapcalc import MapFormula
-
-        waves = ((0, 0.4, 0.7), (1, 0.3, 0.2))
-        f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0), waves=waves), 256)
-        out = pullback(circle_shift(0.123), f)
-        # direct evaluation of theta -> f(theta + 0.123)
-        direct = sample_map(
-            CIRCLE_ATLAS, T22,
-            MapFormula(
-                "shifted",
-                lambda mesh: np.stack([
-                    (mesh[..., 0] + 0.123) + 0.4 * np.sin(mesh[..., 0] + 0.123 + 0.7),
-                    0.3 * np.sin(2 * (mesh[..., 0] + 0.123) + 0.2),
-                ], axis=-1),
-            ), 256,
-        )
-        assert map_sup_distance(out, direct) < 1e-7
-
-    def test_double_cover_doubles_winding(self):
-        f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 128)
-        out = pullback(circle_cover(2), f)
-        assert winding_numbers(out) == (2, 0)
-
-    def test_sphere_valued_interpolation(self):
-        f = sample_map(CIRCLE_ATLAS, S1, great_circle(1.0), 256)
-        out = pullback(circle_shift(0.3), f)
-        c, s = math.cos(0.3), math.sin(0.3)
-        rotated = sample_map(
-            CIRCLE_ATLAS, S1,
-            great_circle(1.0, rotation=np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])),
-            256,
-        )
-        assert map_sup_distance(out, rotated) < 1e-7
-
-    def test_chart_local_linearity_flat_target(self):
-        # operands and their sum all stay inside one branch, where the chart
-        # representative is the plain coordinate and interpolation is linear
-        def f1_fn(mesh):
-            th = mesh[..., 0]
-            return np.stack(
-                [math.pi / 2 + 0.5 * np.sin(th), math.pi / 2 + 0.3 * np.cos(th)], axis=-1
-            )
-
-        def f2_fn(mesh):
-            th = mesh[..., 0]
-            return np.stack(
-                [math.pi / 2 + 0.4 * np.cos(2 * th), math.pi / 2 + 0.2 * np.sin(th)], axis=-1
-            )
-
-        from mapcalc import MapFormula
-
-        f1 = sample_map(CIRCLE_ATLAS, T22, MapFormula("f1", f1_fn), 128)
-        f2 = sample_map(CIRCLE_ATLAS, T22, MapFormula("f2", f2_fn), 128)
-        fsum = sample_map(
-            CIRCLE_ATLAS, T22,
-            MapFormula("sum", lambda mesh: f1_fn(mesh) + f2_fn(mesh)), 128,
-        )
-        g = circle_shift(0.3)
-        lhs = pullback(g, fsum)
-        rhs_vals = [
-            a + b for a, b in zip(pullback(g, f1).values, pullback(g, f2).values)
-        ]
-        worst = max(
-            float(np.max(np.abs(lv - rv))) for lv, rv in zip(lhs.values, rhs_vals)
-        )
-        assert worst < 1e-10

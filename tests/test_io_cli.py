@@ -107,6 +107,21 @@ def test_map_reader_rejects_corrupted_file(tmp_path, corrupt):
         read_map_csv(path)
 
 
+@pytest.mark.parametrize("kind", ["map", "section"])
+def test_grid_reader_rejects_header_only_file(tmp_path, rng, kind):
+    f = sample_map(CIRCLE_ATLAS, S1, great_circle(), 16)
+    path = tmp_path / "grid.csv"
+    if kind == "map":
+        write_map_csv(f, path)
+        read = read_map_csv
+    else:
+        write_section_csv(random_section(f, rng, 0.2, bound=0.3), path)
+        read = read_section_csv
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    with pytest.raises(ValueError):
+        read(path)
+
+
 HEADER_CORRUPTIONS = {
     "unknown_atlas": lambda head: {**head, "atlas": "sphere3"},
     "missing_target": lambda head: {k: v for k, v in head.items() if k != "target"},
@@ -227,6 +242,19 @@ class TestSectionCsv:
         write_section_csv(random_section(f, rng, 0.2, bound=0.3), path)
         path.write_text(path.read_text().replace('"bound": ', '"bond": ', 1))
         with pytest.raises(ValueError):
+            read_section_csv(path)
+
+    def test_vector_off_the_tangent_plane_rejected(self, tmp_path, rng):
+        # the vector 0.01 p at one node points straight out of the sphere
+        f = random_center(sphere(2.0), 16, rng)
+        path = tmp_path / "section.csv"
+        write_section_csv(random_section(f, rng, 0.2, bound=0.3), path)
+        head, columns, *rows = path.read_text().splitlines()
+        row = rows[7].split(",")
+        row[5:8] = [repr(0.01 * float(x)) for x in row[2:5]]
+        rows[7] = ",".join(row)
+        path.write_text("\n".join([head, columns, *rows]) + "\n")
+        with pytest.raises(ValueError, match="tangent plane"):
             read_section_csv(path)
 
 

@@ -18,7 +18,6 @@ from mapcalc import (
     flat_torus,
     nbhd_contains,
     neighborhood,
-    pushforward,
     sample_map,
     section_norm,
     sphere,
@@ -37,7 +36,7 @@ from mapcalc.experiments import (
     random_section,
 )
 from mapcalc.finite_diff import stencil_window
-from mapcalc.maps import great_circle, sphere_rotation, torus_loop
+from mapcalc.maps import great_circle, torus_loop
 from mapcalc.sections import section_rep
 from mapcalc.topology import CkCover, cover_jets, jets_distance
 from oracles import ray_sweep_ratio
@@ -112,11 +111,13 @@ class TestNeighborhood:
 
     def test_verdicts_match_dense_grid_oracle(self):
         # sup on the working grid against a brute-force sup on a 10x grid
+        c, s = np.cos(0.01), np.sin(0.01)
+        z_turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        rotated = great_circle(1.0, rotation=z_turn)
         f = sample_map(CIRCLE_ATLAS, S1, great_circle(1.0), 256)
-        rot = sphere_rotation(S1, [0.0, 0.0, 1.0], 0.01)
-        g = pushforward(rot, f)
+        g = sample_map(CIRCLE_ATLAS, S1, rotated, 256)
         f10 = sample_map(CIRCLE_ATLAS, S1, great_circle(1.0), 2560)
-        g10 = pushforward(rot, f10)
+        g10 = sample_map(CIRCLE_ATLAS, S1, rotated, 2560)
         oracle = ck_distance(f10, g10, 1, cover=canonical_cover(f10))
         wide = neighborhood(f, epsilon=1.05 * oracle, order=1)
         tight = neighborhood(f, epsilon=0.95 * oracle, order=1)

@@ -463,3 +463,36 @@ class TestMetricIndependence:
         assert len(residuals) == 4
         assert max(residuals) < 1e-4
 
+
+
+def random_rotation(rng):
+    """A random proper rotation of R^3."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+def rotated(f, rot):
+    """The map ``rot`` o f, for an isometry ``rot`` of the round sphere."""
+    return f.with_values(v @ rot.T for v in f.values)
+
+
+class TestIsometryEquivariance:
+    # a rotation is an isometry of the round sphere, so it commutes with the
+    # exponential map and its inverse and hence with both chart maps
+    def test_chart_forward_commutes_with_rotation(self, rng):
+        f, g, delta = random_pair(S1, 32, rng)
+        rot = random_rotation(rng)
+        s = chart_forward(f, g, delta)
+        s_rot = chart_forward(rotated(f, rot), rotated(g, rot), delta)
+        for vec, vec_rot in zip(s.vectors, s_rot.vectors):
+            assert np.max(np.abs(vec @ rot.T - vec_rot)) < 1e-12
+
+    def test_chart_inverse_commutes_with_rotation(self, rng):
+        f = random_center(S1, 32, rng)
+        s = random_section(f, rng, 0.3, bound=0.4)
+        rot = random_rotation(rng)
+        f_rot = rotated(f, rot)
+        s_rot = make_section(f_rot, [v @ rot.T for v in s.vectors], bound=0.4)
+        g_rot = chart_inverse(f_rot, s_rot)
+        assert map_sup_distance(rotated(chart_inverse(f, s), rot), g_rot) < 1e-12

@@ -190,6 +190,20 @@ class TestDescend:
         assert set(seen) == {(1, 1)}
 
 
+class TestWindingNumbers:
+    @pytest.mark.parametrize("winding", [(1, 0), (2, 0), (0, -1), (-3, 2)])
+    def test_torus_loop_winding(self, winding):
+        f = sample_map(
+            CIRCLE_ATLAS, T22, torus_loop(winding, waves=((0, 0.4, 0.7), (1, 0.3, 0.2))), 128
+        )
+        assert winding_numbers(f) == winding
+
+    def test_sphere_target_rejected(self):
+        f = sample_map(CIRCLE_ATLAS, S1, sphere_cap_loop(1.0, 0.6), 64)
+        with pytest.raises(ValueError):
+            winding_numbers(f)
+
+
 class TestFixedChartDescent:
     FIXED_CHART_LOOPS = [
         (T22, torus_loop((1, 0), waves=((0, 0.2, 0.3),))),

@@ -244,18 +244,42 @@ class TestSectionCsv:
         with pytest.raises(ValueError):
             read_section_csv(path)
 
-    def test_vector_off_the_tangent_plane_rejected(self, tmp_path, rng):
-        # the vector 0.01 p at one node points straight out of the sphere
-        f = random_center(sphere(2.0), 16, rng)
-        path = tmp_path / "section.csv"
-        write_section_csv(random_section(f, rng, 0.2, bound=0.3), path)
+    @staticmethod
+    def _write_normal_vector(path, radius, rng):
+        # a section over a random loop on the sphere of ``radius``, with the
+        # vector at one node replaced by 0.01 p, straight out of the sphere
+        f = random_center(sphere(radius), 16, rng)
+        write_section_csv(random_section(f, rng, 0.2 * radius, bound=0.3 * radius), path)
         head, columns, *rows = path.read_text().splitlines()
         row = rows[7].split(",")
         row[5:8] = [repr(0.01 * float(x)) for x in row[2:5]]
         rows[7] = ",".join(row)
         path.write_text("\n".join([head, columns, *rows]) + "\n")
+
+    def test_vector_off_the_tangent_plane_rejected(self, tmp_path, rng):
+        path = tmp_path / "section.csv"
+        self._write_normal_vector(path, 2.0, rng)
         with pytest.raises(ValueError, match="tangent plane"):
             read_section_csv(path)
+
+    @pytest.mark.parametrize("radius", [0.1, 1.0, 1000.0])
+    def test_normal_vector_rejected_at_radius(self, tmp_path, rng, radius):
+        path = tmp_path / "section.csv"
+        self._write_normal_vector(path, radius, rng)
+        with pytest.raises(ValueError, match="tangent plane"):
+            read_section_csv(path)
+
+    @pytest.mark.parametrize("radius", [0.1, 1.0, 1000.0])
+    def test_roundtrip_at_radius(self, tmp_path, rng, radius):
+        # the tangency check scales with the radius, so written sections
+        # load at every radius
+        f = random_center(sphere(radius), 64, rng)
+        s = random_section(f, rng, 0.2 * radius, bound=0.3 * radius)
+        path = tmp_path / "section.csv"
+        write_section_csv(s, path)
+        again = read_section_csv(path)
+        for a, b in zip(s.vectors, again.vectors):
+            assert np.array_equal(a, b)
 
 
 _TRACE_HEAD = "step,energy,grad_norm,step_size\n"

@@ -181,12 +181,12 @@ def same_discretization(f: SampledMap, g: SampledMap) -> None:
 
 
 def map_sup_distance(f: SampledMap, g: SampledMap) -> float:
-    """Sup over all grid nodes of the target distance between two maps."""
+    """Sup over all grid nodes of the target distance between two maps; NaN
+    when a distance is NaN."""
     same_discretization(f, g)
-    worst = 0.0
-    for fv, gv in zip(f.values, g.values):
-        worst = max(worst, float(np.max(dist_points(f.target, fv, gv))))
-    return worst
+    return float(np.max(
+        [np.max(dist_points(f.target, fv, gv)) for fv, gv in zip(f.values, g.values)], initial=0.0
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -28,16 +28,17 @@ from .gridfn import GridFunction
 from .manifolds import (
     TORUS,
     TargetManifold,
-    apply_in_frames,
     exp_points,
     fiber_matrices,
     fiber_probes,
     frames_at,
+    from_frame,
     inj_radius,
     log_dist_points,
     log_points,
     reduce_points,
     require_log_reach,
+    to_frame,
 )
 from .sections import PullbackSection, make_section, maps_equal
 
@@ -111,25 +112,22 @@ def transition(f: SampledMap, g: SampledMap, s: PullbackSection) -> PullbackSect
 
 
 def transition_derivative(
-    f: SampledMap,
-    g: SampledMap,
-    s0: PullbackSection,
-    s: PullbackSection,
-    step: float = 1e-6,
+    f: SampledMap, g: SampledMap, s0: PullbackSection, s: PullbackSection
 ) -> PullbackSection:
     """Derivative of the chart transition at s0, applied to s, nodewise.
 
-    Acts through the fiber derivative of v -> log_g(exp_f(v)) at s0; on the
-    flat torus this is exactly the identity on vectors.
+    Acts through the fiber derivative of v -> log_g(exp_f(v)) at s0, by
+    central differences of step 1e-6; on the flat torus this is exactly the
+    identity on vectors.
     """
     if not maps_equal(s0.base_map, f) or not maps_equal(s.base_map, f):
         raise BaseMismatch("sections are not based on the source chart center")
     m = f.target
     gap = map_sup_distance(f, g)
     # slack covers the finite-difference probes around s0
-    if not s0.bound + gap + 2 * step < inj_radius(m):
+    if not s0.bound + gap + 2e-6 < inj_radius(m):
         raise WellDefinednessViolated("base section leaves the transition margin")
-    mats, _ = metric_transition_batch(f, g, s0, [], m, m, step=step)
+    mats, _ = metric_transition_batch(f, g, s0, [], m, m, step=1e-6)
     return apply_fiber_matrices(f, g, mats, s)
 
 
@@ -230,10 +228,10 @@ def apply_fiber_matrices(
     The matrices map the pointwise frames along f to those along g.
     """
     m = f.target
-    out = [
-        apply_in_frames(mat, frames_at(m, fv), frames_at(m, gv), v)
-        for fv, gv, mat, v in zip(f.values, g.values, mats, s.vectors)
-    ]
+    out = []
+    for fv, gv, mat, v in zip(f.values, g.values, mats, s.vectors):
+        w = np.einsum("...ab,...b->...a", mat, to_frame(frames_at(m, fv), v))
+        out.append(from_frame(frames_at(m, gv), w))
     return make_section(g, out)
 
 
@@ -250,10 +248,9 @@ class OmegaKernel:
     numerical differentiation layer would drown it in noise.
     """
 
-    base_interval: tuple[float, float]
     fiber_box: tuple[tuple[float, float], ...]
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    fiber_derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    fiber_derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def check_fiber(self, values: np.ndarray) -> None:
         for a, (lo, hi) in enumerate(self.fiber_box):
@@ -265,10 +262,7 @@ class OmegaKernel:
 def omega_apply(kernel: OmegaKernel, f: GridFunction) -> GridFunction:
     """Composition operator: x -> g(x, f(x)) on the grid."""
     kernel.check_fiber(f.values)
-    out = np.asarray(kernel.value(f.xs, f.values), dtype=float)
-    if out.ndim == 1:
-        out = out[:, None]
-    return GridFunction(f.lo, f.hi, out)
+    return GridFunction(f.lo, f.hi, np.asarray(kernel.value(f.xs, f.values), dtype=float))
 
 
 def omega_derivative(kernel: OmegaKernel, f: GridFunction, h: GridFunction) -> GridFunction:
@@ -277,12 +271,8 @@ def omega_derivative(kernel: OmegaKernel, f: GridFunction, h: GridFunction) -> G
     Pointwise this is the fiber derivative of the kernel at (x, f(x))
     contracted with h(x).
     """
-    if kernel.fiber_derivative is None:
-        raise ValueError("kernel carries no closed-form fiber derivative")
     kernel.check_fiber(f.values)
     dmat = np.asarray(kernel.fiber_derivative(f.xs, f.values), dtype=float)
-    if dmat.ndim == 1:
-        dmat = dmat[:, None, None]
     out = np.einsum("nlm,nm->nl", dmat, h.values)
     return GridFunction(f.lo, f.hi, out)
 

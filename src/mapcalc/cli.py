@@ -18,7 +18,7 @@ import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import cache, partial, reduce
+from functools import cache, partial
 from pathlib import Path
 
 import click
@@ -172,8 +172,9 @@ def _trials(config: ExperimentConfig, tag: int, count: int | None = None):
 
 
 def _worst(residuals) -> float:
-    """Largest residual, folded as max(worst, r) from 0.0 in iteration order."""
-    return reduce(max, residuals, 0.0)
+    """Largest residual, 0.0 for none; NaN when any residual is NaN, which
+    Python's max(0.0, nan) would drop."""
+    return float(np.max(list(residuals), initial=0.0))
 
 
 def _once(thunk):
@@ -219,9 +220,9 @@ def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
         return _worst(abs(math.log2(r / fam[0])) for fam in (fwd, inv) for r in fam[1:])
 
     def pseudometric(axiom, torus_tag, sphere_tag):
-        return lambda: max(
-            ex.pseudometric_residuals(config.torus, res, _rng(config, torus_tag), k)[axiom],
-            ex.pseudometric_residuals(config.sphere, res, _rng(config, sphere_tag), k)[axiom],
+        return lambda: _worst(
+            ex.pseudometric_residuals(m, res, _rng(config, tag), k)[axiom]
+            for m, tag in ((config.torus, torus_tag), (config.sphere, sphere_tag))
         )
 
     def norm_axiom(axiom, tag):
@@ -239,7 +240,7 @@ def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
         )
         if not all(map(math.isfinite, values)):
             return math.nan  # max(0.0, nan) is 0.0, so a NaN witness would pass
-        return max((max(0.0, a - b) for a, b in zip(values, values[1:])), default=0.0)
+        return _worst(max(0.0, a - b) for a, b in zip(values, values[1:]))
 
     f, h = ex.omega_test_functions()
     taylor = ex.taylor_cases().values()
@@ -269,7 +270,7 @@ def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
         )
 
     def metric():
-        return max(ex.metric_independence_residuals(
+        return _worst(ex.metric_independence_residuals(
             res, _rng(config, 35), n_sections=config.sections, conformal_expr=config.conformal
         ))
 
@@ -335,8 +336,8 @@ def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
               1e-10, lambda: _worst(ex.taylor_identity_residual(d, u, h) for d in taylor
                                     for u, h in (([0.3], [0.2]), ([-0.5], [0.35])))),
         Check("taylor", "taylor_quadratic", "quadratic case gives R(u,h) = h", 1e-12,
-              lambda: max(ex.taylor_quadratic_residual(0.7, 0.25),
-                          ex.taylor_quadratic_residual(-0.2, 0.4))),
+              lambda: _worst(ex.taylor_quadratic_residual(u, h)
+                             for u, h in ((0.7, 0.25), (-0.2, 0.4)))),
         Check("transitions", "transition_cocycle", "transitions compose along chart triples",
               1e-9, cocycle),
         Check("transitions", "transition_derivative_sphere",

@@ -109,9 +109,6 @@ def jets(values: np.ndarray, window: tuple[slice, ...], h: float, k: int) -> Jet
 
 
 def jet_sup_diff(a: Jets, b: Jets) -> float:
-    """Sup over multi-indices and nodes of the norm of the jet difference."""
-    worst = 0.0
-    for alpha, ea in a.items():
-        diff = ea - b[alpha]
-        worst = max(worst, float(np.max(norm(diff))))
-    return worst
+    """Sup over multi-indices and nodes of the norm of the jet difference;
+    NaN when the difference holds a NaN."""
+    return float(np.max([np.max(norm(ea - b[alpha])) for alpha, ea in a.items()], initial=0.0))

@@ -47,10 +47,7 @@ class GridFunction:
         return cls(lo, hi, vals)
 
     def map_values(self, fn: Callable) -> "GridFunction":
-        out = np.asarray(fn(self.values), dtype=float)
-        if out.ndim == 1:
-            out = out[:, None]
-        return GridFunction(self.lo, self.hi, out)
+        return GridFunction(self.lo, self.hi, np.asarray(fn(self.values), dtype=float))
 
 
 def same_grid(a: GridFunction, b: GridFunction) -> None:

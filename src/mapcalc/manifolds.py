@@ -407,15 +407,15 @@ def reduce_points(m: TargetManifold, coords: np.ndarray) -> np.ndarray:
     return mod_periods(coords, m.periods)
 
 
-def check_points(m: TargetManifold, coords: np.ndarray, tol: float = POINT_TOL) -> None:
+def check_points(m: TargetManifold, coords: np.ndarray) -> None:
     coords = np.asarray(coords, dtype=float)
     if m.kind == SPHERE:
         err = np.max(np.abs(norm(coords) - m.radius))
-        if err > tol:
+        if err > POINT_TOL:
             raise ValueError(f"sphere point off the sphere by {err:g}")
     else:
         periods = np.asarray(m.periods)
-        if np.any(coords < -tol) or np.any(coords >= periods + tol):
+        if np.any(coords < -POINT_TOL) or np.any(coords >= periods + POINT_TOL):
             raise ValueError("torus coordinates not reduced into [0, period)")
 
 
@@ -506,25 +506,10 @@ def from_frame(frames: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("...a,...ad->...d", w, frames)
 
 
-def apply_in_frames(
-    mats: np.ndarray, src_frames: np.ndarray, dst_frames: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Apply fiber matrices, given in frame coordinates, to ambient vectors."""
-    out = np.einsum("...ab,...b->...a", mats, to_frame(src_frames, v))
-    return from_frame(dst_frames, out)
-
-
-def frame_jacobian(image, w0: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference Jacobian at ``w0`` of a map between 2-d frame coordinates.
-
-    ``image`` maps the four probes, stacked on a new leading axis, in one call.
-    """
-    return frame_quotient(image(frame_probes(w0, step)), step)
-
-
 def frame_probes(w0: np.ndarray, step: float) -> np.ndarray:
-    """The probes w0 + step e1, w0 - step e1, w0 + step e2, w0 - step e2 of
-    ``frame_jacobian``, stacked on a new leading axis."""
+    """The probes w0 + step e1, w0 - step e1, w0 + step e2, w0 - step e2 of a
+    central-difference Jacobian in 2-d frame coordinates, stacked on a new
+    leading axis."""
     e = step * np.eye(2)
     return np.stack([w0 + e[0], w0 - e[0], w0 + e[1], w0 - e[1]])
 
@@ -880,7 +865,8 @@ def _shoot_pairs(m: TargetManifold, base: np.ndarray, target: np.ndarray, node) 
             break
         if inv is None or it % _JACOBIAN_REFRESH == 0:
             # chord Newton: the Jacobian is refreshed rarely, from coarse flows
-            jac = frame_jacobian(lambda wc: residual(wc, live, _JACOBIAN_RULE), w[live], 1e-7)
+            probes = frame_probes(w[live], 1e-7)
+            jac = frame_quotient(residual(probes, live, _JACOBIAN_RULE), 1e-7)
             det = np.abs(np.linalg.det(jac))
             if np.any(det < 1e-14):
                 i = int(np.nanargmin(det))

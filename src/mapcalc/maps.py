@@ -9,6 +9,9 @@ import numpy as np
 from .atlas import MapFormula
 from .manifolds import TargetManifold, norm, reduce_points
 
+# scale of the random Fourier coefficients of random loops, 1/k of it at mode k
+LOOP_AMPLITUDE = 0.15
+
 
 def constant_formula(m: TargetManifold, coords) -> MapFormula:
     p = reduce_points(m, np.asarray(coords, dtype=float))
@@ -108,11 +111,9 @@ def add_fourier_modes(out: np.ndarray, theta: np.ndarray, coeffs: np.ndarray) ->
     return np.stack(cols, axis=-1)
 
 
-def sphere_fourier_loop(
-    radius: float, rng: np.random.Generator, amplitude: float = 0.2, modes: int = 3
-) -> MapFormula:
+def sphere_fourier_loop(radius: float, rng: np.random.Generator) -> MapFormula:
     """Smooth random loop near the equator, normalized back to the sphere."""
-    coeffs = amplitude * rng.standard_normal((modes, 2, 3)) / np.arange(1, modes + 1)[:, None, None]
+    coeffs = LOOP_AMPLITUDE * rng.standard_normal((3, 2, 3)) / np.arange(1, 4)[:, None, None]
 
     def fn(mesh):
         theta = mesh[..., 0]
@@ -123,17 +124,10 @@ def sphere_fourier_loop(
     return MapFormula("sphere_fourier", fn)
 
 
-def torus_fourier_loop(
-    dim: int,
-    rng: np.random.Generator,
-    winding: tuple[int, ...] | None = None,
-    amplitude: float = 0.2,
-    modes: int = 3,
-) -> MapFormula:
-    if winding is None:
-        winding = tuple(int(w) for w in rng.integers(-1, 2, size=dim))
-    w = np.asarray(winding, dtype=float)
-    amp = amplitude * rng.standard_normal((modes, 2, dim)) / np.arange(1, modes + 1)[:, None, None]
+def torus_fourier_loop(dim: int, rng: np.random.Generator) -> MapFormula:
+    """Smooth random loop of a random winding in {-1, 0, 1} per axis."""
+    w = rng.integers(-1, 2, size=dim).astype(float)
+    amp = LOOP_AMPLITUDE * rng.standard_normal((3, 2, dim)) / np.arange(1, 4)[:, None, None]
     shift = rng.uniform(0, 2 * np.pi, size=dim)
 
     def fn(mesh):
@@ -143,10 +137,10 @@ def torus_fourier_loop(
     return MapFormula("torus_fourier", fn)
 
 
-def random_loop(m: TargetManifold, rng: np.random.Generator, amplitude: float = 0.2) -> MapFormula:
+def random_loop(m: TargetManifold, rng: np.random.Generator) -> MapFormula:
     if m.kind == "sphere":
-        return sphere_fourier_loop(m.radius, rng, amplitude=amplitude)
-    return torus_fourier_loop(len(m.periods), rng, amplitude=amplitude)
+        return sphere_fourier_loop(m.radius, rng)
+    return torus_fourier_loop(len(m.periods), rng)
 
 
 def torus2_wave(winding: tuple[tuple[int, int], tuple[int, int]], amp: float = 0.0) -> MapFormula:

@@ -96,11 +96,11 @@ def section_from_formula(
 
 
 def _sup_norm(f: SampledMap, vectors) -> float:
-    """Sup over all grid nodes of the fiber norm of per-chart vectors along f."""
-    return max(
-        (float(np.max(norm_points(f.target, fv, v))) for fv, v in zip(f.values, vectors)),
-        default=0.0,
-    )
+    """Sup over all grid nodes of the fiber norm of per-chart vectors along f;
+    NaN when a vector holds a NaN."""
+    return float(np.max(
+        [np.max(norm_points(f.target, fv, v)) for fv, v in zip(f.values, vectors)], initial=0.0
+    ))
 
 
 def section_sup(s: PullbackSection) -> float:

@@ -117,11 +117,9 @@ def cover_jets(f: SampledMap, cover: CkCover, k: int) -> list[Jets]:
 
 
 def jets_distance(jf: list[Jets], jg: list[Jets]) -> float:
-    """``ck_distance`` from two maps' ``cover_jets`` under the same cover and order."""
-    worst = 0.0
-    for a, b in zip(jf, jg, strict=True):
-        worst = max(worst, jet_sup_diff(a, b))
-    return worst
+    """``ck_distance`` from two maps' ``cover_jets`` under the same cover and order;
+    NaN when a jet difference holds a NaN."""
+    return float(np.max([jet_sup_diff(a, b) for a, b in zip(jf, jg, strict=True)], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +139,6 @@ class SectionNormReport:
         expected = max(self.entries.values(), default=0.0)
         if abs(self.total - expected) > 0.0:
             raise ValueError("total must be the max over entries")
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "entries": [
-                {"chart": cid, "alpha": list(alpha), "sup": v}
-                for (cid, alpha), v in sorted(self.entries.items())
-            ],
-        }
 
 
 def section_norm(s: PullbackSection, k: int) -> SectionNormReport:
@@ -178,7 +167,7 @@ def composition_bound_probe(
     R: float,
     k: int,
     box: tuple[tuple[float, float], ...] | None = None,
-) -> dict:
+) -> float:
     """Empirical constant of the post-composition estimate.
 
     For each admissible sample f2, the ratio of the jet difference of the
@@ -187,7 +176,7 @@ def composition_bound_probe(
     Samples must stay inside the value box and within jet distance R of f1.
     """
     psi_f1 = f1.map_values(psi)
-    max_ratio = 0.0
+    worst = 0.0
     for f2 in samples:
         if box is not None:
             for a, (lo, hi) in enumerate(box):
@@ -205,8 +194,8 @@ def composition_bound_probe(
         ratio = comp / base
         if not np.isfinite(ratio):
             raise HypothesisViolated("composition ratio is not finite")
-        max_ratio = max(max_ratio, ratio)
-    return {"max_ratio": max_ratio, "bound_witness": max_ratio}
+        worst = max(worst, ratio)
+    return worst
 
 
 def witness_ladder(
@@ -215,7 +204,7 @@ def witness_ladder(
     samples: list[GridFunction],
     ladder: tuple[float, ...],
     k: int,
-    box: tuple[tuple[float, float], ...] | None = None,
+    box: tuple[tuple[float, float], ...],
 ) -> list[float]:
     """Empirical constants along a growing radius ladder.
 
@@ -225,6 +214,5 @@ def witness_ladder(
     out = []
     for R in sorted(ladder):
         admissible = [f2 for f2 in samples if grid_jet_sup_diff(f1, f2, k) <= R + 1e-12]
-        res = composition_bound_probe(psi, f1, admissible, R, k, box=box)
-        out.append(res["bound_witness"])
+        out.append(composition_bound_probe(psi, f1, admissible, R, k, box=box))
     return out

@@ -354,6 +354,16 @@ class TestConfig:
             load_config(str(cfg))
 
 
+# check row -> (suite, the experiments function it folds, that function's
+# result drawn from a list of residuals)
+NAN_ROWS = {
+    "transition_cocycle": ("transitions", "cocycle_residual", lambda r: r.pop(0)),
+    "ck_distance_symmetry": ("topology", "pseudometric_residuals", lambda r: (r.pop(0),) * 2),
+    "metric_independence": ("transitions", "metric_independence_residuals", list),
+    "taylor_quadratic": ("taylor", "taylor_quadratic_residual", lambda r: r.pop(0)),
+}
+
+
 class TestRunSuite:
     def test_taylor_suite_passes_and_reports(self, tmp_path):
         config = ExperimentConfig(resolution=32, trials=2, sections=1)
@@ -493,6 +503,22 @@ class TestRunSuite:
         assert "FAIL transition_derivative_sphere: residual=none tol=1.0e-05 (" in out
         assert "PASS metric_independence: residual=1.000e-06 tol=1.0e-04\n" in out
 
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("name", list(NAN_ROWS))
+    def test_nan_residual_fails_its_row(self, monkeypatch, name, position):
+        # a row folds its residuals into one; max(0.0, nan) is 0.0 and
+        # max(r, nan) is r, so the fold must keep a NaN wherever it comes
+        suite, function, result = NAN_ROWS[name]
+        residuals = [1e-16] * 4
+        residuals[position] = math.nan
+        monkeypatch.setattr(experiments, function, lambda *a, **k: result(residuals))
+        config = ExperimentConfig(resolution=16, trials=2, sections=2)
+        checks = [c for c in build_suite(config, suite, None) if c.name == name]
+        execute_checks(checks)
+        row = checks[0].as_report()
+        assert row["residual"] is None and row["pass"] is False
+        assert "non-finite" in row["error"]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_witness_is_an_error_row(self, monkeypatch, bad):
         # the drops max(0.0, a - b) alone read a NaN witness as no drop at all
@@ -503,31 +529,6 @@ class TestRunSuite:
         row = checks[0].as_report()
         assert row["residual"] is None and row["pass"] is False
         assert "non-finite" in row["error"]
-
-
-class TestJsonReports:
-    def test_section_norm_report_serializes(self, rng):
-        from mapcalc import section_norm
-        from mapcalc.io import canonical_json
-
-        f = random_center(S1, 64, rng)
-        rep = section_norm(random_section(f, rng, 0.2), 1)
-        text = canonical_json(rep.to_dict())
-        parsed = json.loads(text)
-        assert parsed["total"] == rep.total
-        assert len(parsed["entries"]) == len(rep.entries)
-
-    def test_probe_result_serializes(self, rng):
-        from mapcalc.experiments import composition_probe_case
-        from mapcalc.io import canonical_json
-        from mapcalc.topology import composition_bound_probe
-
-        case = composition_probe_case(rng, count=5)
-        res = composition_bound_probe(
-            lambda y: y**2, case["f1"], case["samples"], R=1.0, k=1, box=case["box"]
-        )
-        parsed = json.loads(canonical_json(res))
-        assert set(parsed) == {"max_ratio", "bound_witness"}
 
 
 BAD_CONFIGS = {

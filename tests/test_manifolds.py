@@ -707,8 +707,8 @@ class TestConformalShooting:
     def test_singular_jacobian_names_the_worst_node(self, monkeypatch):
         # shrunk by 1e-8, every 2x2 Jacobian's determinant falls below 1e-14;
         # the error names the first row of the pair with the smallest one
-        frame_jacobian = manifolds.frame_jacobian
-        monkeypatch.setattr(manifolds, "frame_jacobian", lambda *a: 1e-8 * frame_jacobian(*a))
+        frame_quotient = manifolds.frame_quotient
+        monkeypatch.setattr(manifolds, "frame_quotient", lambda *a: 1e-8 * frame_quotient(*a))
         base, vecs = self.shots(1.0, 4)
         vecs = vecs * np.array([0.1, 0.5, 0.3, 0.2])[:, None]
         targets = exp_points(self.M, base, vecs)

@@ -31,7 +31,7 @@ TAU = 2 * math.pi
 class TestOmegaApply:
     def test_identity_kernel(self):
         kernel = OmegaKernel(
-            (0.0, TAU), ((-2.0, 2.0),),
+            ((-2.0, 2.0),),
             value=lambda xs, ys: ys,
             fiber_derivative=lambda xs, ys: np.ones_like(ys)[..., None],
         )
@@ -93,7 +93,7 @@ class TestOmegaDerivative:
             out[:, 1, 1] = np.sin(xs)
             return out
 
-        kernel = OmegaKernel((0.0, TAU), ((-1.4, 1.4), (-1.4, 1.4)), value, d_fiber)
+        kernel = OmegaKernel(((-1.4, 1.4), (-1.4, 1.4)), value, d_fiber)
 
         def f_fn(x):
             return np.stack([0.7 * np.sin(x), 0.5 * np.cos(2 * x)], axis=-1)

@@ -1,5 +1,6 @@
 """Tests for neighborhoods, the C^k distance, section norms, and the probe."""
 
+import math
 import types
 
 import numpy as np
@@ -23,8 +24,8 @@ from mapcalc import (
     sphere,
     zero_section,
 )
-from mapcalc import topology
-from mapcalc.atlas import TAU, compact_slices
+from mapcalc import atlas, experiments, topology
+from mapcalc.atlas import TAU, compact_slices, map_sup_distance
 from mapcalc.charts import chart_inverse
 from mapcalc.experiments import (
     basis_convergence_failures,
@@ -35,9 +36,9 @@ from mapcalc.experiments import (
     random_center,
     random_section,
 )
-from mapcalc.finite_diff import stencil_window
+from mapcalc.finite_diff import jet_sup_diff, stencil_window
 from mapcalc.maps import great_circle, torus_loop
-from mapcalc.sections import section_rep
+from mapcalc.sections import PullbackSection, make_section, section_rep
 from mapcalc.topology import CkCover, cover_jets, jets_distance
 from oracles import ray_sweep_ratio
 
@@ -125,7 +126,7 @@ class TestNeighborhood:
         assert not nbhd_contains(tight, g)
 
     def test_basis_convergence_three_elements(self, rng):
-        assert basis_convergence_failures(T22, 96, rng) == 0
+        assert basis_convergence_failures(T22, 96, rng, epsilon=2e-2) == 0
 
 
 class TestCkDistance:
@@ -179,6 +180,62 @@ class TestCkDistance:
         assert jets_distance(jf, jg) == ck_distance(f, g, 2, cover=cover) > 0.0
         with pytest.raises(ValueError):
             jets_distance(jf, jg[:1])
+
+
+class TestSupsKeepNaN:
+    """A sup over charts or multi-indices is NaN when any piece holds a NaN,
+    wherever that piece comes in the fold (max(0.0, nan) is 0.0)."""
+
+    @staticmethod
+    def nan_in_chart(f, chart):
+        vectors = [np.zeros_like(v) for v in f.values]
+        vectors[chart][3] = np.nan
+        return vectors
+
+    @pytest.mark.parametrize("chart", [0, 1])
+    def test_section_with_a_nan_vector_rejected(self, rng, chart):
+        f = random_center(S1, 16, rng)
+        with pytest.raises(ValueError):
+            PullbackSection(f, tuple(self.nan_in_chart(f, chart)), 1.0)
+        with pytest.raises(ValueError):
+            make_section(f, self.nan_in_chart(f, chart))
+
+    @pytest.mark.parametrize("alpha", [(0,), (1,)])
+    def test_jet_sup_diff_keeps_nan(self, alpha):
+        a = {(0,): np.zeros((5, 2)), (1,): np.full((5, 2), 0.5)}
+        b = {key: value.copy() for key, value in a.items()}
+        b[alpha][2] = np.nan
+        assert math.isnan(jet_sup_diff(a, b))
+
+    @pytest.mark.parametrize("chart", [0, 1])
+    def test_jets_distance_keeps_nan(self, chart):
+        jets = [{(0,): np.zeros((5, 2))}, {(0,): np.full((5, 2), 0.5)}]
+        broken = [{(0,): j[(0,)].copy()} for j in jets]
+        broken[chart][(0,)][2] = np.nan
+        assert math.isnan(jets_distance(jets, broken))
+
+    @pytest.mark.parametrize("chart", [0, 1])
+    def test_map_sup_distance_keeps_nan(self, monkeypatch, chart):
+        f = sample_map(CIRCLE_ATLAS, S1, great_circle(), 16)
+        calls = iter(range(2))
+
+        def dist(m, a, b):
+            d = np.full(a.shape[:-1], 0.25)
+            return d * np.nan if next(calls) == chart else d
+
+        monkeypatch.setattr(atlas, "dist_points", dist)
+        assert math.isnan(map_sup_distance(f, f))
+
+    @pytest.mark.parametrize("chart", [0, 1])
+    def test_jet_convergence_ratio_keeps_nan(self, monkeypatch, chart):
+        def jet(f, tchart, cid, k):
+            out = chart_jet(f, tchart, cid, k)
+            if cid == chart:
+                out[(2,)] = out[(2,)] * np.nan
+            return out
+
+        monkeypatch.setattr(experiments, "chart_jet", jet)
+        assert math.isnan(experiments.jet_convergence_ratio())
 
 
 def spy_chart_jets(monkeypatch):
@@ -273,8 +330,7 @@ class TestSectionNorm:
 class TestCompositionProbe:
     def test_identical_sample_skipped(self):
         f1 = GridFunction.sample(np.sin, 0, TAU, 200)
-        res = composition_bound_probe(lambda y: y**2, f1, [f1], R=1.0, k=1)
-        assert res["max_ratio"] == 0.0
+        assert composition_bound_probe(lambda y: y**2, f1, [f1], R=1.0, k=1) == 0.0
 
     def test_lipschitz_case_bounded(self):
         f1 = GridFunction.sample(lambda x: 0.4 * np.sin(3 * x), 0, 1, 200)
@@ -282,8 +338,8 @@ class TestCompositionProbe:
             GridFunction.sample(lambda x, c=c: 0.4 * np.sin(3 * x) + c, 0, 1, 200)
             for c in (0.05, -0.1, 0.2)
         ]
-        res = composition_bound_probe(lambda y: 2.0 * y, f1, samples, R=1.0, k=0)
-        assert res["max_ratio"] <= 2.0 + 1e-9
+        ratio = composition_bound_probe(lambda y: 2.0 * y, f1, samples, R=1.0, k=0)
+        assert ratio <= 2.0 + 1e-9
 
     def test_radius_violation_rejected(self):
         f1 = GridFunction.sample(np.sin, 0, TAU, 200)
@@ -304,7 +360,7 @@ class TestCompositionProbe:
         # own parameter included can only raise the witness
         case = composition_probe_case(rng, count=100)
         psi = lambda y: y**2
-        res = composition_bound_probe(
+        ratio = composition_bound_probe(
             psi, case["f1"], case["samples"], R=1.0, k=1, box=case["box"]
         )
-        assert res["max_ratio"] <= ray_sweep_ratio(case["f1"], case["rays"], psi) + 1e-12
+        assert ratio <= ray_sweep_ratio(case["f1"], case["rays"], psi) + 1e-12

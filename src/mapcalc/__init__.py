@@ -75,7 +75,6 @@ from .target_charts import SphereCapChart, TorusBranchChart, auto_chart
 from .topology import (
     CkCover,
     CkNeighborhood,
-    SectionNormReport,
     canonical_cover,
     ck_distance,
     composition_bound_probe,

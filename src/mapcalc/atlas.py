@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
 from .errors import FormulaOutOfTarget, ResolutionMismatch, TargetChartViolated
-from .finite_diff import Jets, jets, stencil_window
+from .finite_diff import Jets, jets, stencil_window, sup
 from .manifolds import (
     SPHERE,
     TargetManifold,
@@ -43,10 +45,6 @@ class Chart:
     box: tuple[tuple[float, float], ...]
     enlarged: tuple[tuple[float, float], ...]
     compact: tuple[tuple[float, float], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.box)
 
 
 @dataclass(frozen=True)
@@ -181,12 +179,9 @@ def same_discretization(f: SampledMap, g: SampledMap) -> None:
 
 
 def map_sup_distance(f: SampledMap, g: SampledMap) -> float:
-    """Sup over all grid nodes of the target distance between two maps; NaN
-    when a distance is NaN."""
+    """Sup over all grid nodes of the target distance between two maps."""
     same_discretization(f, g)
-    return float(np.max(
-        [np.max(dist_points(f.target, fv, gv)) for fv, gv in zip(f.values, g.values)], initial=0.0
-    ))
+    return sup(np.max(dist_points(f.target, fv, gv)) for fv, gv in zip(f.values, g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +214,15 @@ def check_containment(f: SampledMap, target_chart: TargetChart, chart_id: int) -
     return bool(np.all(target_chart.contains(f.values[chart_id][ksl])))
 
 
+def piece_jets(f: SampledMap, chart_id: int, k: int, rep: Callable) -> Jets:
+    """Partial derivatives up to order ``k``, at the compact-piece nodes of
+    chart ``chart_id``, of the chart-local array ``rep(window)`` returns;
+    ``window`` is the compact piece and its stencil margin only."""
+    ksl = compact_slices(f.atlas.charts[chart_id], f.resolution)
+    outer, inner = stencil_window(ksl, k, f.values[chart_id].shape)
+    return jets(rep(outer), inner, TAU / f.resolution, k)
+
+
 def chart_jet(f: SampledMap, target_chart: TargetChart, chart_id: int, k: int) -> Jets:
     """Finite-difference partial derivatives of the chart representative.
 
@@ -231,10 +235,7 @@ def chart_jet(f: SampledMap, target_chart: TargetChart, chart_id: int, k: int) -
         raise TargetChartViolated(
             f"values on the compact piece of chart {chart_id} leave the target chart"
         )
-    ksl = compact_slices(f.atlas.charts[chart_id], f.resolution)
-    # the representative is needed on the compact piece and its stencil margin only
-    outer, inner = stencil_window(ksl, k, f.values[chart_id].shape)
-    return jets(chart_rep(f, target_chart, chart_id, outer), inner, TAU / f.resolution, k)
+    return piece_jets(f, chart_id, k, partial(chart_rep, f, target_chart, chart_id))
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +274,9 @@ def shared_nodes(atlas: DomainAtlas, resolution: int, ci: int, cj: int):
 
 def overlap_residual(f: SampledMap) -> float:
     """Max target distance between the charts' values at shared lattice nodes."""
-    worst = 0.0
-    ncharts = len(f.atlas.charts)
-    for ci in range(ncharts):
-        for cj in range(ci + 1, ncharts):
-            for idx_i, idx_j in shared_nodes(f.atlas, f.resolution, ci, cj):
-                va = f.values[ci][idx_i]
-                vb = f.values[cj][idx_j]
-                if va.size:
-                    worst = max(worst, float(np.max(dist_points(f.target, va, vb))))
-    return worst
+    return sup(
+        np.max(dist_points(f.target, f.values[ci][idx_i], f.values[cj][idx_j]))
+        for ci, cj in combinations(range(len(f.atlas.charts)), 2)
+        for idx_i, idx_j in shared_nodes(f.atlas, f.resolution, ci, cj)
+    )
 

@@ -24,6 +24,7 @@ from .errors import (
     ThickeningViolated,
     WellDefinednessViolated,
 )
+from .finite_diff import sup
 from .gridfn import GridFunction
 from .manifolds import (
     TORUS,
@@ -63,7 +64,7 @@ def chart_forward(f: SampledMap, g: SampledMap, delta: float) -> PullbackSection
         raise WellDefinednessViolated("delta must stay below the injectivity radius")
     same_discretization(f, g)
     logs = [log_dist_points(f.target, fv, gv) for fv, gv in zip(f.values, g.values)]
-    gap = max([0.0, *(float(np.max(d)) for _, d in logs)])
+    gap = sup(np.max(d) for _, d in logs)
     if not gap < delta:
         raise WellDefinednessViolated(
             f"maps are {gap:.6g} apart, not within the chart bound {delta:.6g}"

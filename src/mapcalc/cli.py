@@ -28,6 +28,7 @@ from . import experiments as ex
 from .atlas import CIRCLE_ATLAS, overlap_residual, sample_map
 from .charts import taylor_remainder
 from .errors import ConfigError
+from .finite_diff import sup
 from .io import canonical_json, write_map_csv, write_trace_csv
 from .manifolds import flat_torus, sphere
 from .maps import great_circle
@@ -171,12 +172,6 @@ def _trials(config: ExperimentConfig, tag: int, count: int | None = None):
     return itertools.repeat(_rng(config, tag), config.trials if count is None else count)
 
 
-def _worst(residuals) -> float:
-    """Largest residual, 0.0 for none; NaN when any residual is NaN, which
-    Python's max(0.0, nan) would drop."""
-    return float(np.max(list(residuals), initial=0.0))
-
-
 def _once(thunk):
     """Run a thunk at most once; concurrent callers wait for its result."""
     lock = threading.Lock()
@@ -202,7 +197,7 @@ def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
     res, k = config.resolution, config.order
 
     def roundtrip(m, order, tag):
-        return lambda: _worst(
+        return lambda: sup(
             ex.roundtrip_residual(
                 *ex.random_pair(m, res, rng, delta_factor=config.delta_factor), order
             )
@@ -217,10 +212,10 @@ def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
     def homeo():
         rng = _rng(config, 5)
         fwd, inv = ex.homeo_rate_ratios(ex.random_center(config.sphere, res, rng), rng, k=k)
-        return _worst(abs(math.log2(r / fam[0])) for fam in (fwd, inv) for r in fam[1:])
+        return sup(abs(math.log2(r / fam[0])) for fam in (fwd, inv) for r in fam[1:])
 
     def pseudometric(axiom, torus_tag, sphere_tag):
-        return lambda: _worst(
+        return lambda: sup(
             ex.pseudometric_residuals(m, res, _rng(config, tag), k)[axiom]
             for m, tag in ((config.torus, torus_tag), (config.sphere, sphere_tag))
         )
@@ -239,38 +234,38 @@ def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
             lambda y: y**2, case["f1"], case["samples"], (0.1, 0.5, 1.0), k=1, box=case["box"]
         )
         if not all(map(math.isfinite, values)):
-            return math.nan  # max(0.0, nan) is 0.0, so a NaN witness would pass
-        return _worst(max(0.0, a - b) for a, b in zip(values, values[1:]))
+            return math.nan  # an infinite witness gives a difference of -inf, which passes
+        return sup(a - b for a, b in zip(values, values[1:]))
 
     f, h = ex.omega_test_functions()
     taylor = ex.taylor_cases().values()
 
     def zero_disp():
-        return _worst(
+        return sup(
             abs(float(np.max(np.atleast_1d(taylor_remainder(data, [0.3], [0.0])))))
             for data in taylor
         )
 
     def cocycle():
-        return _worst(
+        return sup(
             ex.cocycle_residual(m, res, rng)
             for rng in _trials(config, 31)
             for m in (config.sphere, config.torus)
         )
 
     def derivative(m, error, tag):
-        return lambda: _worst(
+        return lambda: sup(
             ex.derivative_identity_residual(m, res, rng)[error] for rng in _trials(config, tag)
         )
 
     def chain():
-        return _worst(
+        return sup(
             ex.chain_rule_residual(config.sphere, res, rng)
             for rng in _trials(config, 34, max(1, config.trials // 2))
         )
 
     def metric():
-        return _worst(ex.metric_independence_residuals(
+        return sup(ex.metric_independence_residuals(
             res, _rng(config, 35), n_sections=config.sections, conformal_expr=config.conformal
         ))
 
@@ -289,7 +284,7 @@ def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
         return abs(energy - math.pi)
 
     def monotone():
-        worst = _worst(ex.trace_monotone_violation(run()[1]) for run in (torus_run, sphere_run))
+        worst = sup(ex.trace_monotone_violation(run()[1]) for run in (torus_run, sphere_run))
         if out_dir is not None:
             write_trace_csv(torus_run()[1], out_dir / "torus_descent_trace.csv")
         return worst
@@ -333,10 +328,10 @@ def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
         ),
         Check("taylor", "taylor_zero_displacement", "R(u,0)=0", 1e-15, zero_disp),
         Check("taylor", "taylor_identity", "f(u+h) = f(u) + sum D^i f(u) h^i / i! + R(u,h) h^r",
-              1e-10, lambda: _worst(ex.taylor_identity_residual(d, u, h) for d in taylor
+              1e-10, lambda: sup(ex.taylor_identity_residual(d, u, h) for d in taylor
                                     for u, h in (([0.3], [0.2]), ([-0.5], [0.35])))),
         Check("taylor", "taylor_quadratic", "quadratic case gives R(u,h) = h", 1e-12,
-              lambda: _worst(ex.taylor_quadratic_residual(u, h)
+              lambda: sup(ex.taylor_quadratic_residual(u, h)
                              for u, h in ((0.7, 0.25), (-0.2, 0.4)))),
         Check("transitions", "transition_cocycle", "transitions compose along chart triples",
               1e-9, cocycle),

@@ -36,6 +36,7 @@ from .charts import (
     transition_derivative,
 )
 from .energy import DescentTrace, descend, dirichlet_energy, winding_numbers
+from .finite_diff import sup
 from .gridfn import GridFunction, grid_jet_sup_diff
 from .manifolds import TargetManifold, flat_torus, sphere
 from .maps import add_fourier_modes, random_loop, torus_loop
@@ -129,8 +130,8 @@ def homeo_rate_ratios(
         g = chart_inverse(f, ut)
         d = jets_distance(jf, cover_jets(g, cover, k))
         s = chart_forward(f, g, delta)
-        fwd.append(section_norm(s, k).total / d)
-        inv.append(d / section_norm(ut, k).total)
+        fwd.append(section_norm(s, k) / d)
+        inv.append(d / section_norm(ut, k))
     return fwd, inv
 
 
@@ -144,13 +145,12 @@ def jet_convergence_ratio() -> float:
         cover = canonical_cover(f)
         chart_errs = []
         for chart in f.atlas.charts:
-            jet = chart_jet(f, cover.target_charts[chart.id], chart.id, 2)
+            jet = chart_jet(f, cover[chart.id], chart.id, 2)
             entry = jet[(2,)][..., 0]
             (js,) = compact_slices(chart, res)
             thetas = grid_coords(chart, res)[0][js]
             chart_errs.append(np.max(np.abs(entry + np.sin(thetas))))
-        # np.max keeps a NaN from any chart, where Python's max drops it
-        errs.append(float(np.max(chart_errs)))
+        errs.append(sup(chart_errs))
     return errs[0] / errs[1]
 
 
@@ -374,7 +374,7 @@ def lipschitz_probe_residual() -> float:
         for c in (0.05, -0.1, 0.2)
     ]
     ratio = composition_bound_probe(lambda y: 2.0 * y, f1, samples, R=1.0, k=0)
-    return max(0.0, ratio - 2.0)
+    return sup([ratio - 2.0])
 
 
 def pseudometric_residuals(
@@ -390,7 +390,7 @@ def pseudometric_residuals(
     jf, jg, jh = (cover_jets(x, cover, k) for x in (f, g, h))
     d_fg = jets_distance(jf, jg)
     sym = abs(d_fg - jets_distance(jg, jf))
-    tri = max(0.0, jets_distance(jf, jh) - d_fg - jets_distance(jg, jh))
+    tri = sup([jets_distance(jf, jh) - d_fg - jets_distance(jg, jh)])
     return sym, tri
 
 
@@ -401,13 +401,8 @@ def norm_axiom_residuals(
     s = random_section(f, rng, 0.3)
     t = random_section(f, rng, 0.2)
     a = -2.5
-    hom = abs(section_norm(section_scale(s, a), k).total - abs(a) * section_norm(s, k).total)
-    tri = max(
-        0.0,
-        section_norm(section_add(s, t), k).total
-        - section_norm(s, k).total
-        - section_norm(t, k).total,
-    )
+    hom = abs(section_norm(section_scale(s, a), k) - abs(a) * section_norm(s, k))
+    tri = sup([section_norm(section_add(s, t), k) - section_norm(s, k) - section_norm(t, k)])
     return hom, tri
 
 
@@ -474,7 +469,4 @@ def sphere_descent_demo(
 
 
 def trace_monotone_violation(trace: DescentTrace) -> float:
-    energies = trace.energies
-    if len(energies) < 2:
-        return 0.0
-    return max(0.0, float(np.max(np.diff(energies))))
+    return sup(np.diff(trace.energies))

@@ -108,7 +108,18 @@ def jets(values: np.ndarray, window: tuple[slice, ...], h: float, k: int) -> Jet
     return entries
 
 
+def sup(values) -> float:
+    """Largest of ``values``, 0.0 for none; NaN when any is NaN, which Python's
+    ``max`` drops once it holds a number.  Every sup over pieces, charts and
+    trials, and every residual clamped at zero, folds through here."""
+    return float(np.max(list(values), initial=0.0))
+
+
+def jet_sup(j: Jets) -> float:
+    """Sup over multi-indices and nodes of the norm of the jet entries."""
+    return sup(np.max(norm(entry)) for entry in j.values())
+
+
 def jet_sup_diff(a: Jets, b: Jets) -> float:
-    """Sup over multi-indices and nodes of the norm of the jet difference;
-    NaN when the difference holds a NaN."""
-    return float(np.max([np.max(norm(ea - b[alpha])) for alpha, ea in a.items()], initial=0.0))
+    """Sup over multi-indices and nodes of the norm of the jet difference."""
+    return jet_sup({alpha: ea - b[alpha] for alpha, ea in a.items()})

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .finite_diff import jet_sup_diff, jets, stencil_radius
+from .finite_diff import Jets, jet_sup_diff, jets, stencil_radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,10 +55,14 @@ def same_grid(a: GridFunction, b: GridFunction) -> None:
         raise ValueError("grid functions live on different grids or value spaces")
 
 
+def grid_jets(a: GridFunction, k: int) -> Jets:
+    """Jets up to order ``k`` over the interior window where the stencils fit."""
+    pad = stencil_radius(k)
+    return jets(a.values, (slice(pad, a.n - pad),), a.h, k)
+
+
 def grid_jet_sup_diff(a: GridFunction, b: GridFunction, k: int) -> float:
     """C^k-style sup of the jet difference over the interior window."""
     same_grid(a, b)
-    pad = stencil_radius(k)
-    window = (slice(pad, a.n - pad),)
-    return jet_sup_diff(jets(a.values, window, a.h, k), jets(b.values, window, b.h, k))
+    return jet_sup_diff(grid_jets(a, k), grid_jets(b, k))
 

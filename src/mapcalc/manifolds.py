@@ -267,10 +267,6 @@ class TargetManifold:
             raise ValueError(f"unknown manifold kind {self.kind!r}")
 
     @property
-    def dim(self) -> int:
-        return 2 if self.kind == SPHERE else len(self.periods)
-
-    @property
     def ambient_dim(self) -> int:
         return 3 if self.kind == SPHERE else len(self.periods)
 

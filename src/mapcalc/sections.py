@@ -14,6 +14,7 @@ import numpy as np
 
 from .atlas import SampledMap, grid_mesh
 from .errors import BaseMismatch
+from .finite_diff import sup
 from .manifolds import norm_points, project_tangent, smooth_frames, to_frame
 
 
@@ -96,11 +97,8 @@ def section_from_formula(
 
 
 def _sup_norm(f: SampledMap, vectors) -> float:
-    """Sup over all grid nodes of the fiber norm of per-chart vectors along f;
-    NaN when a vector holds a NaN."""
-    return float(np.max(
-        [np.max(norm_points(f.target, fv, v)) for fv, v in zip(f.values, vectors)], initial=0.0
-    ))
+    """Sup over all grid nodes of the fiber norm of per-chart vectors along f."""
+    return sup(np.max(norm_points(f.target, fv, v)) for fv, v in zip(f.values, vectors))
 
 
 def section_sup(s: PullbackSection) -> float:

@@ -47,10 +47,6 @@ class SphereCapChart:
     cap_angle: float
     radius: float
 
-    @property
-    def dim(self) -> int:
-        return 2
-
     def _legs(self) -> np.ndarray:
         return frames_at(
             TargetManifold(SPHERE, radius=self.radius), self.radius * self.center
@@ -73,14 +69,6 @@ class SphereCapChart:
         u = 2.0 * r * tang / np.maximum(r + dots, 0.02 * r)
         legs = self._legs()
         return np.stack([dot(u, legs[a]) for a in range(2)], axis=-1)
-
-    def point(self, coords: np.ndarray) -> np.ndarray:
-        """Inverse of ``rep``; returns ambient sphere coordinates."""
-        r = self.radius
-        legs = self._legs()
-        u = coords[..., 0:1] * legs[0] + coords[..., 1:2] * legs[1]
-        s = dot(u, u)[..., None]
-        return r * ((4 * r**2 - s) * self.center + 4 * r * u) / (4 * r**2 + s)
 
 
 TargetChart = TorusBranchChart | SphereCapChart

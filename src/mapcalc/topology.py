@@ -10,37 +10,32 @@ but is not a global metric on the mapping space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .atlas import (
-    TAU,
     SampledMap,
     chart_jet,
     compact_slices,
+    piece_jets,
     same_discretization,
 )
 from .errors import HypothesisViolated, TargetChartViolated
-from .finite_diff import Jets, jet_sup_diff, jets, stencil_window
-from .gridfn import GridFunction, grid_jet_sup_diff
-from .manifolds import norm
+from .finite_diff import Jets, jet_sup, jet_sup_diff, sup
+from .gridfn import GridFunction, grid_jets, same_grid
 from .sections import PullbackSection, section_rep
 from .target_charts import TargetChart, auto_chart
 
-
-@dataclass(frozen=True, eq=False)
-class CkCover:
-    """One target chart per domain chart, containing the center's values."""
-
-    target_charts: tuple[TargetChart, ...]
+# one target chart per domain chart, containing the center's values
+CkCover = tuple[TargetChart, ...]
 
 
 def canonical_cover(f: SampledMap) -> CkCover:
-    charts = []
-    for chart in f.atlas.charts:
-        ksl = compact_slices(chart, f.resolution)
-        charts.append(auto_chart(f.target, f.values[chart.id][ksl]))
-    return CkCover(tuple(charts))
+    return tuple(
+        auto_chart(f.target, f.values[chart.id][compact_slices(chart, f.resolution)])
+        for chart in f.atlas.charts
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +58,7 @@ class CkNeighborhood:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         object.__setattr__(self, "center_jets", {
-            cid: chart_jet(self.center, self.cover.target_charts[cid], cid, self.order)
+            cid: chart_jet(self.center, self.cover[cid], cid, self.order)
             for cid in self.chart_ids
         })
 
@@ -86,7 +81,7 @@ def nbhd_contains(nbhd: CkNeighborhood, g: SampledMap) -> bool:
     """Strict membership test; containment failures mean non-membership."""
     same_discretization(nbhd.center, g)
     for cid in nbhd.chart_ids:
-        tchart = nbhd.cover.target_charts[cid]
+        tchart = nbhd.cover[cid]
         try:
             jg = chart_jet(g, tchart, cid, nbhd.order)
         except TargetChartViolated:
@@ -113,51 +108,59 @@ def ck_distance(f: SampledMap, g: SampledMap, k: int, cover: CkCover | None = No
 
 def cover_jets(f: SampledMap, cover: CkCover, k: int) -> list[Jets]:
     """``f``'s chart jets up to order ``k`` in the cover's target charts, one per domain chart."""
-    return [chart_jet(f, cover.target_charts[c.id], c.id, k) for c in f.atlas.charts]
+    return [chart_jet(f, cover[c.id], c.id, k) for c in f.atlas.charts]
 
 
 def jets_distance(jf: list[Jets], jg: list[Jets]) -> float:
-    """``ck_distance`` from two maps' ``cover_jets`` under the same cover and order;
-    NaN when a jet difference holds a NaN."""
-    return float(np.max([jet_sup_diff(a, b) for a, b in zip(jf, jg, strict=True)], initial=0.0))
+    """``ck_distance`` from two maps' ``cover_jets`` under the same cover and order."""
+    return sup(jet_sup_diff(a, b) for a, b in zip(jf, jg, strict=True))
 
 
 # ---------------------------------------------------------------------------
 # C^k norm on sections
 
 
-@dataclass(frozen=True, eq=False)
-class SectionNormReport:
-    """Per chart and multi-index sups of the trivialized derivatives."""
-
-    entries: dict[tuple[int, tuple[int, ...]], float]
-    total: float
-
-    def __post_init__(self):
-        if any(v < 0 for v in self.entries.values()):
-            raise ValueError("norm entries must be nonnegative")
-        expected = max(self.entries.values(), default=0.0)
-        if abs(self.total - expected) > 0.0:
-            raise ValueError("total must be the max over entries")
-
-
-def section_norm(s: PullbackSection, k: int) -> SectionNormReport:
-    """C^k norm of a section through per-chart orthonormal trivializations."""
+def section_norm(s: PullbackSection, k: int) -> float:
+    """C^k norm of a section through per-chart orthonormal trivializations:
+    the sup over charts, multi-indices and compact-piece nodes of the norms
+    of the trivialized derivatives."""
     f = s.base_map
-    entries: dict[tuple[int, tuple[int, ...]], float] = {}
-    for chart in f.atlas.charts:
-        window = compact_slices(chart, f.resolution)
-        # the representative is needed on the compact piece and its stencil margin only
-        outer, inner = stencil_window(window, k, f.values[chart.id].shape)
-        block_jets = jets(section_rep(s, chart.id, outer), inner, TAU / f.resolution, k)
-        for alpha, block in block_jets.items():
-            entries[(chart.id, alpha)] = float(np.max(norm(block)))
-    total = max(entries.values(), default=0.0)
-    return SectionNormReport(entries, total)
+    return sup(
+        jet_sup(piece_jets(f, chart.id, k, partial(section_rep, s, chart.id)))
+        for chart in f.atlas.charts
+    )
 
 
 # ---------------------------------------------------------------------------
 # composition estimate probe
+
+
+def _composition_ratios(psi, f1, samples, R, k, box, skip_far):
+    """Each sample's jet distance to f1 and composition ratio, from one set of
+    jets per function; a sample farther than R from f1 is skipped if
+    ``skip_far`` and rejected if not, one within 1e-14 of f1 gives no ratio."""
+    j1 = grid_jets(f1, k)
+    j_psi1 = grid_jets(f1.map_values(psi), k)
+    for f2 in samples:
+        same_grid(f1, f2)
+        base = jet_sup_diff(j1, grid_jets(f2, k))
+        if base > R + 1e-12:
+            if skip_far:
+                continue
+            raise HypothesisViolated(
+                f"sample jet distance {base:g} exceeds the allowed radius {R:g}"
+            )
+        if box is not None:
+            for a, (lo, hi) in enumerate(box):
+                col = f2.values[..., a]
+                if np.any(col < lo) or np.any(col > hi):
+                    raise HypothesisViolated("sample leaves the compact value box")
+        if base < 1e-14:
+            continue
+        ratio = jet_sup_diff(j_psi1, grid_jets(f2.map_values(psi), k)) / base
+        if not np.isfinite(ratio):
+            raise HypothesisViolated("composition ratio is not finite")
+        yield base, ratio
 
 
 def composition_bound_probe(
@@ -175,27 +178,7 @@ def composition_bound_probe(
     computed; the maximum is the empirical constant for this radius R.
     Samples must stay inside the value box and within jet distance R of f1.
     """
-    psi_f1 = f1.map_values(psi)
-    worst = 0.0
-    for f2 in samples:
-        if box is not None:
-            for a, (lo, hi) in enumerate(box):
-                col = f2.values[..., a]
-                if np.any(col < lo) or np.any(col > hi):
-                    raise HypothesisViolated("sample leaves the compact value box")
-        base = grid_jet_sup_diff(f1, f2, k)
-        if base > R + 1e-12:
-            raise HypothesisViolated(
-                f"sample jet distance {base:g} exceeds the allowed radius {R:g}"
-            )
-        if base < 1e-14:
-            continue
-        comp = grid_jet_sup_diff(psi_f1, f2.map_values(psi), k)
-        ratio = comp / base
-        if not np.isfinite(ratio):
-            raise HypothesisViolated("composition ratio is not finite")
-        worst = max(worst, ratio)
-    return worst
+    return sup(ratio for _, ratio in _composition_ratios(psi, f1, samples, R, k, box, False))
 
 
 def witness_ladder(
@@ -209,10 +192,11 @@ def witness_ladder(
     """Empirical constants along a growing radius ladder.
 
     Each radius admits the samples within that jet distance of f1; the
-    admissible sets are nested, so the witnesses are non-decreasing.
+    admissible sets are nested, so the witnesses are non-decreasing.  One
+    pass over the samples serves every radius.
     """
-    out = []
-    for R in sorted(ladder):
-        admissible = [f2 for f2 in samples if grid_jet_sup_diff(f1, f2, k) <= R + 1e-12]
-        out.append(composition_bound_probe(psi, f1, admissible, R, k, box=box))
-    return out
+    radii = sorted(ladder)
+    ratios = list(_composition_ratios(
+        psi, f1, samples, max(radii, default=-np.inf), k, box, True
+    ))
+    return [sup(ratio for base, ratio in ratios if base <= R + 1e-12) for R in radii]

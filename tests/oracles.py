@@ -229,6 +229,19 @@ def ray_sweep_ratio(f1, rays, psi, steps=10):
     return sweep
 
 
+def probe_per_radius_ladder(psi, f1, samples, ladder, k, box):
+    """Witnesses along a radius ladder from one probe per radius, each over
+    the samples within that jet distance of f1."""
+    from mapcalc.gridfn import grid_jet_sup_diff
+    from mapcalc.topology import composition_bound_probe
+
+    out = []
+    for R in sorted(ladder):
+        admissible = [f2 for f2 in samples if grid_jet_sup_diff(f1, f2, k) <= R + 1e-12]
+        out.append(composition_bound_probe(psi, f1, admissible, R, k, box=box))
+    return out
+
+
 def unwrap_lift(values, periods):
     """Continuous lift of torus-valued grid data by ``np.unwrap``.
 

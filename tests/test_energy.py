@@ -7,6 +7,7 @@ import pytest
 
 from mapcalc import (
     CIRCLE_ATLAS,
+    DescentTrace,
     StepOutOfChart,
     chart_inverse,
     descend,
@@ -29,6 +30,7 @@ from mapcalc.experiments import (
     random_section,
     sphere_descent_demo,
     torus_descent_demo,
+    trace_monotone_violation,
 )
 from mapcalc.charts import apply_fiber_matrices
 from mapcalc.manifolds import fiber_derivative_points, inner_points, log_points, project_tangent
@@ -188,6 +190,24 @@ class TestDescend:
         seen = []
         descend(f0, 200, 0.1, on_step=lambda i, cur: seen.append(winding_numbers(cur)))
         assert set(seen) == {(1, 1)}
+
+
+class TestMonotoneViolation:
+    @staticmethod
+    def trace(energies):
+        return DescentTrace(tuple((i, e, 0.1, 0.05) for i, e in enumerate(energies)))
+
+    @pytest.mark.parametrize(
+        "energies, violation", [([], 0.0), ([1.0], 0.0), ([2.0, 1.0, 1.25, 1.0], 0.25)]
+    )
+    def test_largest_rise(self, energies, violation):
+        assert trace_monotone_violation(self.trace(energies)) == violation
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_energy_is_a_nan_violation(self, position):
+        energies = [2.0, 1.5, 1.0]
+        energies[position] = math.nan
+        assert math.isnan(trace_monotone_violation(self.trace(energies)))
 
 
 class TestWindingNumbers:

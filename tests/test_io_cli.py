@@ -1,5 +1,6 @@
 """Tests for file formats, report determinism, and the command line."""
 
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from mapcalc import CIRCLE_ATLAS, TORUS2_ATLAS, MapFormula, flat_torus, sample_map, sphere
 from mapcalc.atlas import TAU
-from mapcalc import experiments
+from mapcalc import experiments, topology
 from mapcalc.cli import (
     SUITES,
     ExperimentConfig,
@@ -514,6 +515,42 @@ class TestRunSuite:
         monkeypatch.setattr(experiments, function, lambda *a, **k: result(residuals))
         config = ExperimentConfig(resolution=16, trials=2, sections=2)
         checks = [c for c in build_suite(config, suite, None) if c.name == name]
+        execute_checks(checks)
+        row = checks[0].as_report()
+        assert row["residual"] is None and row["pass"] is False
+        assert "non-finite" in row["error"]
+
+    @staticmethod
+    def nth_call(calls, n, value):
+        """``calls`` with the result of its ``n``-th call passed through ``value``."""
+        count = itertools.count(1)
+        return lambda *args: value(calls(*args)) if next(count) == n else calls(*args)
+
+    @pytest.mark.parametrize("call", [1, 3, 4])
+    def test_nan_distance_fails_the_triangle_row(self, monkeypatch, call):
+        # the violation d(f, h) - d(f, g) - d(g, h) is NaN when d(f, g), the
+        # third or the fourth distance of the first trial is; a clamp at zero
+        # read it as no violation
+        monkeypatch.setattr(experiments, "jets_distance", self.nth_call(
+            experiments.jets_distance, call, lambda d: math.nan
+        ))
+        checks = [c for c in build_suite(ExperimentConfig(), "topology", None)
+                  if c.name == "ck_distance_triangle"]
+        execute_checks(checks)
+        row = checks[0].as_report()
+        assert row["residual"] is None and row["pass"] is False
+        assert "non-finite" in row["error"]
+
+    @pytest.mark.parametrize("call", [5, 6, 9])
+    def test_nan_section_norm_fails_the_triangle_row(self, monkeypatch, call):
+        # calls 5 to 10 trivialize s + t, s and t on each of the two charts,
+        # for the norms of the triangle residual; a NaN component in any of
+        # them makes that residual NaN
+        monkeypatch.setattr(topology, "section_rep", self.nth_call(
+            topology.section_rep, call, lambda rep: rep * math.nan
+        ))
+        checks = [c for c in build_suite(ExperimentConfig(), "topology", None)
+                  if c.name == "section_norm_triangle"]
         execute_checks(checks)
         row = checks[0].as_report()
         assert row["residual"] is None and row["pass"] is False

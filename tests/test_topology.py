@@ -12,6 +12,7 @@ from mapcalc import (
     HypothesisViolated,
     ResolutionMismatch,
     TargetChartViolated,
+    WellDefinednessViolated,
     canonical_cover,
     chart_jet,
     ck_distance,
@@ -22,11 +23,12 @@ from mapcalc import (
     sample_map,
     section_norm,
     sphere,
+    witness_ladder,
     zero_section,
 )
-from mapcalc import atlas, experiments, topology
-from mapcalc.atlas import TAU, compact_slices, map_sup_distance
-from mapcalc.charts import chart_inverse
+from mapcalc import atlas, charts, experiments, gridfn, topology
+from mapcalc.atlas import TAU, compact_slices, map_sup_distance, overlap_residual
+from mapcalc.charts import chart_forward, chart_inverse
 from mapcalc.experiments import (
     basis_convergence_failures,
     composition_probe_case,
@@ -36,11 +38,12 @@ from mapcalc.experiments import (
     random_center,
     random_section,
 )
-from mapcalc.finite_diff import jet_sup_diff, stencil_window
+from mapcalc.finite_diff import jet_sup, jet_sup_diff, jets, stencil_window
+from mapcalc.manifolds import log_dist_points
 from mapcalc.maps import great_circle, torus_loop
 from mapcalc.sections import PullbackSection, make_section, section_rep
-from mapcalc.topology import CkCover, cover_jets, jets_distance
-from oracles import ray_sweep_ratio
+from mapcalc.topology import cover_jets, jets_distance
+from oracles import probe_per_radius_ladder, ray_sweep_ratio
 
 T22 = flat_torus(TAU, TAU)
 S1 = sphere(1.0)
@@ -156,7 +159,7 @@ class TestCkDistance:
         assert_no_repeated_jets(spied, maps=3, charts=2)
         monkeypatch.undo()
         f, g, h = spied.maps
-        cover = CkCover(tuple(spied.charts[c] for c in sorted(spied.charts)))
+        cover = tuple(spied.charts[c] for c in sorted(spied.charts))
 
         def d(a, b):
             return ck_distance(a, b, 2, cover=cover)
@@ -214,17 +217,33 @@ class TestSupsKeepNaN:
         broken[chart][(0,)][2] = np.nan
         assert math.isnan(jets_distance(jets, broken))
 
-    @pytest.mark.parametrize("chart", [0, 1])
-    def test_map_sup_distance_keeps_nan(self, monkeypatch, chart):
+    @pytest.mark.parametrize("measure", [lambda f: map_sup_distance(f, f), overlap_residual],
+                             ids=["map_sup_distance", "overlap_residual"])
+    @pytest.mark.parametrize("piece", [0, 1])
+    def test_node_distance_sups_keep_nan(self, monkeypatch, measure, piece):
+        # two charts for the map distance, two shared-node blocks for the overlap
         f = sample_map(CIRCLE_ATLAS, S1, great_circle(), 16)
         calls = iter(range(2))
 
         def dist(m, a, b):
             d = np.full(a.shape[:-1], 0.25)
-            return d * np.nan if next(calls) == chart else d
+            return d * np.nan if next(calls) == piece else d
 
         monkeypatch.setattr(atlas, "dist_points", dist)
-        assert math.isnan(map_sup_distance(f, f))
+        assert math.isnan(measure(f))
+
+    @pytest.mark.parametrize("chart", [0, 1])
+    def test_chart_forward_gap_keeps_nan(self, monkeypatch, chart):
+        f = sample_map(CIRCLE_ATLAS, S1, great_circle(), 16)
+        calls = iter(range(2))
+
+        def log_dist(m, base, target):
+            vecs, d = log_dist_points(m, base, target)
+            return vecs, d * np.nan if next(calls) == chart else d
+
+        monkeypatch.setattr(charts, "log_dist_points", log_dist)
+        with pytest.raises(WellDefinednessViolated):
+            chart_forward(f, f, 0.1)
 
     @pytest.mark.parametrize("chart", [0, 1])
     def test_jet_convergence_ratio_keeps_nan(self, monkeypatch, chart):
@@ -262,8 +281,7 @@ def assert_no_repeated_jets(spied, maps, charts):
 class TestSectionNorm:
     def test_zero_section(self):
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 64)
-        report = section_norm(zero_section(f), 2)
-        assert report.total == 0.0
+        assert section_norm(zero_section(f), 2) == 0.0
 
     def test_constant_section_k0(self):
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 64)
@@ -271,7 +289,7 @@ class TestSectionNorm:
 
         c = 0.37
         s = make_section(f, [np.full(v.shape, 0.0) + [c, 0.0] for v in f.values])
-        assert section_norm(s, 0).total == pytest.approx(c, abs=1e-15)
+        assert section_norm(s, 0) == pytest.approx(c, abs=1e-15)
 
     def test_sine_section_k1(self):
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 256)
@@ -283,7 +301,7 @@ class TestSectionNorm:
             )
         )
         # sup of the values and of the first derivative are both 1
-        assert section_norm(s, 1).total == pytest.approx(1.0, abs=1e-6)
+        assert section_norm(s, 1) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("m", [T22])
     def test_norm_axioms(self, m, rng):
@@ -303,11 +321,24 @@ class TestSectionNorm:
             outer, _ = stencil_window(compact_slices(chart, f.resolution), k, shape)
             assert np.array_equal(section_rep(s, chart.id, outer), full[outer])
 
-    def test_report_total_is_max(self, rng):
+    @staticmethod
+    def full_grid_norm(s, k):
+        """Max over charts of the jet sup of the full-grid trivialization,
+        differentiated at the compact-piece nodes."""
+        f = s.base_map
+        sups = []
+        for chart in f.atlas.charts:
+            full = tuple(slice(0, n) for n in f.values[chart.id].shape[:-1])
+            rep = section_rep(s, chart.id, full)
+            window = compact_slices(chart, f.resolution)
+            sups.append(jet_sup(jets(rep, window, TAU / f.resolution, k)))
+        return max(sups)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_circle_domain_norm_is_the_full_grid_oracle(self, k, rng):
         f = random_center(S1, 96, rng)
-        rep = section_norm(random_section(f, rng, 0.2), 2)
-        assert rep.total == max(rep.entries.values())
-        assert all(v >= 0 for v in rep.entries.values())
+        s = random_section(f, rng, 0.2)
+        assert section_norm(s, k) == self.full_grid_norm(s, k)
 
     def test_two_dimensional_domain(self):
         from mapcalc import TORUS2_ATLAS
@@ -321,10 +352,10 @@ class TestSectionNorm:
                 [np.sin(mesh[..., 0]), 0.5 * np.cos(mesh[..., 1])], axis=-1
             ),
         )
-        rep = section_norm(s, 2)
+        norm = section_norm(s, 2)
         # order-0 sup is the largest fiber norm over the compact pieces
-        assert 1.0 <= rep.total < 3.0
-        assert len({cid for cid, _ in rep.entries}) == 4
+        assert 1.0 <= norm < 3.0
+        assert norm == self.full_grid_norm(s, 2)
 
 
 class TestCompositionProbe:
@@ -364,3 +395,26 @@ class TestCompositionProbe:
             psi, case["f1"], case["samples"], R=1.0, k=1, box=case["box"]
         )
         assert ratio <= ray_sweep_ratio(case["f1"], case["rays"], psi) + 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ladder_is_one_probe_per_radius(self, seed):
+        case = composition_probe_case(np.random.default_rng([seed, 18]), count=100)
+        args = (lambda y: y**2, case["f1"], case["samples"], (0.1, 0.5, 1.0), 1, case["box"])
+        witnesses = witness_ladder(*args)
+        assert witnesses == probe_per_radius_ladder(*args)
+        assert witnesses[-1] > 0.0
+
+    def test_ladder_takes_each_jet_once(self, rng, monkeypatch):
+        # f1 and psi(f1) once per ladder, each sample and its composition once
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return jets(*args)
+
+        monkeypatch.setattr(gridfn, "jets", spy)
+        case = composition_probe_case(rng, count=100)
+        witness_ladder(
+            lambda y: y**2, case["f1"], case["samples"], (0.1, 0.5, 1.0), k=1, box=case["box"]
+        )
+        assert len(calls) <= 202

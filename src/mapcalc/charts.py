@@ -90,26 +90,10 @@ def chart_inverse(f: SampledMap, s: PullbackSection) -> SampledMap:
 
 
 def transition(f: SampledMap, g: SampledMap, s: PullbackSection) -> PullbackSection:
-    """Re-center a section from the chart at f to the chart at g.
-
-    The margin requirement is symmetric in the two charts: the section
-    bound plus the distance between the centers must stay below the
-    injectivity radius, so the fiber maps are defined on the whole range.
-    """
-    if not maps_equal(s.base_map, f):
-        raise BaseMismatch("section is not based on the source chart center")
-    gap = map_sup_distance(f, g)
-    budget = s.bound + gap
-    inj = inj_radius(g.target)
-    if not budget < inj:
-        raise WellDefinednessViolated(
-            f"section bound plus center distance {budget:.6g} exceeds the chart margin"
-        )
-    moved = chart_inverse(f, s)
-    delta = budget * (1.0 + 1e-12) + 1e-300
-    if delta >= inj:
-        delta = 0.5 * (budget + inj)
-    return chart_forward(g, moved, delta)
+    """Re-center a section from the chart at f to the chart at g: the
+    one-metric ``metric_transition_batch``, inside ``_require_margin``."""
+    _require_margin(f, g, s.bound, [s])
+    return metric_transition_batch(f, g, None, [s], f.target, f.target)[1][0]
 
 
 def transition_derivative(
@@ -121,15 +105,24 @@ def transition_derivative(
     central differences of step 1e-6; on the flat torus this is exactly the
     identity on vectors.
     """
-    if not maps_equal(s0.base_map, f) or not maps_equal(s.base_map, f):
-        raise BaseMismatch("sections are not based on the source chart center")
+    _require_margin(f, g, s0.bound + 2e-6, [s0, s])  # the probes reach 2e-6 past s0
     m = f.target
-    gap = map_sup_distance(f, g)
-    # slack covers the finite-difference probes around s0
-    if not s0.bound + gap + 2e-6 < inj_radius(m):
-        raise WellDefinednessViolated("base section leaves the transition margin")
     mats, _ = metric_transition_batch(f, g, s0, [], m, m, step=1e-6)
     return apply_fiber_matrices(f, g, mats, s)
+
+
+def _require_margin(f: SampledMap, g: SampledMap, reach: float, sections) -> None:
+    """The sections lie along f, and ``reach``, a bound on the vectors sent
+    through exp_f, plus the distance between the centers stays below the
+    injectivity radius: by the triangle inequality every exp_f(v) is then in
+    the logarithm's reach at g.  The requirement is symmetric in the charts."""
+    if not all(maps_equal(t.base_map, f) for t in sections):
+        raise BaseMismatch("section is not based on the source chart center")
+    budget = reach + map_sup_distance(f, g)
+    if not budget < inj_radius(g.target):
+        raise WellDefinednessViolated(
+            f"section bound plus center distance {budget:.6g} exceeds the chart margin"
+        )
 
 
 def metric_transition(

@@ -27,6 +27,7 @@ import numpy as np
 from . import experiments as ex
 from .atlas import CIRCLE_ATLAS, overlap_residual, sample_map
 from .charts import taylor_remainder
+from .energy import dirichlet_energy
 from .errors import ConfigError
 from .finite_diff import sup
 from .io import canonical_json, write_map_csv, write_trace_csv
@@ -279,7 +280,7 @@ def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
     torus_extras: dict = {}
 
     def torus_demo():
-        energy = torus_run()[0]
+        energy = dirichlet_energy(torus_run()[0])
         torus_extras["final_energy"] = energy
         return abs(energy - math.pi)
 
@@ -450,6 +451,15 @@ def main():
     """Desk-scale checks for charts on mapping spaces."""
 
 
+def _load_or_exit(config_path: str | None, **overrides) -> ExperimentConfig:
+    """``load_config`` for a command: a config error exits with status 2."""
+    try:
+        return load_config(config_path, **overrides)
+    except ConfigError as err:
+        click.echo(f"config error: {err}", err=True)
+        raise SystemExit(2)
+
+
 @main.command("run")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--suite", type=click.Choice(SUITES + ("all",)), default="all")
@@ -458,11 +468,7 @@ def main():
 @click.option("--resolution", type=int, default=None)
 def run_cmd(config_path, suite, out_dir, seed, resolution):
     """Run a verification suite and write JSON reports."""
-    try:
-        config = load_config(config_path, seed=seed, resolution=resolution)
-    except ConfigError as err:
-        click.echo(f"config error: {err}", err=True)
-        raise SystemExit(2)
+    config = _load_or_exit(config_path, seed=seed, resolution=resolution)
     out = out_dir if out_dir is not None else config.out_dir
     raise SystemExit(run_suite(config, suite, out))
 
@@ -472,27 +478,22 @@ def run_cmd(config_path, suite, out_dir, seed, resolution):
 @click.option("--out", "out_dir", type=click.Path(), default=None)
 def descend_cmd(config_path, out_dir):
     """Run the torus descent demo and write the trace and final map."""
-    try:
-        config = load_config(config_path)
-    except ConfigError as err:
-        click.echo(f"config error: {err}", err=True)
-        raise SystemExit(2)
+    config = _load_or_exit(config_path)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         click.echo(f"cannot create output directory: {err}", err=True)
         raise SystemExit(3)
-    from .energy import descend as run_descend
-    from .energy import dirichlet_energy
-
-    f0 = sample_map(CIRCLE_ATLAS, config.torus, ex.TORUS_DEMO_LOOP, config.descent_resolution)
-    final, trace = run_descend(f0, config.descent_steps, config.descent_step_size)
+    final, trace, _ = ex.torus_descent_demo(
+        config.descent_resolution, config.descent_steps, config.descent_step_size
+    )
+    energy = dirichlet_energy(final)
     try:
         write_trace_csv(trace, out / "descent_trace.csv")
         write_map_csv(final, out / "descent_final_map.csv")
         report = {
-            "final_energy": dirichlet_energy(final),
+            "final_energy": energy,
             "iterations": len(trace.rows),
             "target_energy": math.pi,
         }
@@ -500,7 +501,7 @@ def descend_cmd(config_path, out_dir):
     except OSError as err:
         click.echo(f"cannot write outputs: {err}", err=True)
         raise SystemExit(3)
-    click.echo(f"final energy {dirichlet_energy(final):.6f} after {len(trace.rows)} steps")
+    click.echo(f"final energy {energy:.6f} after {len(trace.rows)} steps")
     raise SystemExit(0)
 
 

@@ -171,6 +171,23 @@ def cocycle_residual(
     return section_max_diff(via, direct)
 
 
+def transition_differences(
+    f: SampledMap, g: SampledMap, s0: PullbackSection, dirs: list[PullbackSection],
+    m_from: TargetManifold, m_to: TargetManifold, eps: float, step: float,
+) -> list[tuple[PullbackSection, PullbackSection]]:
+    """(central difference of step ``eps``, fiber-derivative image) of each
+    direction at s0 under v -> log_g(exp_f(v)), exp in ``m_from`` and log in
+    ``m_to``; the fiber probes (of ``step``) and both sides of every
+    difference share one ``metric_transition_batch``."""
+    probes = [section_add(s0, section_scale(s, sign * eps)) for s in dirs for sign in (1, -1)]
+    mats, moved = metric_transition_batch(f, g, s0, probes, m_from, m_to, step=step)
+    return [
+        (section_scale(section_add(plus, section_scale(minus, -1.0)), 0.5 / eps),
+         apply_fiber_matrices(f, g, mats, s))
+        for s, plus, minus in zip(dirs, moved[::2], moved[1::2])
+    ]
+
+
 def derivative_identity_residual(
     m: TargetManifold, resolution: int, rng: np.random.Generator
 ) -> tuple[float, float]:
@@ -186,13 +203,9 @@ def derivative_identity_residual(
     g = chart_inverse(f, random_section(f, rng, 0.3 * delta, bound=delta))
     s0 = random_section(f, rng, 0.25 * delta, bound=0.3 * delta)
     s = random_section(f, rng, 0.2 * delta, bound=0.25 * delta)
-    plus = transition(f, g, section_add(s0, section_scale(s, eps)))
-    minus = transition(f, g, section_add(s0, section_scale(s, -eps)))
-    fd = section_scale(section_add(plus, section_scale(minus, -1.0)), 0.5 / eps)
-    analytic = transition_derivative(f, g, s0, s)
+    ((fd, analytic),) = transition_differences(f, g, s0, [s], m, m, eps, step=1e-6)
     resid = section_max_diff(fd, analytic)
-    scale = max(section_sup(analytic), 1e-12)
-    return resid, resid / scale
+    return resid, resid / max(section_sup(analytic), 1e-12)
 
 
 def chain_rule_residual(
@@ -235,14 +248,10 @@ def metric_independence_residuals(
         s0 = random_section(f, rng, 0.12, bound=0.2)
         count = min(dirs_per_base, n_sections - len(residuals))
         dirs = [random_section(f, rng, 0.08, bound=0.12) for _ in range(count)]
-        probes = [section_add(s0, section_scale(s, sign * eps)) for s in dirs for sign in (1, -1)]
-        mats, moved = metric_transition_batch(f, f, s0, probes, m_round, m_conf, step=1e-4)
-        for s, plus, minus in zip(dirs, moved[::2], moved[1::2]):
-            fd = section_scale(section_add(plus, section_scale(minus, -1.0)), 0.5 / eps)
-            analytic = apply_fiber_matrices(f, f, mats, s)
-            residuals.append(
-                section_max_diff(fd, analytic) / max(section_sup(analytic), 1e-12)
-            )
+        residuals += [
+            section_max_diff(fd, analytic) / max(section_sup(analytic), 1e-12)
+            for fd, analytic in transition_differences(f, f, s0, dirs, m_round, m_conf, eps, 1e-4)
+        ]
     return residuals
 
 
@@ -401,8 +410,9 @@ def norm_axiom_residuals(
     s = random_section(f, rng, 0.3)
     t = random_section(f, rng, 0.2)
     a = -2.5
-    hom = abs(section_norm(section_scale(s, a), k) - abs(a) * section_norm(s, k))
-    tri = sup([section_norm(section_add(s, t), k) - section_norm(s, k) - section_norm(t, k)])
+    norm_s = section_norm(s, k)
+    hom = abs(section_norm(section_scale(s, a), k) - abs(a) * norm_s)
+    tri = sup([section_norm(section_add(s, t), k) - norm_s - section_norm(t, k)])
     return hom, tri
 
 
@@ -442,19 +452,14 @@ def basis_convergence_failures(
 
 def torus_descent_demo(
     resolution: int, steps: int, step_size: float
-) -> tuple[float, DescentTrace, bool]:
-    """Perturbed winding loop relaxing to the straight loop of its class."""
+) -> tuple[SampledMap, DescentTrace, bool]:
+    """Perturbed winding loop on the 2 pi torus relaxing to the straight loop
+    of its class: (final map, trace, whether the winding numbers held)."""
     f0 = sample_map(CIRCLE_ATLAS, DEFAULT_TORUS, TORUS_DEMO_LOOP, resolution)
-    w0 = winding_numbers(f0)
-    windings_ok = True
-
-    def check(_, current):
-        nonlocal windings_ok
-        if winding_numbers(current) != w0:
-            windings_ok = False
-
-    final, trace = descend(f0, steps, step_size, grad_tol=1e-8, on_step=check)
-    return dirichlet_energy(final), trace, windings_ok
+    w0, held = winding_numbers(f0), []
+    final, trace = descend(f0, steps, step_size, grad_tol=1e-8,
+                           on_step=lambda _, current: held.append(winding_numbers(current) == w0))
+    return final, trace, all(held)
 
 
 def sphere_descent_demo(

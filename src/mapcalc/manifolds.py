@@ -637,7 +637,7 @@ def require_log_reach(m: TargetManifold, d: np.ndarray) -> None:
         return
     inj = inj_radius(m)
     worst = float(np.max(d)) if np.size(d) else 0.0
-    if worst >= inj - _log_margin(m):
+    if not worst < inj - _log_margin(m):  # a NaN distance fails too
         raise BeyondInjectivityRadius(
             f"distance {worst:.6g} reaches the injectivity radius {inj:.6g} of {m.kind}"
         )

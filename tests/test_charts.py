@@ -53,6 +53,7 @@ from mapcalc.experiments import (
     random_pair,
     random_section,
     roundtrip_residual,
+    transition_differences,
 )
 from mapcalc.maps import constant_formula, great_circle, torus_loop
 from mapcalc.sections import make_section, section_from_formula
@@ -212,12 +213,38 @@ class TestTransition:
         out = transition(f, g, s)
         assert section_max_diff(via, out) < 1e-12
 
+    def test_conformal_matches_composition_of_charts(self, rng):
+        f = random_center(S_CONF, 16, rng)
+        delta = default_delta(f)
+        g = chart_inverse(f, random_section(f, rng, 0.3 * delta, bound=delta))
+        s = random_section(f, rng, 0.2 * delta, bound=0.25 * delta)
+        bound = s.bound + map_sup_distance(f, g)
+        via = chart_forward(g, chart_inverse(f, s), bound * (1 + 1e-9))
+        out = transition(f, g, s)
+        assert out.base_map is g
+        assert section_max_diff(via, out) < 1e-10
+
     def test_margin_enforced(self, rng):
         f = random_center(S1, 64, rng)
         g = chart_inverse(f, random_section(f, rng, 0.2, bound=0.3))
         big = random_section(f, rng, 3.0, bound=3.1)
         with pytest.raises(WellDefinednessViolated):
             transition(f, g, big)
+        with pytest.raises(WellDefinednessViolated):
+            transition_derivative(f, g, big, big)
+
+    def test_base_mismatch_comes_before_the_margin(self, rng):
+        f = random_center(S1, 64, rng)
+        g = chart_inverse(f, random_section(f, rng, 0.2, bound=0.3))
+        # along another map, and far past the margin
+        stray = random_section(random_center(S1, 64, rng), rng, 3.0, bound=3.1)
+        small = random_section(f, rng, 0.1, bound=0.15)
+        with pytest.raises(BaseMismatch):
+            transition(f, g, stray)
+        with pytest.raises(BaseMismatch):
+            transition_derivative(f, g, stray, small)
+        with pytest.raises(BaseMismatch):
+            transition_derivative(f, g, small, stray)
 
     def test_cocycle_100_triples(self, rng):
         worst = 0.0
@@ -271,12 +298,28 @@ class TestTransitionDerivative:
         g = chart_inverse(f, section_from_formula(f, field(0.0), 0.3 * delta, bound=delta))
         s0 = section_from_formula(f, field(1.0), 0.25 * delta, bound=0.3 * delta)
         s = section_from_formula(f, field(2.0), 0.2 * delta, bound=0.25 * delta)
-        eps = 1e-4
-        plus = transition(f, g, section_add(s0, section_scale(s, eps)))
-        minus = transition(f, g, section_add(s0, section_scale(s, -eps)))
-        fd = section_scale(section_add(plus, section_scale(minus, -1.0)), 0.5 / eps)
-        analytic = transition_derivative(f, g, s0, s)
+        ((fd, analytic),) = transition_differences(f, g, s0, [s], S1, S1, 1e-4, step=1e-6)
         assert section_max_diff(fd, analytic) / section_sup(analytic) < 1e-5
+
+    @pytest.mark.parametrize("m", [S1, T22], ids=["sphere", "torus"])
+    def test_differences_match_separate_transition_calls(self, m, rng):
+        # a node's logarithm does not depend on its batch
+        f = random_center(m, 32, rng)
+        delta = default_delta(f)
+        g = chart_inverse(f, random_section(f, rng, 0.3 * delta, bound=delta))
+        s0 = random_section(f, rng, 0.25 * delta, bound=0.3 * delta)
+        dirs = [random_section(f, rng, 0.2 * delta, bound=0.25 * delta) for _ in range(2)]
+        eps = 1e-4
+        built = transition_differences(f, g, s0, dirs, m, m, eps, step=1e-6)
+        assert len(built) == len(dirs)
+        for s, (fd, analytic) in zip(dirs, built):
+            plus = transition(f, g, section_add(s0, section_scale(s, eps)))
+            minus = transition(f, g, section_add(s0, section_scale(s, -eps)))
+            ref = section_scale(section_add(plus, section_scale(minus, -1.0)), 0.5 / eps)
+            alone = transition_derivative(f, g, s0, s)
+            assert fd.base_map is analytic.base_map is g
+            for got, want in [*zip(fd.vectors, ref.vectors), *zip(analytic.vectors, alone.vectors)]:
+                assert np.array_equal(got, want)
 
     def test_chain_rule(self, rng):
         worst = 0.0

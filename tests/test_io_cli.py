@@ -541,11 +541,12 @@ class TestRunSuite:
         assert row["residual"] is None and row["pass"] is False
         assert "non-finite" in row["error"]
 
-    @pytest.mark.parametrize("call", [5, 6, 9])
+    @pytest.mark.parametrize("call", [1, 5, 6, 7])
     def test_nan_section_norm_fails_the_triangle_row(self, monkeypatch, call):
-        # calls 5 to 10 trivialize s + t, s and t on each of the two charts,
-        # for the norms of the triangle residual; a NaN component in any of
-        # them makes that residual NaN
+        # calls 1-2, 5-6 and 7-8 trivialize s, s + t and t on each of the two
+        # charts, for the norms of the triangle residual (s's norm also
+        # serves the homogeneity residual); a NaN component in any of them
+        # makes that residual NaN
         monkeypatch.setattr(topology, "section_rep", self.nth_call(
             topology.section_rep, call, lambda rep: rep * math.nan
         ))
@@ -660,6 +661,20 @@ class TestCliCommands:
         assert abs(report["final_energy"] - math.pi) < 5e-2
         assert (tmp_path / "out/descent_trace.csv").exists()
         assert (tmp_path / "out/descent_final_map.csv").exists()
+
+    def test_descend_demo_ignores_torus_periods(self, tmp_path):
+        # the demo loop closes only on the 2 pi torus, whose energy minimum is pi
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"torus_periods": [5.0, 7.0]}))
+        for name, args in (("default", []), ("periods", ["--config", str(cfg)])):
+            result = CliRunner().invoke(main, ["descend", *args, "--out", str(tmp_path / name)])
+            assert result.exit_code == 0
+        for name in ("descent_trace.csv", "descent_final_map.csv", "descent_report.json"):
+            assert (tmp_path / "default" / name).read_bytes() == (
+                tmp_path / "periods" / name
+            ).read_bytes()
+        report = json.loads((tmp_path / "default/descent_report.json").read_text())
+        assert abs(report["final_energy"] - report["target_energy"]) < 1e-3
 
 
 _JSON_VALUES = st.recursive(

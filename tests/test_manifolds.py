@@ -770,6 +770,16 @@ class TestOneLogarithm:
         _assert_same_bits(dist_points(m, base, target), d)
         assert d[1] == inj_radius(m)
 
+    def test_nan_distance_is_beyond_reach(self, monkeypatch):
+        with pytest.raises(BeyondInjectivityRadius, match="nan"):
+            require_log_reach(S1, np.array([np.nan]))
+        base = np.array([[0.0, 0.0, 1.0]])
+        vecs, _ = log_dist_points(S1, base, base)
+        nan_distance = np.array([np.nan])
+        monkeypatch.setattr(manifolds, "log_dist_points", lambda m, b, t: (vecs, nan_distance))
+        with pytest.raises(BeyondInjectivityRadius, match="nan"):
+            log_points(S1, base, base)
+
     def test_conformal_cut_locus(self):
         base = np.array([[0.0, 0.0, 1.0]] * 2)
         target = np.array([[0.1, 0.0, math.sqrt(0.99)], [0.0, 0.0, -1.0]])

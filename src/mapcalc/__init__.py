@@ -51,6 +51,7 @@ from .errors import (
     StepOutOfChart,
     TargetChartViolated,
     ThickeningViolated,
+    TrialAxisUnsupported,
     WellDefinednessViolated,
 )
 from .gridfn import GridFunction, grid_jet_sup_diff

@@ -24,7 +24,7 @@ from .errors import (
     ThickeningViolated,
     WellDefinednessViolated,
 )
-from .finite_diff import sup
+from .finite_diff import holds, sup
 from .gridfn import GridFunction
 from .manifolds import (
     TORUS,
@@ -78,7 +78,9 @@ def chart_inverse(f: SampledMap, s: PullbackSection) -> SampledMap:
     """Leave the chart at f: nodewise exponential of the section."""
     if not maps_equal(s.base_map, f):
         raise BaseMismatch("section is not based on the chart center")
-    if not min(s.bound, s.sup * (1 + 1e-12)) < inj_radius(f.target):
+    inj = inj_radius(f.target)
+    # min(bound, sup) below the radius, trial by trial
+    if not holds((s.bound < inj) | (s.sup * (1 + 1e-12) < inj)):
         raise WellDefinednessViolated(
             "section is too large to push through the exponential map"
         )
@@ -111,17 +113,18 @@ def transition_derivative(
     return apply_fiber_matrices(f, g, mats, s)
 
 
-def _require_margin(f: SampledMap, g: SampledMap, reach: float, sections) -> None:
+def _require_margin(f: SampledMap, g: SampledMap, reach: float | np.ndarray, sections) -> None:
     """The sections lie along f, and ``reach``, a bound on the vectors sent
     through exp_f, plus the distance between the centers stays below the
     injectivity radius: by the triangle inequality every exp_f(v) is then in
-    the logarithm's reach at g.  The requirement is symmetric in the charts."""
+    the logarithm's reach at g.  The requirement is symmetric in the charts.
+    For batches it holds per trial, with that trial's reach and distance."""
     if not all(maps_equal(t.base_map, f) for t in sections):
         raise BaseMismatch("section is not based on the source chart center")
     budget = reach + map_sup_distance(f, g)
-    if not budget < inj_radius(g.target):
+    if not holds(budget < inj_radius(g.target)):
         raise WellDefinednessViolated(
-            f"section bound plus center distance {budget:.6g} exceeds the chart margin"
+            f"section bound plus center distance {np.max(budget):.6g} exceeds the chart margin"
         )
 
 

@@ -28,7 +28,7 @@ from . import experiments as ex
 from .atlas import CIRCLE_ATLAS, overlap_residual, sample_map
 from .charts import taylor_remainder
 from .energy import dirichlet_energy
-from .errors import ConfigError
+from .errors import ConfigError, MapcalcError
 from .finite_diff import sup
 from .io import canonical_json, write_map_csv, write_trace_csv
 from .manifolds import flat_torus, sphere
@@ -168,11 +168,6 @@ def _rng(config: ExperimentConfig, tag: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, tag])
 
 
-def _trials(config: ExperimentConfig, tag: int, count: int | None = None):
-    """A check's one seeded generator, handed out once per trial."""
-    return itertools.repeat(_rng(config, tag), config.trials if count is None else count)
-
-
 def _once(thunk):
     """Run a thunk at most once; concurrent callers wait for its result."""
     lock = threading.Lock()
@@ -202,7 +197,7 @@ def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
             ex.roundtrip_residual(
                 *ex.random_pair(m, res, rng, delta_factor=config.delta_factor), order
             )
-            for rng in _trials(config, tag)
+            for rng in itertools.repeat(_rng(config, tag), config.trials)
         )
 
     def overlap():
@@ -247,23 +242,21 @@ def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
             for data in taylor
         )
 
+    # the transition rows run their trials as stacked batches, one residual per trial
     def cocycle():
-        return sup(
-            ex.cocycle_residual(m, res, rng)
-            for rng in _trials(config, 31)
-            for m in (config.sphere, config.torus)
-        )
+        return sup(ex.cocycle_residuals(
+            (config.sphere, config.torus), res, _rng(config, 31), config.trials
+        ).ravel())
 
     def derivative(m, error, tag):
         return lambda: sup(
-            ex.derivative_identity_residual(m, res, rng)[error] for rng in _trials(config, tag)
+            ex.derivative_identity_residuals(m, res, _rng(config, tag), config.trials)[error]
         )
 
     def chain():
-        return sup(
-            ex.chain_rule_residual(config.sphere, res, rng)
-            for rng in _trials(config, 34, max(1, config.trials // 2))
-        )
+        return sup(ex.chain_rule_residuals(
+            config.sphere, res, _rng(config, 34), max(1, config.trials // 2)
+        ))
 
     def metric():
         return sup(ex.metric_independence_residuals(
@@ -485,9 +478,16 @@ def descend_cmd(config_path, out_dir):
     except OSError as err:
         click.echo(f"cannot create output directory: {err}", err=True)
         raise SystemExit(3)
-    final, trace, _ = ex.torus_descent_demo(
-        config.descent_resolution, config.descent_steps, config.descent_step_size
-    )
+    try:
+        final, trace, _ = ex.torus_descent_demo(
+            config.descent_resolution, config.descent_steps, config.descent_step_size
+        )
+    except MapcalcError as err:
+        # a well-typed config the demo cannot run, such as a first step so
+        # large that no halving brings it inside the chart
+        click.echo(f"config error: the descent demo failed: {type(err).__name__}: {err}",
+                   err=True)
+        raise SystemExit(2)
     energy = dirichlet_energy(final)
     try:
         write_trace_csv(trace, out / "descent_trace.csv")

@@ -16,7 +16,15 @@ from typing import Callable
 
 import numpy as np
 
-from .atlas import CIRCLE, TAU, DomainAtlas, SampledMap, compact_slices, grid_ranges
+from .atlas import (
+    CIRCLE,
+    TAU,
+    DomainAtlas,
+    SampledMap,
+    compact_slices,
+    grid_ranges,
+    require_single,
+)
 from .charts import apply_fiber_matrices, chart_inverse, default_delta, metric_transition_batch
 from .errors import StepOutOfChart
 from .manifolds import (
@@ -95,6 +103,7 @@ def _on_loop(f: SampledMap, per_chart) -> np.ndarray:
 def loop_values(f: SampledMap) -> np.ndarray:
     """Values on the global loop lattice, each node owned by one compact piece."""
     _require_circle(f)
+    require_single(f, "loop_values")
     return _on_loop(f, f.values)
 
 

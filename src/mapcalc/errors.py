@@ -25,6 +25,11 @@ class ResolutionMismatch(MapcalcError):
     """Operands sampled on incompatible atlases or grid resolutions."""
 
 
+class TrialAxisUnsupported(MapcalcError):
+    """A batch of maps or sections on a leading trial axis reached a layer
+    that reads grid axes and takes one map at a time."""
+
+
 class HypothesisViolated(MapcalcError):
     """A probe sample breaks the hypotheses it is required to satisfy."""
 

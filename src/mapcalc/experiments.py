@@ -18,6 +18,7 @@ from .atlas import (
     chart_jet,
     compact_slices,
     grid_coords,
+    map_nodes,
     sample_map,
 )
 from .charts import (
@@ -39,7 +40,14 @@ from .energy import DescentTrace, descend, dirichlet_energy, winding_numbers
 from .finite_diff import sup
 from .gridfn import GridFunction, grid_jet_sup_diff
 from .manifolds import TargetManifold, flat_torus, sphere
-from .maps import add_fourier_modes, random_loop, torus_loop
+from .maps import (
+    add_fourier_modes,
+    loop_draws,
+    over_grid,
+    random_loop,
+    stack_draws,
+    torus_loop,
+)
 from .sections import (
     PullbackSection,
     section_add,
@@ -67,15 +75,30 @@ DEFAULT_CONFORMAL_EXPR = "exp(0.3*z)"
 TORUS_DEMO_LOOP = torus_loop((1, 0), waves=((0, 0.3, 0.4), (1, 0.2, 1.1)))
 
 
-def random_vector_field(rng: np.random.Generator, ambient: int):
+# Most nodes one stacked batch of trials holds: trials times the nodes of one
+# map.  At resolution 64 (130 nodes per map) a batch takes 126 trials, and at
+# 4096 (8,194 nodes) one; past a few thousand nodes per trial a larger batch
+# saves nothing.
+TRIAL_BATCH_NODES = 2**14
+
+
+def field_draws(rng: np.random.Generator, ambient: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of one random vector field, drawn from ``rng``:
+    modes 1 to 3 at 1/k of a normal draw, then a constant vector."""
     coeff = rng.standard_normal((3, 2, ambient))
     coeff = coeff / np.arange(1, 4)[:, None, None]
-    const = rng.standard_normal(ambient)
+    return coeff, rng.standard_normal(ambient)
+
+
+def random_vector_field(draws: tuple[np.ndarray, np.ndarray]):
+    """The field of ``field_draws``; draws stacked by ``stack_draws`` give one
+    field per trial on a leading trial axis, evaluated in one pass."""
+    coeff, const = draws
 
     def vf(mesh):
         theta = mesh[..., 0]
-        out = np.broadcast_to(const, theta.shape + (ambient,)).copy()
-        return add_fourier_modes(out, theta, coeff)
+        shape = const.shape[:-1] + theta.shape + const.shape[-1:]
+        return add_fourier_modes(np.broadcast_to(over_grid(const, 1, theta), shape), theta, coeff)
 
     return vf
 
@@ -83,12 +106,45 @@ def random_vector_field(rng: np.random.Generator, ambient: int):
 def random_section(
     f: SampledMap, rng: np.random.Generator, sup: float, bound: float | None = None
 ) -> PullbackSection:
-    vf = random_vector_field(rng, f.target.ambient_dim)
+    vf = random_vector_field(field_draws(rng, f.target.ambient_dim))
     return section_from_formula(f, vf, sup_scale=sup, bound=bound)
 
 
 def random_center(m: TargetManifold, resolution: int, rng: np.random.Generator) -> SampledMap:
-    return sample_map(CIRCLE_ATLAS, m, random_loop(m, rng), resolution)
+    return sample_map(CIRCLE_ATLAS, m, random_loop(m, loop_draws(m, rng)), resolution)
+
+
+def trial_batches(
+    targets: tuple[TargetManifold, ...],
+    resolution: int,
+    rng: np.random.Generator,
+    trials: int,
+    fields: int,
+):
+    """Per batch of trials, per target: the batch of random centers and its
+    ``fields`` random vector fields, each stacked on the trial axis.
+
+    Each trial draws from ``rng`` in turn, target by target, its center's
+    coefficients and then those of its fields: the draws ``random_center``
+    and ``random_section`` would take one trial at a time.  A batch holds at
+    most ``TRIAL_BATCH_NODES`` nodes per map batch, and at least one trial.
+    """
+    size = max(1, TRIAL_BATCH_NODES // map_nodes(CIRCLE_ATLAS, resolution))
+    for start in range(0, trials, size):
+        draws = [
+            [[loop_draws(m, rng), *(field_draws(rng, m.ambient_dim) for _ in range(fields))]
+             for m in targets]
+            for _ in range(min(size, trials - start))
+        ]
+        yield [_stacked(m, resolution, [trial[i] for trial in draws])
+               for i, m in enumerate(targets)]
+
+
+def _stacked(m: TargetManifold, resolution: int, draws) -> tuple[SampledMap, list]:
+    """The batch of centers and the stacked fields of per-trial draws."""
+    loop, *fields = (stack_draws(parts) for parts in zip(*draws))
+    f = sample_map(CIRCLE_ATLAS, m, random_loop(m, loop), resolution)
+    return f, [random_vector_field(d) for d in fields]
 
 
 def random_pair(
@@ -158,14 +214,22 @@ def jet_convergence_ratio() -> float:
 # transition checks
 
 
-def cocycle_residual(
-    m: TargetManifold, resolution: int, rng: np.random.Generator
-) -> float:
-    f = random_center(m, resolution, rng)
+def cocycle_residuals(
+    targets: tuple[TargetManifold, ...], resolution: int, rng: np.random.Generator, trials: int
+) -> np.ndarray:
+    """Per trial (rows) and target (columns): the sup distance between a
+    section moved through a chart triple and moved directly."""
+    return np.concatenate([
+        np.stack([_cocycle(f, *fields) for f, fields in batch], axis=-1)
+        for batch in trial_batches(targets, resolution, rng, trials, 3)
+    ])
+
+
+def _cocycle(f: SampledMap, g_field, h_field, s_field) -> np.ndarray:
     delta = default_delta(f)
-    g = chart_inverse(f, random_section(f, rng, 0.25 * delta, bound=delta))
-    h = chart_inverse(f, random_section(f, rng, 0.25 * delta, bound=delta))
-    s = random_section(f, rng, 0.2 * delta, bound=0.25 * delta)
+    g = chart_inverse(f, section_from_formula(f, g_field, 0.25 * delta, bound=delta))
+    h = chart_inverse(f, section_from_formula(f, h_field, 0.25 * delta, bound=delta))
+    s = section_from_formula(f, s_field, 0.2 * delta, bound=0.25 * delta)
     via = transition(g, h, transition(f, g, s))
     direct = transition(f, h, s)
     return section_max_diff(via, direct)
@@ -188,41 +252,47 @@ def transition_differences(
     ]
 
 
-def derivative_identity_residual(
-    m: TargetManifold, resolution: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Transition derivative vs a central directional difference; (abs, rel).
+def derivative_identity_residuals(
+    m: TargetManifold, resolution: int, rng: np.random.Generator, trials: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transition derivative vs a central directional difference, per trial;
+    (abs, rel).
 
     On the flat torus the transition is affine, so the difference quotient
     has no truncation error and a larger probe step only suppresses the
     rounding amplification of 1/eps.
     """
     eps = 1e-2 if m.kind == "torus" else 1e-4
-    f = random_center(m, resolution, rng)
-    delta = default_delta(f)
-    g = chart_inverse(f, random_section(f, rng, 0.3 * delta, bound=delta))
-    s0 = random_section(f, rng, 0.25 * delta, bound=0.3 * delta)
-    s = random_section(f, rng, 0.2 * delta, bound=0.25 * delta)
-    ((fd, analytic),) = transition_differences(f, g, s0, [s], m, m, eps, step=1e-6)
-    resid = section_max_diff(fd, analytic)
-    return resid, resid / max(section_sup(analytic), 1e-12)
+    out = []
+    for ((f, (g_field, s0_field, s_field)),) in trial_batches((m,), resolution, rng, trials, 3):
+        delta = default_delta(f)
+        g = chart_inverse(f, section_from_formula(f, g_field, 0.3 * delta, bound=delta))
+        s0 = section_from_formula(f, s0_field, 0.25 * delta, bound=0.3 * delta)
+        s = section_from_formula(f, s_field, 0.2 * delta, bound=0.25 * delta)
+        ((fd, analytic),) = transition_differences(f, g, s0, [s], m, m, eps, step=1e-6)
+        resid = section_max_diff(fd, analytic)
+        out.append((resid, resid / np.maximum(section_sup(analytic), 1e-12)))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
-def chain_rule_residual(
-    m: TargetManifold, resolution: int, rng: np.random.Generator
-) -> float:
-    """Composite transition derivative vs the product of fiber derivatives."""
-    f = random_center(m, resolution, rng)
-    delta = default_delta(f)
-    g = chart_inverse(f, random_section(f, rng, 0.2 * delta, bound=delta))
-    h = chart_inverse(f, random_section(f, rng, 0.2 * delta, bound=delta))
-    s0 = random_section(f, rng, 0.2 * delta, bound=0.25 * delta)
-    s = random_section(f, rng, 0.15 * delta, bound=0.2 * delta)
-    t0 = transition(f, g, s0)
-    via = transition_derivative(g, h, t0, transition_derivative(f, g, s0, s))
-    direct = transition_derivative(f, h, s0, s)
-    resid = section_max_diff(via, direct)
-    return resid / max(section_sup(direct), 1e-12)
+def chain_rule_residuals(
+    m: TargetManifold, resolution: int, rng: np.random.Generator, trials: int
+) -> np.ndarray:
+    """Composite transition derivative vs the product of fiber derivatives,
+    relative, per trial."""
+    out = []
+    for ((f, fields),) in trial_batches((m,), resolution, rng, trials, 4):
+        delta = default_delta(f)
+        g_field, h_field, s0_field, s_field = fields
+        g = chart_inverse(f, section_from_formula(f, g_field, 0.2 * delta, bound=delta))
+        h = chart_inverse(f, section_from_formula(f, h_field, 0.2 * delta, bound=delta))
+        s0 = section_from_formula(f, s0_field, 0.2 * delta, bound=0.25 * delta)
+        s = section_from_formula(f, s_field, 0.15 * delta, bound=0.2 * delta)
+        t0 = transition(f, g, s0)
+        via = transition_derivative(g, h, t0, transition_derivative(f, g, s0, s))
+        direct = transition_derivative(f, h, s0, s)
+        out.append(section_max_diff(via, direct) / np.maximum(section_sup(direct), 1e-12))
+    return np.concatenate(out)
 
 
 def metric_independence_residuals(

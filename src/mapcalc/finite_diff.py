@@ -115,6 +115,21 @@ def sup(values) -> float:
     return float(np.max(list(values), initial=0.0))
 
 
+def trial_sup(arrays, trials: int | None):
+    """``sup`` over every node of per-chart arrays; for arrays with a leading
+    trial axis of length ``trials``, one such sup per trial, as an array in
+    which a trial with a NaN node, and only that trial, reads NaN."""
+    if trials is None:
+        return sup(np.max(a) for a in arrays)
+    return np.max([a.reshape(trials, -1).max(axis=1) for a in arrays], axis=0, initial=0.0)
+
+
+def holds(test) -> bool:
+    """Whether a comparison of floats, or of arrays of one value per trial,
+    holds in every trial; a plain bool is taken as it is, at no numpy cost."""
+    return test if isinstance(test, bool) else bool(test.all())
+
+
 def jet_sup(j: Jets) -> float:
     """Sup over multi-indices and nodes of the norm of the jet entries."""
     return sup(np.max(norm(entry)) for entry in j.values())

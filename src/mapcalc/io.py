@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atlas import CIRCLE_ATLAS, TORUS2_ATLAS, SampledMap, grid_ranges
+from .atlas import CIRCLE_ATLAS, TORUS2_ATLAS, SampledMap, grid_ranges, require_single
 from .energy import DescentTrace
 from .manifolds import POINT_TOL, SPHERE, TargetManifold, check_points, dot, finite_number, norm
 from .sections import PullbackSection
@@ -33,6 +33,7 @@ def _write_grid_csv(f: SampledMap, extra: dict, groups, path) -> None:
 
     ``groups`` pairs a column prefix with per-chart arrays over f's grids.
     """
+    require_single(f, "the grid CSV writers")
     dim = f.atlas.dim
     amb = f.target.ambient_dim
     head = {"atlas": f.atlas.kind, "resolution": f.resolution,

@@ -98,49 +98,74 @@ def _harmonic_tables(shape: tuple, data: bytes, modes: int) -> tuple[np.ndarray,
 def add_fourier_modes(out: np.ndarray, theta: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """``out`` plus sum_k sin((k+1) theta) coeffs[k, 0] + cos((k+1) theta) coeffs[k, 1].
 
-    Each component is summed in its own column, in the order of the sum, and
-    the columns are stacked once at the end; the harmonics come from
-    ``harmonic_tables``.
+    ``coeffs`` of shape (T, K, 2, amb), T trials' coefficients stacked,
+    gives one sum per trial on a leading trial axis.  Each component is
+    summed in its own column, in the order of the sum, and the columns are
+    stacked once at the end; the harmonics come from ``harmonic_tables``.
     """
-    sines, cosines = harmonic_tables(theta, coeffs.shape[0])
+    coeffs = over_grid(coeffs, 3, theta)
+    sines, cosines = harmonic_tables(theta, coeffs.shape[-3])
     cols = [out[..., a] for a in range(out.shape[-1])]
-    for k in range(coeffs.shape[0]):
+    for k in range(coeffs.shape[-3]):
         s, c = sines[k], cosines[k]
-        cols = [col + s * coeffs[k, 0, a] for a, col in enumerate(cols)]
-        cols = [col + c * coeffs[k, 1, a] for a, col in enumerate(cols)]
+        cols = [col + s * coeffs[..., k, 0, a] for a, col in enumerate(cols)]
+        cols = [col + c * coeffs[..., k, 1, a] for a, col in enumerate(cols)]
     return np.stack(cols, axis=-1)
 
 
-def sphere_fourier_loop(radius: float, rng: np.random.Generator) -> MapFormula:
-    """Smooth random loop near the equator, normalized back to the sphere."""
-    coeffs = LOOP_AMPLITUDE * rng.standard_normal((3, 2, 3)) / np.arange(1, 4)[:, None, None]
-
-    def fn(mesh):
-        theta = mesh[..., 0]
-        base = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1)
-        base = add_fourier_modes(base, theta, coeffs)
-        return radius * base / norm(base)[..., None]
-
-    return MapFormula("sphere_fourier", fn)
+def over_grid(coeffs: np.ndarray, tail: int, theta: np.ndarray) -> np.ndarray:
+    """``coeffs`` with a unit axis per axis of ``theta`` put before its last
+    ``tail`` axes, so that its leading trial axis, if any, broadcasts ahead
+    of the grid axes."""
+    cut = coeffs.ndim - tail
+    return coeffs.reshape(coeffs.shape[:cut] + (1,) * theta.ndim + coeffs.shape[cut:])
 
 
-def torus_fourier_loop(dim: int, rng: np.random.Generator) -> MapFormula:
-    """Smooth random loop of a random winding in {-1, 0, 1} per axis."""
+def stack_draws(draws) -> tuple[np.ndarray, ...]:
+    """Per-trial tuples of coefficient arrays stacked into one tuple of
+    arrays, each with a leading trial axis."""
+    return tuple(np.stack(parts) for parts in zip(*draws))
+
+
+def loop_draws(m: TargetManifold, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """The Fourier coefficients of one random loop into ``m``, drawn from
+    ``rng``: on the sphere, modes 1 to 3 near the equator; on the torus, a
+    winding in {-1, 0, 1} per axis, the modes, then a shift."""
+    if m.kind == "sphere":
+        return (LOOP_AMPLITUDE * rng.standard_normal((3, 2, 3)) / np.arange(1, 4)[:, None, None],)
+    dim = len(m.periods)
     w = rng.integers(-1, 2, size=dim).astype(float)
     amp = LOOP_AMPLITUDE * rng.standard_normal((3, 2, dim)) / np.arange(1, 4)[:, None, None]
-    shift = rng.uniform(0, 2 * np.pi, size=dim)
+    return w, amp, rng.uniform(0, 2 * np.pi, size=dim)
+
+
+def random_loop(m: TargetManifold, draws: tuple[np.ndarray, ...]) -> MapFormula:
+    """The smooth loop of ``loop_draws``; draws stacked by ``stack_draws``
+    give the batch of loops, evaluated in one pass.
+
+    A sphere loop is normalized back to the sphere; a torus loop is its
+    winding plus a shift plus the modes.
+    """
+    modes = draws[0] if m.kind == "sphere" else draws[1]
+    trials = len(modes) if modes.ndim > 3 else None  # one trial's modes are (3, 2, amb)
+    if m.kind == "sphere":
+        (coeffs,) = draws
+
+        def fn(mesh):
+            theta = mesh[..., 0]
+            base = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1)
+            base = add_fourier_modes(base, theta, coeffs)
+            return m.radius * base / norm(base)[..., None]
+
+        return MapFormula("sphere_fourier", fn, trials)
+    w, amp, shift = draws
 
     def fn(mesh):
         theta = mesh[..., 0]
-        return add_fourier_modes(theta[..., None] * w + shift, theta, amp)
+        straight = theta[..., None] * over_grid(w, 1, theta) + over_grid(shift, 1, theta)
+        return add_fourier_modes(straight, theta, amp)
 
-    return MapFormula("torus_fourier", fn)
-
-
-def random_loop(m: TargetManifold, rng: np.random.Generator) -> MapFormula:
-    if m.kind == "sphere":
-        return sphere_fourier_loop(m.radius, rng)
-    return torus_fourier_loop(len(m.periods), rng)
+    return MapFormula("torus_fourier", fn, trials)
 
 
 def torus2_wave(winding: tuple[tuple[int, int], tuple[int, int]], amp: float = 0.0) -> MapFormula:

@@ -2,7 +2,9 @@
 
 A section stores one tangent vector per chart grid node, based at the map's
 value there.  Sections are the local model of the mapping space: charts
-identify maps near f with small sections along f.
+identify maps near f with small sections along f.  Along a batch of maps
+(a leading trial axis, see ``atlas``) a section is a batch of sections, and
+its ``sup`` and ``bound`` hold one value per trial.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .atlas import SampledMap, grid_mesh
-from .errors import BaseMismatch
-from .finite_diff import sup
+from .errors import BaseMismatch, FormulaOutOfTarget
+from .finite_diff import holds, trial_sup
 from .manifolds import norm_points, project_tangent, smooth_frames, to_frame
 
 
@@ -27,18 +29,24 @@ class PullbackSection:
     checked where that happens, so raw data like energy gradients can be
     carried as sections too.  ``sup``, the sup of the fiber norms, is
     computed once here; a section is a value, its vectors are not changed
-    in place.
+    in place.  For a batch, ``sup`` is an array of one sup per trial, and
+    ``bound`` a float or such an array; each trial's sup stays below its
+    own bound.
     """
 
     base_map: SampledMap
     vectors: tuple[np.ndarray, ...]
-    bound: float
-    sup: float = field(init=False, repr=False)
+    bound: float | np.ndarray
+    sup: float | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sup = _sup_norm(self.base_map, self.vectors)
-        if not sup < self.bound:
-            raise ValueError(f"section sup {sup:g} must stay strictly below bound {self.bound:g}")
+        if not holds(sup < self.bound):
+            sups, bounds = np.broadcast_arrays(sup, self.bound)
+            i = np.flatnonzero(~(sups < bounds))[0]  # the first trial over its bound
+            raise ValueError(
+                f"section sup {sups.flat[i]:g} must stay strictly below bound {bounds.flat[i]:g}"
+            )
         object.__setattr__(self, "sup", sup)
 
 
@@ -63,7 +71,7 @@ def make_section(f: SampledMap, vectors, bound: float | None = None) -> Pullback
     )
     if bound is None:
         bound = _sup_norm(f, vecs) * (1.0 + 1e-9) + 1e-300
-    return PullbackSection(f, vecs, float(bound))
+    return PullbackSection(f, vecs, bound if isinstance(bound, np.ndarray) else float(bound))
 
 
 def zero_section(f: SampledMap) -> PullbackSection:
@@ -81,28 +89,34 @@ def section_from_formula(
 
     The field is evaluated at domain coordinates, projected to the tangent
     space at the map value, and optionally rescaled to a prescribed sup.
-    Evaluating at raw chart coordinates keeps shared lattice nodes exactly
-    consistent for periodic fields.
+    Along a batch of maps the field returns one vector per trial and node,
+    and each trial is rescaled to ``sup_scale`` by its own sup.  Charts that
+    reach a node at the same lattice index evaluate the field at the same
+    coordinate, so their vectors there agree exactly; at indices one period
+    apart a periodic field agrees only to rounding.
     """
     vecs = []
     for chart, fv in zip(f.atlas.charts, f.values):
         mesh = grid_mesh(chart, f.resolution)
         raw = np.asarray(vector_fn(mesh), dtype=float)
+        if raw.shape != fv.shape:
+            raise FormulaOutOfTarget(f"vector field returned shape {raw.shape}, not {fv.shape}")
         vecs.append(project_tangent(f.target, fv, raw))
     if sup_scale is not None:
-        sup = _sup_norm(f, vecs)
-        if sup > 0:
-            vecs = [v * (sup_scale / sup) for v in vecs]
+        sup = np.asarray(_sup_norm(f, vecs))
+        scale = np.divide(sup_scale, sup, out=np.ones_like(sup), where=sup > 0)
+        vecs = [v * scale.reshape(scale.shape + (1,) * (v.ndim - scale.ndim)) for v in vecs]
     return make_section(f, vecs, bound=bound)
 
 
-def _sup_norm(f: SampledMap, vectors) -> float:
-    """Sup over all grid nodes of the fiber norm of per-chart vectors along f."""
-    return sup(np.max(norm_points(f.target, fv, v)) for fv, v in zip(f.values, vectors))
+def _sup_norm(f: SampledMap, vectors) -> float | np.ndarray:
+    """Sup over all grid nodes of the fiber norm of per-chart vectors along
+    f; for a batch, one sup per trial."""
+    return trial_sup((norm_points(f.target, fv, v) for fv, v in zip(f.values, vectors)), f.trials)
 
 
-def section_sup(s: PullbackSection) -> float:
-    """Sup over all grid nodes of the fiber norm."""
+def section_sup(s: PullbackSection) -> float | np.ndarray:
+    """Sup over all grid nodes of the fiber norm; for a batch, one sup per trial."""
     return s.sup
 
 
@@ -119,7 +133,8 @@ def section_scale(s: PullbackSection, a: float) -> PullbackSection:
 
 
 def section_max_diff(s: PullbackSection, t: PullbackSection) -> float:
-    """Sup fiber norm of the difference of two sections over the same map."""
+    """Sup fiber norm of the difference of two sections over the same map;
+    for a batch, one sup per trial."""
     require_same_base(s, t)
     return _sup_norm(s.base_map, (a - b for a, b in zip(s.vectors, t.vectors)))
 

@@ -257,3 +257,106 @@ def unwrap_lift(values, periods):
             lifted = lifted + (row0 - lifted[0, :])[None, :]
         out[..., a] = lifted
     return out
+
+
+# ---------------------------------------------------------------------------
+# serial transition residuals: one trial at a time, the bits the stacked
+# trial batches of ``mapcalc.experiments`` must reproduce per trial
+
+
+def _fourier_sum(out, theta, coeffs):
+    """``out`` plus the sine and cosine modes k + 1 of ``coeffs[k]``, in the
+    order of the sum, by direct trigonometry."""
+    for k in range(len(coeffs)):
+        out = out + np.sin((k + 1) * theta)[..., None] * coeffs[k, 0]
+        out = out + np.cos((k + 1) * theta)[..., None] * coeffs[k, 1]
+    return out
+
+
+def serial_random_center(m, resolution, rng):
+    """One random Fourier loop into ``m``, drawn and sampled on its own."""
+    from mapcalc.atlas import CIRCLE_ATLAS, MapFormula, sample_map
+
+    if m.kind == "sphere":
+        coeffs = 0.15 * rng.standard_normal((3, 2, 3)) / np.arange(1, 4)[:, None, None]
+
+        def fn(mesh):
+            theta = mesh[..., 0]
+            base = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1)
+            base = _fourier_sum(base, theta, coeffs)
+            return m.radius * base / np.linalg.norm(base, axis=-1)[..., None]
+    else:
+        dim = len(m.periods)
+        w = rng.integers(-1, 2, size=dim).astype(float)
+        amp = 0.15 * rng.standard_normal((3, 2, dim)) / np.arange(1, 4)[:, None, None]
+        shift = rng.uniform(0, 2 * np.pi, size=dim)
+
+        def fn(mesh):
+            theta = mesh[..., 0]
+            return _fourier_sum(theta[..., None] * w + shift, theta, amp)
+
+    return sample_map(CIRCLE_ATLAS, m, MapFormula("serial_loop", fn), resolution)
+
+
+def serial_random_section(f, rng, sup, bound):
+    """One random vector field along ``f``, drawn and evaluated on its own."""
+    from mapcalc.sections import section_from_formula
+
+    amb = f.target.ambient_dim
+    coeff = rng.standard_normal((3, 2, amb))
+    coeff = coeff / np.arange(1, 4)[:, None, None]
+    const = rng.standard_normal(amb)
+
+    def vf(mesh):
+        theta = mesh[..., 0]
+        return _fourier_sum(np.broadcast_to(const, theta.shape + (amb,)), theta, coeff)
+
+    return section_from_formula(f, vf, sup_scale=sup, bound=bound)
+
+
+def serial_cocycle_residual(m, resolution, rng):
+    from mapcalc.charts import chart_inverse, default_delta, transition
+    from mapcalc.sections import section_max_diff
+
+    f = serial_random_center(m, resolution, rng)
+    delta = default_delta(f)
+    g = chart_inverse(f, serial_random_section(f, rng, 0.25 * delta, delta))
+    h = chart_inverse(f, serial_random_section(f, rng, 0.25 * delta, delta))
+    s = serial_random_section(f, rng, 0.2 * delta, 0.25 * delta)
+    via = transition(g, h, transition(f, g, s))
+    direct = transition(f, h, s)
+    return section_max_diff(via, direct)
+
+
+def serial_derivative_identity_residual(m, resolution, rng):
+    """(abs, rel) of one trial."""
+    from mapcalc.charts import chart_inverse, default_delta
+    from mapcalc.experiments import transition_differences
+    from mapcalc.sections import section_max_diff, section_sup
+
+    eps = 1e-2 if m.kind == "torus" else 1e-4
+    f = serial_random_center(m, resolution, rng)
+    delta = default_delta(f)
+    g = chart_inverse(f, serial_random_section(f, rng, 0.3 * delta, delta))
+    s0 = serial_random_section(f, rng, 0.25 * delta, 0.3 * delta)
+    s = serial_random_section(f, rng, 0.2 * delta, 0.25 * delta)
+    ((fd, analytic),) = transition_differences(f, g, s0, [s], m, m, eps, step=1e-6)
+    resid = section_max_diff(fd, analytic)
+    return resid, resid / max(section_sup(analytic), 1e-12)
+
+
+def serial_chain_rule_residual(m, resolution, rng):
+    from mapcalc.charts import chart_inverse, default_delta, transition, transition_derivative
+    from mapcalc.sections import section_max_diff, section_sup
+
+    f = serial_random_center(m, resolution, rng)
+    delta = default_delta(f)
+    g = chart_inverse(f, serial_random_section(f, rng, 0.2 * delta, delta))
+    h = chart_inverse(f, serial_random_section(f, rng, 0.2 * delta, delta))
+    s0 = serial_random_section(f, rng, 0.2 * delta, 0.25 * delta)
+    s = serial_random_section(f, rng, 0.15 * delta, 0.2 * delta)
+    t0 = transition(f, g, s0)
+    via = transition_derivative(g, h, t0, transition_derivative(f, g, s0, s))
+    direct = transition_derivative(f, h, s0, s)
+    resid = section_max_diff(via, direct)
+    return resid / max(section_sup(direct), 1e-12)

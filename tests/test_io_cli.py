@@ -29,7 +29,7 @@ from mapcalc.cli import (
 )
 from mapcalc.energy import DescentTrace, descend
 from mapcalc.errors import ConfigError, WellDefinednessViolated
-from mapcalc.experiments import random_center, random_section, random_vector_field
+from mapcalc.experiments import field_draws, random_center, random_section, random_vector_field
 from mapcalc.io import (
     read_map_csv,
     read_section_csv,
@@ -204,7 +204,7 @@ def test_grid_codec_round_trip_and_row_edits(
     f = sample_map(atlas, target, _random_formula(target, seed), resolution)
     path = tmp_path_factory.mktemp("codec") / "grid.csv"
     if as_section:
-        vf = random_vector_field(np.random.default_rng(seed), target.ambient_dim)
+        vf = random_vector_field(field_draws(np.random.default_rng(seed), target.ambient_dim))
         s = section_from_formula(f, vf)
         write_section_csv(s, path)
         again = read_section_csv(path)
@@ -358,7 +358,8 @@ class TestConfig:
 # check row -> (suite, the experiments function it folds, that function's
 # result drawn from a list of residuals)
 NAN_ROWS = {
-    "transition_cocycle": ("transitions", "cocycle_residual", lambda r: r.pop(0)),
+    # one call for the whole row: a residual per trial (2) and target (2)
+    "transition_cocycle": ("transitions", "cocycle_residuals", lambda r: np.reshape(r, (2, 2))),
     "ck_distance_symmetry": ("topology", "pseudometric_residuals", lambda r: (r.pop(0),) * 2),
     "metric_independence": ("transitions", "metric_independence_residuals", list),
     "taylor_quadratic": ("taylor", "taylor_quadratic_residual", lambda r: r.pop(0)),
@@ -441,8 +442,8 @@ class TestRunSuite:
         def raise_mapcalc_error(*args, **kwargs):
             raise WellDefinednessViolated("off the chart")
 
-        monkeypatch.setattr(experiments, "cocycle_residual", raise_value_error)
-        monkeypatch.setattr(experiments, "derivative_identity_residual", raise_mapcalc_error)
+        monkeypatch.setattr(experiments, "cocycle_residuals", raise_value_error)
+        monkeypatch.setattr(experiments, "derivative_identity_residuals", raise_mapcalc_error)
         monkeypatch.setattr(
             experiments, "metric_independence_residuals", lambda *a, **k: [math.nan]
         )
@@ -476,8 +477,10 @@ class TestRunSuite:
             raise WellDefinednessViolated("off the chart")
 
         # the cocycle fails at 2.5 times its tolerance of 1e-9
-        monkeypatch.setattr(experiments, "cocycle_residual", lambda *a, **k: 2.5e-9)
-        monkeypatch.setattr(experiments, "derivative_identity_residual", raise_mapcalc_error)
+        monkeypatch.setattr(
+            experiments, "cocycle_residuals", lambda *a, **k: np.full((1, 2), 2.5e-9)
+        )
+        monkeypatch.setattr(experiments, "derivative_identity_residuals", raise_mapcalc_error)
         monkeypatch.setattr(experiments, "metric_independence_residuals", lambda *a, **k: [1e-6])
         config = ExperimentConfig(resolution=24, trials=1, sections=1)
         assert run_suite(config, "transitions", tmp_path / "serial") == 1
@@ -621,6 +624,21 @@ class TestCliCommands:
         result = CliRunner().invoke(main, ["descend", "--config", str(cfg), "--out", str(out)])
         assert result.exit_code == 2
         assert not out.exists()
+
+    def test_descend_step_out_of_every_chart_exits_2_without_traceback(self, tmp_path):
+        # a well-typed first step that 30 halvings cannot bring inside the chart
+        cfg = tmp_path / "huge_step.json"
+        cfg.write_text(json.dumps({"descent_step_size": 1e300}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        args = ["descend", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        result = subprocess.run(
+            [sys.executable, "-m", "mapcalc.cli", *args], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.count("\n") == 1 and "StepOutOfChart" in result.stderr
 
     def test_conformal_power_tower_exits_2_quickly(self, tmp_path):
         # 9**9**9 as a Python integer has hundreds of millions of digits

@@ -14,19 +14,21 @@ apart (theta and theta + 2 pi), a periodic formula agrees only to rounding:
 a random loop at resolution 64 differs by 7.4e-16 at such nodes, and the
 great circle's ``overlap_residual`` is 6.9e-16.
 
-A map's per-chart arrays may carry one leading trial axis, shape
-(T, *grid, amb): a batch of T maps sampled together, which the pointwise
-layers (exp, log, sections, transitions) handle in one call.  Layers that
-read grid axes take one map and raise ``TrialAxisUnsupported`` on a batch.
+A map's values are one node array (N, amb), chart after chart as laid out
+by ``chart_layout``, which the pointwise layers (exp, log, sections,
+transitions) take in one call; the grid layers (jets, covers, overlaps, the
+CSV codec) read its per-chart views.  A leading trial axis, (T, N, amb),
+holds a batch of T maps sampled together.  Layers that read grid axes take
+one map and raise ``TrialAxisUnsupported`` on a batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
-from itertools import combinations
-from typing import Callable
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from itertools import accumulate, combinations
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -85,12 +87,11 @@ def circle_atlas() -> DomainAtlas:
 
 
 def torus2_atlas() -> DomainAtlas:
-    charts = []
-    cid = 0
-    for box_a, enl_a, comp_a in _ARCS:
-        for box_b, enl_b, comp_b in _ARCS:
-            charts.append(Chart(cid, (box_a, box_b), (enl_a, enl_b), (comp_a, comp_b)))
-            cid += 1
+    charts = tuple(
+        Chart(2 * a + b, (box_a, box_b), (enl_a, enl_b), (comp_a, comp_b))
+        for a, (box_a, enl_a, comp_a) in enumerate(_ARCS)
+        for b, (box_b, enl_b, comp_b) in enumerate(_ARCS)
+    )
     return DomainAtlas(TORUS2, charts)
 
 
@@ -127,12 +128,28 @@ def grid_mesh(chart: Chart, resolution: int) -> np.ndarray:
     return np.stack([aa, bb], axis=-1)
 
 
-def map_nodes(atlas: DomainAtlas, resolution: int) -> int:
-    """Grid nodes of one sampled map, over all charts."""
-    return sum(
-        math.prod(j1 - j0 + 1 for j0, j1 in grid_ranges(chart, resolution))
-        for chart in atlas.charts
-    )
+class ChartLayout(NamedTuple):
+    """Where the chart grids sit in a map's node array, chart after chart and
+    each grid in C order: ``starts`` holds each chart's first node and, last,
+    the node count; ``mesh`` the chart coordinates of every node, (N, dim)."""
+
+    shapes: tuple[tuple[int, ...], ...]
+    starts: tuple[int, ...]
+    mesh: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def chart_layout(atlas: DomainAtlas, resolution: int) -> ChartLayout:
+    """The layout of the node arrays of maps on ``atlas`` at ``resolution``.
+
+    The layout is shared between callers, so its mesh is read-only.
+    """
+    meshes = [grid_mesh(chart, resolution) for chart in atlas.charts]
+    shapes = tuple(m.shape[:-1] for m in meshes)
+    starts = (0, *accumulate(math.prod(shape) for shape in shapes))
+    mesh = np.concatenate([m.reshape(-1, atlas.dim) for m in meshes])
+    mesh.flags.writeable = False
+    return ChartLayout(shapes, starts, mesh)
 
 
 def compact_slices(chart: Chart, resolution: int) -> tuple[slice, ...]:
@@ -151,19 +168,37 @@ def compact_slices(chart: Chart, resolution: int) -> tuple[slice, ...]:
 
 @dataclass(frozen=True, eq=False)
 class SampledMap:
+    """A map sampled at every chart grid node.
+
+    ``nodes`` holds one value per node in the order of ``chart_layout``,
+    shape (N, amb), or (T, N, amb) for a batch of T maps; ``values`` holds
+    its per-chart views over the chart grids, built once.
+    """
+
     atlas: DomainAtlas
     target: TargetManifold
     resolution: int
-    values: tuple[np.ndarray, ...]
+    nodes: np.ndarray
+    values: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
-    def with_values(self, values) -> "SampledMap":
-        return SampledMap(self.atlas, self.target, self.resolution, tuple(values))
+    def __post_init__(self):
+        object.__setattr__(self, "values", self.views(self.nodes))
+
+    def views(self, nodes: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-chart views over the chart grids of a node array (..., N, amb)
+        along this map, such as its values or a section's vectors."""
+        shapes, starts, _ = chart_layout(self.atlas, self.resolution)
+        lead, amb = nodes.shape[:-2], nodes.shape[-1:]
+        return tuple(nodes[..., a:b, :].reshape(lead + shape + amb)
+                     for shape, a, b in zip(shapes, starts, starts[1:]))
+
+    def with_nodes(self, nodes: np.ndarray) -> "SampledMap":
+        return SampledMap(self.atlas, self.target, self.resolution, nodes)
 
     @property
     def trials(self) -> int | None:
         """The length of the leading trial axis of a batch of maps; None for one map."""
-        first = self.values[0]
-        return first.shape[0] if first.ndim > self.atlas.dim + 1 else None
+        return self.nodes.shape[0] if self.nodes.ndim == 3 else None
 
 
 def require_single(f: SampledMap, layer: str) -> None:
@@ -187,29 +222,26 @@ class MapFormula:
 def sample_map(
     atlas: DomainAtlas, target: TargetManifold, formula: MapFormula, resolution: int
 ) -> SampledMap:
-    """Evaluate a closed-form map, or a batch of them, on every chart grid of
-    the enlarged boxes."""
+    """Evaluate a closed-form map, or a batch of them, at every chart grid
+    node of the enlarged boxes, in one call on the layout's mesh."""
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
+    layout = chart_layout(atlas, resolution)
     lead = () if formula.trials is None else (formula.trials,)
-    values = []
-    for chart in atlas.charts:
-        mesh = grid_mesh(chart, resolution)
-        raw = np.asarray(formula.fn(mesh), dtype=float)
-        if raw.shape != lead + mesh.shape[:-1] + (target.ambient_dim,):
+    raw = np.asarray(formula.fn(layout.mesh), dtype=float)
+    if raw.shape != lead + (layout.starts[-1], target.ambient_dim):
+        raise FormulaOutOfTarget(
+            f"formula {formula.name!r} returned shape {raw.shape}"
+        )
+    if not np.all(np.isfinite(raw)):
+        raise FormulaOutOfTarget(f"formula {formula.name!r} produced non-finite values")
+    if target.kind == SPHERE:
+        err = np.max(np.abs(norm(raw) - target.radius))
+        if err > 1e-9:
             raise FormulaOutOfTarget(
-                f"formula {formula.name!r} returned shape {raw.shape}"
+                f"formula {formula.name!r} leaves the sphere by {err:g}"
             )
-        if not np.all(np.isfinite(raw)):
-            raise FormulaOutOfTarget(f"formula {formula.name!r} produced non-finite values")
-        if target.kind == SPHERE:
-            err = np.max(np.abs(norm(raw) - target.radius))
-            if err > 1e-9:
-                raise FormulaOutOfTarget(
-                    f"formula {formula.name!r} leaves the sphere by {err:g}"
-                )
-        values.append(reduce_points(target, raw))
-    return SampledMap(atlas, target, resolution, tuple(values))
+    return SampledMap(atlas, target, resolution, reduce_points(target, raw))
 
 
 def same_discretization(f: SampledMap, g: SampledMap) -> None:
@@ -225,9 +257,7 @@ def map_sup_distance(f: SampledMap, g: SampledMap) -> float | np.ndarray:
     """Sup over all grid nodes of the target distance between two maps; one
     sup per trial for batches."""
     same_discretization(f, g)
-    return trial_sup(
-        (dist_points(f.target, fv, gv) for fv, gv in zip(f.values, g.values)), f.trials
-    )
+    return trial_sup(dist_points(f.target, f.nodes, g.nodes), f.trials)
 
 
 # ---------------------------------------------------------------------------

@@ -56,22 +56,21 @@ def default_delta(f: SampledMap, factor: float = 0.4) -> float:
 def chart_forward(f: SampledMap, g: SampledMap, delta: float) -> PullbackSection:
     """Represent g in the chart centered at f: nodewise logarithm along f.
 
-    Each chart's logarithm gives both the gap to g and the section; a gap
+    One logarithm over every node gives both the gap to g and the section; a gap
     at or over ``delta`` is reported before any pair beyond the injectivity
     radius.
     """
     if not delta < inj_radius(f.target):
         raise WellDefinednessViolated("delta must stay below the injectivity radius")
     same_discretization(f, g)
-    logs = [log_dist_points(f.target, fv, gv) for fv, gv in zip(f.values, g.values)]
-    gap = sup(np.max(d) for _, d in logs)
+    vecs, d = log_dist_points(f.target, f.nodes, g.nodes)
+    gap = sup([np.max(d)])
     if not gap < delta:
         raise WellDefinednessViolated(
             f"maps are {gap:.6g} apart, not within the chart bound {delta:.6g}"
         )
-    for _, d in logs:
-        require_log_reach(f.target, d)
-    return PullbackSection(f, tuple(vecs for vecs, _ in logs), float(delta))
+    require_log_reach(f.target, d)
+    return PullbackSection(f, vecs, float(delta))
 
 
 def chart_inverse(f: SampledMap, s: PullbackSection) -> SampledMap:
@@ -84,11 +83,7 @@ def chart_inverse(f: SampledMap, s: PullbackSection) -> SampledMap:
         raise WellDefinednessViolated(
             "section is too large to push through the exponential map"
         )
-    vals = [
-        reduce_points(f.target, exp_points(f.target, fv, v))
-        for fv, v in zip(f.values, s.vectors)
-    ]
-    return f.with_values(vals)
+    return f.with_nodes(reduce_points(f.target, exp_points(f.target, f.nodes, s.vectors)))
 
 
 def transition(f: SampledMap, g: SampledMap, s: PullbackSection) -> PullbackSection:
@@ -151,12 +146,12 @@ def metric_transition_fiber(
     m_from: TargetManifold,
     m_to: TargetManifold,
     step: float = 1e-4,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Nodewise fiber derivative matrices of the two-metric transition at s0.
 
-    Matrices are expressed in the pointwise frames along f, one array per
-    chart; computing them once lets several direction sections share the
-    shooting work, and every chart shares one shooting batch.
+    Matrices are expressed in the pointwise frames along f, one per node;
+    computing them once lets several direction sections share the shooting
+    work, and every node shares one shooting batch.
     """
     mats, _ = metric_transition_batch(f, f, s0, [], m_from, m_to, step=step)
     return mats
@@ -170,7 +165,7 @@ def metric_transition_batch(
     m_from: TargetManifold,
     m_to: TargetManifold,
     step: float = 1e-4,
-) -> tuple[list[np.ndarray] | None, list[PullbackSection]]:
+) -> tuple[np.ndarray | None, list[PullbackSection]]:
     """The fiber derivative matrices of v -> log_g(exp_f(v)) at s0 (None
     without s0) and the images of ``sections``, from one exp and one log batch.
 
@@ -178,7 +173,7 @@ def metric_transition_batch(
     change of metric passes g = f, a chart transition one metric.  The
     matrices map the frames of ``frames_at`` along f to those along g, and
     the images are sections along g.  The four ``fiber_probes`` around s0
-    and the nodes of every section and chart are stacked into one batch.  A
+    and the node arrays of every section are stacked into one batch.  A
     node's logarithm does not depend on its batch, so each result has the
     bits of a call of its own.  On the torus the matrices are the exact
     identity and need no probes.
@@ -187,49 +182,33 @@ def metric_transition_batch(
     if not all(maps_equal(t.base_map, f) for t in given):
         raise BaseMismatch("section is not based on the chart center")
     same_discretization(f, g)
-    base, dst = _nodes(f.values), _nodes(g.values)
-    blocks = [_nodes(t.vectors) for t in sections]
+    blocks = [t.vectors for t in sections]
     probed = s0 is not None and m_from.kind != TORUS
     if probed:
-        blocks = [*fiber_probes(m_from, base, _nodes(s0.vectors), step), *blocks]
+        blocks = [*fiber_probes(m_from, f.nodes, s0.vectors, step), *blocks]
     if blocks:
-        moved = exp_points(m_from, np.concatenate([base] * len(blocks)), np.concatenate(blocks))
-        logs = log_points(m_to, np.concatenate([dst] * len(blocks)), moved)
+        moved = exp_points(m_from, np.concatenate([f.nodes] * len(blocks)), np.concatenate(blocks))
+        logs = log_points(m_to, np.concatenate([g.nodes] * len(blocks)), moved)
         blocks = np.split(logs, len(blocks))
     mats = None
     if probed:
-        mats = _unstack(fiber_matrices(m_to, dst, np.stack(blocks[:4]), step), f.values)
+        mats = fiber_matrices(m_to, g.nodes, np.stack(blocks[:4]), step)
         blocks = blocks[4:]
     elif s0 is not None:
-        mats = _unstack(frames_at(m_from, base), f.values)  # torus frames are the identity
-    return mats, [make_section(g, _unstack(part, g.values)) for part in blocks]
-
-
-def _nodes(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """The nodes of per-chart arrays of points or vectors, in one (n, amb) array."""
-    return np.concatenate([a.reshape(-1, a.shape[-1]) for a in arrays])
-
-
-def _unstack(flat: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Split rows stacked by ``_nodes`` back into arrays over the grids of ``like``."""
-    sizes = [math.prod(a.shape[:-1]) for a in like]
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    return [p.reshape(a.shape[:-1] + p.shape[1:]) for p, a in zip(parts, like)]
+        mats = frames_at(m_from, f.nodes)  # torus frames are the identity
+    return mats, [make_section(g, part) for part in blocks]
 
 
 def apply_fiber_matrices(
-    f: SampledMap, g: SampledMap, mats: list[np.ndarray], s: PullbackSection
+    f: SampledMap, g: SampledMap, mats: np.ndarray, s: PullbackSection
 ) -> PullbackSection:
     """Contract per-node fiber matrices with a section along f, giving one along g.
 
     The matrices map the pointwise frames along f to those along g.
     """
     m = f.target
-    out = []
-    for fv, gv, mat, v in zip(f.values, g.values, mats, s.vectors):
-        w = np.einsum("...ab,...b->...a", mat, to_frame(frames_at(m, fv), v))
-        out.append(from_frame(frames_at(m, gv), w))
-    return make_section(g, out)
+    w = np.einsum("...ab,...b->...a", mats, to_frame(frames_at(m, f.nodes), s.vectors))
+    return make_section(g, from_frame(frames_at(m, g.nodes), w))
 
 
 # ---------------------------------------------------------------------------

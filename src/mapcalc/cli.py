@@ -18,7 +18,7 @@ import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 
 import click
@@ -31,7 +31,7 @@ from .energy import dirichlet_energy
 from .errors import ConfigError, MapcalcError
 from .finite_diff import sup
 from .io import canonical_json, write_map_csv, write_trace_csv
-from .manifolds import flat_torus, sphere
+from .manifolds import finite_number, flat_torus, sphere
 from .maps import great_circle
 
 SUITES = ("charts", "topology", "omega", "taylor", "transitions", "descent")
@@ -63,7 +63,7 @@ class ExperimentConfig:
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise ConfigError(f"{f.name} must be of type {f.type}, not {value!r}")
         floats = [getattr(self, f.name) for f in fields(self) if f.type == "float"]
-        if not all(abs(v) <= sys.float_info.max for v in [*floats, *self.torus_periods]):
+        if not all(abs(v) <= sys.float_info.max for v in floats):
             raise ConfigError("float fields must be finite")
         if min(self.resolution, self.descent_resolution, self.sphere_descent_resolution) < 8:
             raise ConfigError("resolution must be at least 8")
@@ -81,7 +81,7 @@ class ExperimentConfig:
         if not 0 < self.delta_factor < 6 or self.epsilon <= 0:
             raise ConfigError("delta_factor must lie in (0, 6) and epsilon must be positive")
         try:
-            flat_torus(*self.torus_periods)
+            flat_torus(*(finite_number(p, "torus period") for p in self.torus_periods))
         except ValueError as err:
             raise ConfigError(f"bad torus periods {self.torus_periods!r}: {err}") from err
         try:
@@ -169,13 +169,23 @@ def _rng(config: ExperimentConfig, tag: int) -> np.random.Generator:
 
 
 def _once(thunk):
-    """Run a thunk at most once; concurrent callers wait for its result."""
+    """Run a thunk at most once; concurrent callers wait for its outcome, and
+    every caller gets its result or raises its exception."""
     lock = threading.Lock()
-    cached = cache(thunk)
+    outcome = []  # (result, None) or (exception, its traceback), once the thunk has run
 
     def run():
         with lock:
-            return cached()
+            if not outcome:
+                try:
+                    outcome.append((thunk(), None))
+                except Exception as err:
+                    outcome.append((err, err.__traceback__))
+        value, tb = outcome[0]
+        if tb is None:
+            return value
+        # from the thunk's own traceback, so that no caller's frames pile onto the next's
+        raise value.with_traceback(tb)
 
     return run
 

@@ -21,6 +21,7 @@ from .atlas import (
     TAU,
     DomainAtlas,
     SampledMap,
+    chart_layout,
     compact_slices,
     grid_ranges,
     require_single,
@@ -66,45 +67,37 @@ def _require_circle(f: SampledMap) -> None:
 
 
 @lru_cache(maxsize=32)
-def _loop_lattice(atlas: DomainAtlas, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per chart: the local and global indices of the loop nodes its compact
-    piece owns, and the global index of every node of its grid.
+def _loop_lattice(atlas: DomainAtlas, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The node owning each loop lattice point, and the loop lattice point of
+    every node, as indices into the node array and the loop.
 
-    Ownership is half-open at the upper end so the pieces tile the circle.
-    The arrays are shared between callers, so they are read-only.
+    A point is owned by the compact piece that holds it, half-open at the
+    upper end so the pieces tile the circle.  The arrays are shared between
+    callers, so they are read-only.
     """
     h = TAU / n
-    filled = np.zeros(n, dtype=bool)
-    table = []
-    for chart in atlas.charts:
-        (j0, j1), = grid_ranges(chart, n)
+    _, starts, mesh = chart_layout(atlas, n)
+    owner = np.full(n, -1)
+    for chart, start in zip(atlas.charts, starts):
+        (j0, _), = grid_ranges(chart, n)
         (ksl,) = compact_slices(chart, n)
         local = np.arange(ksl.start, ksl.stop)
         local = local[(j0 + local) * h < chart.compact[0][1] - 1e-12]
-        owned = (j0 + local) % n
-        filled[owned] = True
-        row = (local, owned, np.arange(j0, j1 + 1) % n)
-        for arr in row:
-            arr.flags.writeable = False
-        table.append(row)
-    if not np.all(filled):
+        owner[(j0 + local) % n] = start + local
+    if np.any(owner < 0):
         raise ValueError("compact pieces do not cover the loop lattice")
-    return tuple(table)
-
-
-def _on_loop(f: SampledMap, per_chart) -> np.ndarray:
-    """Gather per-chart node arrays onto the loop lattice by ownership."""
-    out = np.empty((f.resolution, f.target.ambient_dim))
-    for (local, owned, _), arr in zip(_loop_lattice(f.atlas, f.resolution), per_chart):
-        out[owned] = arr[local]
-    return out
+    # a node's chart coordinate is its lattice index times h
+    lattice = owner, np.rint(mesh[:, 0] / h).astype(int) % n
+    for arr in lattice:
+        arr.flags.writeable = False
+    return lattice
 
 
 def loop_values(f: SampledMap) -> np.ndarray:
     """Values on the global loop lattice, each node owned by one compact piece."""
     _require_circle(f)
     require_single(f, "loop_values")
-    return _on_loop(f, f.values)
+    return f.nodes[_loop_lattice(f.atlas, f.resolution)[0]]
 
 
 def loop_step(f: SampledMap) -> float:
@@ -132,7 +125,7 @@ def energy_gradient(f: SampledMap) -> PullbackSection:
     value of their lattice point, so no interpolation is involved.
     """
     grad = -_geodesic_laplacian(f, loop_values(f))
-    return make_section(f, [grad[grid] for _, _, grid in _loop_lattice(f.atlas, f.resolution)])
+    return make_section(f, grad[_loop_lattice(f.atlas, f.resolution)[1]])
 
 
 def sobolev_gradient(f: SampledMap) -> PullbackSection:
@@ -144,18 +137,18 @@ def sobolev_gradient(f: SampledMap) -> PullbackSection:
     metrics the projected result pairs positively with the energy gradient;
     unlike the L2 gradient, it does not grow stiffer as the resolution grows.
     """
-    grad = _on_loop(f, energy_gradient(f).vectors)
     n = f.resolution
+    grad = energy_gradient(f).vectors[_loop_lattice(f.atlas, n)[0]]
     symbol = 1.0 + (2.0 * np.sin(np.pi * np.arange(n) / n) / loop_step(f)) ** 2
     smooth = np.fft.ifft(np.fft.fft(grad, axis=0) / symbol[:, None], axis=0).real
-    return make_section(f, [smooth[grid] for _, _, grid in _loop_lattice(f.atlas, n)])
+    return make_section(f, smooth[_loop_lattice(f.atlas, n)[1]])
 
 
 def loop_inner(f: SampledMap, s: PullbackSection, t: PullbackSection) -> float:
     """Weighted inner product pairing gradients with directional derivatives."""
     vals = loop_values(f)
-    sv = _on_loop(f, s.vectors)
-    tv = _on_loop(f, t.vectors)
+    owner = _loop_lattice(f.atlas, f.resolution)[0]
+    sv, tv = s.vectors[owner], t.vectors[owner]
     return float(np.sum(inner_points(f.target, vals, sv, tv)) * loop_step(f))
 
 
@@ -247,6 +240,5 @@ def fixed_chart_step(
     m = f0.target
     current = chart_inverse(f0, s)
     mats, _ = metric_transition_batch(f0, current, s, [], m, m, step=1e-6)
-    inverses = [np.linalg.inv(mat) for mat in mats]
-    chart_grad = apply_fiber_matrices(current, f0, inverses, energy_gradient(current))
+    chart_grad = apply_fiber_matrices(current, f0, np.linalg.inv(mats), energy_gradient(current))
     return section_add(s, section_scale(chart_grad, -step_size))

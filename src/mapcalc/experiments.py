@@ -16,9 +16,9 @@ from .atlas import (
     CIRCLE_ATLAS,
     SampledMap,
     chart_jet,
+    chart_layout,
     compact_slices,
     grid_coords,
-    map_nodes,
     sample_map,
 )
 from .charts import (
@@ -129,7 +129,7 @@ def trial_batches(
     and ``random_section`` would take one trial at a time.  A batch holds at
     most ``TRIAL_BATCH_NODES`` nodes per map batch, and at least one trial.
     """
-    size = max(1, TRIAL_BATCH_NODES // map_nodes(CIRCLE_ATLAS, resolution))
+    size = max(1, TRIAL_BATCH_NODES // chart_layout(CIRCLE_ATLAS, resolution).starts[-1])
     for start in range(0, trials, size):
         draws = [
             [[loop_draws(m, rng), *(field_draws(rng, m.ambient_dim) for _ in range(fields))]
@@ -501,19 +501,18 @@ def basis_convergence_failures(
         neighborhood(f, epsilon=0.5 * epsilon, order=0, chart_ids=(1,)),
         neighborhood(f, epsilon=2.5 * epsilon, order=2, chart_ids=(0,)),
     ]
+    # each shrinking map is built once, and only one is alive at a time
+    member_since = [None] * len(nbhds)
     failures = 0
-    for nbhd in nbhds:
-        member_since = None
-        for step in range(1, 31):
-            g = chart_inverse(f, section_scale(u, 1.0 / step))
+    for step in range(1, 31):
+        g = chart_inverse(f, section_scale(u, 1.0 / step))
+        for i, nbhd in enumerate(nbhds):
             inside = nbhd_contains(nbhd, g)
-            if inside and member_since is None:
-                member_since = step
-            if not inside and member_since is not None:
+            if inside and member_since[i] is None:
+                member_since[i] = step
+            if not inside and member_since[i] is not None:
                 failures += 1
-        if member_since is None:
-            failures += 1
-    return failures
+    return failures + member_since.count(None)
 
 
 # ---------------------------------------------------------------------------

@@ -115,13 +115,13 @@ def sup(values) -> float:
     return float(np.max(list(values), initial=0.0))
 
 
-def trial_sup(arrays, trials: int | None):
-    """``sup`` over every node of per-chart arrays; for arrays with a leading
+def trial_sup(a: np.ndarray, trials: int | None):
+    """``sup`` over every node of a node array; for an array with a leading
     trial axis of length ``trials``, one such sup per trial, as an array in
     which a trial with a NaN node, and only that trial, reads NaN."""
     if trials is None:
-        return sup(np.max(a) for a in arrays)
-    return np.max([a.reshape(trials, -1).max(axis=1) for a in arrays], axis=0, initial=0.0)
+        return sup([np.max(a)])
+    return np.max(a.reshape(trials, -1), axis=1, initial=0.0)
 
 
 def holds(test) -> bool:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atlas import CIRCLE_ATLAS, TORUS2_ATLAS, SampledMap, grid_ranges, require_single
+from .atlas import CIRCLE_ATLAS, TORUS2_ATLAS, SampledMap, chart_layout, require_single
 from .energy import DescentTrace
 from .manifolds import POINT_TOL, SPHERE, TargetManifold, check_points, dot, finite_number, norm
 from .sections import PullbackSection
@@ -31,7 +31,8 @@ def _write_grid_csv(f: SampledMap, extra: dict, groups, path) -> None:
     """Per-chart codec: one row per grid node of f, holding chart_id, the grid
     indices, then one ambient vector per column group, in the group order.
 
-    ``groups`` pairs a column prefix with per-chart arrays over f's grids.
+    ``groups`` pairs a column prefix with a node array along f; the rows
+    follow the node order, chart after chart.
     """
     require_single(f, "the grid CSV writers")
     dim = f.atlas.dim
@@ -45,12 +46,10 @@ def _write_grid_csv(f: SampledMap, extra: dict, groups, path) -> None:
             ["chart_id"] + [f"i{a}" for a in range(dim)]
             + [f"{prefix}{a}" for prefix, _ in groups for a in range(amb)]
         )
-        for chart in f.atlas.charts:
-            flats = [arrays[chart.id].reshape(-1, amb) for _, arrays in groups]
-            for row, idx in enumerate(np.ndindex(f.values[chart.id].shape[:-1])):
-                writer.writerow(
-                    [chart.id, *idx] + [repr(float(x)) for flat in flats for x in flat[row]]
-                )
+        labels = ((chart.id, *idx) for chart, view in zip(f.atlas.charts, f.values)
+                  for idx in np.ndindex(view.shape[:-1]))
+        for label, *vecs in zip(labels, *(nodes for _, nodes in groups)):
+            writer.writerow([*label] + [repr(float(x)) for vec in vecs for x in vec])
 
 
 def _read_grid_csv(path, ngroups: int) -> tuple[dict, SampledMap, tuple]:
@@ -76,9 +75,9 @@ def _read_grid_csv(path, ngroups: int) -> tuple[dict, SampledMap, tuple]:
             raise ValueError(f"{path}: missing column names line")
         dim = atlas.dim
         amb = target.ambient_dim
-        shapes = [tuple(j1 - j0 + 1 for j0, j1 in grid_ranges(c, res)) for c in atlas.charts]
-        groups = [[np.empty(shape + (amb,)) for shape in shapes] for _ in range(ngroups)]
-        seen = [np.zeros(shape, dtype=bool) for shape in shapes]
+        shapes, starts, _ = chart_layout(atlas, res)
+        groups = np.empty((ngroups, starts[-1], amb))
+        seen = np.zeros(starts[-1], dtype=bool)
         for row in reader:
             where = f"{path}, line {reader.line_num + 1}"
             if len(row) != 1 + dim + ngroups * amb:
@@ -87,25 +86,24 @@ def _read_grid_csv(path, ngroups: int) -> tuple[dict, SampledMap, tuple]:
             idx = tuple(int(x) for x in row[1 : 1 + dim])
             if not 0 <= cid < len(shapes) or not all(0 <= i < n for i, n in zip(idx, shapes[cid])):
                 raise ValueError(f"{where}: node {cid}{list(idx)} is off the grid")
-            if seen[cid][idx]:
+            node = starts[cid] + int(np.ravel_multi_index(idx, shapes[cid]))
+            if seen[node]:
                 raise ValueError(f"{where}: duplicate node {cid}{list(idx)}")
-            seen[cid][idx] = True
+            seen[node] = True
             nums = [float(x) for x in row[1 + dim :]]
             if not all(map(math.isfinite, nums)):
                 raise ValueError(f"{where}: non-finite value")
-            for g, arrays in enumerate(groups):
-                arrays[cid][idx] = nums[g * amb : (g + 1) * amb]
-    missing = sum(s.size - np.count_nonzero(s) for s in seen)
+            groups[:, node] = np.reshape(nums, (ngroups, amb))
+    missing = seen.size - np.count_nonzero(seen)
     if missing:
         raise ValueError(f"{path}: {missing} grid nodes missing")
-    for base in groups[0]:
-        check_points(target, base)
-    return head, SampledMap(atlas, target, res, tuple(groups[0])), tuple(map(tuple, groups[1:]))
+    check_points(target, groups[0])
+    return head, SampledMap(atlas, target, res, groups[0]), tuple(groups[1:])
 
 
 def write_map_csv(f: SampledMap, path) -> None:
     """Columns: chart_id, grid indices, coordinate values."""
-    _write_grid_csv(f, {}, [("c", f.values)], path)
+    _write_grid_csv(f, {}, [("c", f.nodes)], path)
 
 
 def read_map_csv(path) -> SampledMap:
@@ -115,7 +113,7 @@ def read_map_csv(path) -> SampledMap:
 def write_section_csv(s: PullbackSection, path) -> None:
     """Columns: chart_id, grid indices, base point, vector components."""
     f = s.base_map
-    _write_grid_csv(f, {"bound": s.bound}, [("p", f.values), ("v", s.vectors)], path)
+    _write_grid_csv(f, {"bound": s.bound}, [("p", f.nodes), ("v", s.vectors)], path)
 
 
 def read_section_csv(path) -> PullbackSection:
@@ -127,10 +125,9 @@ def read_section_csv(path) -> PullbackSection:
     # here would perturb the last bits and break exact round trips, so off-tangent
     # vectors are rejected instead
     if f.target.kind == SPHERE:
-        for base, vec in zip(f.values, vecs):
-            off = np.abs(dot(vec, base)) / f.target.radius
-            if np.any(off > POINT_TOL * np.maximum(1.0, norm(vec))):
-                raise ValueError(f"{path}: vector off the tangent plane by {np.max(off):g}")
+        off = np.abs(dot(vecs, f.nodes)) / f.target.radius
+        if np.any(off > POINT_TOL * np.maximum(1.0, norm(vecs))):
+            raise ValueError(f"{path}: vector off the tangent plane by {np.max(off):g}")
     return PullbackSection(f, vecs, finite_number(head.get("bound"), "section bound"))
 
 

@@ -255,9 +255,10 @@ class TargetManifold:
             if self.radius <= 0:
                 raise ValueError("sphere radius must be positive")
             if self.conformal is not None:
-                vals = self.conformal(_conformal_probe_points(self))
-                if not np.all(vals > 0):
-                    raise ValueError("conformal factor must be strictly positive")
+                with np.errstate(all="ignore"):  # an overflow is caught as non-finite
+                    vals = self.conformal(_conformal_probe_points(self))
+                if not np.all((vals > 0) & np.isfinite(vals)):
+                    raise ValueError("conformal factor must be finite and strictly positive")
         elif self.kind == TORUS:
             if not self.periods or any(p <= 0 for p in self.periods):
                 raise ValueError("torus periods must be positive")

@@ -76,14 +76,14 @@ def harmonic_tables(theta: np.ndarray, modes: int) -> tuple[np.ndarray, np.ndarr
     stacked on a leading axis.
 
     The tables are kept by the values of ``theta``: random loops and vector
-    fields evaluate their harmonics on the same chart lattice again and
+    fields evaluate their harmonics on the same lattice mesh again and
     again.
     """
     theta = np.asarray(theta, dtype=float)
     return _harmonic_tables(theta.shape, theta.tobytes(), modes)
 
 
-# the lattices of one run are few (one per chart and resolution), so a small
+# the lattices of one run are few (one mesh per resolution), so a small
 # bound keeps them all while capping the memory at a few grids' worth
 @functools.lru_cache(maxsize=8)
 def _harmonic_tables(shape: tuple, data: bytes, modes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,10 @@
 """Grid-sampled sections of the pullback tangent bundle along a map.
 
-A section stores one tangent vector per chart grid node, based at the map's
-value there.  Sections are the local model of the mapping space: charts
-identify maps near f with small sections along f.  Along a batch of maps
-(a leading trial axis, see ``atlas``) a section is a batch of sections, and
-its ``sup`` and ``bound`` hold one value per trial.
+A section stores one tangent vector per node of its base map, based at the
+map's value there, in a node array laid out as the map's (see ``atlas``).
+Sections are the local model of the mapping space: charts identify maps near
+f with small sections along f.  Along a batch of maps a section is a batch
+of sections, and its ``sup`` and ``bound`` hold one value per trial.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .atlas import SampledMap, grid_mesh
+from .atlas import SampledMap, chart_layout
 from .errors import BaseMismatch, FormulaOutOfTarget
 from .finite_diff import holds, trial_sup
 from .manifolds import norm_points, project_tangent, smooth_frames, to_frame
@@ -35,7 +35,7 @@ class PullbackSection:
     """
 
     base_map: SampledMap
-    vectors: tuple[np.ndarray, ...]
+    vectors: np.ndarray
     bound: float | np.ndarray
     sup: float | np.ndarray = field(init=False, repr=False)
 
@@ -55,7 +55,7 @@ def maps_equal(f: SampledMap, g: SampledMap) -> bool:
         return True
     if f.atlas.kind != g.atlas.kind or f.resolution != g.resolution:
         return False
-    return all(np.array_equal(a, b) for a, b in zip(f.values, g.values))
+    return np.array_equal(f.nodes, g.nodes)
 
 
 def require_same_base(s: PullbackSection, t: PullbackSection | SampledMap) -> None:
@@ -65,18 +65,14 @@ def require_same_base(s: PullbackSection, t: PullbackSection | SampledMap) -> No
 
 
 def make_section(f: SampledMap, vectors, bound: float | None = None) -> PullbackSection:
-    vecs = tuple(
-        project_tangent(f.target, fv, np.asarray(v, dtype=float))
-        for fv, v in zip(f.values, vectors)
-    )
+    vecs = project_tangent(f.target, f.nodes, np.asarray(vectors, dtype=float))
     if bound is None:
         bound = _sup_norm(f, vecs) * (1.0 + 1e-9) + 1e-300
     return PullbackSection(f, vecs, bound if isinstance(bound, np.ndarray) else float(bound))
 
 
 def zero_section(f: SampledMap) -> PullbackSection:
-    vecs = [np.zeros_like(v) for v in f.values]
-    return make_section(f, vecs, bound=1e-300)
+    return make_section(f, np.zeros_like(f.nodes), bound=1e-300)
 
 
 def section_from_formula(
@@ -87,32 +83,29 @@ def section_from_formula(
 ) -> PullbackSection:
     """Section from a closed-form vector field over the domain.
 
-    The field is evaluated at domain coordinates, projected to the tangent
-    space at the map value, and optionally rescaled to a prescribed sup.
-    Along a batch of maps the field returns one vector per trial and node,
-    and each trial is rescaled to ``sup_scale`` by its own sup.  Charts that
-    reach a node at the same lattice index evaluate the field at the same
-    coordinate, so their vectors there agree exactly; at indices one period
-    apart a periodic field agrees only to rounding.
+    The field is evaluated once, on the mesh of ``chart_layout``, projected
+    to the tangent space at the map value, and optionally rescaled to a
+    prescribed sup.  Along a batch of maps the field returns one vector per
+    trial and node, and each trial is rescaled to ``sup_scale`` by its own
+    sup.  Charts that reach a node at the same lattice index evaluate the
+    field at the same coordinate, so their vectors there agree exactly; at
+    indices one period apart a periodic field agrees only to rounding.
     """
-    vecs = []
-    for chart, fv in zip(f.atlas.charts, f.values):
-        mesh = grid_mesh(chart, f.resolution)
-        raw = np.asarray(vector_fn(mesh), dtype=float)
-        if raw.shape != fv.shape:
-            raise FormulaOutOfTarget(f"vector field returned shape {raw.shape}, not {fv.shape}")
-        vecs.append(project_tangent(f.target, fv, raw))
+    raw = np.asarray(vector_fn(chart_layout(f.atlas, f.resolution).mesh), dtype=float)
+    if raw.shape != f.nodes.shape:
+        raise FormulaOutOfTarget(f"vector field returned shape {raw.shape}, not {f.nodes.shape}")
+    vecs = project_tangent(f.target, f.nodes, raw)
     if sup_scale is not None:
         sup = np.asarray(_sup_norm(f, vecs))
         scale = np.divide(sup_scale, sup, out=np.ones_like(sup), where=sup > 0)
-        vecs = [v * scale.reshape(scale.shape + (1,) * (v.ndim - scale.ndim)) for v in vecs]
+        vecs = vecs * scale.reshape(scale.shape + (1,) * (vecs.ndim - scale.ndim))
     return make_section(f, vecs, bound=bound)
 
 
-def _sup_norm(f: SampledMap, vectors) -> float | np.ndarray:
-    """Sup over all grid nodes of the fiber norm of per-chart vectors along
+def _sup_norm(f: SampledMap, vectors: np.ndarray) -> float | np.ndarray:
+    """Sup over all nodes of the fiber norm of a node array of vectors along
     f; for a batch, one sup per trial."""
-    return trial_sup((norm_points(f.target, fv, v) for fv, v in zip(f.values, vectors)), f.trials)
+    return trial_sup(norm_points(f.target, f.nodes, vectors), f.trials)
 
 
 def section_sup(s: PullbackSection) -> float | np.ndarray:
@@ -122,21 +115,19 @@ def section_sup(s: PullbackSection) -> float | np.ndarray:
 
 def section_add(s: PullbackSection, t: PullbackSection) -> PullbackSection:
     require_same_base(s, t)
-    vecs = [a + b for a, b in zip(s.vectors, t.vectors)]
-    return PullbackSection(s.base_map, tuple(vecs), s.bound + t.bound)
+    return PullbackSection(s.base_map, s.vectors + t.vectors, s.bound + t.bound)
 
 
 def section_scale(s: PullbackSection, a: float) -> PullbackSection:
-    vecs = [a * v for v in s.vectors]
     bound = abs(a) * s.bound + 1e-300
-    return PullbackSection(s.base_map, tuple(vecs), bound)
+    return PullbackSection(s.base_map, a * s.vectors, bound)
 
 
 def section_max_diff(s: PullbackSection, t: PullbackSection) -> float:
     """Sup fiber norm of the difference of two sections over the same map;
     for a batch, one sup per trial."""
     require_same_base(s, t)
-    return _sup_norm(s.base_map, (a - b for a, b in zip(s.vectors, t.vectors)))
+    return _sup_norm(s.base_map, s.vectors - t.vectors)
 
 
 def section_rep(s: PullbackSection, chart_id: int, window: tuple[slice, ...]) -> np.ndarray:
@@ -148,6 +139,6 @@ def section_rep(s: PullbackSection, chart_id: int, window: tuple[slice, ...]) ->
     comes from the whole chart grid, so the components at a node do not
     depend on the window.
     """
-    fv = s.base_map.values[chart_id]
-    frames = smooth_frames(s.base_map.target, fv, window)
-    return to_frame(frames, s.vectors[chart_id][window])
+    f = s.base_map
+    frames = smooth_frames(f.target, f.values[chart_id], window)
+    return to_frame(frames, f.views(s.vectors)[chart_id][window])

@@ -111,9 +111,9 @@ class TestOverlapResidual:
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 256)
         (j0, _), = grid_ranges(CIRCLE_ATLAS.charts[0], 256)
         node = 128 - j0  # theta = pi lies in both charts
-        values = [v.copy() for v in f.values]
-        values[0][node, 0] += 1e-3
-        corrupted = f.with_values(values)
+        nodes = f.nodes.copy()
+        nodes[node, 0] += 1e-3  # chart 0's nodes come first
+        corrupted = f.with_nodes(nodes)
         assert overlap_residual(corrupted) >= 1e-3 * (1 - 1e-6)
 
 

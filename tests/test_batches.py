@@ -28,7 +28,7 @@ from mapcalc import (
 )
 from mapcalc import experiments as ex
 from mapcalc.cli import ExperimentConfig, build_suite, execute_checks
-from mapcalc.atlas import TAU, map_nodes, piece_jets
+from mapcalc.atlas import TAU, chart_layout, piece_jets
 from mapcalc.finite_diff import trial_sup
 from mapcalc.io import write_map_csv, write_section_csv
 from mapcalc.maps import great_circle
@@ -54,7 +54,7 @@ def seeded():
 
 def batch_of(maps):
     """Single maps stacked into one batch along a new trial axis."""
-    return maps[0].with_values(np.stack(vals) for vals in zip(*(g.values for g in maps)))
+    return maps[0].with_nodes(np.stack([g.nodes for g in maps]))
 
 
 class TestSerialOracle:
@@ -82,7 +82,7 @@ class TestSerialOracle:
 
     def test_trials_span_two_capped_batches(self, monkeypatch):
         # at resolution 2048 a map has 4,098 nodes, so a batch holds three trials
-        assert ex.TRIAL_BATCH_NODES // map_nodes(CIRCLE_ATLAS, 2048) == 3
+        assert ex.TRIAL_BATCH_NODES // chart_layout(CIRCLE_ATLAS, 2048).starts[-1] == 3
         sizes = []
         sample = ex.sample_map
 
@@ -128,18 +128,18 @@ class TestPerTrialSup:
         f, (vf,) = sphere_batch(3, 1)
         s = section_from_formula(f, vf, 0.1, bound=0.2)
         assert s.sup.shape == (3,) and np.allclose(s.sup, 0.1)
-        s.vectors[1][1, 5, 0] = np.nan  # planted after the section's own check
+        s.vectors[1, 5, 0] = np.nan  # planted after the section's own check
         diff = section_max_diff(s, zero_section(f))
         assert np.isnan(diff).tolist() == [False, True, False]
-        assert trial_sup([np.array([[0.0, 1.0], [np.nan, 2.0]])], 2)[0] == 1.0
+        assert trial_sup(np.array([[0.0, 1.0], [np.nan, 2.0]]), 2)[0] == 1.0
 
     def test_each_trial_scales_to_its_own_sup(self):
         f, (vf,) = sphere_batch(4, 1)
         s = section_from_formula(f, vf, 0.3, bound=0.5)
         for t in range(4):
-            alone = f.with_values(v[t] for v in f.values)
+            alone = f.with_nodes(f.nodes[t])
             one = section_from_formula(alone, lambda mesh: vf(mesh)[t], 0.3, bound=0.5)
-            assert all(same_bits(v[t], w) for v, w in zip(s.vectors, one.vectors))
+            assert same_bits(s.vectors[t], one.vectors)
             assert s.sup[t] == one.sup
 
     def test_nan_trial_fails_the_derivative_identity(self, monkeypatch):
@@ -147,7 +147,7 @@ class TestPerTrialSup:
 
         def planted(*args, **kwargs):
             ((fd, analytic),) = differences(*args, **kwargs)
-            fd.vectors[0][1, 5, 0] = np.nan
+            fd.vectors[1, 5, 0] = np.nan
             return [(fd, analytic)]
 
         monkeypatch.setattr(ex, "transition_differences", planted)
@@ -162,7 +162,7 @@ class TestPerTrialSup:
             out = derivative(*args)
             calls.append(out)
             if len(calls) == 3:  # the direct derivative
-                out.vectors[1][2, 3, 1] = np.nan
+                out.vectors[2, 3, 1] = np.nan
             return out
 
         monkeypatch.setattr(ex, "transition_derivative", planted)
@@ -179,22 +179,22 @@ class TestPerTrialGates:
         # distance (3.4) exceeds pi, yet each trial alone stays inside
         base = ex.sample_map(CIRCLE_ATLAS, S1, great_circle(1.0), 32)
         f = batch_of([base, base])
-        up = [np.broadcast_to([0.0, 0.0, 1.0], v.shape[1:]) for v in f.values]
-        lift = make_section(f, [np.stack([0.05 * u, 1.7 * u]) for u in up], bound=1.8)
+        up = np.broadcast_to([0.0, 0.0, 1.0], f.nodes.shape[1:])
+        lift = make_section(f, np.stack([0.05 * up, 1.7 * up]), bound=1.8)
         g = chart_inverse(f, lift)
-        s = make_section(f, [np.stack([1.7 * u, 0.05 * u]) for u in up])
+        s = make_section(f, np.stack([1.7 * up, 0.05 * up]))
         moved = transition(f, g, s)
         for t in range(2):
-            alone = [x.with_values(v[t] for v in x.values) for x in (f, g)]
-            one = transition(*alone, make_section(alone[0], [v[t] for v in s.vectors]))
-            assert all(same_bits(a[t], b) for a, b in zip(moved.vectors, one.vectors))
+            alone = [x.with_nodes(x.nodes[t]) for x in (f, g)]
+            one = transition(*alone, make_section(alone[0], s.vectors[t]))
+            assert same_bits(moved.vectors[t], one.vectors)
 
     def test_one_trial_over_the_margin_fails_the_batch(self):
         base = ex.sample_map(CIRCLE_ATLAS, S1, great_circle(1.0), 32)
         f = batch_of([base, base])
-        up = [np.broadcast_to([0.0, 0.0, 1.0], v.shape[1:]) for v in f.values]
-        g = chart_inverse(f, make_section(f, [np.stack([0.05 * u, 1.7 * u]) for u in up]))
-        s = make_section(f, [np.stack([0.05 * u, 1.5 * u]) for u in up])
+        up = np.broadcast_to([0.0, 0.0, 1.0], f.nodes.shape[1:])
+        g = chart_inverse(f, make_section(f, np.stack([0.05 * up, 1.7 * up])))
+        s = make_section(f, np.stack([0.05 * up, 1.5 * up]))
         with pytest.raises(WellDefinednessViolated, match="3.2"):
             transition(f, g, s)
 
@@ -207,7 +207,7 @@ class TestGridLayersRefuseBatches:
 
     def test_chart_jet(self, batch):
         f, _ = batch
-        cover = canonical_cover(f.with_values(v[0] for v in f.values))
+        cover = canonical_cover(f.with_nodes(f.nodes[0]))
         with pytest.raises(TrialAxisUnsupported):
             chart_jet(f, cover[0], 0, 1)
         with pytest.raises(TrialAxisUnsupported):

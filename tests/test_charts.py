@@ -28,7 +28,7 @@ from mapcalc import (
     transition_derivative,
     zero_section,
 )
-from mapcalc.atlas import TAU
+from mapcalc.atlas import TAU, chart_layout
 from mapcalc import manifolds
 from mapcalc.charts import (
     apply_fiber_matrices,
@@ -71,6 +71,12 @@ def x_rotation(angle):
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
+def chart_blocks(f, a):
+    """Per-chart blocks of an array with one leading entry per node of a loop."""
+    starts = chart_layout(f.atlas, f.resolution).starts
+    return [a[i:j] for i, j in zip(starts, starts[1:])]
+
+
 @pytest.fixture
 def shoot_calls(monkeypatch):
     """The node counts of the conformal shooting calls made during a test."""
@@ -98,8 +104,7 @@ class TestChartForward:
         expected = log_points(
             S1, reduce_points(S1, [0, 0, 1]), reduce_points(S1, [math.sin(0.3), 0, math.cos(0.3)])
         )
-        for vec in s.vectors:
-            assert np.max(np.abs(vec - expected)) < 1e-12
+        assert np.max(np.abs(s.vectors - expected)) < 1e-12
 
     def test_far_map_rejected(self):
         f = sample_map(CIRCLE_ATLAS, S1, great_circle(1.0), 64)
@@ -127,7 +132,7 @@ class TestChartForward:
         f, g, delta = random_pair(m, 16, rng)
         s = chart_forward(f, g, delta)
         assert s.bound == delta
-        for fv, gv, vec in zip(f.values, g.values, s.vectors):
+        for fv, gv, vec in zip(f.values, g.values, f.views(s.vectors)):
             assert np.array_equal(vec, log_points(m, fv, gv))
         # the gap is map_sup_distance to the bit: a bound just above it
         # admits g, and a bound equal to it does not
@@ -136,11 +141,45 @@ class TestChartForward:
         with pytest.raises(WellDefinednessViolated, match="apart"):
             chart_forward(f, g, gap)
 
-    def test_conformal_logarithm_shoots_once_per_chart(self, rng, shoot_calls):
+    def test_conformal_logarithm_shoots_once_per_map(self, rng, shoot_calls):
         f, g, delta = random_pair(S_CONF, 16, rng)
         shoot_calls.clear()
         chart_forward(f, g, delta)
-        assert shoot_calls == [len(fv) for fv in f.values]
+        assert shoot_calls == [len(f.nodes)]
+
+
+class TestOneCallPerMap:
+    """The pointwise layers make one call over the node array of a map, not
+    one per chart, and the per-chart values are views of that array."""
+
+    @staticmethod
+    def counted(monkeypatch, module, name):
+        calls = []
+        fn = getattr(module, name)
+
+        def spy(m, a, b):
+            calls.append(a.shape)
+            return fn(m, a, b)
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_four_chart_domain(self, monkeypatch):
+        from mapcalc import atlas, charts
+        from mapcalc.maps import torus2_wave
+
+        f = sample_map(TORUS2_ATLAS, T22, torus2_wave(((1, 0), (0, 1)), amp=0.1), 16)
+        assert len(f.values) == 4
+        for view in f.values:
+            assert np.shares_memory(view, f.nodes)
+        s = make_section(f, np.zeros_like(f.nodes) + [0.05, -0.1])
+        exps = self.counted(monkeypatch, charts, "exp_points")
+        g = chart_inverse(f, s)
+        logs = self.counted(monkeypatch, charts, "log_dist_points")
+        chart_forward(f, g, default_delta(f))
+        dists = self.counted(monkeypatch, atlas, "dist_points")
+        map_sup_distance(f, g)
+        assert exps == logs == dists == [f.nodes.shape]
 
 
 class TestChartInverse:
@@ -152,7 +191,7 @@ class TestChartInverse:
     def test_flat_constant_section_translates(self):
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 64)
         c = 0.8
-        s = make_section(f, [np.zeros_like(v) + [0.0, c] for v in f.values])
+        s = make_section(f, np.zeros_like(f.nodes) + [0.0, c])
         g = chart_inverse(f, s)
         expected = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0), shift=(0.0, c)), 64)
         assert map_sup_distance(g, expected) < 1e-12
@@ -199,10 +238,9 @@ class TestTransition:
         g = chart_inverse(f, random_section(f, rng, 0.2 * delta, bound=delta))
         s = random_section(f, rng, 0.2 * delta, bound=0.25 * delta)
         out = transition(f, g, s)
-        for fv, gv, sv, ov in zip(f.values, g.values, s.vectors, out.vectors):
-            periods = np.asarray(T22.periods)
-            direct = np.mod(fv + sv - gv + periods / 2, periods) - periods / 2
-            assert np.max(np.abs(ov - direct)) < 1e-12
+        periods = np.asarray(T22.periods)
+        direct = np.mod(f.nodes + s.vectors - g.nodes + periods / 2, periods) - periods / 2
+        assert np.max(np.abs(out.vectors - direct)) < 1e-12
 
     def test_matches_composition_of_charts(self, rng):
         f = random_center(S1, 96, rng)
@@ -314,8 +352,8 @@ class TestTransitionDerivative:
             ref = section_scale(section_add(plus, section_scale(minus, -1.0)), 0.5 / eps)
             alone = transition_derivative(f, g, s0, s)
             assert fd.base_map is analytic.base_map is g
-            for got, want in [*zip(fd.vectors, ref.vectors), *zip(analytic.vectors, alone.vectors)]:
-                assert np.array_equal(got, want)
+            assert np.array_equal(fd.vectors, ref.vectors)
+            assert np.array_equal(analytic.vectors, alone.vectors)
 
     def test_chain_rule(self, rng):
         residuals = chain_rule_residuals(S1, 64, rng, 5)
@@ -327,10 +365,10 @@ def per_chart_fiber_matrices(f, g, s0, step=1e-6):
     """The per-chart loop of fiber derivatives ``transition_derivative`` ran
     before it took its matrices from ``metric_transition_batch``."""
     m = f.target
-    return [
-        fiber_derivative_points(m, m, fv, gv, v0, step=step)
-        for fv, gv, v0 in zip(f.values, g.values, s0.vectors)
-    ]
+    return np.concatenate([
+        fiber_derivative_points(m, m, fv, gv, v0, step=step).reshape(-1, 2, 2)
+        for fv, gv, v0 in zip(f.values, g.values, f.views(s0.vectors))
+    ])
 
 
 class TestOneFiberDerivativeBatch:
@@ -352,12 +390,10 @@ class TestOneFiberDerivativeBatch:
         ref = per_chart_fiber_matrices(f, g, s0)
         mats, moved = metric_transition_batch(f, g, s0, [], m, m, step=1e-6)
         assert moved == []
-        for got, chart in zip(mats, ref):
-            assert np.array_equal(got, chart)
+        assert np.array_equal(mats, ref)
         out = transition_derivative(f, g, s0, s)
         assert out.base_map is g
-        for got, vec in zip(out.vectors, apply_fiber_matrices(f, g, ref, s).vectors):
-            assert np.array_equal(got, vec)
+        assert np.array_equal(out.vectors, apply_fiber_matrices(f, g, ref, s).vectors)
 
     def test_transition_derivative_matches_per_chart_loop_on_torus2_domain(self):
         def center(mesh):
@@ -375,14 +411,13 @@ class TestOneFiberDerivativeBatch:
         s0 = section_from_formula(f, field(1.0), 0.25 * delta, bound=0.3 * delta)
         s = section_from_formula(f, field(2.0), 0.2 * delta, bound=0.25 * delta)
         ref = apply_fiber_matrices(f, g, per_chart_fiber_matrices(f, g, s0), s)
-        for got, vec in zip(transition_derivative(f, g, s0, s).vectors, ref.vectors):
-            assert np.array_equal(got, vec)
+        assert np.array_equal(transition_derivative(f, g, s0, s).vectors, ref.vectors)
 
     def test_sections_move_to_the_destination_center(self, rng):
         f, g, _, s = self.centers(S1, rng)
         _, (moved,) = metric_transition_batch(f, g, None, [s], S1, S1)
         assert moved.base_map is g
-        for fv, gv, v, got in zip(f.values, g.values, s.vectors, moved.vectors):
+        for fv, gv, v, got in zip(f.values, g.values, f.views(s.vectors), g.views(moved.vectors)):
             assert np.array_equal(got, project_tangent(S1, gv, log_points(S1, gv, exp_points(S1, fv, v))))
 
     def test_s0_along_another_map_is_rejected(self, rng):
@@ -427,6 +462,8 @@ class TestMetricIndependence:
         assert section_max_diff(back, s) < 1e-9
 
     def test_stacked_sections_match_one_call_per_section_and_chart(self, rng):
+        # the charts' node arrays go through one batch; each chart's nodes
+        # keep the bits of a call of their own
         f = random_center(S1, 32, rng)
         m_conf = sphere(1.0, conformal="exp(0.3*z)")
         s0 = random_section(f, rng, 0.12, bound=0.2)
@@ -436,12 +473,13 @@ class TestMetricIndependence:
         for s, out in zip(sections, stacked):
             single = metric_transition(f, s, S1, m_conf)
             assert out.bound == single.bound
-            for fv, v, got, alone in zip(f.values, s.vectors, out.vectors, single.vectors):
+            for fv, v, got, alone in zip(*(f.views(a) for a in (f.nodes, s.vectors, out.vectors,
+                                                                 single.vectors))):
                 chart = project_tangent(S1, fv, log_points(m_conf, fv, exp_points(S1, fv, v)))
                 assert np.array_equal(got, chart)
                 assert np.array_equal(alone, chart)
         mats = metric_transition_fiber(f, s0, S1, m_conf)
-        for fv, v0, chart_mats in zip(f.values, s0.vectors, mats):
+        for fv, v0, chart_mats in zip(f.values, f.views(s0.vectors), chart_blocks(f, mats)):
             chart = fiber_derivative_points(S1, m_conf, fv, fv, v0, step=1e-4)
             assert np.array_equal(chart_mats, chart)
 
@@ -451,23 +489,21 @@ class TestMetricIndependence:
         sections = [random_section(f, rng, 0.1, bound=0.15) for _ in range(3)]
         mats, moved = metric_transition_batch(f, f, s0, sections, S1, S_CONF, step=1e-4)
         separate = metric_transition_fiber(f, s0, S1, S_CONF, step=1e-4)
-        for fv, v0, got, alone in zip(f.values, s0.vectors, mats, separate):
-            assert np.array_equal(got, alone)
-            assert np.array_equal(got, fiber_derivative_points(S1, S_CONF, fv, fv, v0, step=1e-4))
+        assert np.array_equal(mats, separate)
+        alone = fiber_derivative_points(S1, S_CONF, f.nodes, f.nodes, s0.vectors, step=1e-4)
+        assert np.array_equal(mats, alone)
         assert len(moved) == len(sections)
         for s, out in zip(sections, moved):
             alone = metric_transition(f, s, S1, S_CONF)
             assert out.bound == alone.bound
-            for got, vec in zip(out.vectors, alone.vectors):
-                assert np.array_equal(got, vec)
+            assert np.array_equal(out.vectors, alone.vectors)
 
     def test_torus_fiber_matrices_are_the_identity(self):
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 16)
-        s0 = make_section(f, [np.full_like(v, 0.1) for v in f.values])
+        s0 = make_section(f, np.full_like(f.nodes, 0.1))
         mats, moved = metric_transition_batch(f, f, s0, [], T22, T22)
         assert moved == []
-        for fv, chart_mats in zip(f.values, mats):
-            assert np.array_equal(chart_mats, np.broadcast_to(np.eye(2), fv.shape[:-1] + (2, 2)))
+        assert np.array_equal(mats, np.broadcast_to(np.eye(2), f.nodes.shape[:-1] + (2, 2)))
 
     def test_one_conformal_shooting_per_base(self, rng, shoot_calls):
         residuals = metric_independence_residuals(16, rng, n_sections=4, dirs_per_base=2)
@@ -482,7 +518,7 @@ class TestMetricIndependence:
         m_conf = sphere(1.0, conformal="exp(0.3*z)")
         s0 = random_section(f, rng, 0.12, bound=0.2)
         mats = metric_transition_fiber(f, s0, S1, m_conf)
-        for fv, v0, chart_mats in zip(f.values, s0.vectors, mats):
+        for fv, v0, chart_mats in zip(f.values, f.views(s0.vectors), chart_blocks(f, mats)):
             for node in (0, len(fv) // 2):
                 p = fv[node]
                 u1, u2 = _tangent_frame(p)
@@ -512,7 +548,7 @@ def random_rotation(rng):
 
 def rotated(f, rot):
     """The map ``rot`` o f, for an isometry ``rot`` of the round sphere."""
-    return f.with_values(v @ rot.T for v in f.values)
+    return f.with_nodes(f.nodes @ rot.T)
 
 
 class TestIsometryEquivariance:
@@ -523,14 +559,13 @@ class TestIsometryEquivariance:
         rot = random_rotation(rng)
         s = chart_forward(f, g, delta)
         s_rot = chart_forward(rotated(f, rot), rotated(g, rot), delta)
-        for vec, vec_rot in zip(s.vectors, s_rot.vectors):
-            assert np.max(np.abs(vec @ rot.T - vec_rot)) < 1e-12
+        assert np.max(np.abs(s.vectors @ rot.T - s_rot.vectors)) < 1e-12
 
     def test_chart_inverse_commutes_with_rotation(self, rng):
         f = random_center(S1, 32, rng)
         s = random_section(f, rng, 0.3, bound=0.4)
         rot = random_rotation(rng)
         f_rot = rotated(f, rot)
-        s_rot = make_section(f_rot, [v @ rot.T for v in s.vectors], bound=0.4)
+        s_rot = make_section(f_rot, s.vectors @ rot.T, bound=0.4)
         g_rot = chart_inverse(f_rot, s_rot)
         assert map_sup_distance(rotated(chart_inverse(f, s), rot), g_rot) < 1e-12

@@ -186,7 +186,7 @@ def _random_formula(target, seed: int) -> MapFormula:
 
 
 def _bits_equal(a, b) -> bool:
-    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -210,11 +210,11 @@ def test_grid_codec_round_trip_and_row_edits(
         again = read_section_csv(path)
         assert again.bound == s.bound
         assert _bits_equal(again.vectors, s.vectors)
-        assert _bits_equal(again.base_map.values, f.values)
+        assert _bits_equal(again.base_map.nodes, f.nodes)
         read = read_section_csv
     else:
         write_map_csv(f, path)
-        assert _bits_equal(read_map_csv(path).values, f.values)
+        assert _bits_equal(read_map_csv(path).nodes, f.nodes)
         read = read_map_csv
     lines = path.read_text().splitlines(keepends=True)
     k = data.draw(st.integers(2, len(lines) - 1), label="data row")
@@ -232,10 +232,8 @@ class TestSectionCsv:
         write_section_csv(s, path)
         again = read_section_csv(path)
         assert again.bound == s.bound
-        for a, b in zip(s.vectors, again.vectors):
-            assert np.array_equal(a, b)
-        for a, b in zip(s.base_map.values, again.base_map.values):
-            assert np.array_equal(a, b)
+        assert np.array_equal(s.vectors, again.vectors)
+        assert np.array_equal(s.base_map.nodes, again.base_map.nodes)
 
     def test_missing_bound_rejected(self, tmp_path, rng):
         f = random_center(S1, 16, rng)
@@ -279,8 +277,7 @@ class TestSectionCsv:
         path = tmp_path / "section.csv"
         write_section_csv(s, path)
         again = read_section_csv(path)
-        for a, b in zip(s.vectors, again.vectors):
-            assert np.array_equal(a, b)
+        assert np.array_equal(s.vectors, again.vectors)
 
 
 _TRACE_HEAD = "step,energy,grad_norm,step_size\n"
@@ -424,6 +421,31 @@ class TestRunSuite:
         torus = [c for c in report["checks"] if c["check"] == "descent_torus_class_minimum"]
         assert torus and abs(torus[0]["final_energy"] - math.pi) < 1e-3
         assert (tmp_path / "torus_descent_trace.csv").exists()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_failing_descent_demo_runs_once(self, monkeypatch, workers):
+        # the demo's exception is kept like a result: each descent row that
+        # reads the torus demo gets it, and the demo runs once, in one
+        # thread or across four
+        calls = []
+        demo = experiments.torus_descent_demo
+
+        def counted(*args):
+            calls.append(args)
+            return demo(*args)
+
+        monkeypatch.setattr(experiments, "torus_descent_demo", counted)
+        checks = build_suite(ExperimentConfig(descent_step_size=1e300), "descent", None)
+        execute_checks(checks, workers)
+        assert len(calls) == 1
+        torus_error = "StepOutOfChart: no admissible decreasing step at iterate 0 (gradient 0.203)"
+        assert {c.name: c.error for c in checks} == {
+            "descent_torus_class_minimum": torus_error,
+            "descent_sphere_contractible":
+                "StepOutOfChart: no admissible decreasing step at iterate 0 (gradient 0.259)",
+            "descent_monotone": torus_error,
+            "descent_homotopy_class": torus_error,
+        }
 
     def test_all_is_the_suites_in_order(self):
         config = ExperimentConfig()
@@ -591,6 +613,9 @@ BAD_CONFIGS = {
     "suites_field": ({"suites": ["taylor"]}, []),
     "empty_torus_periods": ({"torus_periods": []}, []),
     "complex_conformal": ({"conformal": "1 + 0*x + (-1)**0.5"}, []),
+    "infinite_conformal": ({"conformal": "1e308*1e308"}, []),
+    "bool_torus_period": ({"torus_periods": [True, 2 * math.pi]}, []),
+    "string_torus_period": ({"torus_periods": ["1", 2 * math.pi]}, []),
     "list_config": ([1, 2], []),
     "null_config": (None, []),
     "string_config": ("x", []),
@@ -616,6 +641,18 @@ class TestCliCommands:
         assert result.exit_code == 2
         assert "config error: MAPCALC_THREADS" in result.output
         assert not out.exists()
+
+    def test_bool_torus_period_exits_2_with_one_config_error_line(self, tmp_path):
+        # a JSON true would otherwise run as a period of 1.0
+        cfg = tmp_path / "periods.json"
+        cfg.write_text(json.dumps({"torus_periods": [True, 6.283185307179586]}))
+        args = ["run", "--suite", "charts", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            "config error: bad torus periods (True, 6.283185307179586): "
+            "torus period must be a finite number, not True"
+        ]
 
     def test_descend_non_object_config_exits_2(self, tmp_path):
         cfg = tmp_path / "list.json"

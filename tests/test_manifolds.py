@@ -875,6 +875,13 @@ class TestFramesAndSerialization:
         with pytest.raises(ValueError):
             sphere(1.0, conformal="z")
 
+    @pytest.mark.parametrize("expr", ["1e308*1e308", "exp(1000*z)", "1 + 0*x + 1e308*1e308*0"],
+                             ids=["infinite_constant", "overflow_at_a_probe", "nan_constant"])
+    def test_non_finite_conformal_factor_rejected(self, expr):
+        # inj_radius would read NaN from such a factor
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            sphere(1.0, conformal=expr)
+
     @pytest.mark.parametrize(
         "expr",
         [

@@ -27,7 +27,7 @@ from mapcalc import (
     zero_section,
 )
 from mapcalc import atlas, charts, experiments, gridfn, topology
-from mapcalc.atlas import TAU, compact_slices, map_sup_distance, overlap_residual
+from mapcalc.atlas import TAU, chart_layout, compact_slices, map_sup_distance, overlap_residual
 from mapcalc.charts import chart_forward, chart_inverse
 from mapcalc.experiments import (
     basis_convergence_failures,
@@ -131,6 +131,18 @@ class TestNeighborhood:
     def test_basis_convergence_three_elements(self, rng):
         assert basis_convergence_failures(T22, 96, rng, epsilon=2e-2) == 0
 
+    def test_basis_convergence_builds_each_shrinking_map_once(self, monkeypatch, rng):
+        # 30 steps, each map tested against all three neighbourhoods
+        calls = []
+
+        def counted(f, s):
+            calls.append(s)
+            return chart_inverse(f, s)
+
+        monkeypatch.setattr(experiments, "chart_inverse", counted)
+        basis_convergence_failures(T22, 32, rng, epsilon=2e-2)
+        assert len(calls) == 30
+
 
 class TestCkDistance:
     def test_zero_on_self(self):
@@ -191,15 +203,15 @@ class TestSupsKeepNaN:
 
     @staticmethod
     def nan_in_chart(f, chart):
-        vectors = [np.zeros_like(v) for v in f.values]
-        vectors[chart][3] = np.nan
+        vectors = np.zeros_like(f.nodes)
+        f.views(vectors)[chart][3] = np.nan
         return vectors
 
     @pytest.mark.parametrize("chart", [0, 1])
     def test_section_with_a_nan_vector_rejected(self, rng, chart):
         f = random_center(S1, 16, rng)
         with pytest.raises(ValueError):
-            PullbackSection(f, tuple(self.nan_in_chart(f, chart)), 1.0)
+            PullbackSection(f, self.nan_in_chart(f, chart), 1.0)
         with pytest.raises(ValueError):
             make_section(f, self.nan_in_chart(f, chart))
 
@@ -221,13 +233,18 @@ class TestSupsKeepNaN:
                              ids=["map_sup_distance", "overlap_residual"])
     @pytest.mark.parametrize("piece", [0, 1])
     def test_node_distance_sups_keep_nan(self, monkeypatch, measure, piece):
-        # two charts for the map distance, two shared-node blocks for the overlap
+        # two charts' nodes for the map distance, two shared-node blocks for the overlap
         f = sample_map(CIRCLE_ATLAS, S1, great_circle(), 16)
         calls = iter(range(2))
+        starts = chart_layout(f.atlas, f.resolution).starts
 
         def dist(m, a, b):
             d = np.full(a.shape[:-1], 0.25)
-            return d * np.nan if next(calls) == piece else d
+            if len(d) == starts[-1]:  # one call over every node of the map
+                d[starts[piece]] = np.nan
+            elif next(calls) == piece:
+                d[:] = np.nan
+            return d
 
         monkeypatch.setattr(atlas, "dist_points", dist)
         assert math.isnan(measure(f))
@@ -235,11 +252,11 @@ class TestSupsKeepNaN:
     @pytest.mark.parametrize("chart", [0, 1])
     def test_chart_forward_gap_keeps_nan(self, monkeypatch, chart):
         f = sample_map(CIRCLE_ATLAS, S1, great_circle(), 16)
-        calls = iter(range(2))
 
         def log_dist(m, base, target):
             vecs, d = log_dist_points(m, base, target)
-            return vecs, d * np.nan if next(calls) == chart else d
+            d[chart_layout(f.atlas, f.resolution).starts[chart]] = np.nan  # one call, every node
+            return vecs, d
 
         monkeypatch.setattr(charts, "log_dist_points", log_dist)
         with pytest.raises(WellDefinednessViolated):
@@ -288,7 +305,7 @@ class TestSectionNorm:
         from mapcalc.sections import make_section
 
         c = 0.37
-        s = make_section(f, [np.full(v.shape, 0.0) + [c, 0.0] for v in f.values])
+        s = make_section(f, np.zeros_like(f.nodes) + [c, 0.0])
         assert section_norm(s, 0) == pytest.approx(c, abs=1e-15)
 
     def test_sine_section_k1(self):

@@ -11,12 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import sys
-import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -169,18 +166,16 @@ def _rng(config: ExperimentConfig, tag: int) -> np.random.Generator:
 
 
 def _once(thunk):
-    """Run a thunk at most once; concurrent callers wait for its outcome, and
-    every caller gets its result or raises its exception."""
-    lock = threading.Lock()
+    """Run a thunk at most once; every caller gets its result or raises its
+    exception."""
     outcome = []  # (result, None) or (exception, its traceback), once the thunk has run
 
     def run():
-        with lock:
-            if not outcome:
-                try:
-                    outcome.append((thunk(), None))
-                except Exception as err:
-                    outcome.append((err, err.__traceback__))
+        if not outcome:
+            try:
+                outcome.append((thunk(), None))
+            except Exception as err:
+                outcome.append((err, err.__traceback__))
         value, tb = outcome[0]
         if tb is None:
             return value
@@ -194,11 +189,13 @@ def _once(thunk):
 # the check table
 
 
-def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
+def _checks(config: ExperimentConfig, traces: dict | None) -> list[Check]:
     """Every check of every suite, in SUITES order.
 
     Each check owns the RNG tag it seeds its generator with, so a check's
-    residual does not depend on which other checks run.
+    residual does not depend on which other checks run.  ``descent_monotone``
+    puts the torus demo's trace into ``traces``, keyed by its file name, for
+    the caller to write.
     """
     res, k = config.resolution, config.order
 
@@ -289,8 +286,8 @@ def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
 
     def monotone():
         worst = sup(ex.trace_monotone_violation(run()[1]) for run in (torus_run, sphere_run))
-        if out_dir is not None:
-            write_trace_csv(torus_run()[1], out_dir / "torus_descent_trace.csv")
+        if traces is not None:
+            traces["torus_descent_trace.csv"] = torus_run()[1]
         return worst
 
     roundtrip_anchor = "phi_f^{-1}(phi_f(g)) = g"
@@ -360,14 +357,15 @@ def _checks(config: ExperimentConfig, out_dir: Path | None) -> list[Check]:
     ]
 
 
-def build_suite(config: ExperimentConfig, suite: str, out_dir: Path | None) -> list[Check]:
+def build_suite(config: ExperimentConfig, suite: str, traces: dict | None) -> list[Check]:
     if suite != "all" and suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}")
-    return [c for c in _checks(config, out_dir) if suite in ("all", c.suite)]
+    return [c for c in _checks(config, traces) if suite in ("all", c.suite)]
 
 
-def execute_checks(checks: list[Check], workers: int = 1) -> None:
-    def run_one(check: Check) -> None:
+def execute_checks(checks: list[Check]) -> None:
+    """Run the checks in order, in the calling thread."""
+    for check in checks:
         # any failure becomes an error row; the other checks still run
         start = time.perf_counter()
         try:
@@ -375,7 +373,7 @@ def execute_checks(checks: list[Check], workers: int = 1) -> None:
         except Exception as err:
             click.echo(f"check {check.name} raised:\n{traceback.format_exc()}", err=True)
             check.error = f"{type(err).__name__}: {err}"
-            return
+            continue
         finally:
             check.seconds = time.perf_counter() - start
         if math.isfinite(residual):
@@ -383,22 +381,9 @@ def execute_checks(checks: list[Check], workers: int = 1) -> None:
         else:
             check.error = f"non-finite residual: {residual}"
 
-    if workers > 1:
-        # results land in the fixed check order regardless of completion order
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, checks))
-    else:
-        for check in checks:
-            run_one(check)
-
 
 def run_suite(config: ExperimentConfig, suite: str, out_dir: str | Path) -> int:
     """Run a suite, write report files, and return the exit status."""
-    workers = os.environ.get("MAPCALC_THREADS", "1")  # read once, before any check runs
-    if not workers.isdecimal() or int(workers) < 1:
-        click.echo(f"config error: MAPCALC_THREADS must be a positive integer, not {workers!r}",
-                   err=True)
-        return 2
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -406,8 +391,9 @@ def run_suite(config: ExperimentConfig, suite: str, out_dir: str | Path) -> int:
         click.echo(f"cannot create output directory: {err}", err=True)
         return 3
     started = time.time()
-    checks = build_suite(config, suite, out)
-    execute_checks(checks, int(workers))
+    traces: dict = {}
+    checks = build_suite(config, suite, traces)
+    execute_checks(checks)
     report = {
         "suite": suite,
         "seed": config.seed,
@@ -432,6 +418,8 @@ def run_suite(config: ExperimentConfig, suite: str, out_dir: str | Path) -> int:
             (out / "transitions_report.json").write_text(
                 canonical_json(transition_entries)
             )
+        for name, trace in traces.items():
+            write_trace_csv(trace, out / name)
     except OSError as err:
         click.echo(f"cannot write report: {err}", err=True)
         return 3

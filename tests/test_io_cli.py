@@ -376,28 +376,23 @@ class TestRunSuite:
         assert (tmp_path / "metadata.json").exists()
 
     def test_reports_byte_identical_for_same_seed(self, tmp_path):
-        config = ExperimentConfig(resolution=32, trials=2, sections=1, seed=3)
-        run_suite(config, "topology", tmp_path / "a")
-        run_suite(config, "topology", tmp_path / "b")
-        assert (tmp_path / "a/report.json").read_bytes() == (
-            tmp_path / "b/report.json"
-        ).read_bytes()
-
-    @pytest.mark.parametrize("suite", ["taylor", "descent", "all"])
-    def test_thread_cap_keeps_reports_identical(self, tmp_path, monkeypatch, suite):
-        config = ExperimentConfig(
+        # two runs in one process: nothing the first run leaves behind moves a byte
+        # of the second's report or trace files
+        small = ExperimentConfig(
             resolution=24, trials=1, sections=1, seed=3,
             descent_resolution=16, sphere_descent_resolution=16, descent_steps=10,
         )
-        names = ["report.json"] + (["torus_descent_trace.csv"] if suite != "taylor" else [])
-        serial = run_suite(config, suite, tmp_path / "serial")
-        monkeypatch.setenv("MAPCALC_THREADS", "4")
-        parallel = run_suite(config, suite, tmp_path / "parallel")
-        assert parallel == serial
-        for name in names:
-            assert (tmp_path / "serial" / name).read_bytes() == (
-                tmp_path / "parallel" / name
-            ).read_bytes()
+        runs = [("topology", ExperimentConfig(resolution=32, trials=2, sections=1, seed=3))]
+        runs += [(suite, small) for suite in ("taylor", "descent", "all")]
+        for suite, config in runs:
+            a, b = tmp_path / suite / "a", tmp_path / suite / "b"
+            assert run_suite(config, suite, a) == run_suite(config, suite, b)
+            names = sorted(p.name for p in a.iterdir())
+            assert names == sorted(p.name for p in b.iterdir())
+            assert ("torus_descent_trace.csv" in names) == (suite in ("descent", "all"))
+            for name in names:
+                if name != "metadata.json":
+                    assert (a / name).read_bytes() == (b / name).read_bytes(), (suite, name)
 
     def test_transitions_report_schema(self, tmp_path):
         config = ExperimentConfig(resolution=24, trials=1, sections=1)
@@ -422,11 +417,9 @@ class TestRunSuite:
         assert torus and abs(torus[0]["final_energy"] - math.pi) < 1e-3
         assert (tmp_path / "torus_descent_trace.csv").exists()
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_failing_descent_demo_runs_once(self, monkeypatch, workers):
+    def test_failing_descent_demo_runs_once(self, monkeypatch):
         # the demo's exception is kept like a result: each descent row that
-        # reads the torus demo gets it, and the demo runs once, in one
-        # thread or across four
+        # reads the torus demo gets it, and the demo runs once
         calls = []
         demo = experiments.torus_descent_demo
 
@@ -436,7 +429,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(experiments, "torus_descent_demo", counted)
         checks = build_suite(ExperimentConfig(descent_step_size=1e300), "descent", None)
-        execute_checks(checks, workers)
+        execute_checks(checks)
         assert len(calls) == 1
         torus_error = "StepOutOfChart: no admissible decreasing step at iterate 0 (gradient 0.203)"
         assert {c.name: c.error for c in checks} == {
@@ -505,25 +498,18 @@ class TestRunSuite:
         monkeypatch.setattr(experiments, "derivative_identity_residuals", raise_mapcalc_error)
         monkeypatch.setattr(experiments, "metric_independence_residuals", lambda *a, **k: [1e-6])
         config = ExperimentConfig(resolution=24, trials=1, sections=1)
-        assert run_suite(config, "transitions", tmp_path / "serial") == 1
-        monkeypatch.setenv("MAPCALC_THREADS", "4")
-        assert run_suite(config, "transitions", tmp_path / "threaded") == 1
-        for name in ("report.json", "transitions_report.json"):
-            assert (tmp_path / "serial" / name).read_bytes() == (
-                tmp_path / "threaded" / name
-            ).read_bytes()
-        report = json.loads((tmp_path / "serial" / "report.json").read_text())
+        assert run_suite(config, "transitions", tmp_path) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
         assert not any({"seconds", "over_tolerance"} & set(row) for row in report["checks"])
-        for run in ("serial", "threaded"):
-            meta = json.loads((tmp_path / run / "metadata.json").read_text())
-            rows = {row["check"]: row for row in meta["checks"]}
-            assert list(rows) == [row["check"] for row in report["checks"]]
-            assert all(row["seconds"] >= 0.0 for row in rows.values())
-            # only a failing row with a residual has a ratio; error rows have none
-            assert {name for name, row in rows.items() if "over_tolerance" in row} == {
-                "transition_cocycle"
-            }
-            assert rows["transition_cocycle"]["over_tolerance"] == 2.5e-9 / 1e-9
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        rows = {row["check"]: row for row in meta["checks"]}
+        assert list(rows) == [row["check"] for row in report["checks"]]
+        assert all(row["seconds"] >= 0.0 for row in rows.values())
+        # only a failing row with a residual has a ratio; error rows have none
+        assert {name for name, row in rows.items() if "over_tolerance" in row} == {
+            "transition_cocycle"
+        }
+        assert rows["transition_cocycle"]["over_tolerance"] == 2.5e-9 / 1e-9
         out = capsys.readouterr().out
         assert "FAIL transition_cocycle: residual=2.500e-09 tol=1.0e-09 (2.5x tol)" in out
         assert "FAIL transition_derivative_sphere: residual=none tol=1.0e-05 (" in out
@@ -633,14 +619,14 @@ class TestCliCommands:
         result = runner.invoke(main, args + flags)
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", ""])
-    def test_bad_thread_cap_exits_2_before_any_output(self, tmp_path, monkeypatch, value):
-        monkeypatch.setenv("MAPCALC_THREADS", value)
-        out = tmp_path / "out"
-        result = CliRunner().invoke(main, ["run", "--suite", "taylor", "--out", str(out)])
-        assert result.exit_code == 2
-        assert "config error: MAPCALC_THREADS" in result.output
-        assert not out.exists()
+    def test_failed_trace_write_exits_3(self, tmp_path):
+        # the descent trace is an output file like the reports: a write that
+        # fails is an I/O error, not a failing check
+        (tmp_path / "torus_descent_trace.csv").mkdir()
+        result = CliRunner().invoke(main, ["run", "--suite", "descent", "--out", str(tmp_path)])
+        assert result.exit_code == 3
+        assert "cannot write report" in result.output
+        assert json.loads((tmp_path / "report.json").read_text())["all_pass"]
 
     def test_bool_torus_period_exits_2_with_one_config_error_line(self, tmp_path):
         # a JSON true would otherwise run as a period of 1.0

@@ -394,6 +394,37 @@ class TestRunSuite:
                 if name != "metadata.json":
                     assert (a / name).read_bytes() == (b / name).read_bytes(), (suite, name)
 
+    @pytest.mark.parametrize("suite", ["taylor", "descent", "all"])
+    def test_thread_cap_keeps_reports_identical(self, tmp_path, suite):
+        # the checks run in the calling thread; the one thread count left is the
+        # BLAS library's, and capping it at one thread moves no report or trace
+        # byte against two threads, each run in a fresh process
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps({
+            "resolution": 24, "trials": 1, "sections": 1, "seed": 3,
+            "descent_resolution": 16, "sphere_descent_resolution": 16, "descent_steps": 10,
+        }))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        runs = {}
+        for cap in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=cap, OMP_NUM_THREADS=cap)
+            out = tmp_path / f"cap{cap}"
+            args = ["run", "--suite", suite, "--config", str(cfg), "--out", str(out)]
+            result = subprocess.run(
+                [sys.executable, "-m", "mapcalc.cli", *args], env=env, capture_output=True,
+                text=True, timeout=120,
+            )
+            assert result.returncode in (0, 1), result.stderr
+            runs[cap] = (result.returncode, out)
+        (code1, one), (code2, two) = runs["1"], runs["2"]
+        assert code1 == code2
+        names = sorted(p.name for p in one.iterdir())
+        assert names == sorted(p.name for p in two.iterdir())
+        assert ("torus_descent_trace.csv" in names) == (suite != "taylor")
+        for name in names:
+            if name != "metadata.json":
+                assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
     def test_transitions_report_schema(self, tmp_path):
         config = ExperimentConfig(resolution=24, trials=1, sections=1)
         status = run_suite(config, "transitions", tmp_path)

@@ -524,17 +524,54 @@ def frame_quotient(out: np.ndarray, step: float) -> np.ndarray:
 def inj_radius(m: TargetManifold) -> float:
     """Injectivity radius; constant over each supported manifold.
 
-    For the conformally rescaled sphere a conservative lower bound is
-    returned, which is all the chart machinery needs.
+    For the conformally rescaled sphere it is an estimate, the smaller of two
+    terms.  The first, pi R / 2 scaled by sqrt(min phi / max phi), compares
+    the metric with the round one and proves nothing.  The second is Rauch's bound pi / sqrt(K_max) on
+    the conjugate radius, from the largest Gaussian curvature K_max
+    (``_conformal_curvature_max``); it keeps conjugate points out of the
+    charts, but covers conjugate points only: a full cut-locus bound also
+    needs Klingenberg's closed-geodesic term.  K_max is sampled on the probe
+    grid, so it too is an estimate, not a bound.
     """
     if m.kind == SPHERE:
         base = math.pi * m.radius
         if m.conformal is None:
             return base
-        probe = _conformal_probe_points(m)
-        w = m.conformal(probe)
-        return 0.5 * base * math.sqrt(float(np.min(w)) / float(np.max(w)))
+        return _conformal_inj_radius(m)
     return 0.5 * min(m.periods)
+
+
+@functools.lru_cache(maxsize=8)
+def _conformal_inj_radius(m: TargetManifold) -> float:
+    """``inj_radius`` of a conformal sphere, computed once per target."""
+    w = m.conformal(_conformal_probe_points(m))
+    ratio = 0.5 * math.pi * m.radius * math.sqrt(float(np.min(w)) / float(np.max(w)))
+    k_max = _conformal_curvature_max(m)
+    if k_max <= 0.0:  # no conjugate points
+        return ratio
+    # np.minimum keeps the NaN of a NaN curvature, which every caller rejects
+    return float(np.minimum(ratio, math.pi / math.sqrt(k_max)))
+
+
+def _conformal_curvature_max(m: TargetManifold) -> float:
+    """Largest Gaussian curvature of the conformal metric phi g_round over
+    ``_conformal_probe_points``.
+
+    K = (R^-2 - 0.5 Laplacian(log phi)) / phi, with the round Laplacian.  The
+    Laplacian is the surface divergence of the tangential gradient of log
+    phi, grad(phi) / phi from ``value_and_gradient``'s exact gradient, taken
+    as one central difference along each leg of a tangent frame.
+    """
+    probe = _conformal_probe_points(m)
+    h = 1e-4 * m.radius
+    legs = frames_at(m, probe)  # (n, 2, 3)
+    # probe +- h leg, projected back onto the sphere: (n, sign, leg, 3)
+    ends = reduce_points(m, probe[:, None, None] + np.array([h, -h])[:, None, None] * legs[:, None])
+    phi, grad = m.conformal.value_and_gradient(ends.reshape(-1, 3))
+    g = project_tangent(m, ends, (grad / phi[:, None]).reshape(ends.shape))
+    laplacian = _last_axis_sum(dot(legs, g[:, 0] - g[:, 1])) / (2.0 * h)
+    curvature = (m.radius**-2 - 0.5 * laplacian) / m.conformal(probe)
+    return float(np.max(curvature))
 
 
 def _conformal_probe_points(m: TargetManifold) -> np.ndarray:
@@ -662,23 +699,30 @@ def dist_points(m: TargetManifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # conformal geodesics: fixed-step RK4 plus batched Newton shooting
 
-# RK4 step rule (floor, scale): a node of speed |v| on a sphere of radius R
-# takes max(floor, ceil(scale (|v| / R)^(5/4))) steps.  After n steps the
-# end-point error is about k (|v| / R)^5 / n^4 times R, with k from 0.01 to
-# 0.035 for factors like exp((0.3 / R) z) against a 4,096-step flow, so this
-# n holds the relative error near a constant.  A scale of 370 keeps it at or
-# below 2e-12, the error of the former 64-step floor at |v| = 0.3, at every
-# speed up to 1.3 R
-_FLOW_RULE = (8, 370.0)
+# RK4 step rules.  A plain rule (floor, scale) gives a node of speed |v| on a
+# sphere of radius R k = max(floor, ceil(scale (|v| / R)^(5/4))) steps.  After
+# k steps the end-point error is about c (|v| / R)^5 / k^4 times R, with c
+# from 0.01 to 0.035 for factors like exp((0.3 / R) z) against a 4,096-step
+# flow, so this k holds the relative error near a constant.  A rule
+# (floor, scale, True) flows each node at k and at 2k steps and returns the
+# Richardson extrapolation (16 y_2k - y_k) / 15 projected onto the sphere,
+# which cancels the k^-4 term (Hairer, Norsett & Wanner, Solving Ordinary
+# Differential Equations I, II.9).  Its scale of 64 keeps the relative error
+# at or below 2e-12, the error of the former 64-step floor at |v| = 0.3, at
+# every speed up to 1.3 R (56 does not), for 3k steps where plain RK4 needs
+# 370 (|v| / R)^(5/4); the flow's loop runs the 2k steps of its longest row
+_FLOW_RULE = (1, 64.0, True)
 # The chord Jacobian only steers the Newton iteration, whose root and stopping
-# test come from full-rule residual flows, so its probes flow at an eighth of
-# the steps (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995)
-_JACOBIAN_RULE = (4, 46.25)
-# Most RK4 steps one node's flow may take.  With 370 (|v| / R)^(5/4) steps
-# this caps the speed near 190 R.  Chart and probe vectors stay below the
-# injectivity radius, pi R, so they take at most about 1,500 steps at any
-# radius.  One node's flow at the cap costs over a minute; an uncapped
-# |v| = 1e6 R would take weeks.
+# test come from full-rule residual flows, so its probes flow plain RK4 at a
+# sixteenth of the 370 (|v| / R)^(5/4) steps that plain RK4 needs for the
+# full rule's error (Kelley, Iterative Methods for Linear and Nonlinear
+# Equations, 1995)
+_JACOBIAN_RULE = (2, 23.0)
+# Most RK4 steps one node's flow may take, counted on its 2k row.  With
+# 2k = 128 (|v| / R)^(5/4) this caps the speed near 445 R.  Chart and probe
+# vectors stay below the injectivity radius, pi R, so they take at most 536
+# steps at any radius.  One node's flow at the cap costs over a minute; an
+# uncapped |v| = 1e6 R would take weeks.
 _MAX_ODE_STEPS = 2**18
 _SHOOT_TOL = 1e-11
 _SHOOT_MAX_ITER = 60
@@ -716,40 +760,48 @@ def _node(i, shape: tuple) -> tuple:
 
 
 def _geodesic_flow(
-    m: TargetManifold, base: np.ndarray, vec: np.ndarray, rule: tuple[int, float] = _FLOW_RULE
+    m: TargetManifold, base: np.ndarray, vec: np.ndarray, rule: tuple = _FLOW_RULE
 ) -> np.ndarray:
     """RK4 flow to time 1, batched over all leading axes.
 
-    Each node takes its own step count by ``rule``, which grows with its own
-    speed over the sphere radius to keep the end-point error within a fixed
-    fraction of the radius; a node's end point therefore does not depend on
-    the other nodes of the batch.  The nodes are sorted once by step count,
-    so the nodes still flowing are always a prefix of the state.  The state
-    is held component-major (Fortran order), so every broadcast of a
-    per-node scalar against a vector runs over whole contiguous columns; the
-    result is un-permuted into a C-ordered array in the caller's shape.
+    Each node takes its own step count by ``rule`` (see ``_FLOW_RULE``),
+    which grows with its own speed over the sphere radius to keep the
+    end-point error within a fixed fraction of the radius; a node's end
+    point therefore does not depend on the other nodes of the batch.  An
+    extrapolating rule flows each node as two rows of the batch, at k and at
+    2k steps.  The rows are sorted once by step count, so the rows still
+    flowing are always a prefix of the state.  The state is held
+    component-major (Fortran order), so every broadcast of a per-node scalar
+    against a vector runs over whole contiguous columns; the result is
+    un-permuted into a C-ordered array in the caller's shape.
     """
     base, vec = np.broadcast_arrays(np.asarray(base, dtype=float), np.asarray(vec, dtype=float))
     shape = base.shape
+    pos = base.reshape(-1, shape[-1])
     vel = vec.reshape(-1, shape[-1])
     # exp_points and log_points have checked base and target; a velocity that
     # is not finite or too fast (say, from a diverging shooting) fails the cap
-    floor, scale = rule
+    floor, scale = rule[:2]
+    extrapolate = rule[2:] == (True,)
     steps = np.maximum(floor, np.ceil(scale * (norm(vel) / m.radius) ** 1.25))
-    over = np.flatnonzero(~(steps <= _MAX_ODE_STEPS))
+    longest = 2 * steps if extrapolate else steps
+    over = np.flatnonzero(~(longest <= _MAX_ODE_STEPS))
     if over.size:
         i = int(over[0])
         raise WellDefinednessViolated(
             f"geodesic flow on the conformal sphere at node {_node(i, shape[:-1])}: "
-            f"speed {norm(vel[i]):.6g} needs {steps[i]:.6g} RK4 steps, "
+            f"speed {norm(vel[i]):.6g} needs {longest[i]:.6g} RK4 steps, "
             f"more than the cap of {_MAX_ODE_STEPS}"
         )
-    # slowest first, ties in batch order: the nodes taking step k are the
+    if extrapolate:
+        pos, vel = np.concatenate([pos, pos]), np.concatenate([vel, vel])
+        steps = np.concatenate([steps, longest])
+    # slowest first, ties in batch order: the rows taking step k are the
     # first live[k], the count of step counts over k
     order = np.argsort(-steps, kind="stable")
     steps = steps[order]
     live = np.searchsorted(-steps, -np.arange(np.max(steps, initial=0)))
-    pos = np.asfortranarray(base.reshape(-1, shape[-1])[order])
+    pos = np.asfortranarray(pos[order])
     vel = np.asfortranarray(vel[order])
     h = (1.0 / steps)[:, None]
     half, sixth = 0.5 * h, h / 6.0
@@ -757,6 +809,9 @@ def _geodesic_flow(
         pos[:n], vel[:n] = _rk4_step(m, pos[:n], vel[:n], h[:n], half[:n], sixth[:n])
     out = np.empty(pos.shape)
     out[order] = pos
+    if extrapolate:
+        k_rows, two_k_rows = np.split(out, 2)
+        out = reduce_points(m, (16.0 * two_k_rows - k_rows) / 15.0)
     return out.reshape(shape)
 
 

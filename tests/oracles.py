@@ -40,14 +40,17 @@ def broadcast_seed_gradient(phi, coords):
     return out.v, out.d
 
 
-def conformal_rk4_flow(m, base, vec, floor=8, scale=370.0):
+def conformal_rk4_flow(m, base, vec, rule=(1, 64.0, True)):
     """Conformal geodesic endpoints by RK4 on C-ordered (n, 3) arrays.
 
-    On a sphere of radius r, node i takes max(floor, ceil(scale (|v_i| / r)^(5/4)))
-    steps of width 1/steps (by default the step rule of every flow but the
-    shooting's chord Jacobian), with the plain broadcasts and numpy
-    reductions of a direct transcription of the geodesic equation, and is
-    projected back onto the sphere after each step.
+    On a sphere of radius r, node i takes k_i = max(floor, ceil(scale
+    (|v_i| / r)^(5/4))) steps of width 1/k_i for a rule (floor, scale), with
+    the plain broadcasts and numpy reductions of a direct transcription of
+    the geodesic equation, and is projected back onto the sphere after each
+    step.  For a rule (floor, scale, True) (by default the step rule of every
+    flow but the shooting's chord Jacobian) it flows at k_i and at 2 k_i
+    steps, and returns the Richardson extrapolation (16 y_2k - y_k) / 15,
+    projected onto the sphere.
     """
     r = m.radius
 
@@ -59,23 +62,30 @@ def conformal_rk4_flow(m, base, vec, floor=8, scale=370.0):
         acc = (0.5 * sq * grad_t - np.sum(grad_t * vel, axis=-1)[:, None] * vel) / phi[:, None]
         return acc - (sq / r**2) * pos
 
-    pos = np.array(base, dtype=float).reshape(-1, 3)
-    vel = np.array(vec, dtype=float).reshape(-1, 3)
-    steps = np.maximum(floor, np.ceil(scale * (np.linalg.norm(vel, axis=-1) / r) ** 1.25))
-    for k in range(int(np.max(steps))):
-        live = steps > k
-        p, v, h = pos[live], vel[live], (1.0 / steps[live])[:, None]
-        k1p, k1v = v, rhs(p, v)
-        k2p = v + 0.5 * h * k1v
-        k2v = rhs(p + 0.5 * h * k1p, k2p)
-        k3p = v + 0.5 * h * k2v
-        k3v = rhs(p + 0.5 * h * k2p, k3p)
-        k4p = v + h * k3v
-        k4v = rhs(p + h * k3p, k4p)
-        p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        pos[live] = p * (r / np.linalg.norm(p, axis=-1)[:, None])
-        vel[live] = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return pos.reshape(np.shape(base))
+    def flow(steps):
+        pos = np.array(base, dtype=float).reshape(-1, 3)
+        vel = np.array(vec, dtype=float).reshape(-1, 3)
+        for k in range(int(np.max(steps, initial=0))):
+            live = steps > k
+            p, v, h = pos[live], vel[live], (1.0 / steps[live])[:, None]
+            k1p, k1v = v, rhs(p, v)
+            k2p = v + 0.5 * h * k1v
+            k2v = rhs(p + 0.5 * h * k1p, k2p)
+            k3p = v + 0.5 * h * k2v
+            k3v = rhs(p + 0.5 * h * k2p, k3p)
+            k4p = v + h * k3v
+            k4v = rhs(p + h * k3p, k4p)
+            p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+            pos[live] = p * (r / np.linalg.norm(p, axis=-1)[:, None])
+            vel[live] = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        return pos
+
+    speeds = np.linalg.norm(np.reshape(vec, (-1, 3)), axis=-1)
+    steps = np.maximum(rule[0], np.ceil(rule[1] * (speeds / r) ** 1.25))
+    if len(rule) == 2:
+        return flow(steps).reshape(np.shape(base))
+    p = (16.0 * flow(2 * steps) - flow(steps)) / 15.0
+    return (p * (r / np.linalg.norm(p, axis=-1)[:, None])).reshape(np.shape(base))
 
 
 def _tangent_frame(n):

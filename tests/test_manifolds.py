@@ -33,7 +33,10 @@ from mapcalc.manifolds import (
     dot,
     exp_points,
     fiber_derivative_points,
+    frame_probes,
+    frame_quotient,
     frames_at,
+    from_frame,
     inner_points,
     log_dist_points,
     log_points,
@@ -43,6 +46,7 @@ from mapcalc.manifolds import (
     reduce_points,
     require_log_reach,
     smooth_frames,
+    to_frame,
 )
 
 from oracles import (
@@ -242,6 +246,38 @@ class TestInjRadius:
                 continue
             assert np.linalg.norm(back[0] - v) > 1e-3
 
+    @pytest.mark.parametrize("radius", [1.0, 2.0])
+    def test_sampled_curvature_of_an_exponential_factor(self, radius):
+        # log phi = a z has round Laplacian -2 a z / R^2, so the curvature is
+        # (1 + a z) / (R^2 exp(a z)), largest at the grid's z nearest 0
+        a = 0.3 / radius
+        m = sphere(radius, conformal=f"exp({a!r}*z)")
+        z = manifolds._conformal_probe_points(m)[:, 2]
+        exact = np.max((1 + a * z) / (radius**2 * np.exp(a * z)))
+        assert manifolds._conformal_curvature_max(m) == pytest.approx(exact, rel=1e-7)
+        # Rauch's bound pi / sqrt(K_max), near pi R, leaves the ratio term as it was
+        assert inj_radius(m) == pytest.approx(0.5 * math.pi * radius * math.exp(-0.3), rel=1e-12)
+
+    def test_conjugate_point_lies_beyond_the_radius(self):
+        # the factor varies fast but little, so sqrt(min phi / max phi) keeps
+        # the ratio term at 1.494; along this ray d exp turns singular (its
+        # determinant changes sign) between metric lengths 0.98 and 0.99, and
+        # past that conjugate point a shot geodesic need not be minimizing.
+        # Rauch's bound from the sampled curvature keeps the radius below it
+        m = sphere(1.0, conformal="1 + 0.05*sin(20*x)*sin(20*y)")
+        base = np.array([0.4517271422229998, -0.312925775701333, 0.835475940934723])
+        u = project_tangent(S1, base, [0.6404226110799242, -0.537927155628716, -0.5477447355959333])
+        u = u / norm_points(m, base, u)
+        frames = frames_at(m, base)
+        dets = []
+        for t in (0.98, 0.99):
+            probes = from_frame(frames, frame_probes(to_frame(frames, t * u), 1e-6))
+            images = exp_points(m, np.broadcast_to(base, probes.shape), probes)
+            end_frames = frames_at(m, exp_points(m, base, t * u))
+            dets.append(np.linalg.det(frame_quotient(to_frame(end_frames, images), 1e-6)))
+        assert dets[0] > 1e-3 and dets[1] < -1e-3
+        assert inj_radius(m) < 0.98
+
 
 class TestMetricInner:
     def test_zero_vector(self):
@@ -384,10 +420,10 @@ class TestConformalMetric:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_nodes_are_batch_invariant(self, short, long, seed):
-        # the per-node RK4 step count grows with |v| from |v| = 0.0466, where
-        # it leaves its floor of 8, and the short and long speeds meet at 0.4
-        # (118 steps), so every batch mixes step counts; each node must come
-        # out bit-identical alone and inside the batch
+        # the per-node RK4 step count k grows with |v| from |v| = 0.0359, where
+        # it leaves its floor of 1, and the short and long speeds meet at 0.4
+        # (21 and 42 steps), so every batch mixes step counts; each node must
+        # come out bit-identical alone and inside the batch
         m = sphere(1.0, conformal="exp(0.3*z)")
         rng = np.random.default_rng(seed)
         speeds = rng.permutation(short + long)[:, None]
@@ -405,7 +441,7 @@ class TestConformalMetric:
             assert np.array_equal(log_points(m, base[i], targets[i]), logs[i])
 
     def test_flow_matches_c_ordered_oracle(self, rng):
-        # speeds from 0.05 to 1.1 take 9 to 417 steps in one batch; the
+        # speeds from 0.05 to 1.1 take 2 to 73 steps (and twice that) in one batch; the
         # component-major kernel must give the oracle's bits whatever the
         # layout of its input, and hand back a C-ordered array
         m = sphere(1.0, conformal="exp(0.3*z)")
@@ -450,25 +486,37 @@ class TestConformalMetric:
             fn(m, bases, others)
 
     def test_huge_speed_raises_at_once(self):
-        # 370 |v|^(5/4) RK4 steps would take weeks; the cap stops the flow before any
+        # 128 |v|^(5/4) RK4 steps would take weeks; the cap stops the flow before any
         m = sphere(1.0, conformal="exp(0.3*z)")
         bases = np.array([[0.0, 0.0, 1.0]] * 3)
         vecs = np.array([[0.1, 0.0, 0.0], [1e6, 0.0, 0.0], [0.0, 0.1, 0.0]])
         with pytest.raises(WellDefinednessViolated, match=r"node \(1,\).*RK4 steps"):
             exp_points(m, bases, vecs)
 
+    def test_step_cap_counts_the_2k_row(self):
+        # k = 2^17 + 10 steps is under the cap, but the extrapolated flow's
+        # 2k row is over it; the flow raises before any step
+        m = sphere(1.0, conformal="exp(0.3*z)")
+        _, scale, _ = _FLOW_RULE
+        speed = ((2**17 + 10) / scale) ** 0.8
+        with pytest.raises(WellDefinednessViolated, match="RK4 steps") as err:
+            exp_points(m, np.array([0.0, 0.0, 1.0]), np.array([speed, 0.0, 0.0]))
+        steps = int(re.search(r"needs (\d+) RK4 steps", str(err.value))[1])
+        assert steps // 2 < _MAX_ODE_STEPS < steps
+
     def test_step_cap_sits_far_above_chart_speeds(self):
         # chart and probe vectors stay inside the injectivity radius, and the
-        # step count depends on the speed only through |v| / R
-        _, scale = _FLOW_RULE
+        # step count depends on the speed only through |v| / R; the cap
+        # counts the 2k row of the extrapolated flow
+        _, scale, _ = _FLOW_RULE
         for radius in (0.1, 1.0, 1e4):
             m = sphere(radius, conformal=f"exp({0.3 / radius!r}*z)")
-            assert _MAX_ODE_STEPS > 100 * scale * (inj_radius(m) / radius) ** 1.25
+            assert _MAX_ODE_STEPS > 100 * 2 * scale * (inj_radius(m) / radius) ** 1.25
 
     def test_large_radius_flows_at_chart_speed(self):
         # a step rule in |v| alone, 160 |v| steps, gives |v| = 0.2 R on a
         # sphere of radius 1e4 320,000 RK4 steps, over the cap; the rule in
-        # |v| / R gives it the 50 steps of |v| = 0.2 on the unit sphere
+        # |v| / R gives it the 9 and 18 steps of |v| = 0.2 on the unit sphere
         radius = 1e4
         m = sphere(radius, conformal="exp(3e-05*z)")
         base, vec = np.array([0.0, 0.0, radius]), np.array([0.2 * radius, 0.0, 0.0])
@@ -526,8 +574,8 @@ class TestConformalMetric:
 def northern_data(rng, count):
     """Bases within 0.6 rad of the north pole with speeds 0.05 to 0.5.
 
-    Flows under ``z`` stay where z > 0.3, and the speeds take 9 to 156 RK4
-    steps, so a batch mixes step counts.
+    Flows under ``z`` stay where z > 0.3, and the speeds take 2 to 27 RK4
+    steps (and twice that), so a batch mixes step counts.
     """
     polar = rng.uniform(0.0, 0.6, count)
     azimuth = rng.uniform(0.0, TAU, count)
@@ -634,14 +682,42 @@ class TestConformalShooting:
         ]
         assert np.max(np.abs(logs - vecs)) < 2e-11
 
+    # _conformal_rhs calls and node evaluations of the 200-node exp_points,
+    # then log_points, of `shots`.  Plain RK4 from the step rule
+    # max(8, ceil(370 (|v| / R)^(5/4))) took 36, 332 and 1,480 calls for exp
+    # and 124, 1,712 and 12,220 for log
+    WORK = {
+        0.05: ((16, 4_800), (56, 20_656)),
+        0.3: ((120, 36_000), (624, 165_332)),
+        1.0: ((512, 153_600), (4_312, 1_178_292)),
+    }
+
+    @pytest.mark.parametrize("speed", sorted(WORK))
+    def test_rhs_work_is_pinned(self, speed, monkeypatch):
+        base, vecs = self.shots(speed, 200)
+        widths = []
+        rhs = manifolds._conformal_rhs
+
+        def spy(m, pos, vel):
+            widths.append(len(pos))
+            return rhs(m, pos, vel)
+
+        monkeypatch.setattr(manifolds, "_conformal_rhs", spy)
+        targets = exp_points(self.M, base, vecs)
+        exp_work = (len(widths), sum(widths))
+        widths.clear()
+        log_points(self.M, base, targets)
+        assert (exp_work, (len(widths), sum(widths))) == self.WORK[speed]
+
     def test_coarse_rule_flow_matches_c_ordered_oracle(self, rng):
-        # the coarse rule runs the same kernel at max(4, ceil(46.25 |v|^(5/4)))
-        # steps, an eighth of the full rule's
-        assert _JACOBIAN_RULE == (4, 46.25) and _FLOW_RULE == (8, 370.0)
+        # the coarse rule runs the same kernel as plain RK4 at
+        # max(2, ceil(23 |v|^(5/4))) steps; the full rule extrapolates from
+        # max(1, ceil(64 |v|^(5/4))) steps and twice that
+        assert _JACOBIAN_RULE == (2, 23.0) and _FLOW_RULE == (1, 64.0, True)
         base, vecs = random_sphere_data(S1, rng, 12, 1.0)
         vecs = vecs * np.linspace(0.05, 1.1, 12)[:, None] / norm(vecs)[:, None]
         ends = _geodesic_flow(self.M, base, vecs, _JACOBIAN_RULE)
-        assert np.array_equal(ends, conformal_rk4_flow(self.M, base, vecs, *_JACOBIAN_RULE))
+        assert np.array_equal(ends, conformal_rk4_flow(self.M, base, vecs, _JACOBIAN_RULE))
 
     def test_repeated_pairs_are_shot_once(self, monkeypatch):
         base, vecs = self.shots(0.5, 5)
@@ -810,9 +886,9 @@ class TestOneRK4Loop:
 
     @staticmethod
     def shuffled(rng):
-        # |v| = 0.03 and 0.04 both sit at the floor of 8 steps (4 coarse),
-        # 0.503 takes 157 (20) and 0.9 takes 325 (41); every count is tied,
-        # and the order is shuffled
+        # |v| = 0.03 takes 1 and 2 steps (2 coarse), 0.04 takes 2 and 4 (2),
+        # 0.503 takes 28 and 56 (10) and 0.9 takes 57 and 114 (21); every
+        # count is tied, and the order is shuffled
         speeds = rng.permutation(np.repeat([0.03, 0.04, 0.503, 0.9], 3))
         base, vecs = random_sphere_data(S1, rng, len(speeds), 1.0)
         return base, vecs / np.linalg.norm(vecs, axis=-1, keepdims=True) * speeds[:, None]
@@ -820,8 +896,11 @@ class TestOneRK4Loop:
     @pytest.mark.parametrize("rule", [_FLOW_RULE, _JACOBIAN_RULE], ids=["full", "coarse"])
     def test_shuffled_tied_speeds_match_oracle(self, rule, rng, monkeypatch):
         base, vecs = self.shuffled(rng)
-        floor, scale = rule
+        floor, scale = rule[:2]
         steps = np.maximum(floor, np.ceil(scale * np.linalg.norm(vecs, axis=-1) ** 1.25))
+        if rule == _FLOW_RULE:
+            # each node flows as two rows, at k and at 2k steps
+            steps = np.concatenate([steps, 2 * steps])
         assert len(np.unique(steps)) < len(steps)
         widths = []
         step = manifolds._rk4_step
@@ -833,8 +912,8 @@ class TestOneRK4Loop:
         monkeypatch.setattr(manifolds, "_rk4_step", spy)
         ends = _geodesic_flow(self.M, base, vecs, rule)
         assert ends.flags.c_contiguous
-        assert np.array_equal(ends, conformal_rk4_flow(self.M, base, vecs, floor, scale))
-        # step k advances the nodes that take more than k steps, once each
+        assert np.array_equal(ends, conformal_rk4_flow(self.M, base, vecs, rule))
+        # step k advances the rows that take more than k steps, once each
         assert widths == [int(np.sum(steps > k)) for k in range(int(steps.max()))]
 
     def test_empty_batch(self):

@@ -64,8 +64,21 @@ class Chart:
 
 @dataclass(frozen=True)
 class DomainAtlas:
+    """The charts of a compact domain.
+
+    Atlases key the layout and lattice caches, so the hash of the charts is
+    taken once, at construction; equality stays structural.
+    """
+
     kind: str
     charts: tuple[Chart, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.charts))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:

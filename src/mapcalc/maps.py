@@ -143,8 +143,10 @@ def random_loop(m: TargetManifold, draws: tuple[np.ndarray, ...]) -> MapFormula:
     """The smooth loop of ``loop_draws``; draws stacked by ``stack_draws``
     give the batch of loops, evaluated in one pass.
 
-    A sphere loop is normalized back to the sphere; a torus loop is its
-    winding plus a shift plus the modes.
+    A sphere loop is the equator plus the modes, normalized back to the
+    sphere; the equator's cos and sin are the first rows of the harmonic
+    tables the modes read.  A torus loop is its winding plus a shift plus
+    the modes.
     """
     modes = draws[0] if m.kind == "sphere" else draws[1]
     trials = len(modes) if modes.ndim > 3 else None  # one trial's modes are (3, 2, amb)
@@ -153,7 +155,8 @@ def random_loop(m: TargetManifold, draws: tuple[np.ndarray, ...]) -> MapFormula:
 
         def fn(mesh):
             theta = mesh[..., 0]
-            base = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1)
+            sines, cosines = harmonic_tables(theta, coeffs.shape[-3])
+            base = np.stack([cosines[0], sines[0], np.zeros_like(theta)], axis=-1)
             base = add_fourier_modes(base, theta, coeffs)
             return m.radius * base / norm(base)[..., None]
 

@@ -29,18 +29,21 @@ class PullbackSection:
     checked where that happens, so raw data like energy gradients can be
     carried as sections too.  ``sup``, the sup of the fiber norms, is
     computed once here; a section is a value, its vectors are not changed
-    in place.  For a batch, ``sup`` is an array of one sup per trial, and
+    in place.  A ``bound`` of None becomes the tightest bound above the
+    sup.  For a batch, ``sup`` is an array of one sup per trial, and
     ``bound`` a float or such an array; each trial's sup stays below its
     own bound.
     """
 
     base_map: SampledMap
     vectors: np.ndarray
-    bound: float | np.ndarray
+    bound: float | np.ndarray | None
     sup: float | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sup = _sup_norm(self.base_map, self.vectors)
+        if self.bound is None:
+            object.__setattr__(self, "bound", _as_bound(sup * (1.0 + 1e-9) + 1e-300))
         if not holds(sup < self.bound):
             sups, bounds = np.broadcast_arrays(sup, self.bound)
             i = np.flatnonzero(~(sups < bounds))[0]  # the first trial over its bound
@@ -66,9 +69,12 @@ def require_same_base(s: PullbackSection, t: PullbackSection | SampledMap) -> No
 
 def make_section(f: SampledMap, vectors, bound: float | None = None) -> PullbackSection:
     vecs = project_tangent(f.target, f.nodes, np.asarray(vectors, dtype=float))
-    if bound is None:
-        bound = _sup_norm(f, vecs) * (1.0 + 1e-9) + 1e-300
-    return PullbackSection(f, vecs, bound if isinstance(bound, np.ndarray) else float(bound))
+    return PullbackSection(f, vecs, None if bound is None else _as_bound(bound))
+
+
+def _as_bound(bound) -> float | np.ndarray:
+    """A bound as a float, or as an array of one bound per trial."""
+    return bound if isinstance(bound, np.ndarray) else float(bound)
 
 
 def zero_section(f: SampledMap) -> PullbackSection:

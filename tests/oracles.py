@@ -370,3 +370,61 @@ def serial_chain_rule_residual(m, resolution, rng):
     direct = transition_derivative(f, h, s0, s)
     resid = section_max_diff(via, direct)
     return resid / max(section_sup(direct), 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# serial descent: every energy and gradient from fresh logarithms, the step
+# doubled after every accepted step
+
+
+def serial_descend(f0, steps, step_size, grad_tol, max_halvings=30):
+    """(final map, trace rows) of the chart-retraction descent from ``f0``.
+
+    Each energy and each gradient takes its logarithms afresh, toward the
+    loop neighbors that ``np.roll`` finds, and every accepted step is
+    doubled as the next trial, even after a halving.
+    """
+    from mapcalc.charts import chart_inverse, default_delta
+    from mapcalc.energy import _loop_lattice, loop_values
+    from mapcalc.manifolds import inner_points, log_points
+    from mapcalc.sections import make_section, section_scale, section_sup
+
+    def energy(f):
+        vals = loop_values(f)
+        gaps = log_points(f.target, vals, np.roll(vals, -1, axis=0))
+        sq = inner_points(f.target, vals, gaps, gaps)
+        return 0.5 * math.fsum(sq.tolist()) / (2.0 * math.pi / f.resolution)
+
+    def direction(f):
+        n, h = f.resolution, 2.0 * math.pi / f.resolution
+        vals = loop_values(f)
+        owner, lattice = _loop_lattice(f.atlas, n)
+        lap = (log_points(f.target, vals, np.roll(vals, -1, axis=0))
+               + log_points(f.target, vals, np.roll(vals, 1, axis=0))) / h**2
+        grad = make_section(f, (-lap)[lattice]).vectors[owner]
+        symbol = 1.0 + (2.0 * np.sin(np.pi * np.arange(n) / n) / h) ** 2
+        smooth = np.fft.ifft(np.fft.fft(grad, axis=0) / symbol[:, None], axis=0).real
+        return make_section(f, smooth[lattice])
+
+    f, rows, trial = f0, [], step_size
+    e = energy(f)
+    for it in range(steps):
+        d = direction(f)
+        gnorm = section_sup(d)
+        if gnorm <= grad_tol:
+            rows.append((it, e, gnorm, trial))
+            break
+        delta = default_delta(f)
+        for _ in range(max_halvings + 1):
+            if trial * gnorm < delta:
+                candidate = chart_inverse(f, section_scale(d, -trial))
+                cand_energy = energy(candidate)
+                if cand_energy <= e:
+                    break
+            trial *= 0.5
+        else:
+            raise AssertionError(f"no decreasing step at iterate {it}")
+        f, e = candidate, cand_energy
+        rows.append((it, e, gnorm, trial))
+        trial = 2.0 * trial
+    return f, rows

@@ -17,7 +17,18 @@ from mapcalc import (
     sample_map,
     sphere,
 )
-from mapcalc.atlas import TAU, chart_rep, compact_slices, grid_coords, grid_ranges
+from mapcalc.atlas import (
+    TAU,
+    Chart,
+    chart_layout,
+    chart_rep,
+    circle_atlas,
+    compact_slices,
+    grid_coords,
+    grid_ranges,
+    torus2_atlas,
+)
+from mapcalc.energy import _loop_lattice, loop_values
 from mapcalc.finite_diff import diff_multi, jets, multi_indices, stencil_radius
 from mapcalc.maps import constant_formula, great_circle, torus2_wave, torus_loop
 from mapcalc.target_charts import auto_chart
@@ -65,6 +76,21 @@ class TestAtlasGeometry:
                 inside &= rep <= khi
             covered |= inside
         assert covered.all()
+
+    def test_cache_lookups_hash_no_chart(self, monkeypatch):
+        fresh, fresh_torus = circle_atlas(), torus2_atlas()
+        assert fresh == CIRCLE_ATLAS and fresh is not CIRCLE_ATLAS
+        assert hash(fresh) == hash(CIRCLE_ATLAS) and fresh != fresh_torus
+        f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 64)
+        hashed = []
+        chart_hash = Chart.__hash__
+        monkeypatch.setattr(Chart, "__hash__", lambda c: hashed.append(c) or chart_hash(c))
+        assert chart_layout(fresh, 64) is chart_layout(CIRCLE_ATLAS, 64)
+        assert chart_layout(fresh_torus, 16) is chart_layout(TORUS2_ATLAS, 16)
+        assert _loop_lattice(fresh, 64) is _loop_lattice(CIRCLE_ATLAS, 64)
+        loop_values(f)
+        sample_map(fresh, T22, torus_loop((1, 0)), 64)
+        assert hashed == []
 
     def test_grids_share_the_lattice(self):
         res = 64

@@ -1,6 +1,8 @@
 """Tests for the discrete loop energy and the chart-based descent."""
 
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,10 +25,14 @@ from mapcalc import (
     sphere,
     winding_numbers,
 )
+from mapcalc import energy
 from mapcalc.atlas import TAU
 from mapcalc.cli import ExperimentConfig
 from mapcalc.energy import _loop_lattice, loop_inner, loop_step, loop_values, sobolev_gradient
 from mapcalc.experiments import (
+    DEFAULT_SPHERE,
+    DEFAULT_TORUS,
+    TORUS_DEMO_LOOP,
     random_section,
     sphere_descent_demo,
     torus_descent_demo,
@@ -35,6 +41,7 @@ from mapcalc.experiments import (
 from mapcalc.charts import apply_fiber_matrices
 from mapcalc.manifolds import fiber_derivative_points, inner_points, log_points, project_tangent
 from mapcalc.maps import constant_formula, sphere_cap_loop, torus_loop
+from oracles import serial_descend
 
 T22 = flat_torus(TAU, TAU)
 S1 = sphere(1.0)
@@ -191,6 +198,78 @@ class TestDescend:
         seen = []
         descend(f0, 200, 0.1, on_step=lambda i, cur: seen.append(winding_numbers(cur)))
         assert set(seen) == {(1, 1)}
+
+
+# (demo, its start loop, grad_tol, the config field of its resolution)
+DEMOS = {
+    "torus": (torus_descent_demo, DEFAULT_TORUS, TORUS_DEMO_LOOP, 1e-8, "descent_resolution"),
+    "sphere": (sphere_descent_demo, DEFAULT_SPHERE, sphere_cap_loop(1.0, 0.5), 1e-9,
+               "sphere_descent_resolution"),
+}
+
+
+class TestDescentWork:
+    @pytest.mark.parametrize("step_size", [0.05, 0.1, 0.3])
+    @pytest.mark.parametrize("resolution", [16, 64])
+    @pytest.mark.parametrize("name", sorted(DEMOS))
+    def test_demo_matches_serial_descent(self, name, resolution, step_size):
+        demo, m, formula, grad_tol, _ = DEMOS[name]
+        result, trace, *_ = demo(resolution, 2500, step_size)
+        f0 = sample_map(CIRCLE_ATLAS, m, formula, resolution)
+        final, want = serial_descend(f0, 2500, step_size, grad_tol)
+        got = list(trace.rows)
+        assert len(got) == len(want)
+        assert got[-1][2] <= grad_tol  # a stop row, whose next trial may differ
+        assert np.array(got[:-1]).tobytes() == np.array(want[:-1]).tobytes()
+        assert np.array(got[-1][:3]).tobytes() == np.array(want[-1][:3]).tobytes()
+        if name == "torus":  # the demo returns the final map, the sphere demo its energy
+            assert result.nodes.tobytes() == final.nodes.tobytes()
+        else:
+            assert result == dirichlet_energy(final)
+
+    @pytest.mark.parametrize("name,trials,logs", [("torus", 22, 40), ("sphere", 50, 87)])
+    def test_default_pass_work_is_pinned(self, name, trials, logs, monkeypatch):
+        # doubling after every accepted step, and taking the forward logs
+        # again per gradient, made 27 and 65 trials and 62 and 139 logs
+        demo, *_, field = DEMOS[name]
+        counts = Counter()
+        for fn in ("dirichlet_energy", "log_points"):
+            def counted(*args, _fn=getattr(energy, fn), _name=fn):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(energy, fn, counted)
+        config = ExperimentConfig()
+        final = demo(getattr(config, field), config.descent_steps, config.descent_step_size)[0]
+        assert counts["dirichlet_energy"] - 1 == trials  # the first call is the start
+        assert counts["log_points"] == logs
+        if name == "torus":  # the final energy the report records reads the kept logs
+            energy.dirichlet_energy(final)
+            assert counts["log_points"] == logs
+
+    def test_forward_logs_are_read_only_and_freed(self, monkeypatch):
+        f0 = sample_map(CIRCLE_ATLAS, T22, TORUS_DEMO_LOOP, 32)
+        vals = loop_values(f0)
+        dirichlet_energy(f0)
+        logs = energy._FORWARD_LOGS[f0]
+        assert np.array_equal(logs, log_points(T22, vals, np.roll(vals, -1, axis=0)))
+        assert not logs.flags.writeable
+        with pytest.raises(ValueError):
+            logs[0, 0] = 1.0
+        sobolev_gradient(f0)
+        assert energy._FORWARD_LOGS[f0] is logs
+        candidates = []
+
+        def recorded(f, s):
+            g = chart_inverse(f, s)
+            candidates.append(weakref.ref(g))
+            return g
+
+        monkeypatch.setattr(energy, "chart_inverse", recorded)
+        final, trace = descend(f0, 2500, 0.3, grad_tol=1e-8)
+        assert len(candidates) > len(trace.rows)  # some trials were rejected
+        # only the final iterate lives on, and the logs of no other map are kept
+        assert [ref() for ref in candidates if ref() is not None] == [final]
+        assert final in energy._FORWARD_LOGS
 
 
 class TestMonotoneViolation:

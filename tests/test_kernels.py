@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 import mapcalc
 from mapcalc import maps, target_charts
+from mapcalc.atlas import CIRCLE_ATLAS, chart_layout
 from mapcalc.cli import ExperimentConfig, run_suite
 from mapcalc.manifolds import cross, dist_points, flat_torus, log_points, mod_periods
-from mapcalc.maps import add_fourier_modes, harmonic_tables
+from mapcalc.maps import add_fourier_modes, harmonic_tables, loop_draws, random_loop, stack_draws
 from mapcalc.target_charts import lift_grid
 
-from oracles import unwrap_lift
+from oracles import _fourier_sum, unwrap_lift
 
 TAU = 2 * math.pi
 
@@ -186,6 +187,19 @@ class TestHarmonicTables:
             ref = ref + s[:, None] * coeffs[k, 0]
             ref = ref + c[:, None] * coeffs[k, 1]
         assert_same_bits(add_fourier_modes(out, theta, coeffs), ref)
+
+    @pytest.mark.parametrize("trials", [None, 3])
+    def test_sphere_loops_match_direct_trig(self, trials, rng):
+        m = mapcalc.sphere(1.5)
+        mesh = chart_layout(CIRCLE_ATLAS, 4096).mesh
+        draws = [loop_draws(m, rng) for _ in range(trials or 1)]
+        got = random_loop(m, stack_draws(draws) if trials else draws[0]).fn(mesh)
+        theta = mesh[..., 0]
+        for k, (coeffs,) in enumerate(draws):
+            base = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1)
+            base = _fourier_sum(base, theta, coeffs)
+            want = m.radius * base / np.linalg.norm(base, axis=-1)[..., None]
+            assert_same_bits(got[k] if trials else got, want)
 
 
 def _plain_harmonics(theta, modes):

@@ -1,6 +1,10 @@
 """Tests for the composition-operator calculus and the Taylor remainder."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +143,20 @@ class TestGridNorms:
 
 
 class TestTaylor:
+    def test_quadrature_rule_loads_on_first_use(self):
+        # the rule's numpy.polynomial and LAPACK cost every process that never
+        # takes a Taylor remainder about 1.7 MB of memory
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = ("import sys, mapcalc.cli, mapcalc.experiments as ex\n"
+                 "print('numpy.polynomial' in sys.modules)\n"
+                 "mapcalc.taylor_remainder(ex.taylor_cases()['sin_r2'], [0.4], [0.1])\n"
+                 "print('numpy.polynomial' in sys.modules)")
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.stdout.split() == ["False", "True"], result.stderr
+
     def test_zero_displacement_exact(self):
         for data in taylor_cases().values():
             assert taylor_remainder(data, [0.4], [0.0]) == 0.0

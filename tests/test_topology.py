@@ -39,7 +39,7 @@ from mapcalc.experiments import (
     random_section,
 )
 from mapcalc.finite_diff import jet_sup, jet_sup_diff, jets, stencil_window
-from mapcalc.manifolds import log_dist_points
+from mapcalc.manifolds import log_dist_points, project_tangent
 from mapcalc.maps import great_circle, torus_loop
 from mapcalc.sections import PullbackSection, make_section, section_rep
 from mapcalc.topology import cover_jets, jets_distance
@@ -212,8 +212,20 @@ class TestSupsKeepNaN:
         f = random_center(S1, 16, rng)
         with pytest.raises(ValueError):
             PullbackSection(f, self.nan_in_chart(f, chart), 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sup nan must stay strictly below bound nan"):
             make_section(f, self.nan_in_chart(f, chart))
+
+    def test_default_bound_takes_one_sup(self, rng, monkeypatch):
+        from mapcalc import sections
+
+        f = random_center(S1, 16, rng)
+        vectors = project_tangent(S1, f.nodes, rng.standard_normal(f.nodes.shape))
+        calls = []
+        sup_norm = sections._sup_norm
+        monkeypatch.setattr(sections, "_sup_norm", lambda *a: calls.append(a) or sup_norm(*a))
+        s = make_section(f, vectors)
+        assert len(calls) == 1
+        assert type(s.bound) is float and s.bound == s.sup * (1.0 + 1e-9) + 1e-300
 
     @pytest.mark.parametrize("alpha", [(0,), (1,)])
     def test_jet_sup_diff_keeps_nan(self, alpha):

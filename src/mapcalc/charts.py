@@ -12,6 +12,7 @@ the Banach-space Taylor expansion with integral remainder.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Sequence
@@ -48,6 +49,25 @@ from .sections import PullbackSection, make_section, maps_equal
 def default_delta(f: SampledMap, factor: float = 0.4) -> float:
     """Default chart bound along f: a 1/6 margin of the injectivity radius."""
     return factor * inj_radius(f.target) / 6.0
+
+
+# the frames of each map still alive, keyed by the map: maps are immutable and
+# hash by identity, and an entry goes with its map
+_FRAMES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _map_frames(f: SampledMap) -> np.ndarray:
+    """Read-only ``frames_at`` of every node of ``f``, computed once per map.
+
+    The frames are Euclidean-orthonormal, so they belong to the nodes and not
+    to a metric: the round and conformal spheres of one radius share them.
+    """
+    frames = _FRAMES.get(f)
+    if frames is None:
+        frames = frames_at(f.target, f.nodes)
+        frames.flags.writeable = False
+        _FRAMES[f] = frames
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +192,7 @@ def metric_transition_batch(
 
     exp is taken at f's nodes in ``m_from`` and log at g's in ``m_to``: a
     change of metric passes g = f, a chart transition one metric.  The
-    matrices map the frames of ``frames_at`` along f to those along g, and
+    matrices map the frames of ``_map_frames`` along f to those along g, and
     the images are sections along g.  The four ``fiber_probes`` around s0
     and the node arrays of every section are stacked into one batch.  A
     node's logarithm does not depend on its batch, so each result has the
@@ -186,17 +206,17 @@ def metric_transition_batch(
     blocks = [t.vectors for t in sections]
     probed = s0 is not None and m_from.kind != TORUS
     if probed:
-        blocks = [*fiber_probes(m_from, f.nodes, s0.vectors, step), *blocks]
+        blocks = [*fiber_probes(_map_frames(f), s0.vectors, step), *blocks]
     if blocks:
         moved = exp_points(m_from, np.concatenate([f.nodes] * len(blocks)), np.concatenate(blocks))
         logs = log_points(m_to, np.concatenate([g.nodes] * len(blocks)), moved)
         blocks = np.split(logs, len(blocks))
     mats = None
     if probed:
-        mats = fiber_matrices(m_to, g.nodes, np.stack(blocks[:4]), step)
+        mats = fiber_matrices(_map_frames(g), np.stack(blocks[:4]), step)
         blocks = blocks[4:]
     elif s0 is not None:
-        mats = frames_at(m_from, f.nodes)  # torus frames are the identity
+        mats = _map_frames(f)  # torus frames are the identity
     return mats, [make_section(g, part) for part in blocks]
 
 
@@ -207,9 +227,8 @@ def apply_fiber_matrices(
 
     The matrices map the pointwise frames along f to those along g.
     """
-    m = f.target
-    w = np.einsum("...ab,...b->...a", mats, to_frame(frames_at(m, f.nodes), s.vectors))
-    return make_section(g, from_frame(frames_at(m, g.nodes), w))
+    w = np.einsum("...ab,...b->...a", mats, to_frame(_map_frames(f), s.vectors))
+    return make_section(g, from_frame(_map_frames(g), w))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .energy import dirichlet_energy
 from .errors import ConfigError, MapcalcError
 from .finite_diff import sup
 from .io import canonical_json, write_map_csv, write_trace_csv
-from .manifolds import finite_number, flat_torus, sphere
+from .manifolds import TargetManifold, finite_number, flat_torus, sphere
 from .maps import great_circle
 
 SUITES = ("charts", "topology", "omega", "taylor", "transitions", "descent")
@@ -53,9 +53,13 @@ class ExperimentConfig:
     descent_step_size: float = 0.1
     sphere_descent_resolution: int = 64
     out_dir: str = "reports"
+    # the sphere(1.0, conformal=conformal) that validation builds, kept for the checks
+    conformal_target: TargetManifold = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for f in fields(self):
+            if not f.init:
+                continue
             value, kind = getattr(self, f.name), _FIELD_TYPES.get(f.type, object)
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise ConfigError(f"{f.name} must be of type {f.type}, not {value!r}")
@@ -82,9 +86,10 @@ class ExperimentConfig:
         except ValueError as err:
             raise ConfigError(f"bad torus periods {self.torus_periods!r}: {err}") from err
         try:
-            sphere(1.0, conformal=self.conformal)
+            target = sphere(1.0, conformal=self.conformal)
         except Exception as err:
             raise ConfigError(f"bad conformal factor {self.conformal!r}: {err}") from err
+        object.__setattr__(self, "conformal_target", target)
 
     @property
     def sphere(self):
@@ -267,7 +272,7 @@ def _checks(config: ExperimentConfig, traces: dict | None) -> list[Check]:
 
     def metric():
         return sup(ex.metric_independence_residuals(
-            res, _rng(config, 35), n_sections=config.sections, conformal_expr=config.conformal
+            res, _rng(config, 35), config.sections, config.conformal_target
         ))
 
     # each demo runs once, whichever of the four descent checks asks first
@@ -371,7 +376,7 @@ def execute_checks(checks: list[Check]) -> None:
         try:
             residual = float(check.thunk())
         except Exception as err:
-            click.echo(f"check {check.name} raised:\n{traceback.format_exc()}", err=True)
+            print(f"check {check.name} raised:\n{traceback.format_exc()}", file=sys.stderr)
             check.error = f"{type(err).__name__}: {err}"
             continue
         finally:
@@ -383,12 +388,17 @@ def execute_checks(checks: list[Check]) -> None:
 
 
 def run_suite(config: ExperimentConfig, suite: str, out_dir: str | Path) -> int:
-    """Run a suite, write report files, and return the exit status."""
+    """Run a suite, write report files, and return the exit status.
+
+    It prints with ``print``, not ``click.echo``: click keeps a wrapper per
+    ``sys.stdout`` object that holds the stream, so a caller that redirects
+    the output of each call would keep every stream alive.
+    """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        click.echo(f"cannot create output directory: {err}", err=True)
+        print(f"cannot create output directory: {err}", file=sys.stderr)
         return 3
     started = time.time()
     traces: dict = {}
@@ -421,15 +431,15 @@ def run_suite(config: ExperimentConfig, suite: str, out_dir: str | Path) -> int:
         for name, trace in traces.items():
             write_trace_csv(trace, out / name)
     except OSError as err:
-        click.echo(f"cannot write report: {err}", err=True)
+        print(f"cannot write report: {err}", file=sys.stderr)
         return 3
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
         residual = "none" if check.residual is None else f"{check.residual:.3e}"
         over = "" if check.over_tolerance is None else f" ({check.over_tolerance:.3g}x tol)"
         error = "" if check.error is None else f" ({check.error})"
-        click.echo(f"{status} {check.name}: residual={residual} "
-                   f"tol={check.tolerance:.1e}{over}{error}")
+        print(f"{status} {check.name}: residual={residual} "
+              f"tol={check.tolerance:.1e}{over}{error}")
     return 0 if report["all_pass"] else 1
 
 

@@ -299,10 +299,11 @@ def metric_independence_residuals(
     resolution: int,
     rng: np.random.Generator,
     n_sections: int,
-    conformal_expr: str = DEFAULT_CONFORMAL_EXPR,
+    m_conf: TargetManifold,
     dirs_per_base: int = 5,
 ) -> list[float]:
-    """Derivative checks for the transition between round and conformal charts.
+    """Derivative checks for the transition between round and conformal
+    charts, ``m_conf`` being a conformal unit sphere.
 
     Bases s0 are shared by several direction sections, so the nodewise
     fiber derivative (four probes per node) is amortized across them; the
@@ -311,7 +312,6 @@ def metric_independence_residuals(
     """
     eps = 1e-3
     m_round = DEFAULT_SPHERE
-    m_conf = sphere(1.0, conformal=conformal_expr)
     f = random_center(m_round, resolution, rng)
     residuals: list[float] = []
     while len(residuals) < n_sections:

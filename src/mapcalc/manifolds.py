@@ -713,7 +713,8 @@ def dist_points(m: TargetManifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # 370 (|v| / R)^(5/4); the flow's loop runs the 2k steps of its longest row
 _FLOW_RULE = (1, 64.0, True)
 # The chord Jacobian only steers the Newton iteration, whose root and stopping
-# test come from full-rule residual flows, so its probes flow plain RK4 at a
+# test come from full-rule residual flows (the mean of its probe images takes
+# the first step, from the start), so its probes flow plain RK4 at a
 # sixteenth of the 370 (|v| / R)^(5/4) steps that plain RK4 needs for the
 # full rule's error (Kelley, Iterative Methods for Linear and Nonlinear
 # Equations, 1995)
@@ -866,10 +867,10 @@ def _rk4_update(y, k1, k2, k3, k4, sixth):
 def _shoot_log(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Invert the conformal exponential by Newton iteration in frame coordinates.
 
-    The iteration is batched over all leading axes; the round-metric
-    logarithm provides the initial guess and the residual is measured
-    through the round logarithm at the target, which is well defined for
-    the desk-scale distances the charts allow.  Each node stops once its own
+    The iteration is batched over all leading axes; ``_shoot_start`` provides
+    the initial guess and the residual is measured through the round
+    logarithm at the target, which is well defined for the desk-scale
+    distances the charts allow.  Each node stops once its own
     residual is below ``_SHOOT_TOL``, and later iterations run on the nodes
     still moving, so a node's result does not depend on the rest of the batch.
     That is why each distinct (base, target) pair, compared by its bytes
@@ -889,9 +890,28 @@ def _shoot_log(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.nd
     return w[inverse].reshape(shape)
 
 
+def _shoot_start(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The Newton start of conformal shooting, an ambient vector at ``base``.
+
+    A geodesic of speed v reaches b + v + a(b, v) / 2 + O(|v|^3), and the
+    round and conformal accelerations differ by the conformal part a_c, the
+    terms of ``_conformal_rhs`` in the factor's gradient.  So the round logarithm
+    w_r less a_c(b, w_r) / 2 misses the conformal logarithm by O(|w_r|^3),
+    from one right-hand side evaluation and no flow (Hairer, Norsett &
+    Wanner, Solving Ordinary Differential Equations I, II.1).  For a
+    constant factor a_c is exactly zero and the start is the round logarithm.
+    """
+    w_r = log_points(sphere(m.radius), base, target)
+    round_part = (dot(w_r, w_r) / m.radius**2)[..., None] * base
+    return w_r - 0.5 * (_conformal_rhs(m, base, w_r) + round_part)
+
+
 def _shoot_pairs(m: TargetManifold, base: np.ndarray, target: np.ndarray, node) -> np.ndarray:
     """``_shoot_log`` on (n, 3) arrays of bases and targets.
 
+    Iteration 0 takes its chord step from the Jacobian's own coarse probe
+    flows: the mean of the four probe images is the coarse residual at the
+    start.  Every later step, and the stopping test, reads a full-rule flow.
     A failure names the worst pair, by ``node(i)`` for pair i: the node with
     the smallest Jacobian determinant, or the largest residual left after the
     last iteration.
@@ -904,21 +924,21 @@ def _shoot_pairs(m: TargetManifold, base: np.ndarray, target: np.ndarray, node) 
         end = _geodesic_flow(m, base[live], from_frame(frames[live], wc), rule)
         return to_frame(target_frames[live], log_points(round_m, target[live], end))
 
-    w = to_frame(frames, log_points(round_m, base, target))
+    w = to_frame(frames, _shoot_start(m, base, target))
     live = np.arange(len(w))
-    inv = None
-    r0 = residual(w, live)
+    r0 = None
     for it in range(_SHOOT_MAX_ITER + 1):
-        moving = ~(norm(r0) < _SHOOT_TOL)
-        live, r0 = live[moving], r0[moving]
-        if not live.size:
-            return from_frame(frames, w)
-        if it == _SHOOT_MAX_ITER:
-            break
-        if inv is None or it % _JACOBIAN_REFRESH == 0:
+        if r0 is not None:
+            moving = ~(norm(r0) < _SHOOT_TOL)
+            live, r0 = live[moving], r0[moving]
+            if not live.size:
+                return from_frame(frames, w)
+            if it == _SHOOT_MAX_ITER:
+                break
+        if it % _JACOBIAN_REFRESH == 0:
             # chord Newton: the Jacobian is refreshed rarely, from coarse flows
-            probes = frame_probes(w[live], 1e-7)
-            jac = frame_quotient(residual(probes, live, _JACOBIAN_RULE), 1e-7)
+            images = residual(frame_probes(w[live], 1e-7), live, _JACOBIAN_RULE)
+            jac = frame_quotient(images, 1e-7)
             det = np.abs(np.linalg.det(jac))
             if np.any(det < 1e-14):
                 i = int(np.nanargmin(det))
@@ -927,6 +947,8 @@ def _shoot_pairs(m: TargetManifold, base: np.ndarray, target: np.ndarray, node) 
                     f"Jacobian determinant of magnitude {det[i]:.3g}, below 1e-14"
                 )
             inv = np.linalg.inv(jac)
+            if r0 is None:
+                r0 = 0.25 * (images[0] + images[1] + images[2] + images[3])
         else:
             inv = inv[moving]
         w[live] = w[live] - np.einsum("...ab,...b->...a", inv, r0)
@@ -961,23 +983,23 @@ def fiber_derivative_points(
     dst = np.asarray(dst, dtype=float)
     if m_src.kind == TORUS:
         return frames_at(m_src, src)  # torus frames are the identity
-    probes = fiber_probes(m_src, src, v0, step)
-    return fiber_matrices(m_dst, dst, log_points(m_dst, dst, exp_points(m_src, src, probes)), step)
+    probes = fiber_probes(frames_at(m_src, src), v0, step)
+    images = log_points(m_dst, dst, exp_points(m_src, src, probes))
+    return fiber_matrices(frames_at(m_dst, dst), images, step)
 
 
-def fiber_probes(m_src: TargetManifold, src: np.ndarray, v0: np.ndarray, step: float) -> np.ndarray:
+def fiber_probes(frames: np.ndarray, v0: np.ndarray, step: float) -> np.ndarray:
     """The ``frame_probes`` of ``fiber_derivative_points`` around ``v0``, as
-    ambient vectors at ``src`` stacked on a new leading axis.
+    ambient vectors in the source ``frames`` stacked on a new leading axis.
 
     A caller may push them through exp and log inside a larger batch and
     hand their images to ``fiber_matrices``.
     """
-    frames = frames_at(m_src, src)
     return from_frame(frames, frame_probes(to_frame(frames, np.asarray(v0, dtype=float)), step))
 
 
-def fiber_matrices(m_dst: TargetManifold, dst: np.ndarray, images: np.ndarray, step: float):
+def fiber_matrices(frames: np.ndarray, images: np.ndarray, step: float):
     """Derivative matrices from ``images``, log_dst(exp_src(probe)) of the
-    ``fiber_probes`` in their stacked order."""
-    return frame_quotient(to_frame(frames_at(m_dst, dst), images), step)
+    ``fiber_probes`` in their stacked order, in the destination ``frames``."""
+    return frame_quotient(to_frame(frames, images), step)
 

@@ -506,7 +506,7 @@ class TestMetricIndependence:
         assert np.array_equal(mats, np.broadcast_to(np.eye(2), f.nodes.shape[:-1] + (2, 2)))
 
     def test_one_conformal_shooting_per_base(self, rng, shoot_calls):
-        residuals = metric_independence_residuals(16, rng, n_sections=4, dirs_per_base=2)
+        residuals = metric_independence_residuals(16, rng, 4, S_CONF, dirs_per_base=2)
         assert len(residuals) == 4
         # two bases; each batch holds 4 fiber probes and 2 x 2 direction
         # probes per node
@@ -533,7 +533,7 @@ class TestMetricIndependence:
 
     def test_derivative_check_small_sample(self, rng):
         # 4 sections over bases of 3 directions: the last base is cut short
-        residuals = metric_independence_residuals(64, rng, n_sections=4, dirs_per_base=3)
+        residuals = metric_independence_residuals(64, rng, 4, S_CONF, dirs_per_base=3)
         assert len(residuals) == 4
         assert max(residuals) < 1e-4
 

@@ -1,11 +1,15 @@
 """Tests for file formats, report determinism, and the command line."""
 
+import contextlib
+import gc
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -374,6 +378,18 @@ class TestRunSuite:
         assert zero and zero[0]["residual"] == 0.0
         assert all("anchor" in c for c in report["checks"])
         assert (tmp_path / "metadata.json").exists()
+
+    def test_redirected_output_is_not_kept(self, tmp_path):
+        # a caller that redirects each run's output, as a benchmark loop does,
+        # gets every stream back to free; click.echo would cache each one
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            run_suite(ExperimentConfig(resolution=32, trials=2, sections=1), "taylor", tmp_path)
+        assert stream.getvalue().startswith("PASS taylor_")
+        ref = weakref.ref(stream)
+        del stream
+        gc.collect()
+        assert ref() is None
 
     def test_reports_byte_identical_for_same_seed(self, tmp_path):
         # two runs in one process: nothing the first run leaves behind moves a byte

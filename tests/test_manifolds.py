@@ -28,6 +28,7 @@ from mapcalc.manifolds import (
     _conformal_rhs,
     _geodesic_flow,
     _identity_seeds,
+    _shoot_start,
     check_points,
     dist_points,
     dot,
@@ -643,22 +644,20 @@ def spy_flows(monkeypatch):
 
 
 class TestConformalShooting:
-    """Each distinct (base, target) pair is shot once, and the chord
-    Jacobian's coarse probe flows leave the Newton schedule as it was."""
+    """Each distinct (base, target) pair is shot once from the second-order
+    start, and the chord Jacobian's coarse probe flows take the first step."""
 
     M = sphere(1.0, conformal="exp(0.3*z)")
 
-    # nodes per flow of a 200-node logarithm: the residual, the Jacobian's
-    # four probes per node, then one residual per chord-Newton step over the
-    # nodes still moving.  Step counts from the error budget left the schedule
-    # of the 64-step floor as it was up to |v| = 0.7; at 1.0 and 1.1 one node
-    # stops an iteration sooner
+    # nodes per flow of a 200-node logarithm: the Jacobian's four probes per
+    # node, whose mean image takes the first chord step, then one full-rule
+    # residual per step over the nodes still moving
     SCHEDULE = {
-        0.05: [200, 800, 200, 194],
-        0.3: [200, 800, 200, 200, 195, 23],
-        0.7: [200, 800, 200, 200, 200, 198, 137, 3],
-        1.0: [200, 800, 200, 200, 200, 199, 196, 159, 69],
-        1.1: [200, 800, 200, 200, 200, 199, 198, 178, 118, 30],
+        0.05: [800, 200, 200],
+        0.3: [800, 200, 200],
+        0.7: [800, 200, 200, 186, 2],
+        1.0: [800, 200, 200, 197, 178, 9],
+        1.1: [800, 200, 200, 200, 187, 67],
     }
 
     @staticmethod
@@ -676,20 +675,20 @@ class TestConformalShooting:
         flows = spy_flows(monkeypatch)
         logs = log_points(self.M, base, targets)
         assert [n for n, _ in flows] == self.SCHEDULE[speed]
-        # only the Jacobian's probes (the second flow) take the coarse rule
+        # only the Jacobian's probes (the first flow) take the coarse rule
         assert [rule for _, rule in flows] == [
-            _JACOBIAN_RULE if i == 1 else _FLOW_RULE for i in range(len(flows))
+            _JACOBIAN_RULE if i == 0 else _FLOW_RULE for i in range(len(flows))
         ]
         assert np.max(np.abs(logs - vecs)) < 2e-11
 
     # _conformal_rhs calls and node evaluations of the 200-node exp_points,
-    # then log_points, of `shots`.  Plain RK4 from the step rule
-    # max(8, ceil(370 (|v| / R)^(5/4))) took 36, 332 and 1,480 calls for exp
-    # and 124, 1,712 and 12,220 for log
+    # then log_points, of `shots`; the log's count includes the one call of
+    # its start.  Plain RK4 from the step rule max(8, ceil(370 (|v| / R)^(5/4)))
+    # took 36, 332 and 1,480 calls for exp
     WORK = {
-        0.05: ((16, 4_800), (56, 20_656)),
-        0.3: ((120, 36_000), (624, 165_332)),
-        1.0: ((512, 153_600), (4_312, 1_178_292)),
+        0.05: ((16, 4_800), (41, 16_200)),
+        0.3: ((120, 36_000), (265, 91_400)),
+        1.0: ((512, 153_600), (2_697, 683_388)),
     }
 
     @pytest.mark.parametrize("speed", sorted(WORK))
@@ -708,6 +707,30 @@ class TestConformalShooting:
         widths.clear()
         log_points(self.M, base, targets)
         assert (exp_work, (len(widths), sum(widths))) == self.WORK[speed]
+
+    @pytest.mark.parametrize("radius", [1.0, 2.5])
+    def test_start_is_second_order(self, radius, rng):
+        # the start misses the logarithm by O(|v|^3): each halving of the
+        # speed cuts its largest error about 8 times, where the round
+        # logarithm's O(|v|^2) miss would fall 4 times
+        m = sphere(radius, conformal="exp(0.3*z)")
+        base, vecs = random_sphere_data(m, rng, 50, 1.0)
+        units = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+        errors = []
+        for speed in (0.2, 0.1, 0.05, 0.025):
+            targets = exp_points(m, base, units * speed)
+            start = _shoot_start(m, base, targets)
+            errors.append(np.max(np.abs(start - log_points(m, base, targets))))
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((7.0 < ratios) & (ratios < 9.0)), ratios
+
+    def test_start_of_a_constant_factor_is_the_round_logarithm(self, rng):
+        # a constant factor has no conformal acceleration, and its round part
+        # cancels exactly
+        m = sphere(1.0, conformal="2.5 + 0*x")
+        base, vecs = random_sphere_data(S1, rng, 40, 1.0)
+        targets = exp_points(S1, base, vecs)
+        assert np.array_equal(_shoot_start(m, base, targets), log_points(S1, base, targets))
 
     def test_coarse_rule_flow_matches_c_ordered_oracle(self, rng):
         # the coarse rule runs the same kernel as plain RK4 at
@@ -729,8 +752,9 @@ class TestConformalShooting:
         distinct_flows = list(flows)
         flows.clear()
         logs = log_points(self.M, base[rows].reshape(3, 4, 3), targets[rows].reshape(3, 4, 3))
-        # the flows of the repeated batch are those of its 5 distinct pairs
-        assert flows == distinct_flows and flows[0][0] == 5
+        # the flows of the repeated batch are those of its 5 distinct pairs,
+        # the first being the Jacobian's 4 probes per pair
+        assert flows == distinct_flows and flows[0][0] == 4 * 5
         assert logs.shape == (3, 4, 3) and logs.flags.c_contiguous
         for i, got in zip(rows, logs.reshape(-1, 3)):
             assert np.array_equal(got, alone[i]) and np.array_equal(got, distinct[i])
@@ -742,8 +766,9 @@ class TestConformalShooting:
         alone = [log_points(self.M, b, t) for b, t in zip(base, targets)]
         flows = spy_flows(monkeypatch)
         logs = log_points(self.M, base, targets)
-        # rows 0 and 2 repeat each other; row 1 differs only in the sign of a zero
-        assert flows[0][0] == 2
+        # rows 0 and 2 repeat each other; row 1 differs only in the sign of a
+        # zero; the first flow holds the Jacobian's 4 probes per distinct pair
+        assert flows[0][0] == 4 * 2
         for got, ref in zip(logs, alone):
             assert np.array_equal(got, ref)
 
@@ -756,14 +781,14 @@ class TestConformalShooting:
         return str(err.value)
 
     def test_non_convergence_names_the_worst_node(self, monkeypatch):
-        # after two chord-Newton steps no node has converged; the error names
+        # after one chord-Newton step no node has converged; the error names
         # the node with the largest residual, as each node reports it alone
-        monkeypatch.setattr(manifolds, "_SHOOT_MAX_ITER", 2)
+        monkeypatch.setattr(manifolds, "_SHOOT_MAX_ITER", 1)
         base, vecs = self.shots(1.0, 4)
         vecs = vecs * np.array([0.3, 0.6, 0.4, 0.5])[:, None]
         targets = exp_points(self.M, base, vecs)
         alone = [self.failure(base[i:i + 1], targets[i:i + 1]) for i in range(4)]
-        residuals = [re.search(r"node \(0,\): residual (\S+) after 2 ", a)[1] for a in alone]
+        residuals = [re.search(r"node \(0,\): residual (\S+) after 1 ", a)[1] for a in alone]
         worst = int(np.argmax([float(r) for r in residuals]))
         assert residuals.count(residuals[worst]) == 1 and float(residuals[worst]) > 1e-11
         message = self.failure(base.reshape(2, 2, 3), targets.reshape(2, 2, 3))
@@ -774,8 +799,8 @@ class TestConformalShooting:
         targets = exp_points(self.M, base, vecs)
         flows = spy_flows(monkeypatch)
         logs = log_points(self.M, base, targets)
-        # the first residual and one Jacobian's probes, then a residual per step
-        steps = len(flows) - 2
+        # one Jacobian's probes, then a residual per step
+        steps = len(flows) - 1
         assert 1 < steps <= manifolds._JACOBIAN_REFRESH
         monkeypatch.setattr(manifolds, "_SHOOT_MAX_ITER", steps)
         assert np.array_equal(log_points(self.M, base, targets), logs)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, combinations
 from typing import Callable, NamedTuple
 
@@ -184,18 +184,21 @@ class SampledMap:
     """A map sampled at every chart grid node.
 
     ``nodes`` holds one value per node in the order of ``chart_layout``,
-    shape (N, amb), or (T, N, amb) for a batch of T maps; ``values`` holds
-    its per-chart views over the chart grids, built once.
+    shape (N, amb), or (T, N, amb) for a batch of T maps.
     """
 
     atlas: DomainAtlas
     target: TargetManifold
     resolution: int
     nodes: np.ndarray
-    values: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", self.views(self.nodes))
+    @cached_property
+    def values(self) -> tuple[np.ndarray, ...]:
+        """The per-chart views of one map's nodes, built on first read; the
+        grid layers read them, so they refuse a batch here."""
+        if self.trials is not None:
+            raise TrialAxisUnsupported(f"the grid layers take one map, not a batch of {self.trials}")
+        return self.views(self.nodes)
 
     def views(self, nodes: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-chart views over the chart grids of a node array (..., N, amb)
@@ -212,14 +215,6 @@ class SampledMap:
     def trials(self) -> int | None:
         """The length of the leading trial axis of a batch of maps; None for one map."""
         return self.nodes.shape[0] if self.nodes.ndim == 3 else None
-
-
-def require_single(f: SampledMap, layer: str) -> None:
-    """Reject a batch of maps at a layer that reads the grid axes of one map."""
-    if f.trials is not None:
-        raise TrialAxisUnsupported(
-            f"{layer} takes one map, not a batch of {f.trials} on a trial axis"
-        )
 
 
 @dataclass(frozen=True)
@@ -307,7 +302,6 @@ def piece_jets(f: SampledMap, chart_id: int, k: int, rep: Callable) -> Jets:
     """Partial derivatives up to order ``k``, at the compact-piece nodes of
     chart ``chart_id``, of the chart-local array ``rep(window)`` returns;
     ``window`` is the compact piece and its stencil margin only."""
-    require_single(f, "compact-piece jets")
     ksl = compact_slices(f.atlas.charts[chart_id], f.resolution)
     outer, inner = stencil_window(ksl, k, f.values[chart_id].shape)
     return jets(rep(outer), inner, TAU / f.resolution, k)
@@ -321,7 +315,6 @@ def chart_jet(f: SampledMap, target_chart: TargetChart, chart_id: int, k: int) -
     inside the target chart; the surrounding stencil nodes only need the
     representative, which both chart kinds provide smoothly.
     """
-    require_single(f, "chart_jet")
     if not check_containment(f, target_chart, chart_id):
         raise TargetChartViolated(
             f"values on the compact piece of chart {chart_id} leave the target chart"
@@ -365,7 +358,6 @@ def shared_nodes(atlas: DomainAtlas, resolution: int, ci: int, cj: int):
 
 def overlap_residual(f: SampledMap) -> float:
     """Max target distance between the charts' values at shared lattice nodes."""
-    require_single(f, "overlap_residual")
     return sup(
         np.max(dist_points(f.target, f.values[ci][idx_i], f.values[cj][idx_j]))
         for ci, cj in combinations(range(len(f.atlas.charts)), 2)

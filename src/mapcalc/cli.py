@@ -2,12 +2,13 @@
 
 Reports are deterministic for a fixed config and seed: the JSON report
 carries only check results, while wall-clock metadata goes to a separate
-file.  Exit codes: 0 all checks pass, 1 a check failed, 2 config error,
-3 I/O error.
+file.  Exit codes: 0 all checks pass, 1 a check failed, 2 config or usage
+error, 3 I/O error.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import math
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import experiments as ex
@@ -388,12 +388,7 @@ def execute_checks(checks: list[Check]) -> None:
 
 
 def run_suite(config: ExperimentConfig, suite: str, out_dir: str | Path) -> int:
-    """Run a suite, write report files, and return the exit status.
-
-    It prints with ``print``, not ``click.echo``: click keeps a wrapper per
-    ``sys.stdout`` object that holds the stream, so a caller that redirects
-    the output of each call would keep every stream alive.
-    """
+    """Run a suite, write report files, and return the exit status."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -444,48 +439,18 @@ def run_suite(config: ExperimentConfig, suite: str, out_dir: str | Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# click entry points
+# the command line
 
 
-@click.group()
-def main():
-    """Desk-scale checks for charts on mapping spaces."""
-
-
-def _load_or_exit(config_path: str | None, **overrides) -> ExperimentConfig:
-    """``load_config`` for a command: a config error exits with status 2."""
-    try:
-        return load_config(config_path, **overrides)
-    except ConfigError as err:
-        click.echo(f"config error: {err}", err=True)
-        raise SystemExit(2)
-
-
-@main.command("run")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--suite", type=click.Choice(SUITES + ("all",)), default="all")
-@click.option("--out", "out_dir", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--resolution", type=int, default=None)
-def run_cmd(config_path, suite, out_dir, seed, resolution):
-    """Run a verification suite and write JSON reports."""
-    config = _load_or_exit(config_path, seed=seed, resolution=resolution)
-    out = out_dir if out_dir is not None else config.out_dir
-    raise SystemExit(run_suite(config, suite, out))
-
-
-@main.command("descend")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--out", "out_dir", type=click.Path(), default=None)
-def descend_cmd(config_path, out_dir):
-    """Run the torus descent demo and write the trace and final map."""
-    config = _load_or_exit(config_path)
-    out = Path(out_dir if out_dir is not None else config.out_dir)
+def descend(config: ExperimentConfig, out_dir: str | Path) -> int:
+    """Run the torus descent demo, write the trace and final map, and return
+    the exit status."""
+    out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        click.echo(f"cannot create output directory: {err}", err=True)
-        raise SystemExit(3)
+        print(f"cannot create output directory: {err}", file=sys.stderr)
+        return 3
     try:
         final, trace, _ = ex.torus_descent_demo(
             config.descent_resolution, config.descent_steps, config.descent_step_size
@@ -493,9 +458,9 @@ def descend_cmd(config_path, out_dir):
     except MapcalcError as err:
         # a well-typed config the demo cannot run, such as a first step so
         # large that no halving brings it inside the chart
-        click.echo(f"config error: the descent demo failed: {type(err).__name__}: {err}",
-                   err=True)
-        raise SystemExit(2)
+        print(f"config error: the descent demo failed: {type(err).__name__}: {err}",
+              file=sys.stderr)
+        return 2
     energy = dirichlet_energy(final)
     try:
         write_trace_csv(trace, out / "descent_trace.csv")
@@ -507,11 +472,43 @@ def descend_cmd(config_path, out_dir):
         }
         (out / "descent_report.json").write_text(canonical_json(report))
     except OSError as err:
-        click.echo(f"cannot write outputs: {err}", err=True)
-        raise SystemExit(3)
-    click.echo(f"final energy {energy:.6f} after {len(trace.rows)} steps")
-    raise SystemExit(0)
+        print(f"cannot write outputs: {err}", file=sys.stderr)
+        return 3
+    print(f"final energy {energy:.6f} after {len(trace.rows)} steps")
+    return 0
+
+
+def main() -> int:
+    """Parse ``sys.argv``, run the command and return its exit status; a
+    usage error returns 2 and ``--help`` 0."""
+    parser = argparse.ArgumentParser(
+        prog="mapcalc", description="Desk-scale checks for charts on mapping spaces.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    run = commands.add_parser("run", help="run a verification suite", allow_abbrev=False)
+    demo = commands.add_parser("descend", help="run the torus descent demo", allow_abbrev=False)
+    for command in (run, demo):
+        command.add_argument("--config")
+        command.add_argument("--out")
+    run.add_argument("--suite", choices=SUITES + ("all",), default="all")
+    run.add_argument("--seed", type=int)
+    run.add_argument("--resolution", type=int)
+    try:
+        args = parser.parse_args()
+    except SystemExit as stop:
+        return stop.code
+    overrides = {"seed": args.seed, "resolution": args.resolution} if args.command == "run" else {}
+    try:
+        config = load_config(args.config, **overrides)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
+    out = args.out if args.out is not None else config.out_dir
+    if args.command == "run":
+        return run_suite(config, args.suite, out)
+    return descend(config, out)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

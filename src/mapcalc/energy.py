@@ -25,10 +25,9 @@ from .atlas import (
     chart_layout,
     compact_slices,
     grid_ranges,
-    require_single,
 )
 from .charts import apply_fiber_matrices, chart_inverse, default_delta, metric_transition_batch
-from .errors import StepOutOfChart
+from .errors import StepOutOfChart, TrialAxisUnsupported
 from .manifolds import (
     inner_points,
     log_points,
@@ -127,7 +126,8 @@ def _forward_logs(f: SampledMap, vals: np.ndarray) -> np.ndarray:
 def loop_values(f: SampledMap) -> np.ndarray:
     """Values on the global loop lattice, each node owned by one compact piece."""
     _require_circle(f)
-    require_single(f, "loop_values")
+    if f.trials is not None:
+        raise TrialAxisUnsupported(f"loop_values takes one map, not a batch of {f.trials}")
     return f.nodes[_loop_lattice(f.atlas, f.resolution)[0]]
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atlas import CIRCLE_ATLAS, TORUS2_ATLAS, SampledMap, chart_layout, require_single
+from .atlas import CIRCLE_ATLAS, TORUS2_ATLAS, SampledMap, chart_layout, grid_ranges
 from .energy import DescentTrace
 from .manifolds import POINT_TOL, SPHERE, TargetManifold, check_points, dot, finite_number, norm
 from .sections import PullbackSection
@@ -34,7 +34,7 @@ def _write_grid_csv(f: SampledMap, extra: dict, groups, path) -> None:
     ``groups`` pairs a column prefix with a node array along f; the rows
     follow the node order, chart after chart.
     """
-    require_single(f, "the grid CSV writers")
+    views = f.values  # refuses a batch before the file is opened
     dim = f.atlas.dim
     amb = f.target.ambient_dim
     head = {"atlas": f.atlas.kind, "resolution": f.resolution,
@@ -46,7 +46,7 @@ def _write_grid_csv(f: SampledMap, extra: dict, groups, path) -> None:
             ["chart_id"] + [f"i{a}" for a in range(dim)]
             + [f"{prefix}{a}" for prefix, _ in groups for a in range(amb)]
         )
-        labels = ((chart.id, *idx) for chart, view in zip(f.atlas.charts, f.values)
+        labels = ((chart.id, *idx) for chart, view in zip(f.atlas.charts, views)
                   for idx in np.ndindex(view.shape[:-1]))
         for label, *vecs in zip(labels, *(nodes for _, nodes in groups)):
             writer.writerow([*label] + [repr(float(x)) for vec in vecs for x in vec])
@@ -73,13 +73,20 @@ def _read_grid_csv(path, ngroups: int) -> tuple[dict, SampledMap, tuple]:
         reader = csv.reader(fh)
         if next(reader, None) is None:
             raise ValueError(f"{path}: missing column names line")
+        rows = [(reader.line_num + 1, row) for row in reader]
+        # the rows must fill the header's grid before its mesh is built: a
+        # three-row file may claim a resolution of 1e9
+        nodes = sum(math.prod(j1 - j0 + 1 for j0, j1 in grid_ranges(chart, res))
+                    for chart in atlas.charts)
+        if len(rows) < nodes:
+            raise ValueError(f"{path}: {nodes - len(rows)} grid nodes missing")
         dim = atlas.dim
         amb = target.ambient_dim
         shapes, starts, _ = chart_layout(atlas, res)
         groups = np.empty((ngroups, starts[-1], amb))
         seen = np.zeros(starts[-1], dtype=bool)
-        for row in reader:
-            where = f"{path}, line {reader.line_num + 1}"
+        for line, row in rows:
+            where = f"{path}, line {line}"
             if len(row) != 1 + dim + ngroups * amb:
                 raise ValueError(f"{where}: expected {1 + dim + ngroups * amb} fields")
             cid = int(row[0])

@@ -19,7 +19,6 @@ from .atlas import (
     chart_jet,
     compact_slices,
     piece_jets,
-    require_single,
     same_discretization,
 )
 from .errors import HypothesisViolated, TargetChartViolated
@@ -33,7 +32,6 @@ CkCover = tuple[TargetChart, ...]
 
 
 def canonical_cover(f: SampledMap) -> CkCover:
-    require_single(f, "canonical_cover")
     return tuple(
         auto_chart(f.target, f.values[chart.id][compact_slices(chart, f.resolution)])
         for chart in f.atlas.charts

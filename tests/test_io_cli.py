@@ -15,12 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapcalc import CIRCLE_ATLAS, TORUS2_ATLAS, MapFormula, flat_torus, sample_map, sphere
-from mapcalc.atlas import TAU
+from mapcalc.atlas import TAU, chart_layout
 from mapcalc import experiments, topology
 from mapcalc.cli import (
     SUITES,
@@ -124,6 +123,30 @@ def test_grid_reader_rejects_header_only_file(tmp_path, rng, kind):
         read = read_section_csv
     path.write_text(path.read_text().splitlines(keepends=True)[0])
     with pytest.raises(ValueError):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", ["map", "section"])
+def test_grid_reader_counts_rows_before_building_the_grid(tmp_path, monkeypatch, rng, kind):
+    # three rows under a header of resolution 1e9, whose mesh would take 16 GB
+    f = sample_map(CIRCLE_ATLAS, S1, great_circle(), 16)
+    path = tmp_path / "grid.csv"
+    if kind == "map":
+        write_map_csv(f, path)
+        read = read_map_csv
+    else:
+        write_section_csv(random_section(f, rng, 0.2, bound=0.3), path)
+        read = read_section_csv
+    head, columns, *rows = path.read_text().splitlines()
+    header = {**json.loads(head[2:]), "resolution": 10**9}
+    path.write_text("\n".join(["# " + json.dumps(header), columns, *rows[:3]]) + "\n")
+
+    def small_layout(atlas, resolution):
+        assert resolution <= 4096, f"the reader built a grid at resolution {resolution}"
+        return chart_layout(atlas, resolution)
+
+    monkeypatch.setattr("mapcalc.io.chart_layout", small_layout)
+    with pytest.raises(ValueError, match="grid nodes missing"):
         read(path)
 
 
@@ -381,7 +404,7 @@ class TestRunSuite:
 
     def test_redirected_output_is_not_kept(self, tmp_path):
         # a caller that redirects each run's output, as a benchmark loop does,
-        # gets every stream back to free; click.echo would cache each one
+        # gets every stream back to free: nothing caches a stream it printed to
         stream = io.StringIO()
         with contextlib.redirect_stdout(stream):
             run_suite(ExperimentConfig(resolution=32, trials=2, sections=1), "taylor", tmp_path)
@@ -656,43 +679,78 @@ BAD_CONFIGS = {
 }
 
 
+def _main(monkeypatch, *args: str) -> int:
+    """``main`` run on the command line ``mapcalc *args``."""
+    monkeypatch.setattr(sys, "argv", ["mapcalc", *args])
+    return main()
+
+
+# command lines the parser refuses with status 2, and a request for help
+USAGE = {
+    "unknown_suite": (["run", "--suite", "bogus"], 2),
+    "non_integer_seed": (["run", "--seed", "x"], 2),
+    "unknown_command": (["bogus"], 2),
+    "unknown_option": (["run", "--nope", "1"], 2),
+    "abbreviated_option": (["run", "--res", "64"], 2),
+    "run_option_on_descend": (["descend", "--seed", "3"], 2),
+    "no_command": ([], 2),
+    "help": (["run", "--help"], 0),
+}
+
+
 class TestCliCommands:
     @pytest.mark.parametrize("data, flags", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
-    def test_malformed_config_exits_2(self, tmp_path, data, flags):
+    def test_malformed_config_exits_2(self, tmp_path, monkeypatch, data, flags):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(data))
-        runner = CliRunner()
         args = ["run", "--suite", "taylor", "--config", str(cfg), "--out", str(tmp_path)]
-        result = runner.invoke(main, args + flags)
-        assert result.exit_code == 2
+        assert _main(monkeypatch, *args, *flags) == 2
 
-    def test_failed_trace_write_exits_3(self, tmp_path):
+    @pytest.mark.parametrize("args, status", list(USAGE.values()), ids=list(USAGE))
+    def test_usage(self, monkeypatch, capsys, args, status):
+        assert _main(monkeypatch, *args) == status
+        captured = capsys.readouterr()
+        assert "usage: mapcalc" in captured.out + captured.err
+        assert "Traceback" not in captured.err
+
+    def test_import_loads_no_click(self):
+        # numpy is the only runtime dependency
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = "import sys, mapcalc.cli; print('click' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.stdout == "False\n"
+
+    def test_failed_trace_write_exits_3(self, tmp_path, monkeypatch, capsys):
         # the descent trace is an output file like the reports: a write that
         # fails is an I/O error, not a failing check
         (tmp_path / "torus_descent_trace.csv").mkdir()
-        result = CliRunner().invoke(main, ["run", "--suite", "descent", "--out", str(tmp_path)])
-        assert result.exit_code == 3
-        assert "cannot write report" in result.output
+        assert _main(monkeypatch, "run", "--suite", "descent", "--out", str(tmp_path)) == 3
+        assert "cannot write report" in capsys.readouterr().err
         assert json.loads((tmp_path / "report.json").read_text())["all_pass"]
 
-    def test_bool_torus_period_exits_2_with_one_config_error_line(self, tmp_path):
+    def test_bool_torus_period_exits_2_with_one_config_error_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
         # a JSON true would otherwise run as a period of 1.0
         cfg = tmp_path / "periods.json"
         cfg.write_text(json.dumps({"torus_periods": [True, 6.283185307179586]}))
         args = ["run", "--suite", "charts", "--config", str(cfg), "--out", str(tmp_path / "out")]
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code == 2
-        assert result.output.splitlines() == [
+        assert _main(monkeypatch, *args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
             "config error: bad torus periods (True, 6.283185307179586): "
             "torus period must be a finite number, not True"
         ]
 
-    def test_descend_non_object_config_exits_2(self, tmp_path):
+    def test_descend_non_object_config_exits_2(self, tmp_path, monkeypatch):
         cfg = tmp_path / "list.json"
         cfg.write_text(json.dumps([1, 2]))
         out = tmp_path / "out"
-        result = CliRunner().invoke(main, ["descend", "--config", str(cfg), "--out", str(out)])
-        assert result.exit_code == 2
+        assert _main(monkeypatch, "descend", "--config", str(cfg), "--out", str(out)) == 2
         assert not out.exists()
 
     def test_descend_step_out_of_every_chart_exits_2_without_traceback(self, tmp_path):
@@ -722,41 +780,31 @@ class TestCliCommands:
         )
         assert result.returncode == 2
 
-    def test_taylor_suite_exit_0(self, tmp_path):
-        runner = CliRunner()
-        result = runner.invoke(main, ["run", "--suite", "taylor", "--out", str(tmp_path)])
-        assert result.exit_code == 0
-        assert "taylor_zero_displacement" in result.output
+    def test_taylor_suite_exit_0(self, tmp_path, monkeypatch, capsys):
+        assert _main(monkeypatch, "run", "--suite", "taylor", "--out", str(tmp_path)) == 0
+        assert "taylor_zero_displacement" in capsys.readouterr().out
 
-    def test_unwritable_out_exits_3(self, tmp_path):
+    def test_unwritable_out_exits_3(self, tmp_path, monkeypatch):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
-        runner = CliRunner()
-        result = runner.invoke(
-            main, ["run", "--suite", "taylor", "--out", str(blocker / "sub")]
-        )
-        assert result.exit_code == 3
+        assert _main(monkeypatch, "run", "--suite", "taylor", "--out", str(blocker / "sub")) == 3
 
-    def test_descend_command_writes_outputs(self, tmp_path):
+    def test_descend_command_writes_outputs(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"descent_resolution": 48, "descent_steps": 400}))
-        runner = CliRunner()
-        result = runner.invoke(
-            main, ["descend", "--config", str(cfg), "--out", str(tmp_path / "out")]
-        )
-        assert result.exit_code == 0
+        args = ["descend", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert _main(monkeypatch, *args) == 0
         report = json.loads((tmp_path / "out/descent_report.json").read_text())
         assert abs(report["final_energy"] - math.pi) < 5e-2
         assert (tmp_path / "out/descent_trace.csv").exists()
         assert (tmp_path / "out/descent_final_map.csv").exists()
 
-    def test_descend_demo_ignores_torus_periods(self, tmp_path):
+    def test_descend_demo_ignores_torus_periods(self, tmp_path, monkeypatch):
         # the demo loop closes only on the 2 pi torus, whose energy minimum is pi
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"torus_periods": [5.0, 7.0]}))
         for name, args in (("default", []), ("periods", ["--config", str(cfg)])):
-            result = CliRunner().invoke(main, ["descend", *args, "--out", str(tmp_path / name)])
-            assert result.exit_code == 0
+            assert _main(monkeypatch, "descend", *args, "--out", str(tmp_path / name)) == 0
         for name in ("descent_trace.csv", "descent_final_map.csv", "descent_report.json"):
             assert (tmp_path / "default" / name).read_bytes() == (
                 tmp_path / "periods" / name

@@ -34,8 +34,6 @@ from .energy import (
     descend,
     dirichlet_energy,
     energy_gradient,
-    fixed_chart_step,
-    geodesic_residual,
     loop_values,
     winding_numbers,
 )
@@ -70,7 +68,6 @@ from .sections import (
     section_max_diff,
     section_scale,
     section_sup,
-    zero_section,
 )
 from .target_charts import SphereCapChart, TorusBranchChart, auto_chart
 from .topology import (

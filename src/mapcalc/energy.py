@@ -26,18 +26,16 @@ from .atlas import (
     compact_slices,
     grid_ranges,
 )
-from .charts import apply_fiber_matrices, chart_inverse, default_delta, metric_transition_batch
+from .charts import chart_inverse, default_delta
 from .errors import StepOutOfChart, TrialAxisUnsupported
 from .manifolds import (
     inner_points,
     log_points,
-    norm_points,
     torus_wrap,
 )
 from .sections import (
     PullbackSection,
     make_section,
-    section_add,
     section_scale,
     section_sup,
 )
@@ -182,25 +180,11 @@ def sobolev_gradient(f: SampledMap) -> PullbackSection:
     return make_section(f, smooth[_loop_lattice(f.atlas, n)[1]])
 
 
-def loop_inner(f: SampledMap, s: PullbackSection, t: PullbackSection) -> float:
-    """Weighted inner product pairing gradients with directional derivatives."""
-    vals = loop_values(f)
-    owner = _loop_lattice(f.atlas, f.resolution)[0]
-    sv, tv = s.vectors[owner], t.vectors[owner]
-    return float(np.sum(inner_points(f.target, vals, sv, tv)) * loop_step(f))
-
-
 def _geodesic_laplacian(f: SampledMap, vals: np.ndarray) -> np.ndarray:
     """Sum of the logarithms from the loop values ``vals`` of ``f`` toward
     both neighbors, over the squared step."""
     bwd = log_points(f.target, vals, vals[_loop_neighbors(f.resolution)[1]])
     return (_forward_logs(f, vals) + bwd) / loop_step(f) ** 2
-
-
-def geodesic_residual(f: SampledMap) -> float:
-    """Sup norm of the discrete geodesic equation over the loop nodes."""
-    vals = loop_values(f)
-    return float(np.max(norm_points(f.target, vals, _geodesic_laplacian(f, vals))))
 
 
 def winding_numbers(f: SampledMap) -> tuple[int, ...]:
@@ -267,20 +251,3 @@ def descend(
             trial = 2.0 * trial
     return f, DescentTrace(tuple(rows))
 
-
-def fixed_chart_step(
-    f0: SampledMap, s: PullbackSection, step_size: float
-) -> PullbackSection:
-    """One descent step taken inside the fixed chart at f0.
-
-    The tangent step at the current map is transported into the chart
-    through the inverse of the chart-inverse fiber derivative, then added
-    linearly to the section.  This is the moving-chart update seen through
-    the fixed chart, so the two trajectories agree to second order in the
-    step size.
-    """
-    m = f0.target
-    current = chart_inverse(f0, s)
-    mats, _ = metric_transition_batch(f0, current, s, [], m, m, step=1e-6)
-    chart_grad = apply_fiber_matrices(current, f0, np.linalg.inv(mats), energy_gradient(current))
-    return section_add(s, section_scale(chart_grad, -step_size))

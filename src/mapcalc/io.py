@@ -75,7 +75,10 @@ def _read_grid_csv(path, ngroups: int) -> tuple[dict, SampledMap, tuple]:
             raise ValueError(f"{path}: missing column names line")
         rows = [(reader.line_num + 1, row) for row in reader]
         # the rows must fill the header's grid before its mesh is built: a
-        # three-row file may claim a resolution of 1e9
+        # three-row file may claim a resolution of 1e9, or of 10**400, which
+        # overflows the grid step; every atlas has at least ``res`` nodes
+        if res > len(rows):
+            raise ValueError(f"{path}: at least {res - len(rows)} grid nodes missing")
         nodes = sum(math.prod(j1 - j0 + 1 for j0, j1 in grid_ranges(chart, res))
                     for chart in atlas.charts)
         if len(rows) < nodes:

@@ -7,19 +7,10 @@ import functools
 import numpy as np
 
 from .atlas import MapFormula
-from .manifolds import TargetManifold, norm, reduce_points
+from .manifolds import TargetManifold, norm
 
 # scale of the random Fourier coefficients of random loops, 1/k of it at mode k
 LOOP_AMPLITUDE = 0.15
-
-
-def constant_formula(m: TargetManifold, coords) -> MapFormula:
-    p = reduce_points(m, np.asarray(coords, dtype=float))
-
-    def fn(mesh):
-        return np.broadcast_to(p, mesh.shape[:-1] + (len(p),)).copy()
-
-    return MapFormula(f"const{tuple(np.round(p, 3))}", fn)
 
 
 def torus_loop(

@@ -77,10 +77,6 @@ def _as_bound(bound) -> float | np.ndarray:
     return bound if isinstance(bound, np.ndarray) else float(bound)
 
 
-def zero_section(f: SampledMap) -> PullbackSection:
-    return make_section(f, np.zeros_like(f.nodes), bound=1e-300)
-
-
 def section_from_formula(
     f: SampledMap,
     vector_fn: Callable[[np.ndarray], np.ndarray],

@@ -3,7 +3,9 @@
 Everything here is deliberately written from scratch against first
 principles (geodesic ODE integration, dense polylines, brute-force lattice
 search, Richardson extrapolation) so the package code under test never
-computes its own expected values.
+computes its own expected values.  The last section is the exception: it
+holds helpers that only the tests call, built on the package's own layers;
+``tests/test_referenced.py`` keeps such code out of ``mapcalc``.
 """
 
 import math
@@ -428,3 +430,68 @@ def serial_descend(f0, steps, step_size, grad_tol, max_halvings=30):
         rows.append((it, e, gnorm, trial))
         trial = 2.0 * trial
     return f, rows
+
+
+# ---------------------------------------------------------------------------
+# test-only constructions and diagnostics, built on the package's own layers:
+# a constant map, the zero section, the loop pairing, the geodesic residual
+# and the fixed-chart step that the moving-chart descent is checked against
+
+
+def constant_formula(m, coords):
+    """The constant map at ``coords``, reduced onto ``m``."""
+    from mapcalc.atlas import MapFormula
+    from mapcalc.manifolds import reduce_points
+
+    p = reduce_points(m, np.asarray(coords, dtype=float))
+
+    def fn(mesh):
+        return np.broadcast_to(p, mesh.shape[:-1] + (len(p),)).copy()
+
+    return MapFormula(f"const{tuple(np.round(p, 3))}", fn)
+
+
+def zero_section(f):
+    from mapcalc.sections import make_section
+
+    return make_section(f, np.zeros_like(f.nodes), bound=1e-300)
+
+
+def loop_inner(f, s, t):
+    """Weighted inner product pairing gradients with directional derivatives."""
+    from mapcalc.energy import _loop_lattice, loop_step, loop_values
+    from mapcalc.manifolds import inner_points
+
+    vals = loop_values(f)
+    owner = _loop_lattice(f.atlas, f.resolution)[0]
+    sv, tv = s.vectors[owner], t.vectors[owner]
+    return float(np.sum(inner_points(f.target, vals, sv, tv)) * loop_step(f))
+
+
+def geodesic_residual(f):
+    """Sup norm of the discrete geodesic equation over the loop nodes."""
+    from mapcalc.energy import _geodesic_laplacian, loop_values
+    from mapcalc.manifolds import norm_points
+
+    vals = loop_values(f)
+    return float(np.max(norm_points(f.target, vals, _geodesic_laplacian(f, vals))))
+
+
+def fixed_chart_step(f0, s, step_size):
+    """One descent step taken inside the fixed chart at f0.
+
+    The tangent step at the current map is transported into the chart
+    through the inverse of the chart-inverse fiber derivative, then added
+    linearly to the section.  This is the moving-chart update seen through
+    the fixed chart, so the two trajectories agree to second order in the
+    step size.
+    """
+    from mapcalc.charts import apply_fiber_matrices, chart_inverse, metric_transition_batch
+    from mapcalc.energy import energy_gradient
+    from mapcalc.sections import section_add, section_scale
+
+    m = f0.target
+    current = chart_inverse(f0, s)
+    mats, _ = metric_transition_batch(f0, current, s, [], m, m, step=1e-6)
+    chart_grad = apply_fiber_matrices(current, f0, np.linalg.inv(mats), energy_gradient(current))
+    return section_add(s, section_scale(chart_grad, -step_size))

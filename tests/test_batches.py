@@ -24,7 +24,6 @@ from mapcalc import (
     section_norm,
     sphere,
     transition,
-    zero_section,
 )
 from mapcalc import experiments as ex
 from mapcalc.cli import ExperimentConfig, build_suite, execute_checks
@@ -37,6 +36,7 @@ from oracles import (
     serial_chain_rule_residual,
     serial_cocycle_residual,
     serial_derivative_identity_residual,
+    zero_section,
 )
 
 S1 = sphere(1.0)

@@ -26,7 +26,6 @@ from mapcalc import (
     sphere,
     transition,
     transition_derivative,
-    zero_section,
 )
 from mapcalc.atlas import TAU, chart_layout
 from mapcalc import manifolds
@@ -55,9 +54,9 @@ from mapcalc.experiments import (
     roundtrip_residual,
     transition_differences,
 )
-from mapcalc.maps import constant_formula, great_circle, torus_loop
+from mapcalc.maps import great_circle, torus_loop
 from mapcalc.sections import make_section, section_from_formula
-from oracles import _tangent_frame, richardson_matrix
+from oracles import _tangent_frame, constant_formula, richardson_matrix, zero_section
 
 T22 = flat_torus(TAU, TAU)
 T24 = flat_torus(TAU, 4.0)

@@ -15,9 +15,7 @@ from mapcalc import (
     descend,
     dirichlet_energy,
     energy_gradient,
-    fixed_chart_step,
     flat_torus,
-    geodesic_residual,
     sample_map,
     section_add,
     section_scale,
@@ -28,7 +26,7 @@ from mapcalc import (
 from mapcalc import energy
 from mapcalc.atlas import TAU
 from mapcalc.cli import ExperimentConfig
-from mapcalc.energy import _loop_lattice, loop_inner, loop_step, loop_values, sobolev_gradient
+from mapcalc.energy import _loop_lattice, loop_step, loop_values, sobolev_gradient
 from mapcalc.experiments import (
     DEFAULT_SPHERE,
     DEFAULT_TORUS,
@@ -40,8 +38,14 @@ from mapcalc.experiments import (
 )
 from mapcalc.charts import apply_fiber_matrices
 from mapcalc.manifolds import fiber_derivative_points, inner_points, log_points, project_tangent
-from mapcalc.maps import constant_formula, sphere_cap_loop, torus_loop
-from oracles import serial_descend
+from mapcalc.maps import sphere_cap_loop, torus_loop
+from oracles import (
+    constant_formula,
+    fixed_chart_step,
+    geodesic_residual,
+    loop_inner,
+    serial_descend,
+)
 
 T22 = flat_torus(TAU, TAU)
 S1 = sphere(1.0)

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -111,16 +112,21 @@ def test_map_reader_rejects_corrupted_file(tmp_path, corrupt):
         read_map_csv(path)
 
 
-@pytest.mark.parametrize("kind", ["map", "section"])
-def test_grid_reader_rejects_header_only_file(tmp_path, rng, kind):
+def _grid_file(tmp_path, rng, kind):
+    """A map or a section file on the great circle at resolution 16, and its
+    reader."""
     f = sample_map(CIRCLE_ATLAS, S1, great_circle(), 16)
     path = tmp_path / "grid.csv"
     if kind == "map":
         write_map_csv(f, path)
-        read = read_map_csv
-    else:
-        write_section_csv(random_section(f, rng, 0.2, bound=0.3), path)
-        read = read_section_csv
+        return path, read_map_csv
+    write_section_csv(random_section(f, rng, 0.2, bound=0.3), path)
+    return path, read_section_csv
+
+
+@pytest.mark.parametrize("kind", ["map", "section"])
+def test_grid_reader_rejects_header_only_file(tmp_path, rng, kind):
+    path, read = _grid_file(tmp_path, rng, kind)
     path.write_text(path.read_text().splitlines(keepends=True)[0])
     with pytest.raises(ValueError):
         read(path)
@@ -129,14 +135,7 @@ def test_grid_reader_rejects_header_only_file(tmp_path, rng, kind):
 @pytest.mark.parametrize("kind", ["map", "section"])
 def test_grid_reader_counts_rows_before_building_the_grid(tmp_path, monkeypatch, rng, kind):
     # three rows under a header of resolution 1e9, whose mesh would take 16 GB
-    f = sample_map(CIRCLE_ATLAS, S1, great_circle(), 16)
-    path = tmp_path / "grid.csv"
-    if kind == "map":
-        write_map_csv(f, path)
-        read = read_map_csv
-    else:
-        write_section_csv(random_section(f, rng, 0.2, bound=0.3), path)
-        read = read_section_csv
+    path, read = _grid_file(tmp_path, rng, kind)
     head, columns, *rows = path.read_text().splitlines()
     header = {**json.loads(head[2:]), "resolution": 10**9}
     path.write_text("\n".join(["# " + json.dumps(header), columns, *rows[:3]]) + "\n")
@@ -147,6 +146,17 @@ def test_grid_reader_counts_rows_before_building_the_grid(tmp_path, monkeypatch,
 
     monkeypatch.setattr("mapcalc.io.chart_layout", small_layout)
     with pytest.raises(ValueError, match="grid nodes missing"):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", ["map", "section"])
+def test_grid_reader_rejects_a_resolution_beyond_floats(tmp_path, rng, kind):
+    # TAU / 10**400 overflows, so the bound must come before the grid step
+    path, read = _grid_file(tmp_path, rng, kind)
+    head, columns, *rows = path.read_text().splitlines()
+    header = {**json.loads(head[2:]), "resolution": 10**400}
+    path.write_text("\n".join(["# " + json.dumps(header), columns, *rows[:3]]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         read(path)
 
 

@@ -24,7 +24,6 @@ from mapcalc import (
     section_norm,
     sphere,
     witness_ladder,
-    zero_section,
 )
 from mapcalc import atlas, charts, experiments, gridfn, topology
 from mapcalc.atlas import TAU, chart_layout, compact_slices, map_sup_distance, overlap_residual
@@ -43,7 +42,7 @@ from mapcalc.manifolds import log_dist_points, project_tangent
 from mapcalc.maps import great_circle, torus_loop
 from mapcalc.sections import PullbackSection, make_section, section_rep
 from mapcalc.topology import cover_jets, jets_distance
-from oracles import probe_per_radius_ladder, ray_sweep_ratio
+from oracles import probe_per_radius_ladder, ray_sweep_ratio, zero_section
 
 T22 = flat_torus(TAU, TAU)
 S1 = sphere(1.0)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .atlas import SampledMap, map_sup_distance, same_discretization
 from .errors import (
-    BaseMismatch,
     FiberBoxViolated,
     ThickeningViolated,
     WellDefinednessViolated,
@@ -43,7 +42,7 @@ from .manifolds import (
     require_log_reach,
     to_frame,
 )
-from .sections import PullbackSection, make_section, maps_equal
+from .sections import PullbackSection, make_section, require_base
 
 
 def default_delta(f: SampledMap, factor: float = 0.4) -> float:
@@ -91,16 +90,13 @@ def chart_forward(f: SampledMap, g: SampledMap, delta: float) -> PullbackSection
             f"maps are {gap:.6g} apart, not within the chart bound {delta:.6g}"
         )
     require_log_reach(f.target, d)
-    return PullbackSection(f, vecs, float(delta))
+    return PullbackSection(f, vecs)
 
 
 def chart_inverse(f: SampledMap, s: PullbackSection) -> SampledMap:
     """Leave the chart at f: nodewise exponential of the section."""
-    if not maps_equal(s.base_map, f):
-        raise BaseMismatch("section is not based on the chart center")
-    inj = inj_radius(f.target)
-    # min(bound, sup) below the radius, trial by trial
-    if not holds((s.bound < inj) | (s.sup * (1 + 1e-12) < inj)):
+    require_base(f, [s])
+    if not holds(s.sup * (1 + 1e-12) < inj_radius(f.target)):
         raise WellDefinednessViolated(
             "section is too large to push through the exponential map"
         )
@@ -110,7 +106,7 @@ def chart_inverse(f: SampledMap, s: PullbackSection) -> SampledMap:
 def transition(f: SampledMap, g: SampledMap, s: PullbackSection) -> PullbackSection:
     """Re-center a section from the chart at f to the chart at g: the
     one-metric ``metric_transition_batch``, inside ``_require_margin``."""
-    _require_margin(f, g, s.bound, [s])
+    _require_margin(f, g, s.sup, [s])
     return metric_transition_batch(f, g, None, [s], f.target, f.target)[1][0]
 
 
@@ -123,7 +119,7 @@ def transition_derivative(
     central differences of step 1e-6; on the flat torus this is exactly the
     identity on vectors.
     """
-    _require_margin(f, g, s0.bound + 2e-6, [s0, s])  # the probes reach 2e-6 past s0
+    _require_margin(f, g, s0.sup + 2e-6, [s0, s])  # the probes reach 2e-6 past s0
     m = f.target
     mats, _ = metric_transition_batch(f, g, s0, [], m, m, step=1e-6)
     return apply_fiber_matrices(f, g, mats, s)
@@ -135,12 +131,11 @@ def _require_margin(f: SampledMap, g: SampledMap, reach: float | np.ndarray, sec
     injectivity radius: by the triangle inequality every exp_f(v) is then in
     the logarithm's reach at g.  The requirement is symmetric in the charts.
     For batches it holds per trial, with that trial's reach and distance."""
-    if not all(maps_equal(t.base_map, f) for t in sections):
-        raise BaseMismatch("section is not based on the source chart center")
+    require_base(f, sections)
     budget = reach + map_sup_distance(f, g)
     if not holds(budget < inj_radius(g.target)):
         raise WellDefinednessViolated(
-            f"section bound plus center distance {np.max(budget):.6g} exceeds the chart margin"
+            f"section sup plus center distance {np.max(budget):.6g} exceeds the chart margin"
         )
 
 
@@ -199,9 +194,7 @@ def metric_transition_batch(
     bits of a call of its own.  On the torus the matrices are the exact
     identity and need no probes.
     """
-    given = [s0, *sections] if s0 is not None else sections
-    if not all(maps_equal(t.base_map, f) for t in given):
-        raise BaseMismatch("section is not based on the chart center")
+    require_base(f, [s0, *sections] if s0 is not None else sections)
     same_discretization(f, g)
     blocks = [t.vectors for t in sections]
     probed = s0 is not None and m_from.kind != TORUS

@@ -40,6 +40,9 @@ from .sections import (
     section_sup,
 )
 
+# Halvings of a rejected trial step before ``descend`` gives up on an iterate.
+MAX_HALVINGS = 30
+
 
 @dataclass(frozen=True, eq=False)
 class DescentTrace:
@@ -201,7 +204,6 @@ def descend(
     f0: SampledMap,
     steps: int,
     step_size: float,
-    max_halvings: int = 30,
     grad_tol: float = 1e-8,
     on_step: Callable[[int, SampledMap], None] | None = None,
 ) -> tuple[SampledMap, DescentTrace]:
@@ -210,7 +212,7 @@ def descend(
     The direction is ``sobolev_gradient``, and the run stops once its sup
     norm is at most ``grad_tol``.  Each trial step must fit inside the chart
     bound of the iterate; on an energy increase the step is halved, at most
-    ``max_halvings`` times.  ``step_size`` is the first trial.  The next
+    ``MAX_HALVINGS`` times.  ``step_size`` is the first trial.  The next
     iterate tries the accepted step doubled when the first trial held, and
     the accepted step itself after any halving, so it never retries a step
     just rejected.  Each trace row records the accepted step; a stop row
@@ -229,7 +231,7 @@ def descend(
         delta = default_delta(f)
         accepted = None
         first = trial
-        for _ in range(max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             if trial * gnorm >= delta:
                 trial *= 0.5
                 continue

@@ -73,6 +73,9 @@ DEFAULT_TORUS = flat_torus(2 * math.pi, 2 * math.pi)
 DEFAULT_CONFORMAL_EXPR = "exp(0.3*z)"
 # Perturbed winding loop of class (1, 0) that the torus descent demos relax.
 TORUS_DEMO_LOOP = torus_loop((1, 0), waves=((0, 0.3, 0.4), (1, 0.2, 1.1)))
+# Sizes, as fractions of the chart bound, of the shrinking family along which
+# ``homeo_rate_ratios`` measures the chart's linear rates.
+HOMEO_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 # Most nodes one stacked batch of trials holds: trials times the nodes of one
@@ -103,11 +106,9 @@ def random_vector_field(draws: tuple[np.ndarray, np.ndarray]):
     return vf
 
 
-def random_section(
-    f: SampledMap, rng: np.random.Generator, sup: float, bound: float | None = None
-) -> PullbackSection:
+def random_section(f: SampledMap, rng: np.random.Generator, sup: float) -> PullbackSection:
     vf = random_vector_field(field_draws(rng, f.target.ambient_dim))
-    return section_from_formula(f, vf, sup_scale=sup, bound=bound)
+    return section_from_formula(f, vf, sup_scale=sup)
 
 
 def random_center(m: TargetManifold, resolution: int, rng: np.random.Generator) -> SampledMap:
@@ -157,7 +158,7 @@ def random_pair(
     f = random_center(m, resolution, rng)
     delta = default_delta(f, factor=delta_factor)
     sup = 0.9 * delta * rng.uniform(0.2, 0.99)
-    s = random_section(f, rng, sup, bound=delta)
+    s = random_section(f, rng, sup)
     g = chart_inverse(f, s)
     return f, g, delta
 
@@ -173,15 +174,15 @@ def roundtrip_residual(f: SampledMap, g: SampledMap, delta: float, k: int) -> fl
 
 
 def homeo_rate_ratios(
-    f: SampledMap, rng: np.random.Generator, k: int, ladder=(1e-1, 1e-2, 1e-3, 1e-4)
+    f: SampledMap, rng: np.random.Generator, k: int
 ) -> tuple[list[float], list[float]]:
     """Linear-rate witnesses for the chart and its inverse along a shrinking family."""
     delta = default_delta(f)
-    u = random_section(f, rng, sup=1.0, bound=2.0)
+    u = random_section(f, rng, sup=1.0)
     fwd, inv = [], []
     cover = canonical_cover(f)
     jf = cover_jets(f, cover, k)
-    for t in ladder:
+    for t in HOMEO_LADDER:
         ut = section_scale(u, t * delta)
         g = chart_inverse(f, ut)
         d = jets_distance(jf, cover_jets(g, cover, k))
@@ -227,9 +228,9 @@ def cocycle_residuals(
 
 def _cocycle(f: SampledMap, g_field, h_field, s_field) -> np.ndarray:
     delta = default_delta(f)
-    g = chart_inverse(f, section_from_formula(f, g_field, 0.25 * delta, bound=delta))
-    h = chart_inverse(f, section_from_formula(f, h_field, 0.25 * delta, bound=delta))
-    s = section_from_formula(f, s_field, 0.2 * delta, bound=0.25 * delta)
+    g = chart_inverse(f, section_from_formula(f, g_field, 0.25 * delta))
+    h = chart_inverse(f, section_from_formula(f, h_field, 0.25 * delta))
+    s = section_from_formula(f, s_field, 0.2 * delta)
     via = transition(g, h, transition(f, g, s))
     direct = transition(f, h, s)
     return section_max_diff(via, direct)
@@ -266,9 +267,9 @@ def derivative_identity_residuals(
     out = []
     for ((f, (g_field, s0_field, s_field)),) in trial_batches((m,), resolution, rng, trials, 3):
         delta = default_delta(f)
-        g = chart_inverse(f, section_from_formula(f, g_field, 0.3 * delta, bound=delta))
-        s0 = section_from_formula(f, s0_field, 0.25 * delta, bound=0.3 * delta)
-        s = section_from_formula(f, s_field, 0.2 * delta, bound=0.25 * delta)
+        g = chart_inverse(f, section_from_formula(f, g_field, 0.3 * delta))
+        s0 = section_from_formula(f, s0_field, 0.25 * delta)
+        s = section_from_formula(f, s_field, 0.2 * delta)
         ((fd, analytic),) = transition_differences(f, g, s0, [s], m, m, eps, step=1e-6)
         resid = section_max_diff(fd, analytic)
         out.append((resid, resid / np.maximum(section_sup(analytic), 1e-12)))
@@ -284,10 +285,10 @@ def chain_rule_residuals(
     for ((f, fields),) in trial_batches((m,), resolution, rng, trials, 4):
         delta = default_delta(f)
         g_field, h_field, s0_field, s_field = fields
-        g = chart_inverse(f, section_from_formula(f, g_field, 0.2 * delta, bound=delta))
-        h = chart_inverse(f, section_from_formula(f, h_field, 0.2 * delta, bound=delta))
-        s0 = section_from_formula(f, s0_field, 0.2 * delta, bound=0.25 * delta)
-        s = section_from_formula(f, s_field, 0.15 * delta, bound=0.2 * delta)
+        g = chart_inverse(f, section_from_formula(f, g_field, 0.2 * delta))
+        h = chart_inverse(f, section_from_formula(f, h_field, 0.2 * delta))
+        s0 = section_from_formula(f, s0_field, 0.2 * delta)
+        s = section_from_formula(f, s_field, 0.15 * delta)
         t0 = transition(f, g, s0)
         via = transition_derivative(g, h, t0, transition_derivative(f, g, s0, s))
         direct = transition_derivative(f, h, s0, s)
@@ -315,9 +316,9 @@ def metric_independence_residuals(
     f = random_center(m_round, resolution, rng)
     residuals: list[float] = []
     while len(residuals) < n_sections:
-        s0 = random_section(f, rng, 0.12, bound=0.2)
+        s0 = random_section(f, rng, 0.12)
         count = min(dirs_per_base, n_sections - len(residuals))
-        dirs = [random_section(f, rng, 0.08, bound=0.12) for _ in range(count)]
+        dirs = [random_section(f, rng, 0.08) for _ in range(count)]
         residuals += [
             section_max_diff(fd, analytic) / max(section_sup(analytic), 1e-12)
             for fd, analytic in transition_differences(f, f, s0, dirs, m_round, m_conf, eps, 1e-4)
@@ -463,8 +464,8 @@ def pseudometric_residuals(
     f = random_center(m, resolution, rng)
     delta = default_delta(f)
     cover = canonical_cover(f)
-    g = chart_inverse(f, random_section(f, rng, 0.1 * delta, bound=delta))
-    h = chart_inverse(f, random_section(f, rng, 0.1 * delta, bound=delta))
+    g = chart_inverse(f, random_section(f, rng, 0.1 * delta))
+    h = chart_inverse(f, random_section(f, rng, 0.1 * delta))
     # each map's jets once; jets_distance gives ck_distance's value
     jf, jg, jh = (cover_jets(x, cover, k) for x in (f, g, h))
     d_fg = jets_distance(jf, jg)
@@ -495,7 +496,7 @@ def basis_convergence_failures(
     """Shrinking family against three subbasis elements; counts late failures."""
     f = random_center(m, resolution, rng)
     delta = default_delta(f)
-    u = random_section(f, rng, delta * 0.5, bound=delta)
+    u = random_section(f, rng, delta * 0.5)
     nbhds = [
         neighborhood(f, epsilon=epsilon, order=1, chart_ids=(0,)),
         neighborhood(f, epsilon=0.5 * epsilon, order=0, chart_ids=(1,)),

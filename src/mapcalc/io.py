@@ -9,9 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .atlas import CIRCLE_ATLAS, TORUS2_ATLAS, SampledMap, chart_layout, grid_ranges
+from .atlas import CIRCLE_ATLAS, TORUS2_ATLAS, SampledMap, chart_layout
 from .energy import DescentTrace
-from .manifolds import POINT_TOL, SPHERE, TargetManifold, check_points, dot, finite_number, norm
+from .manifolds import POINT_TOL, SPHERE, TargetManifold, check_points, dot, norm
 from .sections import PullbackSection
 
 _ATLASES = {"circle": CIRCLE_ATLAS, "torus2": TORUS2_ATLAS}
@@ -27,7 +27,7 @@ def _read_header(line: str) -> dict:
     return json.loads(line[2:])
 
 
-def _write_grid_csv(f: SampledMap, extra: dict, groups, path) -> None:
+def _write_grid_csv(f: SampledMap, groups, path) -> None:
     """Per-chart codec: one row per grid node of f, holding chart_id, the grid
     indices, then one ambient vector per column group, in the group order.
 
@@ -38,7 +38,7 @@ def _write_grid_csv(f: SampledMap, extra: dict, groups, path) -> None:
     dim = f.atlas.dim
     amb = f.target.ambient_dim
     head = {"atlas": f.atlas.kind, "resolution": f.resolution,
-            "target": json.loads(f.target.to_json()), **extra}
+            "target": json.loads(f.target.to_json())}
     with Path(path).open("w", newline="") as fh:
         fh.write(_header(head) + "\n")
         writer = csv.writer(fh)
@@ -52,9 +52,9 @@ def _write_grid_csv(f: SampledMap, extra: dict, groups, path) -> None:
             writer.writerow([*label] + [repr(float(x)) for vec in vecs for x in vec])
 
 
-def _read_grid_csv(path, ngroups: int) -> tuple[dict, SampledMap, tuple]:
+def _read_grid_csv(path, ngroups: int) -> tuple[SampledMap, tuple]:
     """Read a per-chart file with ``ngroups`` column groups, the first being
-    the base points; returns the header, the base map and the other groups.
+    the base points; returns the base map and the other groups.
 
     Rejects a header without a known atlas, an integer resolution of at
     least 8 and a valid target; a file that ends after the header; missing,
@@ -74,18 +74,16 @@ def _read_grid_csv(path, ngroups: int) -> tuple[dict, SampledMap, tuple]:
         if next(reader, None) is None:
             raise ValueError(f"{path}: missing column names line")
         rows = [(reader.line_num + 1, row) for row in reader]
-        # the rows must fill the header's grid before its mesh is built: a
-        # three-row file may claim a resolution of 1e9, or of 10**400, which
-        # overflows the grid step; every atlas has at least ``res`` nodes
-        if res > len(rows):
-            raise ValueError(f"{path}: at least {res - len(rows)} grid nodes missing")
-        nodes = sum(math.prod(j1 - j0 + 1 for j0, j1 in grid_ranges(chart, res))
-                    for chart in atlas.charts)
-        if len(rows) < nodes:
-            raise ValueError(f"{path}: {nodes - len(rows)} grid nodes missing")
         dim = atlas.dim
         amb = target.ambient_dim
+        # the rows must fill the header's grid before its mesh is built: a
+        # three-row file may claim a resolution of 1e9, or 10**400, which overflows
+        # the grid step; an atlas has a few nodes, and at least one, per lattice point
+        if res**dim > len(rows):
+            raise ValueError(f"{path}: at least {res**dim - len(rows)} grid nodes missing")
         shapes, starts, _ = chart_layout(atlas, res)
+        if len(rows) < starts[-1]:
+            raise ValueError(f"{path}: {starts[-1] - len(rows)} grid nodes missing")
         groups = np.empty((ngroups, starts[-1], amb))
         seen = np.zeros(starts[-1], dtype=bool)
         for line, row in rows:
@@ -108,29 +106,30 @@ def _read_grid_csv(path, ngroups: int) -> tuple[dict, SampledMap, tuple]:
     if missing:
         raise ValueError(f"{path}: {missing} grid nodes missing")
     check_points(target, groups[0])
-    return head, SampledMap(atlas, target, res, groups[0]), tuple(groups[1:])
+    return SampledMap(atlas, target, res, groups[0]), tuple(groups[1:])
 
 
 def write_map_csv(f: SampledMap, path) -> None:
     """Columns: chart_id, grid indices, coordinate values."""
-    _write_grid_csv(f, {}, [("c", f.nodes)], path)
+    _write_grid_csv(f, [("c", f.nodes)], path)
 
 
 def read_map_csv(path) -> SampledMap:
-    return _read_grid_csv(path, 1)[1]
+    return _read_grid_csv(path, 1)[0]
 
 
 def write_section_csv(s: PullbackSection, path) -> None:
     """Columns: chart_id, grid indices, base point, vector components."""
     f = s.base_map
-    _write_grid_csv(f, {"bound": s.bound}, [("p", f.nodes), ("v", s.vectors)], path)
+    _write_grid_csv(f, [("p", f.nodes), ("v", s.vectors)], path)
 
 
 def read_section_csv(path) -> PullbackSection:
     """Read ``write_section_csv`` output; rejects what ``_read_grid_csv``
     rejects, and on the sphere a vector v at a point p with
-    |v.p| / R > ``POINT_TOL`` max(1, |v|)."""
-    head, f, (vecs,) = _read_grid_csv(path, 2)
+    |v.p| / R > ``POINT_TOL`` max(1, |v|).  A header key the format no longer
+    writes, such as an old file's ``bound``, is ignored."""
+    f, (vecs,) = _read_grid_csv(path, 2)
     # stored vectors were projected when the section was built; re-projecting
     # here would perturb the last bits and break exact round trips, so off-tangent
     # vectors are rejected instead
@@ -138,7 +137,7 @@ def read_section_csv(path) -> PullbackSection:
         off = np.abs(dot(vecs, f.nodes)) / f.target.radius
         if np.any(off > POINT_TOL * np.maximum(1.0, norm(vecs))):
             raise ValueError(f"{path}: vector off the tangent plane by {np.max(off):g}")
-    return PullbackSection(f, vecs, finite_number(head.get("bound"), "section bound"))
+    return PullbackSection(f, vecs)
 
 
 _TRACE_COLUMNS = ["step", "energy", "grad_norm", "step_size"]

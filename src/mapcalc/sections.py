@@ -4,7 +4,7 @@ A section stores one tangent vector per node of its base map, based at the
 map's value there, in a node array laid out as the map's (see ``atlas``).
 Sections are the local model of the mapping space: charts identify maps near
 f with small sections along f.  Along a batch of maps a section is a batch
-of sections, and its ``sup`` and ``bound`` hold one value per trial.
+of sections, and its ``sup`` holds one value per trial.
 """
 
 from __future__ import annotations
@@ -22,34 +22,25 @@ from .manifolds import norm_points, project_tangent, smooth_frames, to_frame
 
 @dataclass(frozen=True, eq=False)
 class PullbackSection:
-    """Vectors along the base map, with the bound governing chart use.
+    """Vectors along the base map, with the sup of their fiber norms.
 
-    ``bound`` strictly dominates the sup of the fiber norms.  Whether it is
-    also small enough to push the section through the exponential map is
-    checked where that happens, so raw data like energy gradients can be
-    carried as sections too.  ``sup``, the sup of the fiber norms, is
-    computed once here; a section is a value, its vectors are not changed
-    in place.  A ``bound`` of None becomes the tightest bound above the
-    sup.  For a batch, ``sup`` is an array of one sup per trial, and
-    ``bound`` a float or such an array; each trial's sup stays below its
-    own bound.
+    Whether the section is small enough to push through the exponential map
+    is checked where that happens, against its ``sup``, so raw data like
+    energy gradients can be carried as sections too.  ``sup`` is computed
+    once here and must be finite; a section is a value, its vectors are not
+    changed in place.  For a batch, ``sup`` is an array of one sup per trial.
     """
 
     base_map: SampledMap
     vectors: np.ndarray
-    bound: float | np.ndarray | None
     sup: float | np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sup = _sup_norm(self.base_map, self.vectors)
-        if self.bound is None:
-            object.__setattr__(self, "bound", _as_bound(sup * (1.0 + 1e-9) + 1e-300))
-        if not holds(sup < self.bound):
-            sups, bounds = np.broadcast_arrays(sup, self.bound)
-            i = np.flatnonzero(~(sups < bounds))[0]  # the first trial over its bound
-            raise ValueError(
-                f"section sup {sups.flat[i]:g} must stay strictly below bound {bounds.flat[i]:g}"
-            )
+        if not holds(sup < np.inf):  # a NaN or infinite sup, in some trial
+            i = np.flatnonzero(~(np.ravel(sup) < np.inf))[0]
+            trial = f" in trial {i}" if self.base_map.trials is not None else ""
+            raise ValueError(f"section sup {np.ravel(sup)[i]:g}{trial} is not finite")
         object.__setattr__(self, "sup", sup)
 
 
@@ -61,27 +52,21 @@ def maps_equal(f: SampledMap, g: SampledMap) -> bool:
     return np.array_equal(f.nodes, g.nodes)
 
 
-def require_same_base(s: PullbackSection, t: PullbackSection | SampledMap) -> None:
-    other = t.base_map if isinstance(t, PullbackSection) else t
-    if not maps_equal(s.base_map, other):
-        raise BaseMismatch("sections are not based on the same map")
+def require_base(f: SampledMap, sections) -> None:
+    """Every one of ``sections`` lies along ``f``."""
+    if not all(maps_equal(t.base_map, f) for t in sections):
+        raise BaseMismatch("section is not based on the same map")
 
 
-def make_section(f: SampledMap, vectors, bound: float | None = None) -> PullbackSection:
+def make_section(f: SampledMap, vectors) -> PullbackSection:
     vecs = project_tangent(f.target, f.nodes, np.asarray(vectors, dtype=float))
-    return PullbackSection(f, vecs, None if bound is None else _as_bound(bound))
-
-
-def _as_bound(bound) -> float | np.ndarray:
-    """A bound as a float, or as an array of one bound per trial."""
-    return bound if isinstance(bound, np.ndarray) else float(bound)
+    return PullbackSection(f, vecs)
 
 
 def section_from_formula(
     f: SampledMap,
     vector_fn: Callable[[np.ndarray], np.ndarray],
     sup_scale: float | None = None,
-    bound: float | None = None,
 ) -> PullbackSection:
     """Section from a closed-form vector field over the domain.
 
@@ -101,7 +86,7 @@ def section_from_formula(
         sup = np.asarray(_sup_norm(f, vecs))
         scale = np.divide(sup_scale, sup, out=np.ones_like(sup), where=sup > 0)
         vecs = vecs * scale.reshape(scale.shape + (1,) * (vecs.ndim - scale.ndim))
-    return make_section(f, vecs, bound=bound)
+    return make_section(f, vecs)
 
 
 def _sup_norm(f: SampledMap, vectors: np.ndarray) -> float | np.ndarray:
@@ -116,19 +101,18 @@ def section_sup(s: PullbackSection) -> float | np.ndarray:
 
 
 def section_add(s: PullbackSection, t: PullbackSection) -> PullbackSection:
-    require_same_base(s, t)
-    return PullbackSection(s.base_map, s.vectors + t.vectors, s.bound + t.bound)
+    require_base(s.base_map, [t])
+    return PullbackSection(s.base_map, s.vectors + t.vectors)
 
 
 def section_scale(s: PullbackSection, a: float) -> PullbackSection:
-    bound = abs(a) * s.bound + 1e-300
-    return PullbackSection(s.base_map, a * s.vectors, bound)
+    return PullbackSection(s.base_map, a * s.vectors)
 
 
 def section_max_diff(s: PullbackSection, t: PullbackSection) -> float:
     """Sup fiber norm of the difference of two sections over the same map;
     for a batch, one sup per trial."""
-    require_same_base(s, t)
+    require_base(s.base_map, [t])
     return _sup_norm(s.base_map, s.vectors - t.vectors)
 
 

@@ -310,7 +310,7 @@ def serial_random_center(m, resolution, rng):
     return sample_map(CIRCLE_ATLAS, m, MapFormula("serial_loop", fn), resolution)
 
 
-def serial_random_section(f, rng, sup, bound):
+def serial_random_section(f, rng, sup):
     """One random vector field along ``f``, drawn and evaluated on its own."""
     from mapcalc.sections import section_from_formula
 
@@ -323,7 +323,7 @@ def serial_random_section(f, rng, sup, bound):
         theta = mesh[..., 0]
         return _fourier_sum(np.broadcast_to(const, theta.shape + (amb,)), theta, coeff)
 
-    return section_from_formula(f, vf, sup_scale=sup, bound=bound)
+    return section_from_formula(f, vf, sup_scale=sup)
 
 
 def serial_cocycle_residual(m, resolution, rng):
@@ -332,9 +332,9 @@ def serial_cocycle_residual(m, resolution, rng):
 
     f = serial_random_center(m, resolution, rng)
     delta = default_delta(f)
-    g = chart_inverse(f, serial_random_section(f, rng, 0.25 * delta, delta))
-    h = chart_inverse(f, serial_random_section(f, rng, 0.25 * delta, delta))
-    s = serial_random_section(f, rng, 0.2 * delta, 0.25 * delta)
+    g = chart_inverse(f, serial_random_section(f, rng, 0.25 * delta))
+    h = chart_inverse(f, serial_random_section(f, rng, 0.25 * delta))
+    s = serial_random_section(f, rng, 0.2 * delta)
     via = transition(g, h, transition(f, g, s))
     direct = transition(f, h, s)
     return section_max_diff(via, direct)
@@ -349,9 +349,9 @@ def serial_derivative_identity_residual(m, resolution, rng):
     eps = 1e-2 if m.kind == "torus" else 1e-4
     f = serial_random_center(m, resolution, rng)
     delta = default_delta(f)
-    g = chart_inverse(f, serial_random_section(f, rng, 0.3 * delta, delta))
-    s0 = serial_random_section(f, rng, 0.25 * delta, 0.3 * delta)
-    s = serial_random_section(f, rng, 0.2 * delta, 0.25 * delta)
+    g = chart_inverse(f, serial_random_section(f, rng, 0.3 * delta))
+    s0 = serial_random_section(f, rng, 0.25 * delta)
+    s = serial_random_section(f, rng, 0.2 * delta)
     ((fd, analytic),) = transition_differences(f, g, s0, [s], m, m, eps, step=1e-6)
     resid = section_max_diff(fd, analytic)
     return resid, resid / max(section_sup(analytic), 1e-12)
@@ -363,10 +363,10 @@ def serial_chain_rule_residual(m, resolution, rng):
 
     f = serial_random_center(m, resolution, rng)
     delta = default_delta(f)
-    g = chart_inverse(f, serial_random_section(f, rng, 0.2 * delta, delta))
-    h = chart_inverse(f, serial_random_section(f, rng, 0.2 * delta, delta))
-    s0 = serial_random_section(f, rng, 0.2 * delta, 0.25 * delta)
-    s = serial_random_section(f, rng, 0.15 * delta, 0.2 * delta)
+    g = chart_inverse(f, serial_random_section(f, rng, 0.2 * delta))
+    h = chart_inverse(f, serial_random_section(f, rng, 0.2 * delta))
+    s0 = serial_random_section(f, rng, 0.2 * delta)
+    s = serial_random_section(f, rng, 0.15 * delta)
     t0 = transition(f, g, s0)
     via = transition_derivative(g, h, t0, transition_derivative(f, g, s0, s))
     direct = transition_derivative(f, h, s0, s)
@@ -454,7 +454,7 @@ def constant_formula(m, coords):
 def zero_section(f):
     from mapcalc.sections import make_section
 
-    return make_section(f, np.zeros_like(f.nodes), bound=1e-300)
+    return make_section(f, np.zeros_like(f.nodes))
 
 
 def loop_inner(f, s, t):

@@ -126,7 +126,7 @@ def assert_error_row(name):
 class TestPerTrialSup:
     def test_nan_stays_in_its_trial(self):
         f, (vf,) = sphere_batch(3, 1)
-        s = section_from_formula(f, vf, 0.1, bound=0.2)
+        s = section_from_formula(f, vf, 0.1)
         assert s.sup.shape == (3,) and np.allclose(s.sup, 0.1)
         s.vectors[1, 5, 0] = np.nan  # planted after the section's own check
         diff = section_max_diff(s, zero_section(f))
@@ -135,10 +135,10 @@ class TestPerTrialSup:
 
     def test_each_trial_scales_to_its_own_sup(self):
         f, (vf,) = sphere_batch(4, 1)
-        s = section_from_formula(f, vf, 0.3, bound=0.5)
+        s = section_from_formula(f, vf, 0.3)
         for t in range(4):
             alone = f.with_nodes(f.nodes[t])
-            one = section_from_formula(alone, lambda mesh: vf(mesh)[t], 0.3, bound=0.5)
+            one = section_from_formula(alone, lambda mesh: vf(mesh)[t], 0.3)
             assert same_bits(s.vectors[t], one.vectors)
             assert s.sup[t] == one.sup
 
@@ -175,12 +175,12 @@ class TestPerTrialSup:
 class TestPerTrialGates:
     def test_margin_holds_per_trial_not_for_the_largest_bound_and_distance(self):
         # trial 0 sends a long section through exp at a near center, trial 1
-        # a short one at a far center; the largest bound plus the largest
+        # a short one at a far center; the largest sup plus the largest
         # distance (3.4) exceeds pi, yet each trial alone stays inside
         base = ex.sample_map(CIRCLE_ATLAS, S1, great_circle(1.0), 32)
         f = batch_of([base, base])
         up = np.broadcast_to([0.0, 0.0, 1.0], f.nodes.shape[1:])
-        lift = make_section(f, np.stack([0.05 * up, 1.7 * up]), bound=1.8)
+        lift = make_section(f, np.stack([0.05 * up, 1.7 * up]))
         g = chart_inverse(f, lift)
         s = make_section(f, np.stack([1.7 * up, 0.05 * up]))
         moved = transition(f, g, s)
@@ -203,7 +203,7 @@ class TestGridLayersRefuseBatches:
     @pytest.fixture
     def batch(self):
         f, (vf,) = sphere_batch(2, 1)
-        return f, section_from_formula(f, vf, 0.1, bound=0.2)
+        return f, section_from_formula(f, vf, 0.1)
 
     def test_chart_jet(self, batch):
         f, _ = batch

@@ -130,7 +130,6 @@ class TestChartForward:
     def test_gap_and_vectors_match_separate_calls(self, m, rng):
         f, g, delta = random_pair(m, 16, rng)
         s = chart_forward(f, g, delta)
-        assert s.bound == delta
         for fv, gv, vec in zip(f.values, g.values, f.views(s.vectors)):
             assert np.array_equal(vec, log_points(m, fv, gv))
         # the gap is map_sup_distance to the bit: a bound just above it
@@ -201,9 +200,18 @@ class TestChartInverse:
         with pytest.raises(BaseMismatch):
             chart_inverse(other, zero_section(f))
 
+    def test_section_arithmetic_along_different_maps_rejected(self):
+        f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 64)
+        other = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0), shift=(0.3, 0)), 64)
+        s, t = zero_section(f), zero_section(other)
+        with pytest.raises(BaseMismatch):
+            section_add(s, t)
+        with pytest.raises(BaseMismatch):
+            section_max_diff(s, t)
+
     def test_roundtrip_random_sphere_sections(self, rng):
         f = random_center(S1, 128, rng)
-        s = random_section(f, rng, 0.29, bound=0.3)
+        s = random_section(f, rng, 0.29)
         g = chart_inverse(f, s)
         s2 = chart_forward(f, g, 0.3)
         assert section_max_diff(s, s2) < 1e-9
@@ -217,7 +225,7 @@ class TestRoundTripInvariant:
         for _ in range(250):
             f, g, delta = random_pair(m, 64, rng)
             worst_map = max(worst_map, roundtrip_residual(f, g, delta, 0))
-            s = random_section(f, rng, 0.9 * delta, bound=delta)
+            s = random_section(f, rng, 0.9 * delta)
             s2 = chart_forward(f, chart_inverse(f, s), delta)
             worst_section = max(worst_section, section_max_diff(s, s2))
         assert worst_map < 1e-9
@@ -227,15 +235,15 @@ class TestRoundTripInvariant:
 class TestTransition:
     def test_identity_when_centers_equal(self, rng):
         f = random_center(S1, 96, rng)
-        s = random_section(f, rng, 0.1, bound=0.15)
+        s = random_section(f, rng, 0.1)
         out = transition(f, f, s)
         assert section_max_diff(out, s) < 1e-12
 
     def test_flat_torus_translation_algebra(self, rng):
         f = random_center(T22, 96, rng)
         delta = default_delta(f)
-        g = chart_inverse(f, random_section(f, rng, 0.2 * delta, bound=delta))
-        s = random_section(f, rng, 0.2 * delta, bound=0.25 * delta)
+        g = chart_inverse(f, random_section(f, rng, 0.2 * delta))
+        s = random_section(f, rng, 0.2 * delta)
         out = transition(f, g, s)
         periods = np.asarray(T22.periods)
         direct = np.mod(f.nodes + s.vectors - g.nodes + periods / 2, periods) - periods / 2
@@ -244,8 +252,8 @@ class TestTransition:
     def test_matches_composition_of_charts(self, rng):
         f = random_center(S1, 96, rng)
         delta = default_delta(f)
-        g = chart_inverse(f, random_section(f, rng, 0.3 * delta, bound=delta))
-        s = random_section(f, rng, 0.2, bound=0.25)
+        g = chart_inverse(f, random_section(f, rng, 0.3 * delta))
+        s = random_section(f, rng, 0.2)
         via = chart_forward(g, chart_inverse(f, s), 0.25 + map_sup_distance(f, g) + 1e-9)
         out = transition(f, g, s)
         assert section_max_diff(via, out) < 1e-12
@@ -253,18 +261,18 @@ class TestTransition:
     def test_conformal_matches_composition_of_charts(self, rng):
         f = random_center(S_CONF, 16, rng)
         delta = default_delta(f)
-        g = chart_inverse(f, random_section(f, rng, 0.3 * delta, bound=delta))
-        s = random_section(f, rng, 0.2 * delta, bound=0.25 * delta)
-        bound = s.bound + map_sup_distance(f, g)
-        via = chart_forward(g, chart_inverse(f, s), bound * (1 + 1e-9))
+        g = chart_inverse(f, random_section(f, rng, 0.3 * delta))
+        s = random_section(f, rng, 0.2 * delta)
+        reach = s.sup + map_sup_distance(f, g)
+        via = chart_forward(g, chart_inverse(f, s), reach * (1 + 1e-9))
         out = transition(f, g, s)
         assert out.base_map is g
         assert section_max_diff(via, out) < 1e-10
 
     def test_margin_enforced(self, rng):
         f = random_center(S1, 64, rng)
-        g = chart_inverse(f, random_section(f, rng, 0.2, bound=0.3))
-        big = random_section(f, rng, 3.0, bound=3.1)
+        g = chart_inverse(f, random_section(f, rng, 0.2))
+        big = random_section(f, rng, 3.0)
         with pytest.raises(WellDefinednessViolated):
             transition(f, g, big)
         with pytest.raises(WellDefinednessViolated):
@@ -272,10 +280,10 @@ class TestTransition:
 
     def test_base_mismatch_comes_before_the_margin(self, rng):
         f = random_center(S1, 64, rng)
-        g = chart_inverse(f, random_section(f, rng, 0.2, bound=0.3))
+        g = chart_inverse(f, random_section(f, rng, 0.2))
         # along another map, and far past the margin
-        stray = random_section(random_center(S1, 64, rng), rng, 3.0, bound=3.1)
-        small = random_section(f, rng, 0.1, bound=0.15)
+        stray = random_section(random_center(S1, 64, rng), rng, 3.0)
+        small = random_section(f, rng, 0.1)
         with pytest.raises(BaseMismatch):
             transition(f, g, stray)
         with pytest.raises(BaseMismatch):
@@ -293,15 +301,15 @@ class TestTransitionDerivative:
     def test_flat_torus_identity(self, rng):
         f = random_center(T22, 96, rng)
         delta = default_delta(f)
-        g = chart_inverse(f, random_section(f, rng, 0.2 * delta, bound=delta))
-        s0 = random_section(f, rng, 0.2 * delta, bound=0.25 * delta)
-        s = random_section(f, rng, 0.15 * delta, bound=0.2 * delta)
+        g = chart_inverse(f, random_section(f, rng, 0.2 * delta))
+        s0 = random_section(f, rng, 0.2 * delta)
+        s = random_section(f, rng, 0.15 * delta)
         out = transition_derivative(f, g, s0, s)
         assert section_max_diff(out, make_section(g, s.vectors)) == 0.0
 
     def test_identity_at_zero_base_section(self, rng):
         f = random_center(S1, 96, rng)
-        s = random_section(f, rng, 0.1, bound=0.15)
+        s = random_section(f, rng, 0.1)
         out = transition_derivative(f, f, zero_section(f), s)
         assert section_max_diff(out, make_section(f, s.vectors)) < 1e-8
 
@@ -328,9 +336,9 @@ class TestTransitionDerivative:
         f = sample_map(TORUS2_ATLAS, S1, MapFormula("torus2_to_sphere", center), 32)
         assert f.values[0].shape == (33, 33, 3)
         delta = default_delta(f)
-        g = chart_inverse(f, section_from_formula(f, field(0.0), 0.3 * delta, bound=delta))
-        s0 = section_from_formula(f, field(1.0), 0.25 * delta, bound=0.3 * delta)
-        s = section_from_formula(f, field(2.0), 0.2 * delta, bound=0.25 * delta)
+        g = chart_inverse(f, section_from_formula(f, field(0.0), 0.3 * delta))
+        s0 = section_from_formula(f, field(1.0), 0.25 * delta)
+        s = section_from_formula(f, field(2.0), 0.2 * delta)
         ((fd, analytic),) = transition_differences(f, g, s0, [s], S1, S1, 1e-4, step=1e-6)
         assert section_max_diff(fd, analytic) / section_sup(analytic) < 1e-5
 
@@ -339,9 +347,9 @@ class TestTransitionDerivative:
         # a node's logarithm does not depend on its batch
         f = random_center(m, 32, rng)
         delta = default_delta(f)
-        g = chart_inverse(f, random_section(f, rng, 0.3 * delta, bound=delta))
-        s0 = random_section(f, rng, 0.25 * delta, bound=0.3 * delta)
-        dirs = [random_section(f, rng, 0.2 * delta, bound=0.25 * delta) for _ in range(2)]
+        g = chart_inverse(f, random_section(f, rng, 0.3 * delta))
+        s0 = random_section(f, rng, 0.25 * delta)
+        dirs = [random_section(f, rng, 0.2 * delta) for _ in range(2)]
         eps = 1e-4
         built = transition_differences(f, g, s0, dirs, m, m, eps, step=1e-6)
         assert len(built) == len(dirs)
@@ -377,9 +385,9 @@ class TestOneFiberDerivativeBatch:
     def centers(m, rng, resolution=48):
         f = random_center(m, resolution, rng)
         delta = default_delta(f)
-        g = chart_inverse(f, random_section(f, rng, 0.3 * delta, bound=delta))
-        s0 = random_section(f, rng, 0.25 * delta, bound=0.3 * delta)
-        s = random_section(f, rng, 0.2 * delta, bound=0.25 * delta)
+        g = chart_inverse(f, random_section(f, rng, 0.3 * delta))
+        s0 = random_section(f, rng, 0.25 * delta)
+        s = random_section(f, rng, 0.2 * delta)
         return f, g, s0, s
 
     @pytest.mark.parametrize("m", [S1, T22, T24], ids=["sphere", "torus", "torus_unequal"])
@@ -406,9 +414,9 @@ class TestOneFiberDerivativeBatch:
         def field(phase):
             return lambda mesh: np.sin(mesh + phase)[..., (0, 1, 0)]
 
-        g = chart_inverse(f, section_from_formula(f, field(0.0), 0.3 * delta, bound=delta))
-        s0 = section_from_formula(f, field(1.0), 0.25 * delta, bound=0.3 * delta)
-        s = section_from_formula(f, field(2.0), 0.2 * delta, bound=0.25 * delta)
+        g = chart_inverse(f, section_from_formula(f, field(0.0), 0.3 * delta))
+        s0 = section_from_formula(f, field(1.0), 0.25 * delta)
+        s = section_from_formula(f, field(2.0), 0.2 * delta)
         ref = apply_fiber_matrices(f, g, per_chart_fiber_matrices(f, g, s0), s)
         assert np.array_equal(transition_derivative(f, g, s0, s).vectors, ref.vectors)
 
@@ -422,7 +430,7 @@ class TestOneFiberDerivativeBatch:
     def test_s0_along_another_map_is_rejected(self, rng):
         f = random_center(S1, 32, rng)
         other = random_center(S1, 32, rng)
-        s0 = random_section(other, rng, 0.12, bound=0.2)
+        s0 = random_section(other, rng, 0.12)
         with pytest.raises(BaseMismatch):
             metric_transition_fiber(f, s0, S1, S1)
         with pytest.raises(BaseMismatch):
@@ -431,7 +439,7 @@ class TestOneFiberDerivativeBatch:
     def test_s0_at_another_resolution_is_rejected(self, rng):
         f = random_center(S1, 32, rng)
         coarse = random_center(S1, 16, rng)
-        s0 = random_section(coarse, rng, 0.12, bound=0.2)
+        s0 = random_section(coarse, rng, 0.12)
         with pytest.raises(BaseMismatch):
             metric_transition_fiber(f, s0, S1, S1)
 
@@ -455,7 +463,7 @@ class TestMetricIndependence:
     def test_transition_between_metrics_well_defined(self, rng):
         f = random_center(S1, 64, rng)
         m_conf = sphere(1.0, conformal="exp(0.3*z)")
-        s = random_section(f, rng, 0.1, bound=0.15)
+        s = random_section(f, rng, 0.1)
         out = metric_transition(f, s, S1, m_conf)
         back = metric_transition(f, out, m_conf, S1)
         assert section_max_diff(back, s) < 1e-9
@@ -465,13 +473,13 @@ class TestMetricIndependence:
         # keep the bits of a call of their own
         f = random_center(S1, 32, rng)
         m_conf = sphere(1.0, conformal="exp(0.3*z)")
-        s0 = random_section(f, rng, 0.12, bound=0.2)
-        sections = [random_section(f, rng, 0.1, bound=0.15) for _ in range(3)]
+        s0 = random_section(f, rng, 0.12)
+        sections = [random_section(f, rng, 0.1) for _ in range(3)]
         stacked = metric_transition(f, sections, S1, m_conf)
         assert len(stacked) == len(sections)
         for s, out in zip(sections, stacked):
             single = metric_transition(f, s, S1, m_conf)
-            assert out.bound == single.bound
+            assert out.sup == single.sup
             for fv, v, got, alone in zip(*(f.views(a) for a in (f.nodes, s.vectors, out.vectors,
                                                                  single.vectors))):
                 chart = project_tangent(S1, fv, log_points(m_conf, fv, exp_points(S1, fv, v)))
@@ -484,8 +492,8 @@ class TestMetricIndependence:
 
     def test_batch_matches_separate_fiber_and_transition_calls(self, rng):
         f = random_center(S1, 32, rng)
-        s0 = random_section(f, rng, 0.12, bound=0.2)
-        sections = [random_section(f, rng, 0.1, bound=0.15) for _ in range(3)]
+        s0 = random_section(f, rng, 0.12)
+        sections = [random_section(f, rng, 0.1) for _ in range(3)]
         mats, moved = metric_transition_batch(f, f, s0, sections, S1, S_CONF, step=1e-4)
         separate = metric_transition_fiber(f, s0, S1, S_CONF, step=1e-4)
         assert np.array_equal(mats, separate)
@@ -494,7 +502,7 @@ class TestMetricIndependence:
         assert len(moved) == len(sections)
         for s, out in zip(sections, moved):
             alone = metric_transition(f, s, S1, S_CONF)
-            assert out.bound == alone.bound
+            assert out.sup == alone.sup
             assert np.array_equal(out.vectors, alone.vectors)
 
     def test_torus_fiber_matrices_are_the_identity(self):
@@ -515,7 +523,7 @@ class TestMetricIndependence:
     def test_fiber_matrices_match_richardson_oracle(self, rng):
         f = random_center(S1, 32, rng)
         m_conf = sphere(1.0, conformal="exp(0.3*z)")
-        s0 = random_section(f, rng, 0.12, bound=0.2)
+        s0 = random_section(f, rng, 0.12)
         mats = metric_transition_fiber(f, s0, S1, m_conf)
         for fv, v0, chart_mats in zip(f.values, f.views(s0.vectors), chart_blocks(f, mats)):
             for node in (0, len(fv) // 2):
@@ -562,9 +570,9 @@ class TestIsometryEquivariance:
 
     def test_chart_inverse_commutes_with_rotation(self, rng):
         f = random_center(S1, 32, rng)
-        s = random_section(f, rng, 0.3, bound=0.4)
+        s = random_section(f, rng, 0.3)
         rot = random_rotation(rng)
         f_rot = rotated(f, rot)
-        s_rot = make_section(f_rot, s.vectors @ rot.T, bound=0.4)
+        s_rot = make_section(f_rot, s.vectors @ rot.T)
         g_rot = chart_inverse(f_rot, s_rot)
         assert map_sup_distance(rotated(chart_inverse(f, s), rot), g_rot) < 1e-12

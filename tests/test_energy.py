@@ -105,7 +105,7 @@ class TestEnergyGradient:
         f = sample_map(CIRCLE_ATLAS, m, formula, 128)
         worst = 0.0
         for _ in range(5):
-            s = random_section(f, rng, 0.05, bound=0.1)
+            s = random_section(f, rng, 0.05)
             eps = 1e-4
             e_plus = dirichlet_energy(chart_inverse(f, section_scale(s, eps)))
             e_minus = dirichlet_energy(chart_inverse(f, section_scale(s, -eps)))
@@ -141,7 +141,7 @@ class TestSobolevGradient:
     @pytest.mark.parametrize("m,formula", PERTURBED_LOOPS)
     def test_is_a_descent_direction(self, m, formula, rng):
         f0 = sample_map(CIRCLE_ATLAS, m, formula, 48)
-        for f in [f0] + [chart_inverse(f0, random_section(f0, rng, 0.05, bound=0.1))
+        for f in [f0] + [chart_inverse(f0, random_section(f0, rng, 0.05))
                          for _ in range(3)]:
             assert geodesic_residual(f) > 1e-3
             assert loop_inner(f, energy_gradient(f), sobolev_gradient(f)) > 0.0
@@ -191,9 +191,9 @@ class TestDescend:
         f = sample_map(
             CIRCLE_ATLAS, T22, torus_loop((1, 0), waves=((0, 0.3, 0.0),)), 64
         )
-        # an enormous forced step cannot fit inside the chart bound
+        # an enormous first step stays outside the chart bound through every halving
         with pytest.raises(StepOutOfChart):
-            descend(f, 1, 1e12, max_halvings=0)
+            descend(f, 1, 1e300)
 
     def test_winding_preserved_along_run(self):
         f0 = sample_map(
@@ -319,7 +319,7 @@ class TestFixedChartDescent:
         # the per-chart fiber derivatives the step inverted before it took
         # them from one metric_transition_batch
         f0 = sample_map(CIRCLE_ATLAS, m, formula, 64)
-        s = random_section(f0, rng, 0.05, bound=0.1)
+        s = random_section(f0, rng, 0.05)
         current = chart_inverse(f0, s)
         inverses = np.concatenate([
             np.linalg.inv(fiber_derivative_points(m, m, fv, gv, sv))
@@ -334,7 +334,7 @@ class TestFixedChartDescent:
         from mapcalc import map_sup_distance
 
         f0 = sample_map(CIRCLE_ATLAS, m, formula, 64)
-        s0 = random_section(f0, rng, 0.05, bound=0.1)
+        s0 = random_section(f0, rng, 0.05)
         gaps = []
         etas = (2e-2, 1e-2, 5e-3)
         for eta in etas:

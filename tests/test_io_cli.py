@@ -120,7 +120,7 @@ def _grid_file(tmp_path, rng, kind):
     if kind == "map":
         write_map_csv(f, path)
         return path, read_map_csv
-    write_section_csv(random_section(f, rng, 0.2, bound=0.3), path)
+    write_section_csv(random_section(f, rng, 0.2), path)
     return path, read_section_csv
 
 
@@ -147,6 +147,26 @@ def test_grid_reader_counts_rows_before_building_the_grid(tmp_path, monkeypatch,
     monkeypatch.setattr("mapcalc.io.chart_layout", small_layout)
     with pytest.raises(ValueError, match="grid nodes missing"):
         read(path)
+
+
+def test_torus_reader_counts_every_lattice_point_before_building_the_grid(tmp_path, monkeypatch):
+    # a torus file of 324 rows under a header of resolution 100: more rows
+    # than the resolution, far fewer than the 10,000 lattice points
+    f = sample_map(TORUS2_ATLAS, T22, _random_formula(T22, 0), 8)
+    path = tmp_path / "map.csv"
+    write_map_csv(f, path)
+    head, columns, *rows = path.read_text().splitlines()
+    assert 100 < len(rows) < 100**2
+    header = {**json.loads(head[2:]), "resolution": 100}
+    path.write_text("\n".join(["# " + json.dumps(header), columns, *rows]) + "\n")
+
+    def small_layout(atlas, resolution):
+        assert resolution <= 8, f"the reader built a grid at resolution {resolution}"
+        return chart_layout(atlas, resolution)
+
+    monkeypatch.setattr("mapcalc.io.chart_layout", small_layout)
+    with pytest.raises(ValueError, match="at least 9676 grid nodes missing"):
+        read_map_csv(path)
 
 
 @pytest.mark.parametrize("kind", ["map", "section"])
@@ -245,7 +265,7 @@ def test_grid_codec_round_trip_and_row_edits(
         s = section_from_formula(f, vf)
         write_section_csv(s, path)
         again = read_section_csv(path)
-        assert again.bound == s.bound
+        assert again.sup == s.sup
         assert _bits_equal(again.vectors, s.vectors)
         assert _bits_equal(again.base_map.nodes, f.nodes)
         read = read_section_csv
@@ -264,28 +284,33 @@ def test_grid_codec_round_trip_and_row_edits(
 class TestSectionCsv:
     def test_roundtrip(self, tmp_path, rng):
         f = random_center(S1, 64, rng)
-        s = random_section(f, rng, 0.2, bound=0.3)
+        s = random_section(f, rng, 0.2)
         path = tmp_path / "section.csv"
         write_section_csv(s, path)
         again = read_section_csv(path)
-        assert again.bound == s.bound
+        assert again.sup == s.sup
         assert np.array_equal(s.vectors, again.vectors)
         assert np.array_equal(s.base_map.nodes, again.base_map.nodes)
 
-    def test_missing_bound_rejected(self, tmp_path, rng):
+    def test_old_file_with_a_bound_reads_back(self, tmp_path, rng):
+        # files once carried a declared bound in the header; it is ignored
         f = random_center(S1, 16, rng)
+        s = random_section(f, rng, 0.2)
         path = tmp_path / "section.csv"
-        write_section_csv(random_section(f, rng, 0.2, bound=0.3), path)
-        path.write_text(path.read_text().replace('"bound": ', '"bond": ', 1))
-        with pytest.raises(ValueError):
-            read_section_csv(path)
+        write_section_csv(s, path)
+        head, rest = path.read_text().split("\n", 1)
+        assert "bound" not in head
+        path.write_text("# " + json.dumps({**json.loads(head[2:]), "bound": 0.3}) + "\n" + rest)
+        again = read_section_csv(path)
+        assert _bits_equal(again.vectors, s.vectors)
+        assert _bits_equal(again.base_map.nodes, f.nodes)
 
     @staticmethod
     def _write_normal_vector(path, radius, rng):
         # a section over a random loop on the sphere of ``radius``, with the
         # vector at one node replaced by 0.01 p, straight out of the sphere
         f = random_center(sphere(radius), 16, rng)
-        write_section_csv(random_section(f, rng, 0.2 * radius, bound=0.3 * radius), path)
+        write_section_csv(random_section(f, rng, 0.2 * radius), path)
         head, columns, *rows = path.read_text().splitlines()
         row = rows[7].split(",")
         row[5:8] = [repr(0.01 * float(x)) for x in row[2:5]]
@@ -310,7 +335,7 @@ class TestSectionCsv:
         # the tangency check scales with the radius, so written sections
         # load at every radius
         f = random_center(sphere(radius), 64, rng)
-        s = random_section(f, rng, 0.2 * radius, bound=0.3 * radius)
+        s = random_section(f, rng, 0.2 * radius)
         path = tmp_path / "section.csv"
         write_section_csv(s, path)
         again = read_section_csv(path)

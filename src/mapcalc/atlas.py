@@ -8,16 +8,18 @@ never need one-sided stencils.
 Grids live on a single angular lattice of spacing 2*pi/resolution per axis;
 a chart's grid is the set of lattice nodes inside (the closure of) its
 enlarged box, which gives loop samples uniform spacing.  Two charts that
-reach a domain point at the same lattice index evaluate a formula at the
-same coordinate and agree exactly there.  Where they reach it one period
-apart (theta and theta + 2 pi), a periodic formula agrees only to rounding:
-a random loop at resolution 64 differs by 7.4e-16 at such nodes, and the
-great circle's ``overlap_residual`` is 6.9e-16.
+reach a domain point at the same lattice index share its node, so they
+agree there by storage.  Where they reach it one period apart (theta and
+theta + 2 pi), the two copies are nodes of their own, and a periodic formula
+agrees only to rounding: a random loop at resolution 64 differs by 7.4e-16
+at such nodes, and ``overlap_residual``, which measures these copies, is
+6.9e-16 on the great circle.
 
-A map's values are one node array (N, amb), chart after chart as laid out
-by ``chart_layout``, which the pointwise layers (exp, log, sections,
-transitions) take in one call; the grid layers (jets, covers, overlaps, the
-CSV codec) read its per-chart views.  A leading trial axis, (T, N, amb),
+A map's values are one node array (N, amb), one node per lattice point of
+the box the chart grids span, as laid out by ``chart_layout``; the
+pointwise layers (exp, log, sections, transitions) take it in one call, and
+the grid layers (jets, covers, overlaps, the CSV codec) read its per-chart
+views, each a window into that box.  A leading trial axis, (T, N, amb),
 holds a batch of T maps sampled together.  Layers that read grid axes take
 one map and raise ``TrialAxisUnsupported`` on a batch.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -132,37 +134,39 @@ def grid_coords(chart: Chart, resolution: int) -> list[np.ndarray]:
     return [np.arange(j0, j1 + 1) * h for j0, j1 in grid_ranges(chart, resolution)]
 
 
-def grid_mesh(chart: Chart, resolution: int) -> np.ndarray:
-    """Chart coordinates of all grid nodes, shape (n0[, n1], dim)."""
-    axes = grid_coords(chart, resolution)
-    if len(axes) == 1:
-        return axes[0][:, None]
-    aa, bb = np.meshgrid(axes[0], axes[1], indexing="ij")
-    return np.stack([aa, bb], axis=-1)
-
-
 class ChartLayout(NamedTuple):
-    """Where the chart grids sit in a map's node array, chart after chart and
-    each grid in C order: ``starts`` holds each chart's first node and, last,
-    the node count; ``mesh`` the chart coordinates of every node, (N, dim)."""
+    """Where the chart grids sit in a map's node array: one node per lattice
+    point of the box the grids span, of shape ``box``, in C order.  Each
+    chart's grid is a window into that box, one slice per axis in
+    ``windows``; ``mesh`` holds the chart coordinates of every node, (N, dim).
+    """
 
-    shapes: tuple[tuple[int, ...], ...]
-    starts: tuple[int, ...]
+    box: tuple[int, ...]
+    windows: tuple[tuple[slice, ...], ...]
     mesh: np.ndarray
+
+    def chart_nodes(self, chart_id: int) -> np.ndarray:
+        """The node index of every grid node of a chart, in its grid's shape."""
+        return np.arange(len(self.mesh)).reshape(self.box)[self.windows[chart_id]]
 
 
 @lru_cache(maxsize=16)
 def chart_layout(atlas: DomainAtlas, resolution: int) -> ChartLayout:
     """The layout of the node arrays of maps on ``atlas`` at ``resolution``.
 
-    The layout is shared between callers, so its mesh is read-only.
+    Charts that reach a lattice point at the same index share its node; a
+    point one period away is a node of its own.  The layout is shared
+    between callers, so its mesh is read-only.
     """
-    meshes = [grid_mesh(chart, resolution) for chart in atlas.charts]
-    shapes = tuple(m.shape[:-1] for m in meshes)
-    starts = (0, *accumulate(math.prod(shape) for shape in shapes))
-    mesh = np.concatenate([m.reshape(-1, atlas.dim) for m in meshes])
+    ranges = [grid_ranges(chart, resolution) for chart in atlas.charts]
+    lo = [min(r[a][0] for r in ranges) for a in range(atlas.dim)]
+    hi = [max(r[a][1] for r in ranges) for a in range(atlas.dim)]
+    windows = tuple(tuple(slice(j0 - a, j1 - a + 1) for (j0, j1), a in zip(r, lo)) for r in ranges)
+    h = TAU / resolution
+    axes = np.meshgrid(*(np.arange(a, b + 1) * h for a, b in zip(lo, hi)), indexing="ij")
+    mesh = np.stack(axes, axis=-1).reshape(-1, atlas.dim)
     mesh.flags.writeable = False
-    return ChartLayout(shapes, starts, mesh)
+    return ChartLayout(tuple(b - a + 1 for a, b in zip(lo, hi)), windows, mesh)
 
 
 def compact_slices(chart: Chart, resolution: int) -> tuple[slice, ...]:
@@ -203,10 +207,10 @@ class SampledMap:
     def views(self, nodes: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-chart views over the chart grids of a node array (..., N, amb)
         along this map, such as its values or a section's vectors."""
-        shapes, starts, _ = chart_layout(self.atlas, self.resolution)
+        box, windows, _ = chart_layout(self.atlas, self.resolution)
         lead, amb = nodes.shape[:-2], nodes.shape[-1:]
-        return tuple(nodes[..., a:b, :].reshape(lead + shape + amb)
-                     for shape, a, b in zip(shapes, starts, starts[1:]))
+        lattice = nodes.reshape(lead + box + amb)
+        return tuple(lattice[(..., *window, slice(None))] for window in windows)
 
     def with_nodes(self, nodes: np.ndarray) -> "SampledMap":
         return SampledMap(self.atlas, self.target, self.resolution, nodes)
@@ -237,7 +241,7 @@ def sample_map(
     layout = chart_layout(atlas, resolution)
     lead = () if formula.trials is None else (formula.trials,)
     raw = np.asarray(formula.fn(layout.mesh), dtype=float)
-    if raw.shape != lead + (layout.starts[-1], target.ambient_dim):
+    if raw.shape != lead + (len(layout.mesh), target.ambient_dim):
         raise FormulaOutOfTarget(
             f"formula {formula.name!r} returned shape {raw.shape}"
         )

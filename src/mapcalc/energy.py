@@ -77,18 +77,18 @@ def _loop_lattice(atlas: DomainAtlas, n: int) -> tuple[np.ndarray, np.ndarray]:
     callers, so they are read-only.
     """
     h = TAU / n
-    _, starts, mesh = chart_layout(atlas, n)
+    layout = chart_layout(atlas, n)
     owner = np.full(n, -1)
-    for chart, start in zip(atlas.charts, starts):
+    for chart in atlas.charts:
         (j0, _), = grid_ranges(chart, n)
         (ksl,) = compact_slices(chart, n)
         local = np.arange(ksl.start, ksl.stop)
         local = local[(j0 + local) * h < chart.compact[0][1] - 1e-12]
-        owner[(j0 + local) % n] = start + local
+        owner[(j0 + local) % n] = layout.chart_nodes(chart.id)[local]
     if np.any(owner < 0):
         raise ValueError("compact pieces do not cover the loop lattice")
     # a node's chart coordinate is its lattice index times h
-    lattice = owner, np.rint(mesh[:, 0] / h).astype(int) % n
+    lattice = owner, np.rint(layout.mesh[:, 0] / h).astype(int) % n
     for arr in lattice:
         arr.flags.writeable = False
     return lattice

@@ -79,8 +79,8 @@ HOMEO_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 # Most nodes one stacked batch of trials holds: trials times the nodes of one
-# map.  At resolution 64 (130 nodes per map) a batch takes 126 trials, and at
-# 4096 (8,194 nodes) one; past a few thousand nodes per trial a larger batch
+# map.  At resolution 64 (97 nodes per map) a batch takes 168 trials, and at
+# 4096 (6,145 nodes) two; past a few thousand nodes per trial a larger batch
 # saves nothing.
 TRIAL_BATCH_NODES = 2**14
 
@@ -130,7 +130,7 @@ def trial_batches(
     and ``random_section`` would take one trial at a time.  A batch holds at
     most ``TRIAL_BATCH_NODES`` nodes per map batch, and at least one trial.
     """
-    size = max(1, TRIAL_BATCH_NODES // chart_layout(CIRCLE_ATLAS, resolution).starts[-1])
+    size = max(1, TRIAL_BATCH_NODES // len(chart_layout(CIRCLE_ATLAS, resolution).mesh))
     for start in range(0, trials, size):
         draws = [
             [[loop_draws(m, rng), *(field_draws(rng, m.ambient_dim) for _ in range(fields))]

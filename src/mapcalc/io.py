@@ -28,13 +28,14 @@ def _read_header(line: str) -> dict:
 
 
 def _write_grid_csv(f: SampledMap, groups, path) -> None:
-    """Per-chart codec: one row per grid node of f, holding chart_id, the grid
-    indices, then one ambient vector per column group, in the group order.
+    """Per-chart codec: one row per grid node of each chart of f, holding
+    chart_id, the grid indices, then one ambient vector per column group, in
+    the group order.
 
-    ``groups`` pairs a column prefix with a node array along f; the rows
-    follow the node order, chart after chart.
+    ``groups`` pairs a column prefix with a node array along f; the rows go
+    chart after chart, each grid in C order, read through the chart views.
     """
-    views = f.values  # refuses a batch before the file is opened
+    f.values  # refuses a batch before the file is opened
     dim = f.atlas.dim
     amb = f.target.ambient_dim
     head = {"atlas": f.atlas.kind, "resolution": f.resolution,
@@ -46,10 +47,10 @@ def _write_grid_csv(f: SampledMap, groups, path) -> None:
             ["chart_id"] + [f"i{a}" for a in range(dim)]
             + [f"{prefix}{a}" for prefix, _ in groups for a in range(amb)]
         )
-        labels = ((chart.id, *idx) for chart, view in zip(f.atlas.charts, views)
-                  for idx in np.ndindex(view.shape[:-1]))
-        for label, *vecs in zip(labels, *(nodes for _, nodes in groups)):
-            writer.writerow([*label] + [repr(float(x)) for vec in vecs for x in vec])
+        for chart, *views in zip(f.atlas.charts, *(f.views(nodes) for _, nodes in groups)):
+            rows = zip(np.ndindex(views[0].shape[:-1]), *(v.reshape(-1, amb) for v in views))
+            for idx, *vecs in rows:
+                writer.writerow([chart.id, *idx] + [repr(float(x)) for vec in vecs for x in vec])
 
 
 def _read_grid_csv(path, ngroups: int) -> tuple[SampledMap, tuple]:
@@ -58,8 +59,9 @@ def _read_grid_csv(path, ngroups: int) -> tuple[SampledMap, tuple]:
 
     Rejects a header without a known atlas, an integer resolution of at
     least 8 and a valid target; a file that ends after the header; missing,
-    duplicate and out-of-grid nodes, rows with the wrong field count,
-    non-finite values, and base points off the target.
+    duplicate and out-of-grid nodes, two charts' rows at one lattice point
+    that disagree, rows with the wrong field count, non-finite values, and
+    base points off the target.
     """
     with Path(path).open() as fh:
         head = _read_header(fh.readline())
@@ -78,31 +80,39 @@ def _read_grid_csv(path, ngroups: int) -> tuple[SampledMap, tuple]:
         amb = target.ambient_dim
         # the rows must fill the header's grid before its mesh is built: a
         # three-row file may claim a resolution of 1e9, or 10**400, which overflows
-        # the grid step; an atlas has a few nodes, and at least one, per lattice point
+        # the grid step; an atlas has a few rows, and at least one, per lattice point
         if res**dim > len(rows):
             raise ValueError(f"{path}: at least {res**dim - len(rows)} grid nodes missing")
-        shapes, starts, _ = chart_layout(atlas, res)
-        if len(rows) < starts[-1]:
-            raise ValueError(f"{path}: {starts[-1] - len(rows)} grid nodes missing")
-        groups = np.empty((ngroups, starts[-1], amb))
-        seen = np.zeros(starts[-1], dtype=bool)
+        layout = chart_layout(atlas, res)
+        grids = [layout.chart_nodes(chart.id) for chart in atlas.charts]
+        expected = sum(grid.size for grid in grids)
+        if len(rows) < expected:
+            raise ValueError(f"{path}: {expected - len(rows)} grid nodes missing")
+        groups = np.empty((ngroups, len(layout.mesh), amb))
+        seen = [np.zeros(grid.shape, dtype=bool) for grid in grids]
+        filled = np.zeros(len(layout.mesh), dtype=bool)
         for line, row in rows:
             where = f"{path}, line {line}"
             if len(row) != 1 + dim + ngroups * amb:
                 raise ValueError(f"{where}: expected {1 + dim + ngroups * amb} fields")
             cid = int(row[0])
             idx = tuple(int(x) for x in row[1 : 1 + dim])
-            if not 0 <= cid < len(shapes) or not all(0 <= i < n for i, n in zip(idx, shapes[cid])):
+            if not 0 <= cid < len(grids) or not all(0 <= i < n for i, n in zip(idx, grids[cid].shape)):
                 raise ValueError(f"{where}: node {cid}{list(idx)} is off the grid")
-            node = starts[cid] + int(np.ravel_multi_index(idx, shapes[cid]))
-            if seen[node]:
+            if seen[cid][idx]:
                 raise ValueError(f"{where}: duplicate node {cid}{list(idx)}")
-            seen[node] = True
+            seen[cid][idx] = True
             nums = [float(x) for x in row[1 + dim :]]
             if not all(map(math.isfinite, nums)):
                 raise ValueError(f"{where}: non-finite value")
-            groups[:, node] = np.reshape(nums, (ngroups, amb))
-    missing = seen.size - np.count_nonzero(seen)
+            vecs = np.reshape(nums, (ngroups, amb))
+            node = grids[cid][idx]
+            if filled[node] and not np.array_equal(groups[:, node], vecs):
+                raise ValueError(f"{where}: node {cid}{list(idx)} disagrees with another "
+                                 "chart's row at its lattice point")
+            filled[node] = True
+            groups[:, node] = vecs
+    missing = expected - sum(np.count_nonzero(s) for s in seen)
     if missing:
         raise ValueError(f"{path}: {missing} grid nodes missing")
     check_points(target, groups[0])

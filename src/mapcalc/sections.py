@@ -74,9 +74,9 @@ def section_from_formula(
     to the tangent space at the map value, and optionally rescaled to a
     prescribed sup.  Along a batch of maps the field returns one vector per
     trial and node, and each trial is rescaled to ``sup_scale`` by its own
-    sup.  Charts that reach a node at the same lattice index evaluate the
-    field at the same coordinate, so their vectors there agree exactly; at
-    indices one period apart a periodic field agrees only to rounding.
+    sup.  Charts that reach a lattice point at the same index share its
+    node, so their vectors there agree by storage; at indices one period
+    apart a periodic field agrees only to rounding.
     """
     raw = np.asarray(vector_fn(chart_layout(f.atlas, f.resolution).mesh), dtype=float)
     if raw.shape != f.nodes.shape:

@@ -8,7 +8,7 @@ condition holds, which is what grid finite differences need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,11 +46,13 @@ class SphereCapChart:
     center: np.ndarray  # unit direction
     cap_angle: float
     radius: float
+    # the tangent frame at the cap center, which ``rep`` reads its coordinates in
+    legs: np.ndarray = field(init=False, repr=False)
 
-    def _legs(self) -> np.ndarray:
-        return frames_at(
+    def __post_init__(self):
+        object.__setattr__(self, "legs", frames_at(
             TargetManifold(SPHERE, radius=self.radius), self.radius * self.center
-        )
+        ))
 
     def contains(self, values: np.ndarray) -> np.ndarray:
         cosang = np.clip(dot(values, self.center) / self.radius, -1.0, 1.0)
@@ -67,8 +69,7 @@ class SphereCapChart:
         dots = dot(values, self.center)[..., None]
         tang = values - dots * self.center
         u = 2.0 * r * tang / np.maximum(r + dots, 0.02 * r)
-        legs = self._legs()
-        return np.stack([dot(u, legs[a]) for a in range(2)], axis=-1)
+        return np.stack([dot(u, self.legs[a]) for a in range(2)], axis=-1)
 
 
 TargetChart = TorusBranchChart | SphereCapChart
@@ -100,16 +101,19 @@ def unwrap(p: np.ndarray, period: float) -> np.ndarray:
     """``np.unwrap(p, period=period, axis=0)`` for float data, step for step,
     with its ``np.mod`` replaced by ``mod_periods`` (the same bits).
 
-    Grid steps are small, so almost no difference needs a true reduction.
+    Grid steps are small, so almost no difference needs a true reduction,
+    and only the steps that can jump are reduced at all.
     """
     dd = p[1:] - p[:-1]
     high = period / 2
-    low = -high
-    ddmod = mod_periods(dd - low, period) + low
+    # only a step of at least half a period, or NaN, needs a correction
+    jump = ~(abs(dd) < high)
+    correct = np.zeros_like(dd)
+    d = dd[jump]
+    dmod = mod_periods(d + high, period) - high
     # a step of exactly half a period keeps its sign
-    np.copyto(ddmod, high, where=(ddmod == low) & (dd > 0))
-    correct = ddmod - dd
-    np.copyto(correct, 0, where=abs(dd) < high)
+    dmod[(dmod == -high) & (d > 0)] = high
+    correct[jump] = dmod - d
     up = np.array(p, dtype=float)
     up[1:] = p[1:] + correct.cumsum(axis=0)
     return up

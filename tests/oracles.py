@@ -271,6 +271,36 @@ def unwrap_lift(values, periods):
     return out
 
 
+def full_unwrap(p, period):
+    """``mapcalc.target_charts.unwrap`` with every step sent through
+    ``mod_periods``, the reference for its reduction of only the steps that
+    can jump."""
+    from mapcalc.manifolds import mod_periods
+
+    dd = p[1:] - p[:-1]
+    high = period / 2
+    low = -high
+    ddmod = mod_periods(dd - low, period) + low
+    np.copyto(ddmod, high, where=(ddmod == low) & (dd > 0))
+    correct = ddmod - dd
+    np.copyto(correct, 0, where=abs(dd) < high)
+    up = np.array(p, dtype=float)
+    up[1:] = p[1:] + correct.cumsum(axis=0)
+    return up
+
+
+def cap_chart_rep(chart, values):
+    """``SphereCapChart.rep`` with the frame at the cap center built on every call."""
+    from mapcalc.manifolds import SPHERE, TargetManifold, dot, frames_at
+
+    r = chart.radius
+    dots = dot(values, chart.center)[..., None]
+    tang = values - dots * chart.center
+    u = 2.0 * r * tang / np.maximum(r + dots, 0.02 * r)
+    legs = frames_at(TargetManifold(SPHERE, radius=r), r * chart.center)
+    return np.stack([dot(u, legs[a]) for a in range(2)], axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # serial transition residuals: one trial at a time, the bits the stacked
 # trial batches of ``mapcalc.experiments`` must reproduce per trial
@@ -449,6 +479,20 @@ def constant_formula(m, coords):
         return np.broadcast_to(p, mesh.shape[:-1] + (len(p),)).copy()
 
     return MapFormula(f"const{tuple(np.round(p, 3))}", fn)
+
+
+def chart_node_array(f, blocks):
+    """One node array along ``f`` from per-chart arrays over the chart grids
+    (the grid axes, then any per-node shape), written through the chart
+    views.  A node that charts share must get the same bits from each."""
+    tail = blocks[0].shape[f.atlas.dim:]
+    out = np.full((len(f.nodes), math.prod(tail)), np.nan)
+    for view, block in zip(f.views(out), blocks, strict=True):
+        block = block.reshape(view.shape)
+        written = ~np.isnan(view)
+        assert np.array_equal(view[written], block[written])
+        view[...] = block
+    return out.reshape(out.shape[:1] + tail)
 
 
 def zero_section(f):

@@ -1,5 +1,6 @@
 """Tests for domain atlases, grid sampling, chart jets, and overlaps."""
 
+import itertools
 import math
 
 import numpy as np
@@ -135,13 +136,56 @@ class TestOverlapResidual:
         assert overlap_residual(f) < 1e-12
 
     def test_corrupted_node_detected(self):
+        # theta = 0 in chart 0 and theta = 2 pi in chart 1 are one period
+        # apart, so they stay two nodes, and a change to one shows
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 256)
         (j0, _), = grid_ranges(CIRCLE_ATLAS.charts[0], 256)
-        node = 128 - j0  # theta = pi lies in both charts
         nodes = f.nodes.copy()
-        nodes[node, 0] += 1e-3  # chart 0's nodes come first
+        f.views(nodes)[0][0 - j0, 0] += 1e-3
         corrupted = f.with_nodes(nodes)
         assert overlap_residual(corrupted) >= 1e-3 * (1 - 1e-6)
+
+
+class TestChartLayout:
+    @pytest.mark.parametrize("atlas,res,count", [
+        (CIRCLE_ATLAS, 64, 97), (CIRCLE_ATLAS, 4096, 6145), (TORUS2_ATLAS, 32, 2401),
+    ])
+    def test_one_node_per_lattice_point(self, atlas, res, count):
+        layout = chart_layout(atlas, res)
+        assert len(layout.mesh) == count
+        lattice = np.rint(layout.mesh / (TAU / res)).astype(int)
+        assert len(np.unique(lattice, axis=0)) == count
+
+    @pytest.mark.parametrize("atlas,res", [(CIRCLE_ATLAS, 64), (TORUS2_ATLAS, 16)])
+    def test_windows_hold_each_charts_grid(self, atlas, res):
+        layout = chart_layout(atlas, res)
+        mesh = layout.mesh.reshape(layout.box + (atlas.dim,))
+        for chart, window in zip(atlas.charts, layout.windows):
+            axes = np.meshgrid(*grid_coords(chart, res), indexing="ij")
+            assert np.array_equal(mesh[window], np.stack(axes, axis=-1))
+
+    @pytest.mark.parametrize("atlas,res", [(CIRCLE_ATLAS, 64), (TORUS2_ATLAS, 16)])
+    def test_same_index_nodes_share_memory(self, atlas, res):
+        # why charts agree exactly at a lattice point both reach at one index
+        f = sample_map(atlas, T22, constant_formula(T22, [0.5, 0.5]), res)
+        views = f.values
+        shared = 0
+        for ci, cj in itertools.combinations(range(len(atlas.charts)), 2):
+            ri, rj = (grid_ranges(atlas.charts[c], res) for c in (ci, cj))
+            common = [range(max(a[0], b[0]), min(a[1], b[1]) + 1) for a, b in zip(ri, rj)]
+            for point in itertools.product(*common):
+                a = tuple(j - r[0] for j, r in zip(point, ri))
+                b = tuple(j - r[0] for j, r in zip(point, rj))
+                assert np.shares_memory(views[ci][a], views[cj][b])
+                shared += 1
+        assert shared > 0
+        # a point one period apart along the first axis keeps a node of its
+        # own: chart 0 and the chart that differs from it along that axis only
+        other = len(atlas.charts) // 2
+        (j0, _), *_ = grid_ranges(atlas.charts[0], res)
+        (j1, _), *_ = grid_ranges(atlas.charts[other], res)
+        rest = (0,) * (atlas.dim - 1)
+        assert not np.shares_memory(views[0][(0 - j0, *rest)], views[other][(res - j1, *rest)])
 
 
 class TestChartJets:

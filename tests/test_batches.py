@@ -81,8 +81,8 @@ class TestSerialOracle:
         assert same_bits(got, [serial_chain_rule_residual(m, 64, rng) for _ in range(trials)])
 
     def test_trials_span_two_capped_batches(self, monkeypatch):
-        # at resolution 2048 a map has 4,098 nodes, so a batch holds three trials
-        assert ex.TRIAL_BATCH_NODES // chart_layout(CIRCLE_ATLAS, 2048).starts[-1] == 3
+        # at resolution 4096 a map has 6,145 nodes, so a batch holds two trials
+        assert ex.TRIAL_BATCH_NODES // len(chart_layout(CIRCLE_ATLAS, 4096).mesh) == 2
         sizes = []
         sample = ex.sample_map
 
@@ -92,18 +92,18 @@ class TestSerialOracle:
 
         monkeypatch.setattr(ex, "sample_map", counted)
         rng = seeded()
-        got = ex.cocycle_residuals((S1, T22), 2048, seeded(), 4)
-        assert same_bits(got, [[serial_cocycle_residual(m, 2048, rng) for m in (S1, T22)]
-                               for _ in range(4)])
-        assert sizes == [3, 3, 1, 1]  # per batch, the sphere's then the torus's centers
+        got = ex.cocycle_residuals((S1, T22), 4096, seeded(), 3)
+        assert same_bits(got, [[serial_cocycle_residual(m, 4096, rng) for m in (S1, T22)]
+                               for _ in range(3)])
+        assert sizes == [2, 2, 1, 1]  # per batch, the sphere's then the torus's centers
         for m in (S1, T22):
             rng = seeded()
-            got = ex.derivative_identity_residuals(m, 2048, seeded(), 4)
-            want = zip(*[serial_derivative_identity_residual(m, 2048, rng) for _ in range(4)])
+            got = ex.derivative_identity_residuals(m, 4096, seeded(), 3)
+            want = zip(*[serial_derivative_identity_residual(m, 4096, rng) for _ in range(3)])
             assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
         rng = seeded()
-        got = ex.chain_rule_residuals(S1, 2048, seeded(), 4)
-        assert same_bits(got, [serial_chain_rule_residual(S1, 2048, rng) for _ in range(4)])
+        got = ex.chain_rule_residuals(S1, 4096, seeded(), 3)
+        assert same_bits(got, [serial_chain_rule_residual(S1, 4096, rng) for _ in range(3)])
 
 
 def sphere_batch(trials, fields):

@@ -27,7 +27,7 @@ from mapcalc import (
     transition,
     transition_derivative,
 )
-from mapcalc.atlas import TAU, chart_layout
+from mapcalc.atlas import TAU
 from mapcalc import manifolds
 from mapcalc.charts import (
     apply_fiber_matrices,
@@ -56,7 +56,13 @@ from mapcalc.experiments import (
 )
 from mapcalc.maps import great_circle, torus_loop
 from mapcalc.sections import make_section, section_from_formula
-from oracles import _tangent_frame, constant_formula, richardson_matrix, zero_section
+from oracles import (
+    _tangent_frame,
+    chart_node_array,
+    constant_formula,
+    richardson_matrix,
+    zero_section,
+)
 
 T22 = flat_torus(TAU, TAU)
 T24 = flat_torus(TAU, 4.0)
@@ -71,9 +77,9 @@ def x_rotation(angle):
 
 
 def chart_blocks(f, a):
-    """Per-chart blocks of an array with one leading entry per node of a loop."""
-    starts = chart_layout(f.atlas, f.resolution).starts
-    return [a[i:j] for i, j in zip(starts, starts[1:])]
+    """Per-chart views of an array with one leading entry per node of a map."""
+    return [v.reshape(v.shape[:f.atlas.dim] + a.shape[1:])
+            for v in f.views(a.reshape(len(a), -1))]
 
 
 @pytest.fixture
@@ -372,8 +378,8 @@ def per_chart_fiber_matrices(f, g, s0, step=1e-6):
     """The per-chart loop of fiber derivatives ``transition_derivative`` ran
     before it took its matrices from ``metric_transition_batch``."""
     m = f.target
-    return np.concatenate([
-        fiber_derivative_points(m, m, fv, gv, v0, step=step).reshape(-1, 2, 2)
+    return chart_node_array(f, [
+        fiber_derivative_points(m, m, fv, gv, v0, step=step)
         for fv, gv, v0 in zip(f.values, g.values, f.views(s0.vectors))
     ])
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapcalc import CIRCLE_ATLAS, TORUS2_ATLAS, MapFormula, flat_torus, sample_map, sphere
-from mapcalc.atlas import TAU, chart_layout
+from mapcalc.atlas import TAU, chart_layout, grid_coords
 from mapcalc import experiments, topology
 from mapcalc.cli import (
     SUITES,
@@ -42,6 +42,7 @@ from mapcalc.io import (
     write_section_csv,
     write_trace_csv,
 )
+from mapcalc.manifolds import reduce_points
 from mapcalc.maps import add_fourier_modes, great_circle, torus_loop
 from mapcalc.sections import section_from_formula
 
@@ -78,6 +79,58 @@ class TestMapCsv:
         again = read_map_csv(path)
         for a, b in zip(f.values, again.values):
             assert np.array_equal(a, b)
+
+
+def _per_chart_map_csv(atlas, target, formula, resolution, path):
+    """A map file written chart after chart from each chart grid's own
+    samples, without the node array: the format the reader takes.  Returns
+    the per-chart values."""
+    charts = []
+    for chart in atlas.charts:
+        mesh = np.stack(np.meshgrid(*grid_coords(chart, resolution), indexing="ij"), axis=-1)
+        charts.append(reduce_points(target, formula.fn(mesh)))
+    head = {"atlas": atlas.kind, "resolution": resolution, "target": json.loads(target.to_json())}
+    rows = [",".join(["chart_id"] + [f"i{a}" for a in range(atlas.dim)]
+                     + [f"c{a}" for a in range(target.ambient_dim)])]
+    for chart, vals in zip(atlas.charts, charts):
+        for idx in np.ndindex(vals.shape[:-1]):
+            rows.append(",".join(map(str, (chart.id, *idx, *map(repr, map(float, vals[idx]))))))
+    # the JSON header ends in a newline, and the CSV rows in CRLF
+    path.write_text("# " + json.dumps(head, sort_keys=True) + "\n" + "".join(r + "\r\n" for r in rows))
+    return charts
+
+
+@pytest.mark.parametrize("atlas,target,resolution", [
+    (CIRCLE_ATLAS, T22, 64), (CIRCLE_ATLAS, S1, 64), (TORUS2_ATLAS, T22, 12), (TORUS2_ATLAS, S1, 12),
+], ids=["circle_torus", "circle_sphere", "torus2_torus", "torus2_sphere"])
+def test_per_chart_file_reads_back_bit_identical_and_rewrites_its_bytes(
+    tmp_path, atlas, target, resolution
+):
+    path = tmp_path / "map.csv"
+    charts = _per_chart_map_csv(atlas, target, _random_formula(target, 3), resolution, path)
+    f = read_map_csv(path)
+    for view, vals in zip(f.values, charts, strict=True):
+        assert _bits_equal(np.ascontiguousarray(view), vals)
+    write_map_csv(f, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("atlas,resolution", [(CIRCLE_ATLAS, 32), (TORUS2_ATLAS, 8)])
+def test_map_reader_rejects_charts_that_disagree_at_a_lattice_point(tmp_path, atlas, resolution):
+    # chart 1's first row sits at a lattice point chart 0 reaches at the same
+    # index, so the two rows share one node and must carry the same values
+    f = sample_map(atlas, T22, _random_formula(T22, 0), resolution)
+    path = tmp_path / "map.csv"
+    write_map_csv(f, path)
+    head, columns, *rows = path.read_text().splitlines()
+    first = rows.index(next(r for r in rows if r.startswith("1,")))
+    fields = rows[first].split(",")
+    fields[-1] = repr(float(fields[-1]) + 1e-3)
+    rows[first] = ",".join(fields)
+    path.write_text("\n".join([head, columns, *rows]) + "\n")
+    index = re.escape(str([0] * atlas.dim))
+    with pytest.raises(ValueError, match=f"node 1{index} disagrees"):
+        read_map_csv(path)
 
 
 def _set_field(row: int, col: int, value: str):

@@ -15,9 +15,9 @@ from mapcalc.atlas import CIRCLE_ATLAS, chart_layout
 from mapcalc.cli import ExperimentConfig, run_suite
 from mapcalc.manifolds import cross, dist_points, flat_torus, log_points, mod_periods
 from mapcalc.maps import add_fourier_modes, harmonic_tables, loop_draws, random_loop, stack_draws
-from mapcalc.target_charts import lift_grid
+from mapcalc.target_charts import auto_chart, lift_grid, unwrap
 
-from oracles import _fourier_sum, unwrap_lift
+from oracles import _fourier_sum, cap_chart_rep, full_unwrap, unwrap_lift
 
 TAU = 2 * math.pi
 
@@ -141,6 +141,52 @@ class TestLiftGrid:
         theta = np.linspace(0.0, TAU, 4097)
         values = np.mod(theta[:, None] * [1.0, -1.0] + rng.uniform(0, TAU, 2), TAU)
         assert_same_bits(lift_grid(values, (TAU, TAU)), unwrap_lift(values, (TAU, TAU)))
+
+
+class TestUnwrap:
+    """``unwrap`` reduces only the steps that can jump, with the bits of
+    reducing every step."""
+
+    @pytest.mark.parametrize("winding", [-1, 0, 1])
+    def test_loops(self, winding, rng):
+        theta = np.linspace(0.0, TAU, 4097)
+        p = np.mod(winding * theta + 0.4 * np.sin(3 * theta) + rng.uniform(0, TAU), TAU)
+        assert_same_bits(unwrap(p, TAU), full_unwrap(p, TAU))
+
+    def test_nan_node(self, rng):
+        p = np.mod(np.cumsum(rng.uniform(-1.0, 1.0, 200)), TAU)
+        p[[0, 50, 51, 199]] = np.nan
+        assert_same_bits(unwrap(p, TAU), full_unwrap(p, TAU))
+
+    @pytest.mark.parametrize("period", [TAU, 4.0])
+    def test_steps_of_exactly_half_a_period(self, period, rng):
+        steps = rng.uniform(-0.45, 0.45, 100) * period
+        steps[[10, 40]] = 0.5 * period
+        steps[[20, 60]] = -0.5 * period
+        p = np.cumsum(steps) + 0.3
+        for q in (p, np.mod(p, period)):
+            assert_same_bits(unwrap(q, period), full_unwrap(q, period))
+
+    def test_grid_2d(self, rng):
+        steps = rng.uniform(-0.45, 0.45, (40, 30)) * 4.0
+        steps[3, 4], steps[7, 0] = 2.0, -2.0
+        p = np.mod(np.cumsum(np.cumsum(steps, axis=0), axis=1), 4.0)
+        p[5, 5] = np.nan
+        assert_same_bits(unwrap(p, 4.0), full_unwrap(p, 4.0))
+
+
+def test_cap_chart_rep_reads_the_frame_built_with_the_chart(monkeypatch, rng):
+    m = mapcalc.sphere(1.5)
+    values = rng.standard_normal((300, 3))
+    values = 1.5 * values / np.linalg.norm(values, axis=-1, keepdims=True)
+    chart = auto_chart(m, values[values[:, 2] > 0.3])
+    want = cap_chart_rep(chart, values)
+
+    def no_frames(*args):
+        raise AssertionError("rep built a frame")
+
+    monkeypatch.setattr(target_charts, "frames_at", no_frames)
+    assert_same_bits(chart.rep(values), want)
 
 
 class TestCross:

@@ -26,7 +26,7 @@ from mapcalc import (
     witness_ladder,
 )
 from mapcalc import atlas, charts, experiments, gridfn, topology
-from mapcalc.atlas import TAU, chart_layout, compact_slices, map_sup_distance, overlap_residual
+from mapcalc.atlas import TAU, compact_slices, map_sup_distance, overlap_residual
 from mapcalc.charts import chart_forward, chart_inverse
 from mapcalc.experiments import (
     basis_convergence_failures,
@@ -258,12 +258,11 @@ class TestSupsKeepNaN:
         # two charts' nodes for the map distance, two shared-node blocks for the overlap
         f = sample_map(CIRCLE_ATLAS, S1, great_circle(), 16)
         calls = iter(range(2))
-        starts = chart_layout(f.atlas, f.resolution).starts
 
         def dist(m, a, b):
             d = np.full(a.shape[:-1], 0.25)
-            if len(d) == starts[-1]:  # one call over every node of the map
-                d[starts[piece]] = np.nan
+            if len(d) == len(f.nodes):  # one call over every node of the map
+                f.views(d[:, None])[piece][0] = np.nan  # the chart's first node
             elif next(calls) == piece:
                 d[:] = np.nan
             return d
@@ -277,7 +276,7 @@ class TestSupsKeepNaN:
 
         def log_dist(m, base, target):
             vecs, d = log_dist_points(m, base, target)
-            d[chart_layout(f.atlas, f.resolution).starts[chart]] = np.nan  # one call, every node
+            f.views(d[:, None])[chart][0] = np.nan  # one call, every node
             return vecs, d
 
         monkeypatch.setattr(charts, "log_dist_points", log_dist)

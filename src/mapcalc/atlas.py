@@ -5,15 +5,17 @@ circles; the 2-torus carries the four product charts.  Every chart comes
 pre-enlarged, so finite differences at the boundary of a compact piece
 never need one-sided stencils.
 
-Grids live on a single angular lattice of spacing 2*pi/resolution per axis;
-a chart's grid is the set of lattice nodes inside (the closure of) its
-enlarged box, which gives loop samples uniform spacing.  Two charts that
-reach a domain point at the same lattice index share its node, so they
-agree there by storage.  Where they reach it one period apart (theta and
-theta + 2 pi), the two copies are nodes of their own, and a periodic formula
-agrees only to rounding: a random loop at resolution 64 differs by 7.4e-16
-at such nodes, and ``overlap_residual``, which measures these copies, is
-6.9e-16 on the great circle.
+Grids live on a single angular lattice of spacing 2*pi/resolution per axis,
+and ``chart_layout`` is the one code that rounds chart boxes to its
+indices: a chart's grid is the set of lattice nodes inside (the closure of)
+its enlarged box, which gives loop samples uniform spacing, and its compact
+piece is a window into that grid.  Two charts that reach a domain point at
+the same lattice index share its node, so they agree there by storage.
+Where they reach it one period apart (theta and theta + 2 pi), the two
+copies are nodes of their own, and a periodic formula agrees only to
+rounding: a random loop at resolution 64 differs by 7.4e-16 at such nodes,
+and ``overlap_residual``, which compares every node with its copies one
+period away, is 6.9e-16 on the great circle.
 
 A map's values are one node array (N, amb), one node per lattice point of
 the box the chart grids span, as laid out by ``chart_layout``; the
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import combinations
+from itertools import product
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -59,7 +61,6 @@ TORUS2 = "torus2"
 @dataclass(frozen=True)
 class Chart:
     id: int
-    box: tuple[tuple[float, float], ...]
     enlarged: tuple[tuple[float, float], ...]
     compact: tuple[tuple[float, float], ...]
 
@@ -88,24 +89,22 @@ class DomainAtlas:
 
 
 _ARCS = (
-    # (domain box, enlarged box, compact piece) per circle chart
-    ((-0.25 * math.pi, 1.25 * math.pi), (-0.5 * math.pi, 1.5 * math.pi), (0.0, math.pi)),
-    ((0.75 * math.pi, 2.25 * math.pi), (0.5 * math.pi, 2.5 * math.pi), (math.pi, TAU)),
+    # (enlarged box, compact piece) per circle chart
+    ((-0.5 * math.pi, 1.5 * math.pi), (0.0, math.pi)),
+    ((0.5 * math.pi, 2.5 * math.pi), (math.pi, TAU)),
 )
 
 
 def circle_atlas() -> DomainAtlas:
-    charts = tuple(
-        Chart(i, (box,), (enl,), (comp,)) for i, (box, enl, comp) in enumerate(_ARCS)
-    )
+    charts = tuple(Chart(i, (enl,), (comp,)) for i, (enl, comp) in enumerate(_ARCS))
     return DomainAtlas(CIRCLE, charts)
 
 
 def torus2_atlas() -> DomainAtlas:
     charts = tuple(
-        Chart(2 * a + b, (box_a, box_b), (enl_a, enl_b), (comp_a, comp_b))
-        for a, (box_a, enl_a, comp_a) in enumerate(_ARCS)
-        for b, (box_b, enl_b, comp_b) in enumerate(_ARCS)
+        Chart(2 * a + b, (enl_a, enl_b), (comp_a, comp_b))
+        for a, (enl_a, comp_a) in enumerate(_ARCS)
+        for b, (enl_b, comp_b) in enumerate(_ARCS)
     )
     return DomainAtlas(TORUS2, charts)
 
@@ -118,31 +117,19 @@ TORUS2_ATLAS = torus2_atlas()
 # lattice grids
 
 
-def _axis_range(lo: float, hi: float, h: float) -> tuple[int, int]:
-    j0 = math.ceil(lo / h - 1e-9)
-    j1 = math.floor(hi / h + 1e-9)
-    return j0, j1
-
-
-def grid_ranges(chart: Chart, resolution: int) -> list[tuple[int, int]]:
-    h = TAU / resolution
-    return [_axis_range(lo, hi, h) for lo, hi in chart.enlarged]
-
-
-def grid_coords(chart: Chart, resolution: int) -> list[np.ndarray]:
-    h = TAU / resolution
-    return [np.arange(j0, j1 + 1) * h for j0, j1 in grid_ranges(chart, resolution)]
-
-
 class ChartLayout(NamedTuple):
     """Where the chart grids sit in a map's node array: one node per lattice
-    point of the box the grids span, of shape ``box``, in C order.  Each
-    chart's grid is a window into that box, one slice per axis in
-    ``windows``; ``mesh`` holds the chart coordinates of every node, (N, dim).
+    point of the box the grids span, of shape ``box``, in C order, whose
+    first node sits at lattice index ``lo``.  Each chart's grid is a window
+    into that box, one slice per axis in ``windows``, and its compact piece
+    a window into that grid, in ``compact``; ``mesh`` holds the chart
+    coordinates of every node, (N, dim).
     """
 
     box: tuple[int, ...]
+    lo: tuple[int, ...]
     windows: tuple[tuple[slice, ...], ...]
+    compact: tuple[tuple[slice, ...], ...]
     mesh: np.ndarray
 
     def chart_nodes(self, chart_id: int) -> np.ndarray:
@@ -152,31 +139,31 @@ class ChartLayout(NamedTuple):
 
 @lru_cache(maxsize=16)
 def chart_layout(atlas: DomainAtlas, resolution: int) -> ChartLayout:
-    """The layout of the node arrays of maps on ``atlas`` at ``resolution``.
+    """The layout of the node arrays of maps on ``atlas`` at ``resolution``,
+    the one place where chart boxes meet the lattice.
 
-    Charts that reach a lattice point at the same index share its node; a
-    point one period away is a node of its own.  The layout is shared
-    between callers, so its mesh is read-only.
+    A chart's grid holds the lattice nodes in the closure of its enlarged
+    box.  Charts that reach a lattice point at the same index share its
+    node; a point one period away is a node of its own.  The layout is
+    shared between callers, so its mesh is read-only.
     """
-    ranges = [grid_ranges(chart, resolution) for chart in atlas.charts]
-    lo = [min(r[a][0] for r in ranges) for a in range(atlas.dim)]
-    hi = [max(r[a][1] for r in ranges) for a in range(atlas.dim)]
-    windows = tuple(tuple(slice(j0 - a, j1 - a + 1) for (j0, j1), a in zip(r, lo)) for r in ranges)
     h = TAU / resolution
+
+    def indices(box):  # the first and last lattice index in each closed interval
+        return [(math.ceil(lo / h - 1e-9), math.floor(hi / h + 1e-9)) for lo, hi in box]
+
+    grids = [indices(chart.enlarged) for chart in atlas.charts]
+    lo = tuple(min(g[a][0] for g in grids) for a in range(atlas.dim))
+    hi = tuple(max(g[a][1] for g in grids) for a in range(atlas.dim))
+    windows = tuple(tuple(slice(j0 - a, j1 - a + 1) for (j0, j1), a in zip(g, lo)) for g in grids)
+    compact = tuple(
+        tuple(slice(k0 - j0, k1 - j0 + 1) for (k0, k1), (j0, _) in zip(indices(chart.compact), g))
+        for chart, g in zip(atlas.charts, grids)
+    )
     axes = np.meshgrid(*(np.arange(a, b + 1) * h for a, b in zip(lo, hi)), indexing="ij")
     mesh = np.stack(axes, axis=-1).reshape(-1, atlas.dim)
     mesh.flags.writeable = False
-    return ChartLayout(tuple(b - a + 1 for a, b in zip(lo, hi)), windows, mesh)
-
-
-def compact_slices(chart: Chart, resolution: int) -> tuple[slice, ...]:
-    """Index slices selecting the compact-piece nodes inside the chart grid."""
-    h = TAU / resolution
-    out = []
-    for (j0, _), (klo, khi) in zip(grid_ranges(chart, resolution), chart.compact):
-        a0, a1 = _axis_range(klo, khi, h)
-        out.append(slice(a0 - j0, a1 - j0 + 1))
-    return tuple(out)
+    return ChartLayout(tuple(b - a + 1 for a, b in zip(lo, hi)), lo, windows, compact, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +191,17 @@ class SampledMap:
             raise TrialAxisUnsupported(f"the grid layers take one map, not a batch of {self.trials}")
         return self.views(self.nodes)
 
+    @property
+    def layout(self) -> ChartLayout:
+        return chart_layout(self.atlas, self.resolution)
+
     def views(self, nodes: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-chart views over the chart grids of a node array (..., N, amb)
         along this map, such as its values or a section's vectors."""
-        box, windows, _ = chart_layout(self.atlas, self.resolution)
+        layout = self.layout
         lead, amb = nodes.shape[:-2], nodes.shape[-1:]
-        lattice = nodes.reshape(lead + box + amb)
-        return tuple(lattice[(..., *window, slice(None))] for window in windows)
+        lattice = nodes.reshape(lead + layout.box + amb)
+        return tuple(lattice[(..., *window, slice(None))] for window in layout.windows)
 
     def with_nodes(self, nodes: np.ndarray) -> "SampledMap":
         return SampledMap(self.atlas, self.target, self.resolution, nodes)
@@ -291,14 +282,13 @@ def chart_rep(
     # the lift runs over the whole grid: the unwrap's running correction
     # depends on where it starts, so a lift of the window alone could move bits
     lifted = lift_grid(vals, target_chart.periods)
-    ksl = compact_slices(f.atlas.charts[chart_id], f.resolution)
-    anchor = tuple(s.start for s in ksl)
+    anchor = tuple(s.start for s in f.layout.compact[chart_id])
     shift = target_chart.rep(vals[anchor]) - lifted[anchor]
     return lifted[window] + shift
 
 
 def check_containment(f: SampledMap, target_chart: TargetChart, chart_id: int) -> bool:
-    ksl = compact_slices(f.atlas.charts[chart_id], f.resolution)
+    ksl = f.layout.compact[chart_id]
     return bool(np.all(target_chart.contains(f.values[chart_id][ksl])))
 
 
@@ -306,8 +296,7 @@ def piece_jets(f: SampledMap, chart_id: int, k: int, rep: Callable) -> Jets:
     """Partial derivatives up to order ``k``, at the compact-piece nodes of
     chart ``chart_id``, of the chart-local array ``rep(window)`` returns;
     ``window`` is the compact piece and its stencil margin only."""
-    ksl = compact_slices(f.atlas.charts[chart_id], f.resolution)
-    outer, inner = stencil_window(ksl, k, f.values[chart_id].shape)
+    outer, inner = stencil_window(f.layout.compact[chart_id], k, f.values[chart_id].shape)
     return jets(rep(outer), inner, TAU / f.resolution, k)
 
 
@@ -330,41 +319,18 @@ def chart_jet(f: SampledMap, target_chart: TargetChart, chart_id: int, k: int) -
 # overlap consistency
 
 
-def _axis_matches(r_i: tuple[int, int], r_j: tuple[int, int], resolution: int):
-    ji = np.arange(r_i[0], r_i[1] + 1)
-    pairs = []
-    for t in (-resolution, 0, resolution):
-        mask = (ji + t >= r_j[0]) & (ji + t <= r_j[1])
-        if np.any(mask):
-            pairs.append((np.nonzero(mask)[0], ji[mask] + t - r_j[0]))
-    return pairs
-
-
-def shared_nodes(atlas: DomainAtlas, resolution: int, ci: int, cj: int):
-    """Index pairs of lattice nodes present in both charts' grids."""
-    ri = grid_ranges(atlas.charts[ci], resolution)
-    rj = grid_ranges(atlas.charts[cj], resolution)
-    per_axis = [_axis_matches(ra, rb, resolution) for ra, rb in zip(ri, rj)]
-    if any(not p for p in per_axis):
-        return []
-    out = []
-    if len(per_axis) == 1:
-        for idx_i, idx_j in per_axis[0]:
-            out.append(((idx_i,), (idx_j,)))
-    else:
-        for ia, ja in per_axis[0]:
-            for ib, jb in per_axis[1]:
-                mi = np.meshgrid(ia, ib, indexing="ij")
-                mj = np.meshgrid(ja, jb, indexing="ij")
-                out.append(((mi[0].ravel(), mi[1].ravel()), (mj[0].ravel(), mj[1].ravel())))
-    return out
-
-
 def overlap_residual(f: SampledMap) -> float:
-    """Max target distance between the charts' values at shared lattice nodes."""
-    return sup(
-        np.max(dist_points(f.target, f.values[ci][idx_i], f.values[cj][idx_j]))
-        for ci, cj in combinations(range(len(f.atlas.charts)), 2)
-        for idx_i, idx_j in shared_nodes(f.atlas, f.resolution, ci, cj)
-    )
-
+    """Max target distance between the copies of a domain point one period
+    apart: the box nodes whose lattice indices differ by the resolution
+    along one axis or more.  Copies at one index share a node."""
+    if f.trials is not None:
+        raise TrialAxisUnsupported(f"overlap_residual takes one map, not a batch of {f.trials}")
+    box, n = f.layout.box, f.resolution
+    lattice = f.nodes.reshape(box + f.nodes.shape[-1:])
+    sups = []
+    for shift in product((-n, 0, n), repeat=len(box)):
+        if shift > (0,) * len(box):  # one of each pair of opposite shifts
+            here = tuple(slice(max(0, -s), b - max(0, s)) for s, b in zip(shift, box))
+            there = tuple(slice(max(0, s), b - max(0, -s)) for s, b in zip(shift, box))
+            sups.append(np.max(dist_points(f.target, lattice[here], lattice[there])))
+    return sup(sups)

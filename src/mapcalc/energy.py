@@ -1,10 +1,11 @@
 """Discrete Dirichlet energy on loop spaces and chart-based gradient descent.
 
 Loops are sampled maps on the circle; the lattice grid convention makes the
-loop samples uniformly spaced, with each domain point contributed by the
-chart whose compact piece owns it.  Descent steps along the H^1 (Sobolev)
-gradient and retracts along the chart at the current iterate, so every
-accepted step stays inside a chart by construction.
+loop samples uniformly spaced, and each loop point is the node at its own
+lattice index, so the loop is one run of the node array.  Descent steps
+along the H^1 (Sobolev) gradient and retracts along the chart at the
+current iterate, so every accepted step stays inside a chart by
+construction.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .atlas import (
     DomainAtlas,
     SampledMap,
     chart_layout,
-    compact_slices,
-    grid_ranges,
 )
 from .charts import chart_inverse, default_delta
 from .errors import StepOutOfChart, TrialAxisUnsupported
@@ -68,30 +67,19 @@ def _require_circle(f: SampledMap) -> None:
 
 
 @lru_cache(maxsize=32)
-def _loop_lattice(atlas: DomainAtlas, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The node owning each loop lattice point, and the loop lattice point of
-    every node, as indices into the node array and the loop.
+def _loop_lattice(atlas: DomainAtlas, n: int) -> tuple[slice, np.ndarray]:
+    """The nodes of the loop lattice points, as a slice of the node array,
+    and the loop lattice point of every node, as read-only indices into the
+    loop.
 
-    A point is owned by the compact piece that holds it, half-open at the
-    upper end so the pieces tile the circle.  The arrays are shared between
-    callers, so they are read-only.
+    Loop point j has its node at its own lattice index j, and the box runs
+    past both ends of the loop, so the loop is one run of nodes.
     """
-    h = TAU / n
     layout = chart_layout(atlas, n)
-    owner = np.full(n, -1)
-    for chart in atlas.charts:
-        (j0, _), = grid_ranges(chart, n)
-        (ksl,) = compact_slices(chart, n)
-        local = np.arange(ksl.start, ksl.stop)
-        local = local[(j0 + local) * h < chart.compact[0][1] - 1e-12]
-        owner[(j0 + local) % n] = layout.chart_nodes(chart.id)[local]
-    if np.any(owner < 0):
-        raise ValueError("compact pieces do not cover the loop lattice")
-    # a node's chart coordinate is its lattice index times h
-    lattice = owner, np.rint(layout.mesh[:, 0] / h).astype(int) % n
-    for arr in lattice:
-        arr.flags.writeable = False
-    return lattice
+    (lo,) = layout.lo
+    points = (np.arange(len(layout.mesh)) + lo) % n
+    points.flags.writeable = False
+    return slice(-lo, n - lo), points
 
 
 @lru_cache(maxsize=32)
@@ -125,7 +113,8 @@ def _forward_logs(f: SampledMap, vals: np.ndarray) -> np.ndarray:
 
 
 def loop_values(f: SampledMap) -> np.ndarray:
-    """Values on the global loop lattice, each node owned by one compact piece."""
+    """Values on the global loop lattice, a view of the nodes: each loop
+    point's node is the one at its own lattice index."""
     _require_circle(f)
     if f.trials is not None:
         raise TrialAxisUnsupported(f"loop_values takes one map, not a batch of {f.trials}")

@@ -17,8 +17,6 @@ from .atlas import (
     SampledMap,
     chart_jet,
     chart_layout,
-    compact_slices,
-    grid_coords,
     sample_map,
 )
 from .charts import (
@@ -201,11 +199,10 @@ def jet_convergence_ratio() -> float:
         )
         cover = canonical_cover(f)
         chart_errs = []
-        for chart in f.atlas.charts:
+        for chart, mesh, piece in zip(f.atlas.charts, f.views(f.layout.mesh), f.layout.compact):
             jet = chart_jet(f, cover[chart.id], chart.id, 2)
             entry = jet[(2,)][..., 0]
-            (js,) = compact_slices(chart, res)
-            thetas = grid_coords(chart, res)[0][js]
+            thetas = mesh[piece][..., 0]
             chart_errs.append(np.max(np.abs(entry + np.sin(thetas))))
         errs.append(sup(chart_errs))
     return errs[0] / errs[1]

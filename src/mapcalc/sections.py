@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .atlas import SampledMap, chart_layout
+from .atlas import SampledMap
 from .errors import BaseMismatch, FormulaOutOfTarget
 from .finite_diff import holds, trial_sup
 from .manifolds import norm_points, project_tangent, smooth_frames, to_frame
@@ -70,15 +70,15 @@ def section_from_formula(
 ) -> PullbackSection:
     """Section from a closed-form vector field over the domain.
 
-    The field is evaluated once, on the mesh of ``chart_layout``, projected
-    to the tangent space at the map value, and optionally rescaled to a
-    prescribed sup.  Along a batch of maps the field returns one vector per
+    The field is evaluated once, on the mesh of the map's ``layout``,
+    projected to the tangent space at the map value, and optionally
+    rescaled to a prescribed sup.  Along a batch of maps the field returns one vector per
     trial and node, and each trial is rescaled to ``sup_scale`` by its own
     sup.  Charts that reach a lattice point at the same index share its
     node, so their vectors there agree by storage; at indices one period
     apart a periodic field agrees only to rounding.
     """
-    raw = np.asarray(vector_fn(chart_layout(f.atlas, f.resolution).mesh), dtype=float)
+    raw = np.asarray(vector_fn(f.layout.mesh), dtype=float)
     if raw.shape != f.nodes.shape:
         raise FormulaOutOfTarget(f"vector field returned shape {raw.shape}, not {f.nodes.shape}")
     vecs = project_tangent(f.target, f.nodes, raw)

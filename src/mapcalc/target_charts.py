@@ -98,11 +98,11 @@ def lift_grid(values: np.ndarray, periods) -> np.ndarray:
 
 
 def unwrap(p: np.ndarray, period: float) -> np.ndarray:
-    """``np.unwrap(p, period=period, axis=0)`` for float data, step for step,
-    with its ``np.mod`` replaced by ``mod_periods`` (the same bits).
+    """``np.unwrap(p, period=period, axis=0)`` for float data, step for step.
 
     Grid steps are small, so almost no difference needs a true reduction,
-    and only the steps that can jump are reduced at all.
+    and only the steps that can jump are reduced at all: a handful of
+    entries, which ``np.mod`` reduces faster than ``mod_periods`` does.
     """
     dd = p[1:] - p[:-1]
     high = period / 2
@@ -110,7 +110,7 @@ def unwrap(p: np.ndarray, period: float) -> np.ndarray:
     jump = ~(abs(dd) < high)
     correct = np.zeros_like(dd)
     d = dd[jump]
-    dmod = mod_periods(d + high, period) - high
+    dmod = np.mod(d + high, period) - high
     # a step of exactly half a period keeps its sign
     dmod[(dmod == -high) & (d > 0)] = high
     correct[jump] = dmod - d

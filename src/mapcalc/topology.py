@@ -17,7 +17,6 @@ import numpy as np
 from .atlas import (
     SampledMap,
     chart_jet,
-    compact_slices,
     piece_jets,
     same_discretization,
 )
@@ -33,8 +32,7 @@ CkCover = tuple[TargetChart, ...]
 
 def canonical_cover(f: SampledMap) -> CkCover:
     return tuple(
-        auto_chart(f.target, f.values[chart.id][compact_slices(chart, f.resolution)])
-        for chart in f.atlas.charts
+        auto_chart(f.target, vals[piece]) for vals, piece in zip(f.values, f.layout.compact)
     )
 
 

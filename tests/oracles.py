@@ -8,6 +8,7 @@ holds helpers that only the tests call, built on the package's own layers;
 ``tests/test_referenced.py`` keeps such code out of ``mapcalc``.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -402,6 +403,90 @@ def serial_chain_rule_residual(m, resolution, rng):
     direct = transition_derivative(f, h, s0, s)
     resid = section_max_diff(via, direct)
     return resid / max(section_sup(direct), 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# lattice indexing chart by chart: each chart box rounded to lattice indices
+# on its own, node pairs matched chart pair by chart pair, and each loop
+# point's node chosen by the compact piece that holds it; the reference for
+# the one layout that ``mapcalc.atlas.chart_layout`` builds
+
+
+def grid_ranges(chart, resolution):
+    """The first and last lattice index of a chart's grid, per axis: the
+    lattice points in the closure of its enlarged box."""
+    h = 2.0 * math.pi / resolution
+    return [(math.ceil(lo / h - 1e-9), math.floor(hi / h + 1e-9)) for lo, hi in chart.enlarged]
+
+
+def grid_coords(chart, resolution):
+    """The chart coordinates of a chart's grid, per axis."""
+    h = 2.0 * math.pi / resolution
+    return [np.arange(j0, j1 + 1) * h for j0, j1 in grid_ranges(chart, resolution)]
+
+
+def compact_slices(chart, resolution):
+    """Index slices selecting the compact-piece nodes inside the chart grid."""
+    h = 2.0 * math.pi / resolution
+    out = []
+    for (j0, _), (klo, khi) in zip(grid_ranges(chart, resolution), chart.compact):
+        a0, a1 = math.ceil(klo / h - 1e-9), math.floor(khi / h + 1e-9)
+        out.append(slice(a0 - j0, a1 - j0 + 1))
+    return tuple(out)
+
+
+def shared_nodes(atlas, resolution, ci, cj):
+    """Index pairs into the grids of charts ``ci`` and ``cj`` of the nodes at
+    lattice indices equal or one period apart along each axis, in blocks."""
+    ri = grid_ranges(atlas.charts[ci], resolution)
+    rj = grid_ranges(atlas.charts[cj], resolution)
+    per_axis = []
+    for (i0, i1), (j0, j1) in zip(ri, rj):
+        ji = np.arange(i0, i1 + 1)
+        matches = []
+        for t in (-resolution, 0, resolution):
+            mask = (ji + t >= j0) & (ji + t <= j1)
+            if np.any(mask):
+                matches.append((np.nonzero(mask)[0], ji[mask] + t - j0))
+        per_axis.append(matches)
+    out = []
+    for blocks in itertools.product(*per_axis):
+        mi = np.meshgrid(*(ia for ia, _ in blocks), indexing="ij")
+        mj = np.meshgrid(*(ja for _, ja in blocks), indexing="ij")
+        out.append((tuple(m.ravel() for m in mi), tuple(m.ravel() for m in mj)))
+    return out
+
+
+def pairwise_overlap_residual(f):
+    """Max target distance between the charts' values over every pair of
+    ``shared_nodes``, chart pair by chart pair."""
+    from mapcalc.finite_diff import sup
+    from mapcalc.manifolds import dist_points
+
+    return sup(
+        np.max(dist_points(f.target, f.values[ci][idx_i], f.values[cj][idx_j]))
+        for ci, cj in itertools.combinations(range(len(f.atlas.charts)), 2)
+        for idx_i, idx_j in shared_nodes(f.atlas, f.resolution, ci, cj)
+    )
+
+
+def loop_owners(atlas, n):
+    """The node of each loop lattice point: the node of the chart whose
+    compact piece holds the point, half-open at its upper end so the pieces
+    tile the circle."""
+    from mapcalc.atlas import chart_layout
+
+    h = 2.0 * math.pi / n
+    layout = chart_layout(atlas, n)
+    owner = np.full(n, -1)
+    for chart in atlas.charts:
+        (j0, _), = grid_ranges(chart, n)
+        (ksl,) = compact_slices(chart, n)
+        local = np.arange(ksl.start, ksl.stop)
+        local = local[(j0 + local) * h < chart.compact[0][1] - 1e-12]
+        owner[(j0 + local) % n] = layout.chart_nodes(chart.id)[local]
+    assert np.all(owner >= 0), "compact pieces do not cover the loop lattice"
+    return owner
 
 
 # ---------------------------------------------------------------------------

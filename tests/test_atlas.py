@@ -21,27 +21,33 @@ from mapcalc import (
 from mapcalc.atlas import (
     TAU,
     Chart,
+    SampledMap,
     chart_layout,
     chart_rep,
     circle_atlas,
-    compact_slices,
-    grid_coords,
-    grid_ranges,
     torus2_atlas,
 )
 from mapcalc.energy import _loop_lattice, loop_values
+from mapcalc.experiments import random_center
 from mapcalc.finite_diff import diff_multi, jets, multi_indices, stencil_radius
 from mapcalc.maps import great_circle, torus2_wave, torus_loop
 from mapcalc.target_charts import auto_chart
-from oracles import constant_formula
+from oracles import (
+    compact_slices,
+    constant_formula,
+    grid_coords,
+    grid_ranges,
+    loop_owners,
+    pairwise_overlap_residual,
+    shared_nodes,
+)
 
 T22 = flat_torus(TAU, TAU)
 S1 = sphere(1.0)
 
 
 def k_chart(f, cid):
-    chart = f.atlas.charts[cid]
-    return auto_chart(f.target, f.values[cid][compact_slices(chart, f.resolution)])
+    return auto_chart(f.target, f.values[cid][f.layout.compact[cid]])
 
 
 class TestAtlasGeometry:
@@ -52,10 +58,8 @@ class TestAtlasGeometry:
     @pytest.mark.parametrize("atlas", [CIRCLE_ATLAS, TORUS2_ATLAS])
     def test_boxes_nested(self, atlas):
         for chart in atlas.charts:
-            for (blo, bhi), (elo, ehi), (klo, khi) in zip(
-                chart.box, chart.enlarged, chart.compact
-            ):
-                assert elo < blo < klo < khi < bhi < ehi
+            for (elo, ehi), (klo, khi) in zip(chart.enlarged, chart.compact):
+                assert elo < klo < khi < ehi
 
     def test_compact_cover_dense(self):
         # every domain sample lies in some embedded compact piece (10x density)
@@ -95,11 +99,11 @@ class TestAtlasGeometry:
         assert hashed == []
 
     def test_grids_share_the_lattice(self):
+        # every chart grid is a window into the layout's mesh
         res = 64
         h = TAU / res
-        for chart in CIRCLE_ATLAS.charts:
-            (xs,) = grid_coords(chart, res)
-            assert np.allclose(np.mod(xs / h + 0.5, 1.0), 0.5, atol=1e-9)
+        xs = chart_layout(CIRCLE_ATLAS, res).mesh
+        assert np.allclose(np.mod(xs / h + 0.5, 1.0), 0.5, atol=1e-9)
 
 
 class TestSampleMap:
@@ -157,14 +161,6 @@ class TestChartLayout:
         assert len(np.unique(lattice, axis=0)) == count
 
     @pytest.mark.parametrize("atlas,res", [(CIRCLE_ATLAS, 64), (TORUS2_ATLAS, 16)])
-    def test_windows_hold_each_charts_grid(self, atlas, res):
-        layout = chart_layout(atlas, res)
-        mesh = layout.mesh.reshape(layout.box + (atlas.dim,))
-        for chart, window in zip(atlas.charts, layout.windows):
-            axes = np.meshgrid(*grid_coords(chart, res), indexing="ij")
-            assert np.array_equal(mesh[window], np.stack(axes, axis=-1))
-
-    @pytest.mark.parametrize("atlas,res", [(CIRCLE_ATLAS, 64), (TORUS2_ATLAS, 16)])
     def test_same_index_nodes_share_memory(self, atlas, res):
         # why charts agree exactly at a lattice point both reach at one index
         f = sample_map(atlas, T22, constant_formula(T22, [0.5, 0.5]), res)
@@ -188,6 +184,87 @@ class TestChartLayout:
         assert not np.shares_memory(views[0][(0 - j0, *rest)], views[other][(res - j1, *rest)])
 
 
+def _sphere_wave(mesh):
+    """A map from the 2-torus onto the unit sphere that varies along both axes."""
+    x, y = mesh[..., 0], mesh[..., 1]
+    polar = 1.2 + 0.3 * np.sin(x + 2 * y)
+    azimuth = y + 0.4 * np.cos(3 * x)
+    return np.stack(
+        [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)], axis=-1
+    )
+
+
+# odd resolutions, and even ones that are not multiples of 4, put compact
+# bounds and enlarged box ends between lattice points
+LATTICES = [(CIRCLE_ATLAS, range(8, 131)), (TORUS2_ATLAS, range(8, 41))]
+
+
+class TestOneLatticeIndex:
+    """The layout's windows, compact slices, period-apart pairs and loop
+    nodes equal the chart-by-chart lattice indexing of ``oracles``."""
+
+    @pytest.mark.parametrize("atlas,resolutions", LATTICES, ids=["circle", "torus2"])
+    def test_windows_and_compact_slices(self, atlas, resolutions):
+        for res in resolutions:
+            layout = chart_layout(atlas, res)
+            ranges = [grid_ranges(chart, res) for chart in atlas.charts]
+            assert layout.lo == tuple(min(r[a][0] for r in ranges) for a in range(atlas.dim))
+            mesh = layout.mesh.reshape(layout.box + (atlas.dim,))
+            for chart, window, piece in zip(atlas.charts, layout.windows, layout.compact):
+                axes = np.meshgrid(*grid_coords(chart, res), indexing="ij")
+                assert np.array_equal(mesh[window], np.stack(axes, axis=-1))
+                assert piece == compact_slices(chart, res)
+
+    @pytest.mark.parametrize("atlas,resolutions", LATTICES, ids=["circle", "torus2"])
+    def test_overlap_compares_each_period_apart_pair_once(self, monkeypatch, atlas, resolutions):
+        # every node holds its own index, so each distance call shows its pairs
+        compared = []
+
+        def dist(m, a, b):
+            compared.extend(zip(a[..., 0].ravel().astype(int), b[..., 0].ravel().astype(int)))
+            return np.zeros(a.shape[:-1])
+
+        monkeypatch.setattr("mapcalc.atlas.dist_points", dist)
+        for res in resolutions:
+            layout = chart_layout(atlas, res)
+            index = np.repeat(np.arange(len(layout.mesh), dtype=float)[:, None], 2, axis=1)
+            compared.clear()
+            assert overlap_residual(SampledMap(atlas, T22, res, index)) == 0.0
+            expected = set()
+            for ci, cj in itertools.combinations(range(len(atlas.charts)), 2):
+                for idx_i, idx_j in shared_nodes(atlas, res, ci, cj):
+                    pairs = zip(layout.chart_nodes(ci)[idx_i], layout.chart_nodes(cj)[idx_j])
+                    expected |= {frozenset(p) for p in pairs if p[0] != p[1]}
+            assert len(compared) == len(expected)
+            assert {frozenset(p) for p in compared} == expected
+
+    @pytest.mark.parametrize("target", [S1, T22])
+    def test_overlap_residual_on_the_circle(self, target, rng):
+        for res in range(8, 131):
+            f = random_center(target, res, rng)
+            assert overlap_residual(f) == pairwise_overlap_residual(f)
+
+    @pytest.mark.parametrize("target,formula", [
+        (S1, MapFormula("sphere_wave", _sphere_wave)),
+        (T22, torus2_wave(((1, 2), (-1, 1)), amp=0.3)),
+    ])
+    def test_overlap_residual_on_the_torus(self, target, formula):
+        for res in range(8, 41):
+            f = sample_map(TORUS2_ATLAS, target, formula, res)
+            assert overlap_residual(f) == pairwise_overlap_residual(f)
+
+    def test_loop_nodes(self, rng):
+        for n in range(8, 131):
+            layout = chart_layout(CIRCLE_ATLAS, n)
+            nodes, points = _loop_lattice(CIRCLE_ATLAS, n)
+            owners = loop_owners(CIRCLE_ATLAS, n)
+            assert np.array_equal(np.arange(len(layout.mesh))[nodes], owners)
+            assert np.array_equal(points, np.rint(layout.mesh[:, 0] / (TAU / n)).astype(int) % n)
+            f = random_center(T22, n, rng)
+            assert np.shares_memory(loop_values(f), f.nodes)
+            assert np.array_equal(loop_values(f), f.nodes[owners])
+
+
 class TestChartJets:
     def test_constant_map_zero_derivatives(self):
         f = sample_map(CIRCLE_ATLAS, T22, constant_formula(T22, [1.0, 1.0]), 64)
@@ -206,7 +283,7 @@ class TestChartJets:
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((0, 0), waves=((0, 1.0, 0.0),)), 256)
         chart = CIRCLE_ATLAS.charts[0]
         jet = chart_jet(f, k_chart(f, 0), 0, 2)
-        (js,) = compact_slices(chart, 256)
+        (js,) = f.layout.compact[0]
         (j0, _), = grid_ranges(chart, 256)
         thetas = (np.arange(js.start, js.stop) + j0) * (TAU / 256)
         assert np.max(np.abs(jet[(2,)][..., 0] + np.sin(thetas))) < 1e-6
@@ -217,7 +294,7 @@ class TestChartJets:
             f = sample_map(CIRCLE_ATLAS, T22, torus_loop((0, 0), waves=((0, 1.0, 0.0),)), res)
             chart = CIRCLE_ATLAS.charts[0]
             jet = chart_jet(f, k_chart(f, 0), 0, 2)
-            (js,) = compact_slices(chart, res)
+            (js,) = f.layout.compact[0]
             (j0, _), = grid_ranges(chart, res)
             thetas = (np.arange(js.start, js.stop) + j0) * (TAU / res)
             errs.append(np.max(np.abs(jet[(2,)][..., 0] + np.sin(thetas))))
@@ -244,7 +321,7 @@ class TestChartJets:
         f = sample_map(CIRCLE_ATLAS, target, formula, 128)
         tchart = k_chart(f, 0)
         full = (slice(0, f.values[0].shape[0]),)
-        ksl = compact_slices(CIRCLE_ATLAS.charts[0], 128)
+        ksl = f.layout.compact[0]
         expected = jets(chart_rep(f, tchart, 0, full), ksl, TAU / 128, 3)
         got = chart_jet(f, tchart, 0, 3)
         assert got.keys() == expected.keys()

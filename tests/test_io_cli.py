@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapcalc import CIRCLE_ATLAS, TORUS2_ATLAS, MapFormula, flat_torus, sample_map, sphere
-from mapcalc.atlas import TAU, chart_layout, grid_coords
+from mapcalc.atlas import TAU, chart_layout
 from mapcalc import experiments, topology
 from mapcalc.cli import (
     SUITES,
@@ -45,6 +45,7 @@ from mapcalc.io import (
 from mapcalc.manifolds import reduce_points
 from mapcalc.maps import add_fourier_modes, great_circle, torus_loop
 from mapcalc.sections import section_from_formula
+from oracles import grid_coords
 
 T22 = flat_torus(TAU, TAU)
 S1 = sphere(1.0)

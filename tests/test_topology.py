@@ -26,7 +26,7 @@ from mapcalc import (
     witness_ladder,
 )
 from mapcalc import atlas, charts, experiments, gridfn, topology
-from mapcalc.atlas import TAU, compact_slices, map_sup_distance, overlap_residual
+from mapcalc.atlas import TAU, TORUS2_ATLAS, map_sup_distance, overlap_residual
 from mapcalc.charts import chart_forward, chart_inverse
 from mapcalc.experiments import (
     basis_convergence_failures,
@@ -39,7 +39,7 @@ from mapcalc.experiments import (
 )
 from mapcalc.finite_diff import jet_sup, jet_sup_diff, jets, stencil_window
 from mapcalc.manifolds import log_dist_points, project_tangent
-from mapcalc.maps import great_circle, torus_loop
+from mapcalc.maps import great_circle, torus2_wave, torus_loop
 from mapcalc.sections import PullbackSection, make_section, section_rep
 from mapcalc.topology import cover_jets, jets_distance
 from oracles import probe_per_radius_ladder, ray_sweep_ratio, zero_section
@@ -253,11 +253,12 @@ class TestSupsKeepNaN:
 
     @pytest.mark.parametrize("measure", [lambda f: map_sup_distance(f, f), overlap_residual],
                              ids=["map_sup_distance", "overlap_residual"])
-    @pytest.mark.parametrize("piece", [0, 1])
+    @pytest.mark.parametrize("piece", range(4))
     def test_node_distance_sups_keep_nan(self, monkeypatch, measure, piece):
-        # two charts' nodes for the map distance, two shared-node blocks for the overlap
-        f = sample_map(CIRCLE_ATLAS, S1, great_circle(), 16)
-        calls = iter(range(2))
+        # four charts' nodes for the map distance, four period-apart shift
+        # blocks for the overlap
+        f = sample_map(TORUS2_ATLAS, T22, torus2_wave(((1, 0), (0, 1)), amp=0.2), 16)
+        calls = iter(range(4))
 
         def dist(m, a, b):
             d = np.full(a.shape[:-1], 0.25)
@@ -356,7 +357,7 @@ class TestSectionNorm:
         for chart in f.atlas.charts:
             shape = f.values[chart.id].shape[:-1]
             full = section_rep(s, chart.id, tuple(slice(0, n) for n in shape))
-            outer, _ = stencil_window(compact_slices(chart, f.resolution), k, shape)
+            outer, _ = stencil_window(f.layout.compact[chart.id], k, shape)
             assert np.array_equal(section_rep(s, chart.id, outer), full[outer])
 
     @staticmethod
@@ -368,7 +369,7 @@ class TestSectionNorm:
         for chart in f.atlas.charts:
             full = tuple(slice(0, n) for n in f.values[chart.id].shape[:-1])
             rep = section_rep(s, chart.id, full)
-            window = compact_slices(chart, f.resolution)
+            window = f.layout.compact[chart.id]
             sups.append(jet_sup(jets(rep, window, TAU / f.resolution, k)))
         return max(sups)
 

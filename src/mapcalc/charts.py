@@ -38,7 +38,6 @@ from .manifolds import (
     inj_radius,
     log_dist_points,
     log_points,
-    reduce_points,
     require_log_reach,
     to_frame,
 )
@@ -100,7 +99,7 @@ def chart_inverse(f: SampledMap, s: PullbackSection) -> SampledMap:
         raise WellDefinednessViolated(
             "section is too large to push through the exponential map"
         )
-    return f.with_nodes(reduce_points(f.target, exp_points(f.target, f.nodes, s.vectors)))
+    return f.with_nodes(exp_points(f.target, f.nodes, s.vectors))
 
 
 def transition(f: SampledMap, g: SampledMap, s: PullbackSection) -> PullbackSection:

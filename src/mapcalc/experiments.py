@@ -421,7 +421,7 @@ def composition_probe_case(rng: np.random.Generator, count: int) -> dict:
     lo, hi, n = 0.0, 2 * math.pi, 400
     scale = 0.995
     f1 = GridFunction.sample(lambda x: scale * np.sin(x), lo, hi, n)
-    samples, rays = [], []
+    samples = []
     for _ in range(count):
         w = rng.uniform(-1.0, 1.0, size=2)
         w = w / (np.abs(w).sum() + 1e-12)
@@ -434,12 +434,8 @@ def composition_probe_case(rng: np.random.Generator, count: int) -> dict:
         def fn(x, lam=lam, direction=direction):
             return scale * ((1 - lam) * np.sin(x) + lam * direction(x))
 
-        def ray(x, direction=direction):
-            return scale * (direction(x) - np.sin(x))
-
         samples.append(GridFunction.sample(fn, lo, hi, n))
-        rays.append((lam, GridFunction.sample(ray, lo, hi, n)))
-    return {"f1": f1, "samples": samples, "rays": rays, "box": ((-1.0, 1.0),)}
+    return {"f1": f1, "samples": samples, "box": ((-1.0, 1.0),)}
 
 
 def lipschitz_probe_residual() -> float:

@@ -725,7 +725,10 @@ _JACOBIAN_RULE = (2, 23.0)
 # steps at any radius.  One node's flow at the cap costs over a minute; an
 # uncapped |v| = 1e6 R would take weeks.
 _MAX_ODE_STEPS = 2**18
-_SHOOT_TOL = 1e-11
+# A node stops shooting once its residual is below this.  The derivative rows
+# divide logarithms by a step of 1e-3, which scales this tolerance by 1e3 in
+# their quotients
+_SHOOT_TOL = 1e-13
 _SHOOT_MAX_ITER = 60
 _JACOBIAN_REFRESH = 8
 

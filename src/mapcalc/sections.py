@@ -86,7 +86,7 @@ def section_from_formula(
         sup = np.asarray(_sup_norm(f, vecs))
         scale = np.divide(sup_scale, sup, out=np.ones_like(sup), where=sup > 0)
         vecs = vecs * scale.reshape(scale.shape + (1,) * (vecs.ndim - scale.ndim))
-    return make_section(f, vecs)
+    return PullbackSection(f, vecs)
 
 
 def _sup_norm(f: SampledMap, vectors: np.ndarray) -> float | np.ndarray:

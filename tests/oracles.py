@@ -242,6 +242,31 @@ def ray_sweep_ratio(f1, rays, psi, steps=10):
     return sweep
 
 
+def probe_case_rays(rng, count):
+    """The rays (lam, q) of ``composition_probe_case``'s samples f1 + lam q.
+
+    Replays that function's draw loop, so on a copy of the generator it
+    passes it yields the ray of each of its samples, in order.
+    """
+    from mapcalc.gridfn import GridFunction
+
+    lo, hi, n = 0.0, 2 * math.pi, 400
+    scale = 0.995
+    rays = []
+    for _ in range(count):
+        w = rng.uniform(-1.0, 1.0, size=2)
+        w = w / (np.abs(w).sum() + 1e-12)
+        phase = rng.uniform(0, 2 * math.pi, size=2)
+        lam = math.exp(rng.uniform(math.log(0.01), math.log(0.3)))
+
+        def ray(x, w=w, phase=phase):
+            direction = w[0] * np.sin(2 * x + phase[0]) + w[1] * np.cos(x + phase[1])
+            return scale * (direction - np.sin(x))
+
+        rays.append((lam, GridFunction.sample(ray, lo, hi, n)))
+    return rays
+
+
 def probe_per_radius_ladder(psi, f1, samples, ladder, k, box):
     """Witnesses along a radius ladder from one probe per radius, each over
     the samples within that jet distance of f1."""

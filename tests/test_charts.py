@@ -188,9 +188,19 @@ class TestOneCallPerMap:
 
 class TestChartInverse:
     def test_zero_section_returns_center(self):
+        # exp_f(0) is the center reduced onto the sphere, bit for bit
         f = sample_map(CIRCLE_ATLAS, S1, great_circle(1.0), 64)
         g = chart_inverse(f, zero_section(f))
-        assert map_sup_distance(f, g) == 0.0
+        assert np.array_equal(g.nodes, reduce_points(f.target, f.nodes))
+
+    @pytest.mark.parametrize("target", [S1, T22], ids=["sphere", "torus"])
+    def test_values_are_the_exponential_reduced_once(self, target, rng):
+        # exp_points reduces its output already; a second reduce_points moves
+        # the last bit of about 1 in 6 sphere coordinates
+        f = random_center(target, 128, rng)
+        s = random_section(f, rng, 0.3)
+        g = chart_inverse(f, s)
+        assert np.array_equal(g.nodes, exp_points(f.target, f.nodes, s.vectors))
 
     def test_flat_constant_section_translates(self):
         f = sample_map(CIRCLE_ATLAS, T22, torus_loop((1, 0)), 64)
@@ -221,6 +231,25 @@ class TestChartInverse:
         g = chart_inverse(f, s)
         s2 = chart_forward(f, g, 0.3)
         assert section_max_diff(s, s2) < 1e-9
+
+
+class TestSectionFromFormula:
+    def test_field_is_projected_once(self, rng, monkeypatch):
+        # the one projection gives the sup, and rescaled it is the section
+        from mapcalc import sections
+
+        projections = []
+
+        def spy(m, base, vec):
+            projections.append(manifolds.project_tangent(m, base, vec))
+            return projections[-1]
+
+        monkeypatch.setattr(sections, "project_tangent", spy)
+        f = random_center(S1, 64, rng)
+        s = random_section(f, rng, 0.3)
+        assert len(projections) == 1
+        sup = np.max(manifolds.norm_points(S1, f.nodes, projections[0]))
+        assert np.array_equal(s.vectors, projections[0] * (0.3 / sup))
 
 
 class TestRoundTripInvariant:
@@ -549,6 +578,13 @@ class TestMetricIndependence:
         residuals = metric_independence_residuals(64, rng, 4, S_CONF, dirs_per_base=3)
         assert len(residuals) == 4
         assert max(residuals) < 1e-4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_derivative_check_reads_no_shooting_noise(self, seed):
+        # the central difference divides logarithms by its step of 1e-3, so
+        # they are shot to 1e-13; at 1e-11 seed 2 read 3.4e-8
+        residuals = metric_independence_residuals(64, np.random.default_rng(seed), 5, S_CONF)
+        assert max(residuals) < 1e-10
 
 
 

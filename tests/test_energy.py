@@ -232,7 +232,7 @@ class TestDescentWork:
         else:
             assert result == dirichlet_energy(final)
 
-    @pytest.mark.parametrize("name,trials,logs", [("torus", 22, 40), ("sphere", 50, 87)])
+    @pytest.mark.parametrize("name,trials,logs", [("torus", 22, 40), ("sphere", 49, 85)])
     def test_default_pass_work_is_pinned(self, name, trials, logs, monkeypatch):
         # doubling after every accepted step, and taking the forward logs
         # again per gradient, made 27 and 65 trials and 62 and 139 logs

@@ -654,10 +654,10 @@ class TestConformalShooting:
     # residual per step over the nodes still moving
     SCHEDULE = {
         0.05: [800, 200, 200],
-        0.3: [800, 200, 200],
-        0.7: [800, 200, 200, 186, 2],
-        1.0: [800, 200, 200, 197, 178, 9],
-        1.1: [800, 200, 200, 200, 187, 67],
+        0.3: [800, 200, 200, 196],
+        0.7: [800, 200, 200, 200, 165],
+        1.0: [800, 200, 200, 200, 194, 162],
+        1.1: [800, 200, 200, 200, 198, 182, 54],
     }
 
     @staticmethod
@@ -687,8 +687,8 @@ class TestConformalShooting:
     # took 36, 332 and 1,480 calls for exp
     WORK = {
         0.05: ((16, 4_800), (41, 16_200)),
-        0.3: ((120, 36_000), (265, 91_400)),
-        1.0: ((512, 153_600), (2_697, 683_388)),
+        0.3: ((120, 36_000), (385, 126_680)),
+        1.0: ((512, 153_600), (2_697, 816_504)),
     }
 
     @pytest.mark.parametrize("speed", sorted(WORK))

@@ -1,5 +1,6 @@
 """Tests for neighborhoods, the C^k distance, section norms, and the probe."""
 
+import copy
 import math
 import types
 
@@ -42,7 +43,7 @@ from mapcalc.manifolds import log_dist_points, project_tangent
 from mapcalc.maps import great_circle, torus2_wave, torus_loop
 from mapcalc.sections import PullbackSection, make_section, section_rep
 from mapcalc.topology import cover_jets, jets_distance
-from oracles import probe_per_radius_ladder, ray_sweep_ratio, zero_section
+from oracles import probe_case_rays, probe_per_radius_ladder, ray_sweep_ratio, zero_section
 
 T22 = flat_torus(TAU, TAU)
 S1 = sphere(1.0)
@@ -428,12 +429,13 @@ class TestCompositionProbe:
     def test_sampled_ratio_dominated_by_ray_sweep(self, rng):
         # every sample sits on a ray; a sweep along the rays with the sample's
         # own parameter included can only raise the witness
+        rays = probe_case_rays(copy.deepcopy(rng), count=100)
         case = composition_probe_case(rng, count=100)
         psi = lambda y: y**2
         ratio = composition_bound_probe(
             psi, case["f1"], case["samples"], R=1.0, k=1, box=case["box"]
         )
-        assert ratio <= ray_sweep_ratio(case["f1"], case["rays"], psi) + 1e-12
+        assert ratio <= ray_sweep_ratio(case["f1"], rays, psi) + 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_ladder_is_one_probe_per_radius(self, seed):

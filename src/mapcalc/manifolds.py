@@ -495,12 +495,22 @@ def _frame_legs(n: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 def to_frame(frames: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Coordinates of ambient tangent vectors in orthonormal frames."""
-    return np.einsum("...ad,...d->...a", frames, v)
+    return np.einsum("...ad,...d->...a", _frames_over(frames, v), v)
 
 
 def from_frame(frames: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Ambient tangent vectors from their coordinates in orthonormal frames."""
-    return np.einsum("...a,...ad->...d", w, frames)
+    return np.einsum("...a,...ad->...d", w, _frames_over(frames, w))
+
+
+def _frames_over(frames: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``frames`` copied out over the leading axes of ``v`` when ``v`` has more
+    of them, as a stack of probes does: einsum contracts mismatched leading
+    axes in a broadcasting loop several times slower, to the same bits."""
+    if np.ndim(v) < frames.ndim:
+        return frames
+    lead = np.broadcast_shapes(frames.shape[:-2], np.shape(v)[:-1])
+    return np.ascontiguousarray(np.broadcast_to(frames, lead + frames.shape[-2:]))
 
 
 def frame_probes(w0: np.ndarray, step: float) -> np.ndarray:
@@ -867,32 +877,6 @@ def _rk4_update(y, k1, k2, k3, k4, sixth):
     return out
 
 
-def _shoot_log(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Invert the conformal exponential by Newton iteration in frame coordinates.
-
-    The iteration is batched over all leading axes; ``_shoot_start`` provides
-    the initial guess and the residual is measured through the round
-    logarithm at the target, which is well defined for the desk-scale
-    distances the charts allow.  Each node stops once its own
-    residual is below ``_SHOOT_TOL``, and later iterations run on the nodes
-    still moving, so a node's result does not depend on the rest of the batch.
-    That is why each distinct (base, target) pair, compared by its bytes
-    (``-0.0`` and ``+0.0`` differ), is shot once and its result handed to
-    every row that repeats it.
-    """
-    base, target = np.broadcast_arrays(
-        np.asarray(base, dtype=float), np.asarray(target, dtype=float)
-    )
-    shape = base.shape
-    pairs = np.concatenate([base.reshape(-1, 3), target.reshape(-1, 3)], axis=1)
-    _, first, inverse = np.unique(
-        pairs.view(np.dtype((np.void, pairs.itemsize * 6))).ravel(),
-        return_index=True, return_inverse=True,
-    )
-    w = _shoot_pairs(m, pairs[first, :3], pairs[first, 3:], lambda i: _node(first[i], shape[:-1]))
-    return w[inverse].reshape(shape)
-
-
 def _shoot_start(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.ndarray:
     """The Newton start of conformal shooting, an ambient vector at ``base``.
 
@@ -909,16 +893,28 @@ def _shoot_start(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.
     return w_r - 0.5 * (_conformal_rhs(m, base, w_r) + round_part)
 
 
-def _shoot_pairs(m: TargetManifold, base: np.ndarray, target: np.ndarray, node) -> np.ndarray:
-    """``_shoot_log`` on (n, 3) arrays of bases and targets.
+def _shoot_log(m: TargetManifold, base: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Invert the conformal exponential by Newton iteration in frame coordinates.
+
+    The iteration is batched over all leading axes; ``_shoot_start`` provides
+    the initial guess and the residual is measured through the round
+    logarithm at the target, which is well defined for the desk-scale
+    distances the charts allow.  Each node stops once its own
+    residual is below ``_SHOOT_TOL``, and later iterations run on the nodes
+    still moving, so a node's result does not depend on the rest of the batch:
+    every row is shot, and rows that repeat each other get the same bits.
 
     Iteration 0 takes its chord step from the Jacobian's own coarse probe
     flows: the mean of the four probe images is the coarse residual at the
     start.  Every later step, and the stopping test, reads a full-rule flow.
-    A failure names the worst pair, by ``node(i)`` for pair i: the node with
-    the smallest Jacobian determinant, or the largest residual left after the
-    last iteration.
+    A failure names the worst node: the one with the smallest Jacobian
+    determinant, or the largest residual left after the last iteration.
     """
+    base, target = np.broadcast_arrays(
+        np.asarray(base, dtype=float), np.asarray(target, dtype=float)
+    )
+    lead = base.shape[:-1]
+    base, target = base.reshape(-1, 3), target.reshape(-1, 3)
     round_m = sphere(m.radius)
     frames = frames_at(m, base)
     target_frames = frames_at(round_m, target)
@@ -935,7 +931,7 @@ def _shoot_pairs(m: TargetManifold, base: np.ndarray, target: np.ndarray, node) 
             moving = ~(norm(r0) < _SHOOT_TOL)
             live, r0 = live[moving], r0[moving]
             if not live.size:
-                return from_frame(frames, w)
+                return from_frame(frames, w).reshape(*lead, 3)
             if it == _SHOOT_MAX_ITER:
                 break
         if it % _JACOBIAN_REFRESH == 0:
@@ -946,7 +942,7 @@ def _shoot_pairs(m: TargetManifold, base: np.ndarray, target: np.ndarray, node) 
             if np.any(det < 1e-14):
                 i = int(np.nanargmin(det))
                 raise BeyondInjectivityRadius(
-                    f"conformal shooting became singular at node {node(live[i])}: "
+                    f"conformal shooting became singular at node {_node(live[i], lead)}: "
                     f"Jacobian determinant of magnitude {det[i]:.3g}, below 1e-14"
                 )
             inv = np.linalg.inv(jac)
@@ -958,7 +954,7 @@ def _shoot_pairs(m: TargetManifold, base: np.ndarray, target: np.ndarray, node) 
         r0 = residual(w[live], live)
     i = int(np.argmax(norm(r0)))
     raise BeyondInjectivityRadius(
-        f"conformal shooting did not converge at node {node(live[i])}: residual "
+        f"conformal shooting did not converge at node {_node(live[i], lead)}: residual "
         f"{norm(r0[i]):.3g} after {_SHOOT_MAX_ITER} iterations, tolerance {_SHOOT_TOL:g}"
     )
 

@@ -644,8 +644,8 @@ def spy_flows(monkeypatch):
 
 
 class TestConformalShooting:
-    """Each distinct (base, target) pair is shot once from the second-order
-    start, and the chord Jacobian's coarse probe flows take the first step."""
+    """Every (base, target) row is shot from the second-order start, and the
+    chord Jacobian's coarse probe flows take the first step."""
 
     M = sphere(1.0, conformal="exp(0.3*z)")
 
@@ -742,24 +742,22 @@ class TestConformalShooting:
         ends = _geodesic_flow(self.M, base, vecs, _JACOBIAN_RULE)
         assert np.array_equal(ends, conformal_rk4_flow(self.M, base, vecs, _JACOBIAN_RULE))
 
-    def test_repeated_pairs_are_shot_once(self, monkeypatch):
+    def test_repeated_rows_are_each_shot(self, monkeypatch):
         base, vecs = self.shots(0.5, 5)
         targets = exp_points(self.M, base, vecs)
         rows = np.array([3, 0, 3, 1, 4, 4, 2, 0, 3, 1, 2, 4])
         alone = [log_points(self.M, base[i], targets[i]) for i in range(5)]
-        flows = spy_flows(monkeypatch)
         distinct = log_points(self.M, base, targets)
-        distinct_flows = list(flows)
-        flows.clear()
+        flows = spy_flows(monkeypatch)
         logs = log_points(self.M, base[rows].reshape(3, 4, 3), targets[rows].reshape(3, 4, 3))
-        # the flows of the repeated batch are those of its 5 distinct pairs,
-        # the first being the Jacobian's 4 probes per pair
-        assert flows == distinct_flows and flows[0][0] == 4 * 5
+        # every row is shot, the first flow being the Jacobian's 4 probes per
+        # row, and a node's result does not depend on its batch
+        assert flows[0][0] == 4 * len(rows)
         assert logs.shape == (3, 4, 3) and logs.flags.c_contiguous
         for i, got in zip(rows, logs.reshape(-1, 3)):
             assert np.array_equal(got, alone[i]) and np.array_equal(got, distinct[i])
 
-    def test_signed_zeros_are_distinct_pairs(self, monkeypatch):
+    def test_signed_zero_rows_are_each_shot(self, monkeypatch):
         base = np.array([[0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         target = exp_points(self.M, base[0], np.array([0.3, 0.2, 0.0]))
         targets = np.array([target] * 3)
@@ -767,8 +765,8 @@ class TestConformalShooting:
         flows = spy_flows(monkeypatch)
         logs = log_points(self.M, base, targets)
         # rows 0 and 2 repeat each other; row 1 differs only in the sign of a
-        # zero; the first flow holds the Jacobian's 4 probes per distinct pair
-        assert flows[0][0] == 4 * 2
+        # zero; the first flow holds the Jacobian's 4 probes per row
+        assert flows[0][0] == 4 * 3
         for got, ref in zip(logs, alone):
             assert np.array_equal(got, ref)
 
@@ -960,6 +958,21 @@ class TestFramesAndSerialization:
         frames = smooth_frames(S1, loop, (slice(None),))
         jumps = np.linalg.norm(np.diff(frames, axis=0), axis=(-2, -1))
         assert np.max(jumps) < 0.1
+
+    @pytest.mark.parametrize("lead", [(37,), (3, 37)])
+    def test_probe_stack_contractions_match_one_call_per_probe(self, rng, lead):
+        # frames copied out over a leading probe axis give the bits of one
+        # contraction per probe, and of einsum's own broadcasting loop
+        base, _ = random_sphere_data(S1, rng, math.prod(lead), 1.0)
+        frames = frames_at(S1, base.reshape(*lead, 3))
+        v = rng.standard_normal((4, *lead, 3))
+        w = rng.standard_normal((4, *lead, 2))
+        got = to_frame(frames, v)
+        assert np.array_equal(got, np.stack([to_frame(frames, p) for p in v]))
+        assert np.array_equal(got, np.einsum("...ad,...d->...a", frames, v))
+        got = from_frame(frames, w)
+        assert np.array_equal(got, np.stack([from_frame(frames, p) for p in w]))
+        assert np.array_equal(got, np.einsum("...a,...ad->...d", w, frames))
 
     def test_manifold_json_roundtrip(self):
         for m in (S2, T24, sphere(1.0, conformal="exp(0.3*z)")):
